@@ -1,29 +1,36 @@
 """Command-line entry point exposing the verification suites and the two
 experiments.
 
-Subcommands::
+Subcommands and the flags each one reads, beyond ``--seed``, ``--out`` and
+``--format``::
 
     moment-check    closed-form second moments and nonlinearity variance
                     contraction vs brute-force enumeration / Monte Carlo
+                    (--kind, --max-edges, --samples)
     variance-sweep  Monte-Carlo output variance vs the first-order bound
                     over a grid of link probabilities
+                    (--p P [P ...], --samples, --assert)
     grad-check      analytic gradients vs central finite differences
-    convergence     multi-seed training runs reporting the running minimum
-                    of the squared gradient norm
+                    (--cases)
+    convergence     training runs on seeds --seed .. --seed+--seeds-1
+                    reporting the running minimum of the squared gradient
+                    norm (--T, required; --p, --seeds, --schedule)
     train-source    the source-localization experiment (accuracy table)
     train-flock     the flocking experiment (closed-loop cost table)
+                    (both: --p, --T, --seeds, --jobs, --assert, key=value
+                    config overrides; run seeds come from ``seeds=``)
 
 Every subcommand takes ``--seed`` and bit-reproduces its output files under
 a fixed seed (timing columns are zeroed in files for that reason).  Exit
-codes: 0 success, 1 assertion failure (with ``--assert`` where applicable),
-2 invalid configuration.
+codes: 0 success, 1 assertion failure (moment-check and grad-check always
+check; the others with ``--assert``), 2 invalid configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import functools
 import sys
 from pathlib import Path
 
@@ -33,18 +40,20 @@ from . import variance
 from .errors import ConfigError, DivergenceError
 from .experiments import common as _common
 from .experiments.flocking import FlockingConfig, run_flock_seed
-from .experiments.source import SourceLocConfig, run_source_seed
+from .experiments.source import SourceLocConfig, gen_source_dataset, run_source_seed
 from .graphs import (
     ADJACENCY,
     LAPLACIAN,
+    NORMALIZED_ADJACENCY,
     ShiftOperator,
     build_sbm,
     expected_shift_square,
     to_shift,
 )
-from .model import SgnnConfig, init_tensor, sample_architecture, save_checkpoint
+from .model import (FilterTensor, SgnnConfig, forward, init_tensor, sample_architecture,
+                    save_checkpoint)
 from .rng import Rng
-from .training import (TrainConfig, TrainingSet, convergence_metric,
+from .training import (TrainConfig, TrainingSet, _loss_pair, backward, convergence_metric,
                        gradient_rel_error, train)
 
 EXIT_OK = 0
@@ -65,28 +74,6 @@ def _small_graphs(rng: Rng, max_edges: int) -> list[tuple[str, ShiftOperator]]:
             graphs.append(("random6", random_adj))
             break
     return [(name, g) for name, g in graphs if g.num_edges <= max_edges]
-
-
-def _write_rows(rows: list[dict], columns: list[str], out: Path, name: str, fmt: str) -> Path:
-    out.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path = out / f"{name}.json"
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(rows, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    else:
-        path = out / f"{name}.csv"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt_cell(row[c]) for c in columns) + "\n")
-    return path
-
-
-def _fmt_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _apply_overrides(cfg, overrides: list[str]):
@@ -152,8 +139,8 @@ def cmd_moment_check(args) -> int:
             ok &= passed
             rows.append({"check": "nonlinearity_variance", "case": f"{kind}/{dist_name}",
                          "value": var_out / max(var_in, 1e-12), "pass": passed})
-    path = _write_rows(rows, ["check", "case", "value", "pass"], Path(args.out),
-                       "moment_check", args.format)
+    path = _common.write_results(rows, Path(args.out) / f"moment_check.{args.format}",
+                                 args.format, columns=("check", "case", "value", "pass"))
     print(f"moment-check: {sum(r['pass'] for r in rows)}/{len(rows)} cases pass -> {path}")
     return EXIT_OK if ok else EXIT_ASSERTION
 
@@ -165,8 +152,6 @@ def cmd_moment_check(args) -> int:
 def cmd_variance_sweep(args) -> int:
     rng = Rng(args.seed)
     adj = build_sbm(10, 2, 0.8, 0.2, rng.child(0))
-    from .graphs import NORMALIZED_ADJACENCY
-
     base = to_shift(adj, NORMALIZED_ADJACENCY)
     cfg = SgnnConfig(layers=2, features=2, order=2, nonlinearity="relu")
     tensor = init_tensor(cfg, rng.child(1), 0.4)
@@ -207,9 +192,6 @@ def cmd_variance_sweep(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
-    from .model import FilterTensor, forward
-    from .training import backward, _loss_pair
-
     rng = Rng(args.seed)
     rows = []
     worst = 0.0
@@ -223,8 +205,6 @@ def cmd_grad_check(args) -> int:
         n = adj.n
         if adj.num_edges == 0:
             continue
-        from .graphs import NORMALIZED_ADJACENCY
-
         base = to_shift(adj, NORMALIZED_ADJACENCY)
         nl = ("relu", "abs", "tanh")[case % 3]
         loss = ("mse", "cross_entropy")[case % 2]
@@ -262,8 +242,9 @@ def cmd_grad_check(args) -> int:
         rows.append({"case": case, "nonlinearity": nl, "loss": loss,
                      "readout": readout, "max_rel_err": rel})
         case += 1
-    path = _write_rows(rows, ["case", "nonlinearity", "loss", "readout", "max_rel_err"],
-                       Path(args.out), "grad_check", args.format)
+    path = _common.write_results(
+        rows, Path(args.out) / f"grad_check.{args.format}", args.format,
+        columns=("case", "nonlinearity", "loss", "readout", "max_rel_err"))
     print(f"grad-check: {len(rows)} cases, max rel err {worst:.3e} -> {path}")
     return EXIT_OK if worst <= 1e-5 and len(rows) == args.cases else EXIT_ASSERTION
 
@@ -276,9 +257,6 @@ def _rate_task(seed: int):
     """Small source-localization instance used for the rate check."""
     rng = Rng(seed, stream=77)
     adj = build_sbm(10, 2, 0.8, 0.2, rng.child(0))
-    from .graphs import NORMALIZED_ADJACENCY
-    from .experiments.source import gen_source_dataset
-
     base = to_shift(adj, NORMALIZED_ADJACENCY)
     ds = gen_source_dataset(base, 2, (500, 50, 50), 8, 0.01, rng.child(1))
     cfg = SgnnConfig(layers=1, features=8, order=4, nonlinearity="relu",
@@ -300,17 +278,16 @@ def _convergence_worker(payload) -> dict:
 
 
 def cmd_convergence(args) -> int:
-    p = args.p[0] if args.p else 0.9
-    rows = []
-    for seed in range(args.seeds):
-        rows.append(_convergence_worker((seed, args.iterations, p, args.schedule)))
+    rows = [_convergence_worker((seed, args.iterations, args.p, args.schedule))
+            for seed in range(args.seed, args.seed + args.seeds)]
     mean_min = float(np.mean([r["min_grad_sq"] for r in rows]))
     rows.append({"seed": "mean", "iterations": args.iterations,
                  "min_grad_sq": mean_min,
                  "final_cost": float(np.mean([r["final_cost"] for r in rows]))})
-    path = _write_rows(rows, ["seed", "iterations", "min_grad_sq", "final_cost"],
-                       Path(args.out), f"convergence_T{args.iterations}", args.format)
-    print(f"convergence: T={args.iterations} p={p} mean running-min |grad|^2 = "
+    path = _common.write_results(
+        rows, Path(args.out) / f"convergence_T{args.iterations}.{args.format}", args.format,
+        columns=("seed", "iterations", "min_grad_sq", "final_cost"))
+    print(f"convergence: T={args.iterations} p={args.p} mean running-min |grad|^2 = "
           f"{mean_min:.6g} -> {path}")
     return EXIT_OK
 
@@ -319,88 +296,76 @@ def cmd_convergence(args) -> int:
 # experiments
 
 
-def cmd_train_source(args) -> int:
-    cfg = _apply_overrides(SourceLocConfig(), args.overrides)
-    if args.p:
-        cfg = dataclasses.replace(cfg, train_p=args.p[0])
-    if args.iterations:
-        cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    seeds = cfg.seeds[: args.seeds] if args.seeds else cfg.seeds
-    cfg = dataclasses.replace(cfg, seeds=tuple(seeds))
-    results = _common.map_over_seeds(run_source_seed, cfg, cfg.seeds, args.jobs)
-    rows = [row for res in results for row in res["rows"]]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _common.write_results(rows, out / f"source_accuracy.{args.format}", args.format)
-    for res, seed in zip(results, cfg.seeds):
-        res["sgnn_trace"].to_csv(out / f"source_sgnn_trace_seed{seed}.csv", include_timing=False)
-        res["gnn_trace"].to_csv(out / f"source_gnn_trace_seed{seed}.csv", include_timing=False)
-        save_checkpoint(res["sgnn_trace"].tensor, out / f"source_sgnn_seed{seed}.ckpt",
-                        kind="normalized_adjacency")
-        save_checkpoint(res["gnn_trace"].tensor, out / f"source_gnn_seed{seed}.ckpt",
-                        kind="normalized_adjacency")
-    print(f"train-source: {len(rows)} rows -> {out}")
-    if args.check:
-        return _check_source_rows(rows, cfg)
-    return EXIT_OK
-
-
-def _mean_acc(rows, method, p):
+def _mean_value(rows, method, p):
     vals = [r["value"] for r in rows if r["method"] == method and r["p"] == p]
     return float(np.mean(vals)) if vals else float("nan")
 
 
-def _check_source_rows(rows, cfg) -> int:
-    chance = 1.0 / cfg.communities
-    sg7, gn7 = _mean_acc(rows, "sgnn", 0.7), _mean_acc(rows, "gnn", 0.7)
-    sg5, gn5 = _mean_acc(rows, "sgnn", 0.5), _mean_acc(rows, "gnn", 0.5)
-    checks = [
-        ("sgnn >= gnn at p=0.7", sg7 >= gn7),
-        ("sgnn beats chance at p=0.5", sg5 > chance),
-        ("gnn within 0.1 of chance at p=0.5", abs(gn5 - chance) <= 0.1),
-    ]
-    for label, passed in checks:
+# Each check reads the per-(method, p) seed mean through ``m`` and is false
+# when a probability it needs is missing from the table (the mean is NaN).
+SOURCE_CHECKS = (
+    ("sgnn >= gnn at p=0.7", lambda m, cfg: m("sgnn", 0.7) >= m("gnn", 0.7)),
+    ("sgnn beats chance at p=0.5", lambda m, cfg: m("sgnn", 0.5) > 1.0 / cfg.communities),
+    ("gnn within 0.1 of chance at p=0.5",
+     lambda m, cfg: abs(m("gnn", 0.5) - 1.0 / cfg.communities) <= 0.1),
+)
+FLOCK_CHECKS = (
+    ("sgnn cost <= gnn cost at p=0.7", lambda m, cfg: m("sgnn", 0.7) <= m("gnn", 0.7)),
+    ("sgnn beats zero policy at p=0.7", lambda m, cfg: m("sgnn", 0.7) < m("zero", 0.7)),
+    ("gnn beats zero policy at p=0.7", lambda m, cfg: m("gnn", 0.7) < m("zero", 0.7)),
+)
+
+
+def run_checks(checks, rows, cfg) -> int:
+    """Print one PASS/FAIL line per check; exit code 1 if any fails."""
+    ok = True
+    mean = functools.partial(_mean_value, rows)
+    for label, check in checks:
+        passed = bool(check(mean, cfg))
+        ok &= passed
         print(f"  {'PASS' if passed else 'FAIL'}: {label}")
-    return EXIT_OK if all(p for _, p in checks) else EXIT_ASSERTION
+    return EXIT_OK if ok else EXIT_ASSERTION
 
 
-def cmd_train_flock(args) -> int:
-    cfg = _apply_overrides(FlockingConfig(), args.overrides)
-    if args.p:
-        cfg = dataclasses.replace(cfg, train_p=args.p[0])
-    if args.iterations:
+# command -> (config class, per-seed runner, file prefix, results table, checks)
+EXPERIMENTS = {
+    "train-source": (SourceLocConfig, run_source_seed, "source", "source_accuracy",
+                     SOURCE_CHECKS),
+    "train-flock": (FlockingConfig, run_flock_seed, "flock", "flock_cost", FLOCK_CHECKS),
+}
+
+
+def cmd_train(args) -> int:
+    config, run_seed, prefix, table, checks = EXPERIMENTS[args.command]
+    cfg = _apply_overrides(config(), args.overrides)
+    if args.p is not None:
+        cfg = dataclasses.replace(cfg, train_p=args.p)
+    if args.iterations is not None:
         cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    seeds = cfg.seeds[: args.seeds] if args.seeds else cfg.seeds
-    cfg = dataclasses.replace(cfg, seeds=tuple(seeds))
-    results = _common.map_over_seeds(run_flock_seed, cfg, cfg.seeds, args.jobs)
+    if args.seeds:
+        cfg = dataclasses.replace(cfg, seeds=cfg.seeds[: args.seeds])
+    results = _common.map_over_seeds(run_seed, cfg, cfg.seeds, args.jobs)
     rows = [row for res in results for row in res["rows"]]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _common.write_results(rows, out / f"flock_cost.{args.format}", args.format)
+    _common.write_results(rows, out / f"{table}.{args.format}", args.format)
     for res, seed in zip(results, cfg.seeds):
-        res["sgnn_trace"].to_csv(out / f"flock_sgnn_trace_seed{seed}.csv", include_timing=False)
-        res["gnn_trace"].to_csv(out / f"flock_gnn_trace_seed{seed}.csv", include_timing=False)
-        save_checkpoint(res["sgnn_trace"].tensor, out / f"flock_sgnn_seed{seed}.ckpt",
-                        kind="normalized_adjacency")
-        save_checkpoint(res["gnn_trace"].tensor, out / f"flock_gnn_seed{seed}.ckpt",
-                        kind="normalized_adjacency")
-    print(f"train-flock: {len(rows)} rows -> {out}")
-    if args.check:
-        sg = _mean_acc(rows, "sgnn", 0.7)
-        gn = _mean_acc(rows, "gnn", 0.7)
-        zero = _mean_acc(rows, "zero", 0.7)
-        checks = [
-            ("sgnn cost <= gnn cost at p=0.7", sg <= gn),
-            ("sgnn beats zero policy at p=0.7", sg < zero),
-            ("gnn beats zero policy at p=0.7", gn < zero),
-        ]
-        for label, passed in checks:
-            print(f"  {'PASS' if passed else 'FAIL'}: {label}")
-        return EXIT_OK if all(p for _, p in checks) else EXIT_ASSERTION
-    return EXIT_OK
+        for model in ("sgnn", "gnn"):
+            trace = res[f"{model}_trace"]
+            trace.to_csv(out / f"{prefix}_{model}_trace_seed{seed}.csv", include_timing=False)
+            save_checkpoint(trace.tensor, out / f"{prefix}_{model}_seed{seed}.ckpt",
+                            kind=NORMALIZED_ADJACENCY)
+    print(f"{args.command}: {len(rows)} rows -> {out}")
+    return run_checks(checks, rows, cfg) if args.check else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
+
+
+def _iterations(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("--T must be >= 1")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -410,53 +375,47 @@ def _build_parser() -> argparse.ArgumentParser:
                     "filters and networks over unreliable links.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_flags(p, overrides=False):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--seed", type=int, default=0, help="root random seed (default 0)")
         p.add_argument("--out", default=None, help="output directory (default runs/<command>)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for multi-seed fan-out")
-        p.add_argument("--assert", dest="check", action="store_true",
-                       help="exit 1 if the command's acceptance checks fail")
-        p.add_argument("--p", type=float, nargs="*", default=None,
-                       help="link probability (grid where applicable)")
-        p.add_argument("--T", dest="iterations", type=int, default=None,
-                       help="training iterations")
-        if overrides:
-            p.add_argument("overrides", nargs="*", metavar="key=value",
-                           help="config overrides; tuple values use ';' separators")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("moment-check", help="second-moment closed forms vs enumeration")
-    common_flags(p)
+    p = command("moment-check", cmd_moment_check, "second-moment closed forms vs enumeration")
     p.add_argument("--kind", choices=(ADJACENCY, LAPLACIAN, "both"), default="both")
     p.add_argument("--max-edges", type=int, default=12)
     p.add_argument("--samples", type=int, default=100_000)
-    p.set_defaults(func=cmd_moment_check)
 
-    p = sub.add_parser("variance-sweep", help="Monte-Carlo variance vs first-order bound")
-    common_flags(p)
+    p = command("variance-sweep", cmd_variance_sweep, "Monte-Carlo variance vs first-order bound")
+    p.add_argument("--p", type=float, nargs="*", default=None, help="link probability grid")
     p.add_argument("--samples", type=int, default=2000)
-    p.set_defaults(func=cmd_variance_sweep)
+    p.add_argument("--assert", dest="check", action="store_true",
+                   help="exit 1 if the variance exceeds the bound")
 
-    p = sub.add_parser("grad-check", help="analytic gradients vs finite differences")
-    common_flags(p)
+    p = command("grad-check", cmd_grad_check, "analytic gradients vs finite differences")
     p.add_argument("--cases", type=int, default=20)
-    p.set_defaults(func=cmd_grad_check)
 
-    p = sub.add_parser("convergence", help="running-min gradient norm for a horizon")
-    common_flags(p)
-    p.add_argument("--seeds", type=int, default=5)
+    p = command("convergence", cmd_convergence, "running-min gradient norm for a horizon")
+    p.add_argument("--T", dest="iterations", type=_iterations, required=True,
+                   help="training iterations")
+    p.add_argument("--p", type=float, default=0.9, help="link probability (default 0.9)")
+    p.add_argument("--seeds", type=int, default=5, help="run seeds --seed .. --seed+N-1")
     p.add_argument("--schedule", choices=("horizon", "invsqrt", "constant"), default="invsqrt")
-    p.set_defaults(func=cmd_convergence)
 
-    p = sub.add_parser("train-source", help="source-localization experiment")
-    common_flags(p, overrides=True)
-    p.add_argument("--seeds", type=int, default=None, help="use only the first N seeds")
-    p.set_defaults(func=cmd_train_source)
-
-    p = sub.add_parser("train-flock", help="flocking experiment")
-    common_flags(p, overrides=True)
-    p.add_argument("--seeds", type=int, default=None, help="use only the first N seeds")
-    p.set_defaults(func=cmd_train_flock)
+    for name, summary in (("train-source", "source-localization experiment"),
+                          ("train-flock", "flocking experiment")):
+        p = command(name, cmd_train, summary)
+        p.add_argument("--p", type=float, default=None, help="training link probability")
+        p.add_argument("--T", dest="iterations", type=_iterations, default=None,
+                       help="training iterations")
+        p.add_argument("--seeds", type=int, default=None, help="use only the first N seeds")
+        p.add_argument("--jobs", type=int, default=1, help="worker processes for multi-seed fan-out")
+        p.add_argument("--assert", dest="check", action="store_true",
+                       help="exit 1 if the experiment's directional checks fail")
+        p.add_argument("overrides", nargs="*", metavar="key=value",
+                       help="config overrides; tuple values use ';' separators")
 
     return parser
 
@@ -467,9 +426,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    if args.iterations is not None and args.iterations < 1:
-        print("error: --T must be >= 1", file=sys.stderr)
-        return EXIT_CONFIG
     if args.out is None:
         args.out = f"runs/{args.command}"
     try:

@@ -1,74 +1,44 @@
 """Shared plumbing for the experiment pipelines: the plot-ready results
-table format and an optional on-disk dataset cache controlled by the
-``SGNN_LAB_DATA_DIR`` environment variable."""
+table writer and the multi-seed fan-out."""
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-
-import numpy as np
 
 RESULT_COLUMNS = ("p", "method", "seed", "metric", "value")
 
 
-def rows_to_records(rows: list[dict]) -> list[dict]:
-    """Normalize result rows to the fixed column set, in order."""
-    return [{col: row[col] for col in RESULT_COLUMNS} for row in rows]
+def rows_to_records(rows: list[dict], columns=RESULT_COLUMNS) -> list[dict]:
+    """Normalize result rows to the given column set, in order."""
+    return [{col: row[col] for col in columns} for row in rows]
 
 
-def write_results(rows: list[dict], path, fmt: str = "csv") -> None:
-    """Write a results table as CSV (default) or JSON."""
-    records = rows_to_records(rows)
+def write_results(rows: list[dict], path, fmt: str = "csv", columns=RESULT_COLUMNS) -> Path:
+    """Write a table as CSV (default) or JSON, creating the parent
+    directory; floats are written with ``repr`` so they round-trip."""
+    records = rows_to_records(rows, columns)
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "csv":
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(",".join(RESULT_COLUMNS) + "\n")
+            fh.write(",".join(columns) + "\n")
             for row in records:
-                fh.write(",".join(_cell(row[col]) for col in RESULT_COLUMNS) + "\n")
+                fh.write(",".join(_cell(row[col]) for col in columns) + "\n")
     elif fmt == "json":
         with open(path, "w", encoding="ascii") as fh:
             json.dump(records, fh, indent=1, sort_keys=True)
             fh.write("\n")
     else:
         raise ValueError(f"unknown results format {fmt!r}")
+    return path
 
 
 def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def data_dir() -> Path | None:
-    root = os.environ.get("SGNN_LAB_DATA_DIR")
-    return Path(root) if root else None
-
-
-def cache_key(payload: str) -> str:
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()[:24]
-
-
-def cache_load(name: str) -> dict | None:
-    root = data_dir()
-    if root is None:
-        return None
-    path = root / f"{name}.npz"
-    if not path.exists():
-        return None
-    with np.load(path, allow_pickle=False) as data:
-        return {key: data[key] for key in data.files}
-
-
-def cache_store(name: str, arrays: dict) -> None:
-    root = data_dir()
-    if root is None:
-        return
-    root.mkdir(parents=True, exist_ok=True)
-    np.savez(root / f"{name}.npz", **arrays)
 
 
 def map_over_seeds(worker, cfg, seeds, jobs: int = 1) -> list:

@@ -25,7 +25,6 @@ import numpy as np
 
 from ..errors import ConfigError, DegenerateInputError, DivergenceError
 from ..graphs import (
-    ADJACENCY,
     NORMALIZED_ADJACENCY,
     ShiftOperator,
     build_disc_graph,
@@ -290,30 +289,6 @@ def make_policies(sgnn_tensor, gnn_tensor, scaler, cfg: FlockingConfig,
             "expert": expert_policy, "zero": zero_policy}
 
 
-def _expert_data_for_seed(cfg: FlockingConfig, rng: Rng, feature_p: float,
-                          variants: int):
-    key = common.cache_key(
-        f"flock|{cfg.agents}|{cfg.comm_radius}|{cfg.min_separation}|{cfg.max_speed}|"
-        f"{cfg.dt}|{cfg.steps}|{cfg.train_trajectories}|{cfg.u_max}|{cfg.potential_cutoff}|"
-        f"{feature_p}|{variants}|{rng.seed}|{rng.stream}")
-    cached = common.cache_load(f"flock_{key}")
-    if cached is not None:
-        inputs, targets = cached["inputs"], cached["targets"]
-        adjacency = cached["adjacency"]
-        bases = [_filter_base(ShiftOperator(ADJACENCY, adjacency[i]))
-                 for i in range(len(adjacency))]
-        return inputs, targets, bases, (cached["mean"], cached["std"])
-    inputs, targets, bases, scaler = collect_expert_dataset(cfg, rng, feature_p, variants)
-    adjacency = np.stack([
-        (b.mat != 0).astype(float) if b.kind != ADJACENCY else b.mat for b in bases
-    ])
-    common.cache_store(f"flock_{key}", {
-        "inputs": inputs, "targets": targets, "adjacency": adjacency,
-        "mean": scaler[0], "std": scaler[1],
-    })
-    return inputs, targets, bases, scaler
-
-
 def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
     """One full run: expert dataset, train both policies, closed-loop costs
     over the probability grid (plus the zero-policy floor).
@@ -324,12 +299,12 @@ def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
     on the intact graph end to end.
     """
     rng = Rng(seed, stream=202)
-    inputs, targets, bases, scaler = _expert_data_for_seed(
+    inputs, targets, bases, scaler = collect_expert_dataset(
         cfg, rng.child(0), cfg.train_p, cfg.feature_variants)
-    clean_in, clean_tg, clean_bases, clean_scaler = _expert_data_for_seed(
+    clean_in, clean_tg, clean_bases, clean_scaler = collect_expert_dataset(
         cfg, rng.child(0), 1.0, 1)
-    train_set = TrainingSet(_standardize_batch(inputs, scaler), targets, bases=bases)
-    clean_set = TrainingSet(_standardize_batch(clean_in, clean_scaler), clean_tg,
+    train_set = TrainingSet(_standardize(inputs, scaler), targets, bases=bases)
+    clean_set = TrainingSet(_standardize(clean_in, clean_scaler), clean_tg,
                             bases=clean_bases)
 
     model_cfg = cfg.model_config()
@@ -356,11 +331,6 @@ def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
                          "value": float(np.mean(costs))})
     return {"rows": rows, "sgnn_trace": sgnn_trace, "gnn_trace": gnn_trace,
             "scaler": scaler}
-
-
-def _standardize_batch(inputs: np.ndarray, scaler) -> np.ndarray:
-    mean, std = scaler
-    return (inputs - mean[None, :, None]) / std[None, :, None]
 
 
 def run_flocking(cfg: FlockingConfig, jobs: int = 1) -> list[dict]:

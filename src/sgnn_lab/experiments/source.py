@@ -142,39 +142,15 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     return correct / len(inputs)
 
 
-def _dataset_for_seed(cfg: SourceLocConfig, base: ShiftOperator, rng: Rng) -> SourceLocDataset:
-    key = common.cache_key(
-        f"source|{cfg.nodes}|{cfg.communities}|{cfg.p_intra}|{cfg.p_inter}|{cfg.tau_max}|"
-        f"{cfg.noise_sigma}|{cfg.train_size}|{cfg.val_size}|{cfg.test_size}|"
-        f"{rng.seed}|{rng.stream}|{base.edges.tobytes().hex()}"
-    )
-    cached = common.cache_load(f"source_{key}")
-    if cached is not None:
-        splits = [
-            Split(cached[f"{name}_inputs"], cached[f"{name}_labels"], cached[f"{name}_taus"])
-            for name in ("train", "val", "test")
-        ]
-        return SourceLocDataset(base=base, communities=cfg.communities, tau_max=cfg.tau_max,
-                                noise_sigma=cfg.noise_sigma, train=splits[0],
-                                val=splits[1], test=splits[2])
-    dataset = gen_source_dataset(
-        base, cfg.communities, (cfg.train_size, cfg.val_size, cfg.test_size),
-        cfg.tau_max, cfg.noise_sigma, rng)
-    common.cache_store(f"source_{key}", {
-        f"{name}_{fieldname}": getattr(getattr(dataset, name), fieldname)
-        for name in ("train", "val", "test")
-        for fieldname in ("inputs", "labels", "taus")
-    })
-    return dataset
-
-
 def run_source_seed(cfg: SourceLocConfig, seed: int) -> dict:
     """One full run: build graph and data, train both models, evaluate the
     accuracy table over the test probabilities."""
     rng = Rng(seed, stream=101)
     adj = build_sbm(cfg.nodes, cfg.communities, cfg.p_intra, cfg.p_inter, rng.child(0))
     base = to_shift(adj, NORMALIZED_ADJACENCY)
-    dataset = _dataset_for_seed(cfg, base, rng.child(1))
+    dataset = gen_source_dataset(
+        base, cfg.communities, (cfg.train_size, cfg.val_size, cfg.test_size),
+        cfg.tau_max, cfg.noise_sigma, rng.child(1))
 
     model_cfg = cfg.model_config()
     tensor0 = init_tensor(model_cfg, rng.child(2), cfg.init_scale)

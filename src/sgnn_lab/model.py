@@ -391,19 +391,26 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
         header = fh.readline().decode("ascii").strip().split()
         if not header or header[0] != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
-        fields = dict(item.split("=", 1) for item in header[1:])
-        cfg = SgnnConfig(
-            layers=int(fields["layers"]),
-            features=int(fields["features"]),
-            order=int(fields["order"]),
-            nonlinearity=fields["nonlinearity"],
-            in_features=int(fields["in_features"]),
-            out_features=int(fields["out_features"]),
-            readout=fields["readout"],
-            readout_dim=int(fields["readout_dim"]),
-        )
-        (count,) = struct.unpack("<q", fh.read(8))
-        flat = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if flat.size != count or count != cfg.num_params:
+        try:
+            fields = dict(item.split("=", 1) for item in header[1:])
+            cfg = SgnnConfig(
+                layers=int(fields["layers"]),
+                features=int(fields["features"]),
+                order=int(fields["order"]),
+                nonlinearity=fields["nonlinearity"],
+                in_features=int(fields["in_features"]),
+                out_features=int(fields["out_features"]),
+                readout=fields["readout"],
+                readout_dim=int(fields["readout_dim"]),
+            )
+            kind = fields["kind"]
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"checkpoint header in {path} is malformed: {exc!r}") from exc
+        head, taps = fh.read(8), fh.read(cfg.num_params * 8)
+        if (len(head) != 8 or struct.unpack("<q", head)[0] != cfg.num_params
+                or len(taps) != cfg.num_params * 8):
             raise ValueError(f"checkpoint in {path} is truncated or inconsistent")
-    return FilterTensor.from_flat(cfg, flat.astype(float)), fields["kind"]
+        if fh.read(1):
+            raise ValueError(f"checkpoint in {path} has trailing bytes after the tap array")
+    flat = np.frombuffer(taps, dtype="<f8")
+    return FilterTensor.from_flat(cfg, flat.astype(float)), kind

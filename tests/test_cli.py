@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from sgnn_lab.cli import main
+from sgnn_lab.cli import FLOCK_CHECKS, SOURCE_CHECKS, main, run_checks
+from sgnn_lab.experiments import FlockingConfig, SourceLocConfig
 
 TINY_SOURCE = ["nodes=8", "communities=2", "tau_max=4", "train_size=60", "val_size=12",
                "test_size=24", "features=8", "order=2", "iterations=30",
@@ -72,6 +73,19 @@ class TestConvergence:
         lines = (tmp_path / "convergence_T40.csv").read_text().splitlines()
         assert lines[0] == "seed,iterations,min_grad_sq,final_cost"
         assert len(lines) == 4  # 2 seeds + mean row
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "mean"]
+
+    def test_seed_offsets_the_run_seeds(self, tmp_path):
+        for seed in ("0", "5"):
+            assert run(["convergence", "--T", "20", "--seeds", "2", "--seed", seed,
+                        "--out", tmp_path / seed]) == 0
+        lines = (tmp_path / "5" / "convergence_T20.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["5", "6", "mean"]
+        assert not filecmp.cmp(tmp_path / "0" / "convergence_T20.csv",
+                               tmp_path / "5" / "convergence_T20.csv", shallow=False)
+
+    def test_missing_horizon_is_config_error(self, tmp_path):
+        assert run(["convergence", "--out", tmp_path]) == 2
 
 
 class TestTrainSource:
@@ -94,6 +108,52 @@ class TestTrainFlock:
         assert (tmp_path / "flock_cost.csv").exists()
         assert (tmp_path / "flock_sgnn_seed0.ckpt").exists()
 
+    def test_assert_runs_the_flock_checks(self, tmp_path, capsys):
+        rc = run(["train-flock", "--assert", "--out", tmp_path, *TINY_FLOCK])
+        lines = [line.split(": ", 1) for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  ")]
+        assert [label for _, label in lines] == [label for label, _ in FLOCK_CHECKS]
+        assert rc == (0 if all(status.strip() == "PASS" for status, _ in lines) else 1)
+
+
+def _rows(means: dict) -> list[dict]:
+    return [{"p": p, "method": method, "seed": seed, "metric": "m", "value": value}
+            for (method, p), value in means.items() for seed in (0, 1)]
+
+
+class TestExperimentChecks:
+    SOURCE_PASS = {("sgnn", 0.7): 0.8, ("gnn", 0.7): 0.6, ("sgnn", 0.5): 0.5,
+                   ("gnn", 0.5): 0.3}
+    FLOCK_PASS = {("sgnn", 0.7): 1.0, ("gnn", 0.7): 2.0, ("zero", 0.7): 5.0}
+
+    def test_source_pass(self, capsys):
+        assert run_checks(SOURCE_CHECKS, _rows(self.SOURCE_PASS), SourceLocConfig()) == 0
+        assert capsys.readouterr().out.count("PASS") == len(SOURCE_CHECKS)
+
+    def test_source_fail(self, capsys):
+        rows = _rows({**self.SOURCE_PASS, ("gnn", 0.5): 0.5})  # 0.25 above chance
+        assert run_checks(SOURCE_CHECKS, rows, SourceLocConfig()) == 1
+        assert "FAIL: gnn within 0.1 of chance at p=0.5" in capsys.readouterr().out
+
+    def test_source_missing_p_fails(self, capsys):
+        rows = [r for r in _rows(self.SOURCE_PASS) if r["p"] != 0.5]
+        assert run_checks(SOURCE_CHECKS, rows, SourceLocConfig()) == 1
+        assert capsys.readouterr().out.count("FAIL") == 2
+
+    def test_flock_pass(self, capsys):
+        assert run_checks(FLOCK_CHECKS, _rows(self.FLOCK_PASS), FlockingConfig()) == 0
+        assert capsys.readouterr().out.count("PASS") == len(FLOCK_CHECKS)
+
+    def test_flock_fail(self, capsys):
+        rows = _rows({**self.FLOCK_PASS, ("gnn", 0.7): 0.5})
+        assert run_checks(FLOCK_CHECKS, rows, FlockingConfig()) == 1
+        assert "FAIL: sgnn cost <= gnn cost at p=0.7" in capsys.readouterr().out
+
+    def test_flock_missing_p_fails(self, capsys):
+        rows = [r for r in _rows(self.FLOCK_PASS) if r["method"] != "zero"]
+        assert run_checks(FLOCK_CHECKS, rows, FlockingConfig()) == 1
+        assert capsys.readouterr().out.count("FAIL") == 2
+
 
 class TestExitCodes:
     def test_unknown_command_is_config_error(self):
@@ -104,6 +164,24 @@ class TestExitCodes:
 
     def test_nonpositive_iterations(self):
         assert run(["train-source", "--T", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["train-flock", "convergence"])
+    def test_nonpositive_iterations_rejected_by_argument_type(self, command):
+        assert run([command, "--T", "0"]) == 2
+
+    @pytest.mark.parametrize("command", ["train-source", "convergence"])
+    def test_single_p_rejects_a_grid(self, tmp_path, command):
+        assert run([command, "--T", "1", "--p", "0.5", "0.9", "--out", tmp_path]) == 2
+
+    # flags a command does not read are not declared on it
+    @pytest.mark.parametrize("argv", [
+        "moment-check --jobs 2", "moment-check --T 5", "moment-check --p 0.5",
+        "moment-check --assert", "variance-sweep --jobs 2", "variance-sweep --T 5",
+        "grad-check --jobs 2", "grad-check --T 5", "grad-check --p 0.5", "grad-check --assert",
+        "convergence --T 1 --jobs 2", "convergence --T 1 --assert",
+    ])
+    def test_unread_flag_rejected(self, tmp_path, argv):
+        assert run([*argv.split(), "--out", tmp_path]) == 2
 
 
 class TestDeterminism:

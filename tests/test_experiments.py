@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -279,28 +281,14 @@ class TestFlockingPipeline:
             assert np.asarray(u).shape == (6, 2), name
 
 
-class TestDatasetCache:
-    def test_source_dataset_cache_round_trip(self, tmp_path, monkeypatch):
+class TestNoDatasetCache:
+    def test_source_seed_writes_nothing_to_the_old_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SGNN_LAB_DATA_DIR", str(tmp_path))
-        from sgnn_lab.experiments.source import _dataset_for_seed
-
-        cfg = SourceLocConfig(nodes=8, communities=2, tau_max=3, train_size=20,
-                              val_size=6, test_size=6)
-        adj = build_sbm(8, 2, 0.9, 0.3, Rng(4).child(0))
-        base = to_shift(adj, NORMALIZED_ADJACENCY)
-        first = _dataset_for_seed(cfg, base, Rng(4).child(1))
-        cache_files = list(tmp_path.glob("source_*.npz"))
-        assert len(cache_files) == 1
-        again = _dataset_for_seed(cfg, base, Rng(4).child(1))
-        assert np.array_equal(first.train.inputs, again.train.inputs)
-        assert np.array_equal(first.test.labels, again.test.labels)
-
-    def test_no_cache_without_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("SGNN_LAB_DATA_DIR", raising=False)
-        from sgnn_lab.experiments.common import cache_load, cache_store
-
-        cache_store("anything", {"x": np.ones(3)})
-        assert cache_load("anything") is None
+        cfg = SourceLocConfig(nodes=8, communities=2, tau_max=3, train_size=20, val_size=6,
+                              test_size=6, features=4, order=2, iterations=3,
+                              batch_size=10, test_p=(1.0,), seeds=(0,))
+        run_source_seed(cfg, 0)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestResultsIO:
@@ -312,6 +300,13 @@ class TestResultsIO:
         assert "0.5" in text
         write_results(rows, tmp_path / "r.json", "json")
         assert "accuracy" in (tmp_path / "r.json").read_text()
+
+    def test_custom_columns(self, tmp_path):
+        rows = [{"case": 1, "err": 0.25, "extra": "dropped"}]
+        path = write_results(rows, tmp_path / "sub" / "t.csv", "csv", columns=("err", "case"))
+        assert path.read_text() == "err,case\n0.25,1\n"
+        write_results(rows, tmp_path / "t.json", "json", columns=("err", "case"))
+        assert json.loads((tmp_path / "t.json").read_text()) == [{"case": 1, "err": 0.25}]
 
     def test_record_normalization_rejects_missing_columns(self):
         with pytest.raises(KeyError):

@@ -278,6 +278,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_checkpoint(path)
 
+    def _saved(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(init_tensor(SgnnConfig(layers=1, features=2, order=1), Rng(0), 0.1), path)
+        return path
+
+    def _with_header(self, path, edit):
+        data = path.read_bytes()
+        header, rest = data.split(b"\n", 1)
+        path.write_bytes(edit(header) + b"\n" + rest)
+
+    def test_missing_header_field_is_value_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._with_header(path, lambda h: h.replace(b" order=1", b""))
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    def test_token_without_equals_is_value_error(self, tmp_path):
+        path = self._saved(tmp_path)
+        self._with_header(path, lambda h: h + b" stray")
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda data: data + b"\0",
+                                      lambda data: data.split(b"\n", 1)[0] + b"\n",
+                                      lambda data: data[:-3]],
+                             ids=["trailing_bytes", "no_tap_count", "partial_tap"])
+    def test_bad_tap_array_is_value_error(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
+
 
 def test_tensor_flatten_round_trip():
     cfg = SgnnConfig(layers=3, features=2, order=1, in_features=3, out_features=2,
