@@ -16,19 +16,21 @@ print(f"graph: {adj.n} nodes, {adj.num_edges} edges")
 print("degrees:", adj.degrees.astype(int))
 
 # One link-failure realization: every edge survives with probability 0.6.
+# A realization is its N x N matrix; the surviving edges are its nonzero
+# upper-triangle entries.
 real = sl.sample_realization(adj, 0.6, rng.child(1))
-print(f"\nrealization keeps {int(real.kept.sum())}/{adj.num_edges} edges")
-print("mask is symmetric:", np.array_equal(real.mask, real.mask.T))
+print(f"\nrealization keeps {np.count_nonzero(np.triu(real, 1))}/{adj.num_edges} edges")
+print("realization is symmetric:", np.array_equal(real, real.T))
 
 # The Laplacian of the surviving edge set still has zero row sums.
 lap = sl.to_shift(adj, sl.LAPLACIAN)
 lap_real = sl.sample_realization(lap, 0.6, rng.child(2))
-print("realized laplacian max |row sum|:", np.abs(lap_real.mat.sum(axis=1)).max())
+print("realized laplacian max |row sum|:", np.abs(lap_real.sum(axis=1)).max())
 
 # First moment: the mean realized shift is p * S, checked by Monte Carlo.
 p = 0.5
-draws = sl.sample_realizations(adj, p, rng.child(3), 20_000)
-mc_mean = np.mean([r.mat for r in draws], axis=0)
+draws = sl.sample_realizations(adj, p, rng.child(3), 20_000)   # (20000, N, N)
+mc_mean = draws.mean(axis=0)
 print(f"\nmax |MC mean - p S| over 20k draws: {np.abs(mc_mean - sl.expected_shift(adj, p)).max():.4f}")
 
 # Second moment: closed form against exact enumeration of all 2^M masks.

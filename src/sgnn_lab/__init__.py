@@ -23,7 +23,6 @@ from .graphs import (
     LAPLACIAN,
     NORMALIZED_ADJACENCY,
     ShiftOperator,
-    ShiftRealization,
     build_disc_graph,
     build_sbm,
     expected_shift,
@@ -49,12 +48,12 @@ from .spectral import (
     igft,
 )
 from .filters import (
-    DiffusionTrace,
     Message,
     apply_deterministic,
     apply_distributed,
     apply_filter,
     diffuse,
+    diffusion_stages,
     write_message_trace,
 )
 from .model import (

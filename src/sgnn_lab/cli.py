@@ -76,6 +76,9 @@ def _small_graphs(rng: Rng, max_edges: int) -> list[tuple[str, ShiftOperator]]:
     return [(name, g) for name, g in graphs if g.num_edges <= max_edges]
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
 def _apply_overrides(cfg, overrides: list[str]):
     """Apply key=value overrides to a dataclass config; unknown keys are
     rejected."""
@@ -89,7 +92,9 @@ def _apply_overrides(cfg, overrides: list[str]):
             raise ConfigError(f"unknown config key {key!r} (known: {sorted(fields)})")
         current = getattr(cfg, key)
         if isinstance(current, bool):
-            updates[key] = raw.lower() in ("1", "true", "yes")
+            if raw.lower() not in _BOOLS:
+                raise ConfigError(f"{key}={raw!r} is not a boolean (use one of {sorted(_BOOLS)})")
+            updates[key] = _BOOLS[raw.lower()]
         elif isinstance(current, int):
             updates[key] = int(raw)
         elif isinstance(current, float):
@@ -361,10 +366,10 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _iterations(text: str) -> int:
+def _positive(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError("--T must be >= 1")
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
     return value
 
 
@@ -398,19 +403,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=int, default=20)
 
     p = command("convergence", cmd_convergence, "running-min gradient norm for a horizon")
-    p.add_argument("--T", dest="iterations", type=_iterations, required=True,
+    p.add_argument("--T", dest="iterations", type=_positive, required=True,
                    help="training iterations")
     p.add_argument("--p", type=float, default=0.9, help="link probability (default 0.9)")
-    p.add_argument("--seeds", type=int, default=5, help="run seeds --seed .. --seed+N-1")
+    p.add_argument("--seeds", type=_positive, default=5, help="run seeds --seed .. --seed+N-1")
     p.add_argument("--schedule", choices=("horizon", "invsqrt", "constant"), default="invsqrt")
 
     for name, summary in (("train-source", "source-localization experiment"),
                           ("train-flock", "flocking experiment")):
         p = command(name, cmd_train, summary)
         p.add_argument("--p", type=float, default=None, help="training link probability")
-        p.add_argument("--T", dest="iterations", type=_iterations, default=None,
+        p.add_argument("--T", dest="iterations", type=_positive, default=None,
                        help="training iterations")
-        p.add_argument("--seeds", type=int, default=None, help="use only the first N seeds")
+        p.add_argument("--seeds", type=_positive, default=None, help="use only the first N seeds")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for multi-seed fan-out")
         p.add_argument("--assert", dest="check", action="store_true",
                        help="exit 1 if the experiment's directional checks fail")

@@ -242,7 +242,7 @@ def collect_expert_dataset(cfg: FlockingConfig, rng: Rng, feature_p: float = 1.0
             copies = variants if feature_p < 1.0 else 1
             for _ in range(copies):
                 if feature_p < 1.0:
-                    feat_graph = sample_realization(graph, feature_p, feat_rng).mat
+                    feat_graph = sample_realization(graph, feature_p, feat_rng)
                 else:
                     feat_graph = graph.mat
                 inputs.append(swarm_features(state, feat_graph))
@@ -273,7 +273,7 @@ def make_policies(sgnn_tensor, gnn_tensor, scaler, cfg: FlockingConfig,
     def learned(tensor, own_scaler):
         def policy(state, graph, p, rng):
             feat_graph = sample_realization(graph, p, rng)
-            feats = _standardize(swarm_features(state, feat_graph.mat), own_scaler)
+            feats = _standardize(swarm_features(state, feat_graph), own_scaler)
             reals = sample_architecture(_filter_base(graph), p, tensor.cfg, rng)
             out, _ = forward(tensor, reals, feats, return_cache=False)
             return out.T

@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import ConfigError
+from ..filters import diffusion_stages
 from ..graphs import NORMALIZED_ADJACENCY, ShiftOperator, build_sbm, to_shift
 from ..model import SgnnConfig, forward, init_tensor, sample_architecture
 from ..rng import Rng
@@ -109,13 +110,8 @@ def gen_source_dataset(base: ShiftOperator, communities: int, sizes: tuple[int, 
     if n % communities != 0:
         raise ConfigError(f"{communities} communities must divide {n} nodes")
     sources = [c * (n // communities) for c in range(communities)]
-    diffused = np.zeros((communities, tau_max + 1, n))
-    for c, node in enumerate(sources):
-        sig = np.zeros(n)
-        sig[node] = 1.0
-        for tau in range(tau_max + 1):
-            diffused[c, tau] = sig
-            sig = base.mat @ sig
+    diffused = np.stack([diffusion_stages([base.mat] * tau_max, delta)
+                         for delta in np.eye(n)[sources]])
 
     splits = []
     for split_idx, size in enumerate(sizes):

@@ -7,7 +7,8 @@ operators and combines the stages with scalar taps:
 
 When every ``S_k`` is an independent edge-sampling realization this is a
 stochastic graph filter; with ``S_k = S`` fixed it reduces to the ordinary
-polynomial filter ``sum_k h_k S^k x``.
+polynomial filter ``sum_k h_k S^k x``.  A shift sequence is K realized N x N
+matrices; every evaluation, the network's included, runs :func:`diffusion_stages`.
 
 ``apply_distributed`` evaluates the same filter by per-node message passing
 over the surviving links only, which certifies that the computation is local:
@@ -19,20 +20,9 @@ received over live incident edges.  It can record the full message trace
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from .graphs import ShiftRealization
-
-
-@dataclass(frozen=True)
-class DiffusionTrace:
-    """The K+1 diffusion stages of a signal plus the realizations used."""
-
-    signals: tuple[np.ndarray, ...]
-    realizations: tuple[ShiftRealization, ...]
 
 
 class Message(NamedTuple):
@@ -42,60 +32,56 @@ class Message(NamedTuple):
     value: float
 
 
-def _check_inputs(realizations: Sequence[ShiftRealization], x: np.ndarray) -> np.ndarray:
+def _check_inputs(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-D signal, got shape {x.shape}")
-    if realizations:
-        base = realizations[0].base
-        if any(r.base is not base for r in realizations):
-            raise ValueError("realizations must share one base graph")
-        if base.n != len(x):
-            raise ValueError(f"signal length {len(x)} != node count {base.n}")
+    n = len(x)
+    for mat in mats:
+        if np.shape(mat) != (n, n):
+            raise ValueError(f"shift of shape {np.shape(mat)} does not act on {n} nodes")
     return x
 
 
-def diffuse(x: np.ndarray, realizations: Sequence[ShiftRealization]) -> DiffusionTrace:
-    """Diffusion sequence x, S_1 x, S_2 S_1 x, ..."""
-    x = _check_inputs(realizations, x)
-    signals = [x]
-    for r in realizations:
-        signals.append(r.mat @ signals[-1])
-    return DiffusionTrace(signals=tuple(signals), realizations=tuple(realizations))
+def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Stages ``x, S_1 x, S_2 S_1 x, ...`` (``S_k = mats[k - 1]``) written into one
+    preallocated ``(K+1,) + x.shape`` array; the matmul broadcasts, so a stack of
+    shifts ``(..., N, N)`` diffuses a stack of signals ``(..., N, B)``."""
+    stages = np.empty((len(mats) + 1,) + x.shape)
+    stages[0] = x
+    for k in range(1, len(stages)):
+        np.matmul(mats[k - 1], stages[k - 1], out=stages[k])
+    return stages
 
 
-def apply_filter(h, realizations: Sequence[ShiftRealization], x: np.ndarray) -> np.ndarray:
+def diffuse(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """Diffusion sequence x, S_1 x, S_2 S_1 x, ... as a (K+1, N) array."""
+    return diffusion_stages(mats, _check_inputs(mats, x))
+
+
+def apply_filter(h, mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Stochastic graph convolution with taps ``h`` (length K+1) over K
-    realizations."""
+    realized shifts."""
     h = np.asarray(h, dtype=float)
-    if len(h) != len(realizations) + 1:
-        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(realizations)}")
-    trace = diffuse(x, realizations)
-    out = h[0] * trace.signals[0]
+    if len(h) != len(mats) + 1:
+        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(mats)}")
+    stages = diffuse(x, mats)
+    out = h[0] * stages[0]
     for k in range(1, len(h)):
-        out = out + h[k] * trace.signals[k]
+        out = out + h[k] * stages[k]
     return out
 
 
 def apply_deterministic(h, s, x: np.ndarray) -> np.ndarray:
-    """Polynomial filter ``sum_k h_k S^k x`` on a fixed shift, via iterated
-    multiplies (powers of S are never formed)."""
-    h = np.asarray(h, dtype=float)
+    """Polynomial filter ``sum_k h_k S^k x`` on a fixed shift (operator or
+    matrix), via iterated multiplies (powers of S are never formed)."""
     mat = np.asarray(getattr(s, "mat", s), dtype=float)
-    x = np.asarray(x, dtype=float)
-    if mat.shape[0] != len(x):
-        raise ValueError(f"signal length {len(x)} != node count {mat.shape[0]}")
-    out = h[0] * x
-    stage = x
-    for k in range(1, len(h)):
-        stage = mat @ stage
-        out = out + h[k] * stage
-    return out
+    return apply_filter(h, [mat] * (len(h) - 1), x)
 
 
 def apply_distributed(
     h,
-    realizations: Sequence[ShiftRealization],
+    mats: Sequence[np.ndarray],
     x: np.ndarray,
     record_trace: bool = False,
 ):
@@ -111,17 +97,16 @@ def apply_distributed(
     ``record_trace`` is true.
     """
     h = np.asarray(h, dtype=float)
-    if len(h) != len(realizations) + 1:
-        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(realizations)}")
-    x = _check_inputs(realizations, x)
+    if len(h) != len(mats) + 1:
+        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(mats)}")
+    x = _check_inputs(mats, x)
     n = len(x)
     acc = [h[0] * x[i] for i in range(n)]
     current = [x[i] for i in range(n)]
     messages: list[Message] = []
-    for k, real in enumerate(realizations, start=1):
-        mat = real.mat
+    for k, mat in enumerate(mats, start=1):
         incoming = [mat[i, i] * current[i] for i in range(n)]  # diagonal term is local
-        for i, j in real.kept_edges:
+        for i, j in np.argwhere(np.triu(mat, 1)):  # surviving links, i < j
             if record_trace:
                 messages.append(Message(k, j, i, current[j]))
                 messages.append(Message(k, i, j, current[i]))

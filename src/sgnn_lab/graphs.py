@@ -3,13 +3,13 @@
 Everything is dense float64: the graphs this package targets have at most a
 couple hundred nodes, where exactness and simplicity beat sparse storage.
 A :class:`ShiftOperator` couples a symmetric matrix with its kind tag and
-edge list.  A :class:`ShiftRealization` is one sample of the random
-edge-sampling model: every edge of the base graph survives independently
-with probability ``p``, realized through a symmetric 0/1 mask applied
-entrywise to the adjacency.  Laplacian realizations are the Laplacian of the
-surviving edge set; realizations of a spectrally normalized adjacency are
-masked without re-normalizing (re-normalizing per realization would need
-global knowledge, which a distributed deployment does not have).
+edge list.  A realization, one sample of the random edge-sampling model, is
+its N x N matrix: every edge of the base graph survives independently with
+probability ``p``, realized through a symmetric 0/1 mask applied entrywise
+to the adjacency.  Laplacian realizations are the Laplacian of the surviving
+edge set; realizations of a spectrally normalized adjacency are masked
+without re-normalizing (re-normalizing per realization would need global
+knowledge, which a distributed deployment does not have).
 """
 
 from __future__ import annotations
@@ -94,35 +94,6 @@ class ShiftOperator:
         return f"ShiftOperator(kind={self.kind!r}, n={self.n}, m={self.num_edges})"
 
 
-class ShiftRealization:
-    """One random-edge-sampling realization of a base shift operator."""
-
-    __slots__ = ("base", "p", "kept", "mat")
-
-    def __init__(self, base: ShiftOperator, p: float, kept: np.ndarray, mat: np.ndarray):
-        self.base = base
-        self.p = float(p)
-        self.kept = kept
-        self.mat = mat
-
-    @property
-    def mask(self) -> np.ndarray:
-        """Symmetric 0/1 mask; entries on non-edges of the base are 0."""
-        m = np.zeros((self.base.n, self.base.n))
-        edges = self.base.edges[self.kept]
-        if len(edges):
-            m[edges[:, 0], edges[:, 1]] = 1.0
-            m[edges[:, 1], edges[:, 0]] = 1.0
-        return m
-
-    @property
-    def kept_edges(self) -> np.ndarray:
-        return self.base.edges[self.kept]
-
-    def __repr__(self) -> str:
-        return f"ShiftRealization(p={self.p}, kept={int(self.kept.sum())}/{self.base.num_edges})"
-
-
 def _adjacency_from_pairs(n: int, pairs: np.ndarray) -> ShiftOperator:
     mat = np.zeros((n, n))
     pairs = np.asarray(pairs, dtype=int).reshape(-1, 2)
@@ -204,17 +175,15 @@ def _realized_mats(base: ShiftOperator, keep: np.ndarray) -> np.ndarray:
     return mats
 
 
-def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> list[ShiftRealization]:
-    """Draw ``count`` independent realizations, vectorized over the batch."""
+def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> np.ndarray:
+    """Draw ``count`` independent realized shifts as a (count, N, N) array."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    keep = rng.random((count, base.num_edges)) < p
-    mats = _realized_mats(base, keep)
-    return [ShiftRealization(base, p, keep[i], mats[i]) for i in range(count)]
+    return _realized_mats(base, rng.random((count, base.num_edges)) < p)
 
 
-def sample_realization(base: ShiftOperator, p: float, rng: Rng) -> ShiftRealization:
-    """Draw one realization: each base edge kept independently w.p. ``p``."""
+def sample_realization(base: ShiftOperator, p: float, rng: Rng) -> np.ndarray:
+    """Draw one (N, N) realization: each base edge kept independently w.p. ``p``."""
     return sample_realizations(base, p, rng, 1)[0]
 
 
@@ -259,7 +228,18 @@ def load_edge_list(path) -> ShiftOperator:
         if len(header) != 3:
             raise ValueError(f"malformed header in {path}")
         n, m, kind = int(header[0]), int(header[1]), header[2]
-        pairs = [tuple(map(int, line.split())) for line in fh if line.strip()]
+        pairs = []
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                i, j = (int(t) for t in line.split())
+            except ValueError:  # not exactly two tokens, or not integers
+                i = j = -1
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"{path} line {lineno}: expected two node indices in "
+                                 f"0..{n - 1}, got {line.strip()!r}")
+            pairs.append((i, j))
     if len(pairs) != m:
         raise ValueError(f"expected {m} edges, found {len(pairs)}")
     adj = _adjacency_from_pairs(n, np.array(pairs, dtype=int).reshape(-1, 2))

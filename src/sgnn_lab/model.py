@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .graphs import KINDS, ShiftOperator, ShiftRealization, _realized_mats
+from .filters import diffusion_stages
+from .graphs import KINDS, ShiftOperator, sample_realizations
 from .rng import Rng
 
 NONLINEARITIES = ("relu", "abs", "tanh")
@@ -182,31 +183,21 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
 
 
 class RealizationSet:
-    """The ordered shift realizations fixing one forward pass: one length-K
-    sequence per (layer, out-feature, in-feature) filter."""
+    """The realized shifts fixing one forward pass: per layer an (out, in, K,
+    N, N) array, one length-K sequence per (out-feature, in-feature) filter."""
 
-    __slots__ = ("base", "p", "cfg", "layer_mats", "layer_keeps")
+    __slots__ = ("base", "p", "cfg", "layer_mats")
 
     def __init__(self, base: ShiftOperator, p: float, cfg: SgnnConfig,
-                 layer_mats: list[np.ndarray], layer_keeps: list[np.ndarray]):
+                 layer_mats: list[np.ndarray]):
         self.base = base
         self.p = float(p)
         self.cfg = cfg
         self.layer_mats = tuple(layer_mats)
-        self.layer_keeps = tuple(layer_keeps)
 
     @property
     def num_shift_samples(self) -> int:
         return sum(int(np.prod(m.shape[:3])) for m in self.layer_mats)
-
-    def sequence(self, layer: int, f: int, g: int) -> list[ShiftRealization]:
-        """Materialize the realization sequence of one filter."""
-        mats = self.layer_mats[layer]
-        keeps = self.layer_keeps[layer]
-        return [
-            ShiftRealization(self.base, self.p, keeps[f, g, k], mats[f, g, k])
-            for k in range(mats.shape[2])
-        ]
 
     def __repr__(self) -> str:
         return f"RealizationSet(p={self.p}, samples={self.num_shift_samples})"
@@ -218,16 +209,10 @@ def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng
     Each filter's sequence consumes a disjoint, deterministic segment of the
     given counter-based stream, which realizes independent draws per filter.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    n, m = base.n, base.num_edges
-    layer_mats, layer_keeps = [], []
-    for out_d, in_d in cfg.layer_shapes():
-        keep = rng.random((out_d, in_d, cfg.order, m)) < p
-        mats = _realized_mats(base, keep.reshape(-1, m)).reshape(out_d, in_d, cfg.order, n, n)
-        layer_mats.append(mats)
-        layer_keeps.append(keep)
-    return RealizationSet(base, p, cfg, layer_mats, layer_keeps)
+    n, k = base.n, cfg.order
+    layer_mats = [sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
+                  for o, i in cfg.layer_shapes()]
+    return RealizationSet(base, p, cfg, layer_mats)
 
 
 @dataclass
@@ -325,11 +310,9 @@ def forward(tensor: FilterTensor, reals: RealizationSet, x: np.ndarray,
     cache = ForwardCache(tensor=tensor, reals=reals, x=xs, squeeze=squeeze)
     current = xs
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
-        mats = reals.layer_mats[layer_idx]
-        diffs = np.empty((cfg.order + 1, out_d, in_d, n, b))
-        diffs[0] = np.broadcast_to(current[None], (out_d, in_d, n, b))
-        for k in range(1, cfg.order + 1):
-            diffs[k] = np.matmul(mats[:, :, k - 1], diffs[k - 1])
+        # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
+        mats = reals.layer_mats[layer_idx].transpose(2, 0, 1, 3, 4)
+        diffs = diffusion_stages(mats, np.broadcast_to(current[None], (out_d, in_d, n, b)))
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs)
         act, _ = apply_nonlinearity(cfg.nonlinearity, u)
         if return_cache:
@@ -349,19 +332,11 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
     nonlinearity makes this the mean output per filter, not end to end.
     """
     cfg = tensor.cfg
-    xs, squeeze = _normalize_input(cfg, x)
-    if base.n != xs.shape[1]:
-        raise ValueError(f"graph has {base.n} nodes, signal has {xs.shape[1]}")
     sbar = p * base.mat
-    current = xs
-    for layer_idx in range(cfg.layers):
-        stages = [current]
-        for _ in range(cfg.order):
-            stages.append(np.matmul(sbar, stages[-1]))
-        u = np.einsum("oik,kinb->onb", tensor.layers[layer_idx], np.stack(stages))
-        current, _ = apply_nonlinearity(cfg.nonlinearity, u)
-    out = _apply_head(tensor, current)
-    return _shape_output(out, squeeze, cfg.readout == "pooled")
+    mats = [np.broadcast_to(sbar, (out_d, in_d, cfg.order, base.n, base.n))
+            for out_d, in_d in cfg.layer_shapes()]
+    out, _ = forward(tensor, RealizationSet(base, p, cfg, mats), x, return_cache=False)
+    return out
 
 
 _CKPT_MAGIC = "sgnn-checkpoint-v1"

@@ -1,10 +1,12 @@
+import dataclasses
 import filecmp
 import json
 from pathlib import Path
 
 import pytest
 
-from sgnn_lab.cli import FLOCK_CHECKS, SOURCE_CHECKS, main, run_checks
+from sgnn_lab import ConfigError
+from sgnn_lab.cli import FLOCK_CHECKS, SOURCE_CHECKS, _apply_overrides, main, run_checks
 from sgnn_lab.experiments import FlockingConfig, SourceLocConfig
 
 TINY_SOURCE = ["nodes=8", "communities=2", "tau_max=4", "train_size=60", "val_size=12",
@@ -169,6 +171,15 @@ class TestExitCodes:
     def test_nonpositive_iterations_rejected_by_argument_type(self, command):
         assert run([command, "--T", "0"]) == 2
 
+    # --seeds 0 once ran every seed on the experiments and wrote a NaN mean row
+    # on convergence; --seeds -1 dropped the last seed
+    @pytest.mark.parametrize("argv", [
+        "train-source --seeds 0", "train-source --seeds -1", "train-flock --seeds 0",
+        "train-flock --seeds -1", "convergence --T 1 --seeds 0", "convergence --T 1 --seeds -1",
+    ])
+    def test_nonpositive_seeds_rejected_by_argument_type(self, tmp_path, argv):
+        assert run([*argv.split(), "--out", tmp_path]) == 2
+
     @pytest.mark.parametrize("command", ["train-source", "convergence"])
     def test_single_p_rejects_a_grid(self, tmp_path, command):
         assert run([command, "--T", "1", "--p", "0.5", "0.9", "--out", tmp_path]) == 2
@@ -182,6 +193,25 @@ class TestExitCodes:
     ])
     def test_unread_flag_rejected(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2
+
+
+@dataclasses.dataclass(frozen=True)
+class _Flagged:
+    flag: bool = False
+
+
+class TestBoolOverrides:
+    @pytest.mark.parametrize("raw, want", [
+        ("1", True), ("true", True), ("YES", True), ("True", True),
+        ("0", False), ("false", False), ("No", False), ("FALSE", False),
+    ])
+    def test_accepted_spellings(self, raw, want):
+        assert _apply_overrides(_Flagged(flag=not want), [f"flag={raw}"]).flag is want
+
+    @pytest.mark.parametrize("raw", ["ture", "", "2", "on", "y"])
+    def test_other_values_rejected(self, raw):
+        with pytest.raises(ConfigError):
+            _apply_overrides(_Flagged(), [f"flag={raw}"])
 
 
 class TestDeterminism:

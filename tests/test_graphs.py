@@ -144,32 +144,33 @@ class TestSampleRealization:
         for kind in (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY):
             base = to_shift(k3, kind)
             real = sample_realization(base, 1.0, Rng(0))
-            assert np.array_equal(real.mat, base.mat)
+            assert np.array_equal(real, base.mat)
 
     def test_p_zero_gives_zero_matrix(self, k3):
         for kind in (ADJACENCY, LAPLACIAN):
             base = to_shift(k3, kind)
             real = sample_realization(base, 0.0, Rng(0))
-            assert np.array_equal(real.mat, np.zeros((3, 3)))
+            assert np.array_equal(real, np.zeros((3, 3)))
 
     def test_mask_matches_adjacency_realization(self, random8):
         real = sample_realization(random8, 0.5, Rng(3))
-        assert np.array_equal(real.mat, real.mask * random8.mat)
+        mask = real != 0
+        assert np.array_equal(real, mask * random8.mat)
         # mask entries on non-edges stay zero
         off_support = (random8.mat == 0)
-        assert np.all(real.mask[off_support] == 0)
+        assert np.all(mask[off_support] == 0)
 
     def test_laplacian_realizations_have_zero_row_sums(self, random8):
         base = to_shift(random8, LAPLACIAN)
         rng = Rng(9)
         for _ in range(50):
             real = sample_realization(base, 0.4, rng)
-            assert np.abs(real.mat.sum(axis=1)).max() == 0.0
-            assert np.array_equal(real.mat, real.mat.T)
+            assert np.abs(real.sum(axis=1)).max() == 0.0
+            assert np.array_equal(real, real.T)
 
     def test_bit_reproducible(self, random8):
-        a = sample_realization(random8, 0.5, Rng(11, 2)).mat
-        b = sample_realization(random8, 0.5, Rng(11, 2)).mat
+        a = sample_realization(random8, 0.5, Rng(11, 2))
+        b = sample_realization(random8, 0.5, Rng(11, 2))
         assert np.array_equal(a, b)
 
     def test_invalid_probability(self, k3):
@@ -183,9 +184,8 @@ N_DRAWS = 100_000
 @pytest.fixture(scope="module")
 def k3_draws():
     base = ShiftOperator(ADJACENCY, np.ones((3, 3)) - np.eye(3))
-    reals = sample_realizations(base, 0.5, Rng(7, 1), N_DRAWS)
-    keeps = np.stack([r.kept for r in reals])
-    mats = np.stack([r.mat for r in reals])
+    mats = sample_realizations(base, 0.5, Rng(7, 1), N_DRAWS)
+    keeps = mats[:, base.edges[:, 0], base.edges[:, 1]] != 0
     return base, keeps, mats
 
 
@@ -256,6 +256,19 @@ class TestEdgeListIO:
         save_edge_list(k3, path)
         text = path.read_text()
         assert text == "3 3 adjacency\n0 1\n0 2\n1 2\n"
+
+    @pytest.mark.parametrize("body", [
+        "3 1 adjacency\n-1 0\n",              # a negative index once wrapped to node 2
+        "3 1 adjacency\n0 3\n",               # index past the last node
+        "3 2 adjacency\n0 1 2\n1 2 0\n",     # three columns once re-paired into 3 edges
+        "3 1 adjacency\n0\n",                 # one column
+        "3 1 adjacency\n0 one\n",             # not an integer
+    ], ids=["negative", "out_of_range", "three_columns", "one_column", "not_an_int"])
+    def test_malformed_edge_line_names_the_path(self, tmp_path, body):
+        path = tmp_path / "bad_graph.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="bad_graph.txt line 2"):
+            load_edge_list(path)
 
 
 class TestShiftOperatorInvariants:

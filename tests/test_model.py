@@ -120,23 +120,23 @@ class TestSampleArchitecture:
         cfg = SgnnConfig(layers=2, features=1, order=3)
         reals = sample_architecture(base8, 0.5, cfg, Rng(0))
         assert reals.num_shift_samples == 6
-        seq = reals.sequence(0, 0, 0)
+        seq = reals.layer_mats[0][0, 0]
         assert len(seq) == 3
-        assert all(r.base is base8 for r in seq)
+        assert reals.base is base8
 
     def test_intact_probability_reproduces_base(self, base8):
         cfg = SgnnConfig(layers=1, features=2, order=2, out_features=2)
         reals = sample_architecture(base8, 1.0, cfg, Rng(0))
         for f in range(2):
-            for r in reals.sequence(0, f, 0):
-                assert np.array_equal(r.mat, base8.mat)
+            for r in reals.layer_mats[0][f, 0]:
+                assert np.array_equal(r, base8.mat)
 
     def test_different_streams_differ(self, base8):
         assert base8.num_edges >= 8
         cfg = SgnnConfig(layers=1, features=1, order=2)
         a = sample_architecture(base8, 0.5, cfg, Rng(0, 1))
         b = sample_architecture(base8, 0.5, cfg, Rng(0, 2))
-        assert not np.array_equal(a.layer_keeps[0], b.layer_keeps[0])
+        assert not np.array_equal(a.layer_mats[0], b.layer_mats[0])
 
 
 class TestForward:
@@ -146,8 +146,31 @@ class TestForward:
         reals = sample_architecture(base8, 0.6, cfg, Rng(4))
         x = Rng(5).normal(size=8)
         out, _ = forward(tensor, reals, x, return_cache=False)
-        want = np.abs(apply_filter(tensor.layers[0][0, 0], reals.sequence(0, 0, 0), x))
+        want = np.abs(apply_filter(tensor.layers[0][0, 0], reals.layer_mats[0][0, 0], x))
         assert np.abs(out - want).max() <= 1e-12
+
+    def test_two_layer_matches_matrix_product_loop(self, base8):
+        # every filter's stages and every layer's output against plain matmuls
+        cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2)
+        tensor = init_tensor(cfg, Rng(6), 0.5)
+        reals = sample_architecture(base8, 0.6, cfg, Rng(7))
+        x = Rng(8).normal(size=(2, 8))
+        out, cache = forward(tensor, reals, x)
+
+        current = x
+        for layer, (taps, mats) in enumerate(zip(tensor.layers, reals.layer_mats)):
+            u = np.zeros((taps.shape[0], 8))
+            for f in range(taps.shape[0]):
+                for g in range(taps.shape[1]):
+                    stages = [current[g]]
+                    for k in range(cfg.order):
+                        stages.append(mats[f, g, k] @ stages[-1])
+                    got = cache.diffusions[layer][:, f, g, :, 0]
+                    assert np.abs(got - np.array(stages)).max() <= 1e-12
+                    u[f] += taps[f, g] @ np.array(stages)
+            assert np.abs(cache.pre_activations[layer][:, :, 0] - u).max() <= 1e-12
+            current = np.tanh(u)
+        assert np.abs(out - current).max() <= 1e-12
 
     def test_zero_tensor_zero_output(self, base8):
         cfg = SgnnConfig(layers=2, features=3, order=2)
