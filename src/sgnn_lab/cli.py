@@ -168,17 +168,14 @@ def cmd_variance_sweep(args) -> int:
         for i, p in enumerate(p_grid)
     ]
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "json":
+        out.mkdir(parents=True, exist_ok=True)
         path = out / "variance_sweep.json"
         with open(path, "w", encoding="ascii") as fh:
             fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
     else:
-        path = out / "variance_sweep.csv"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(variance.VarianceReport.csv_header() + "\n")
-            for r in reports:
-                fh.write(r.to_csv_row() + "\n")
+        path = _common.write_results([r.as_row() for r in reports], out / "variance_sweep.csv",
+                                     columns=variance.REPORT_COLUMNS)
     print(f"variance-sweep: {len(reports)} rows -> {path}")
     if args.check:
         for r in reports:
@@ -348,6 +345,9 @@ def cmd_train(args) -> int:
     if args.iterations is not None:
         cfg = dataclasses.replace(cfg, iterations=args.iterations)
     if args.seeds:
+        if args.seeds > len(cfg.seeds):
+            raise ConfigError(f"--seeds {args.seeds} asks for more seeds than the "
+                              f"{len(cfg.seeds)} the config lists")
         cfg = dataclasses.replace(cfg, seeds=cfg.seeds[: args.seeds])
     results = _common.map_over_seeds(run_seed, cfg, cfg.seeds, args.jobs)
     rows = [row for res in results for row in res["rows"]]

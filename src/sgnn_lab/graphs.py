@@ -228,7 +228,7 @@ def load_edge_list(path) -> ShiftOperator:
         if len(header) != 3:
             raise ValueError(f"malformed header in {path}")
         n, m, kind = int(header[0]), int(header[1]), header[2]
-        pairs = []
+        first_line = {}  # undirected edge (min, max) -> line it was read from
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
@@ -239,8 +239,14 @@ def load_edge_list(path) -> ShiftOperator:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"{path} line {lineno}: expected two node indices in "
                                  f"0..{n - 1}, got {line.strip()!r}")
-            pairs.append((i, j))
-    if len(pairs) != m:
-        raise ValueError(f"expected {m} edges, found {len(pairs)}")
-    adj = _adjacency_from_pairs(n, np.array(pairs, dtype=int).reshape(-1, 2))
+            if i == j:
+                raise ValueError(f"{path} line {lineno}: self-loop on node {i}")
+            edge = (min(i, j), max(i, j))
+            if edge in first_line:
+                raise ValueError(f"{path} line {lineno}: edge {i} {j} repeats the edge "
+                                 f"on line {first_line[edge]}")
+            first_line[edge] = lineno
+    if len(first_line) != m:
+        raise ValueError(f"{path}: header declares {m} edges, found {len(first_line)}")
+    adj = _adjacency_from_pairs(n, np.array(list(first_line), dtype=int).reshape(-1, 2))
     return to_shift(adj, kind)

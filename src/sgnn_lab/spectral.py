@@ -1,10 +1,10 @@
 """Symmetric eigendecomposition, graph Fourier transforms, and filter
 frequency responses.
 
-The eigensolver is a cyclic Jacobi iteration.  At the node counts this
-package targets (N up to a couple hundred) Jacobi is plenty fast and, unlike
-some alternatives, delivers an eigenvector basis that is orthonormal to near
-machine precision, which the rest of the package relies on.
+The eigensolver is LAPACK's symmetric driver behind :func:`numpy.linalg.eigh`.
+:func:`eig_sym` is its one entry point: it rejects non-square, non-finite
+and asymmetric input, and returns an orthonormal eigenvector basis with
+ascending eigenvalues, which the rest of the package relies on.
 
 A graph filter with taps ``h = (h_0, ..., h_K)`` has the scalar frequency
 response ``h(lam) = sum_k h_k lam^k``.  When every diffusion step runs on a
@@ -70,50 +70,23 @@ def _as_matrix(s) -> np.ndarray:
     return np.asarray(getattr(s, "mat", s), dtype=float)
 
 
-def eig_sym(s, max_sweeps: int = 60) -> EigPair:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+def eig_sym(s) -> EigPair:
+    """Eigendecomposition of a symmetric matrix by LAPACK
+    (:func:`numpy.linalg.eigh`).
 
-    Raises ``ValueError`` if the input is not symmetric to within 1e-10.
+    Raises ``ValueError`` if the input is not square, has a NaN or infinite
+    entry, or is not symmetric to within 1e-10.
     """
     a = _as_matrix(s)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix has a NaN or infinite entry")
     asym = np.abs(a - a.T).max() if a.size else 0.0
     if asym > 1e-10:
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-    n = a.shape[0]
-    a = (a + a.T) / 2.0
-    v = np.eye(n)
-    if n > 1:
-        scale = max(1.0, np.abs(a).max())
-        tol = 1e-13 * scale
-        for _ in range(max_sweeps):
-            off = np.abs(a - np.diag(np.diag(a))).max()
-            if off <= tol:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    apq = a[p, q]
-                    if abs(apq) <= tol / n:
-                        continue
-                    tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                    t = np.sign(tau) / (abs(tau) + np.hypot(1.0, tau)) if tau != 0 else 1.0
-                    c = 1.0 / np.hypot(1.0, t)
-                    sn = t * c
-                    row_p, row_q = a[p].copy(), a[q].copy()
-                    a[p] = c * row_p - sn * row_q
-                    a[q] = sn * row_p + c * row_q
-                    col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p - sn * col_q
-                    a[:, q] = sn * col_p + c * col_q
-                    a[p, q] = a[q, p] = 0.0
-                    vp, vq = v[:, p].copy(), v[:, q].copy()
-                    v[:, p] = c * vp - sn * vq
-                    v[:, q] = sn * vp + c * vq
-        else:
-            raise RuntimeError("Jacobi eigendecomposition did not converge")
-    order = np.argsort(np.diag(a), kind="stable")
-    return EigPair(vectors=v[:, order], values=np.diag(a)[order].copy())
+    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    return EigPair(vectors=vectors, values=values)
 
 
 def _basis(v) -> np.ndarray:
@@ -181,12 +154,6 @@ def gfr_partial(h, lamvec, r: int) -> float:
     return float(total)
 
 
-def _gfr_gradient_norm(h, lamvec) -> float:
-    k_order = len(h) - 1
-    g = [gfr_partial(h, lamvec, r) for r in range(1, k_order + 1)]
-    return float(np.linalg.norm(g))
-
-
 def default_domain(s) -> tuple[float, float]:
     """Frequency interval covering the spectrum of ``s`` and of every
     edge-masked version of it, inflated by the safety factor."""
@@ -227,18 +194,23 @@ def estimate_response_lipschitz(h, domain, n_samples: int = 256, rng: Rng | None
     lo, hi = domain
     if lo > hi:
         raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
-    candidates = []
     if rng is None:
         rng = Rng(0, 0)
-    candidates.extend(rng.uniform(lo, hi, (n_samples, k_order)))
-    for a, b in itertools.product((lo, hi), repeat=2):
-        for r in range(1, k_order + 1):
-            candidates.append(np.array([a] * (r - 1) + [b] * (k_order - r + 1)))
+    rows = [rng.uniform(lo, hi, (n_samples, k_order))]
+    # row r-1 of ``head`` marks the r-1 leading entries that take the value a
+    head = np.tri(k_order, k=-1, dtype=bool)
+    rows += [np.where(head, a, b) for a, b in itertools.product((lo, hi), repeat=2)]
     if k_order <= 12:
-        for vertex in itertools.product((lo, hi), repeat=k_order):
-            candidates.append(np.array(vertex))
-    best = max(_gfr_gradient_norm(h, lam) for lam in candidates)
-    return SAFETY * best
+        rows.append(np.array(list(itertools.product((lo, hi), repeat=k_order)), dtype=float))
+    lam = np.concatenate(rows)
+    # d/d lam_r = prod_{j<r} lam_j * tail_r, with tail_K = h_K and
+    # tail_r = h_r + lam_{r+1} * tail_{r+1} (Horner from the last frequency)
+    prefix = np.cumprod(np.concatenate([np.ones((len(lam), 1)), lam[:, :-1]], axis=1), axis=1)
+    tails = np.empty_like(lam)
+    tails[:, -1] = h[-1]
+    for c in range(k_order - 2, -1, -1):
+        tails[:, c] = h[c + 1] + lam[:, c + 1] * tails[:, c + 1]
+    return SAFETY * float(np.sqrt(((prefix * tails) ** 2).sum(axis=1)).max())
 
 
 def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[float, float]:

@@ -77,7 +77,7 @@ def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
     sq_dev = ((samples - mean) ** 2).sum(axis=1)            # per-sample scalar
     variance = float(sq_dev.sum() / (n_samples - 1))
     scale = n_samples / (n_samples - 1)
-    std_error = scale * float(sq_dev.std(ddof=1)) / np.sqrt(n_samples)
+    std_error = float(scale * sq_dev.std(ddof=1) / np.sqrt(n_samples))
     return variance, std_error
 
 
@@ -249,11 +249,11 @@ def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
     return mc_variance(evaluate, n_samples, rng)
 
 
-_REPORT_COLUMNS = [
+REPORT_COLUMNS = (
     "p", "n_samples", "mc_variance", "mc_std_error", "bound_first_order",
     "alpha", "num_edges", "order", "response_lipschitz", "response_bound",
     "nonlinearity_lipschitz", "layers", "features",
-]
+)
 
 
 @dataclass(frozen=True)
@@ -285,12 +285,9 @@ class VarianceReport:
         }
         return json.dumps(payload, sort_keys=True)
 
-    @staticmethod
-    def csv_header() -> str:
-        return ",".join(_REPORT_COLUMNS)
-
-    def to_csv_row(self) -> str:
-        merged = {
+    def as_row(self) -> dict:
+        """The report as one flat table row over :data:`REPORT_COLUMNS`."""
+        return {
             "p": self.p,
             "n_samples": self.n_samples,
             "mc_variance": self.mc_variance,
@@ -298,7 +295,6 @@ class VarianceReport:
             "bound_first_order": self.bound_first_order,
             **self.constants,
         }
-        return ",".join(repr(merged.get(col, "")) for col in _REPORT_COLUMNS)
 
 
 def make_sgnn_report(tensor: FilterTensor, base: ShiftOperator, p: float,

@@ -54,6 +54,16 @@ class TestVarianceSweep:
         header = (tmp_path / "variance_sweep.csv").read_text().splitlines()[0]
         assert header.startswith("p,n_samples,mc_variance")
 
+    def test_every_csv_cell_is_a_number(self, tmp_path):
+        # mc_std_error was once written as "np.float64(...)"
+        assert run(["variance-sweep", "--seed", "0", "--out", tmp_path,
+                    "--samples", "50", "--p", "0", "0.9"]) == 0
+        lines = (tmp_path / "variance_sweep.csv").read_text().splitlines()
+        assert len(lines) == 3
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)  # raises on a cell that is not a plain number
+
     def test_deterministic_under_seed(self, tmp_path):
         for sub in ("a", "b"):
             assert run(["variance-sweep", "--seed", "5", "--out", tmp_path / sub,
@@ -172,10 +182,12 @@ class TestExitCodes:
         assert run([command, "--T", "0"]) == 2
 
     # --seeds 0 once ran every seed on the experiments and wrote a NaN mean row
-    # on convergence; --seeds -1 dropped the last seed
+    # on convergence; --seeds -1 dropped the last seed; --seeds above the
+    # config's seed count once ran fewer seeds than asked and exited 0
     @pytest.mark.parametrize("argv", [
         "train-source --seeds 0", "train-source --seeds -1", "train-flock --seeds 0",
         "train-flock --seeds -1", "convergence --T 1 --seeds 0", "convergence --T 1 --seeds -1",
+        "train-source --seeds 3 seeds=0", "train-flock --seeds 2 seeds=0",
     ])
     def test_nonpositive_seeds_rejected_by_argument_type(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2

@@ -263,11 +263,26 @@ class TestEdgeListIO:
         "3 2 adjacency\n0 1 2\n1 2 0\n",     # three columns once re-paired into 3 edges
         "3 1 adjacency\n0\n",                 # one column
         "3 1 adjacency\n0 one\n",             # not an integer
-    ], ids=["negative", "out_of_range", "three_columns", "one_column", "not_an_int"])
+        "3 1 adjacency\n1 1\n",               # self-loop: once an error without the path
+    ], ids=["negative", "out_of_range", "three_columns", "one_column", "not_an_int",
+            "self_loop"])
     def test_malformed_edge_line_names_the_path(self, tmp_path, body):
         path = tmp_path / "bad_graph.txt"
         path.write_text(body)
         with pytest.raises(ValueError, match="bad_graph.txt line 2"):
+            load_edge_list(path)
+
+    def test_repeated_edge_names_both_lines(self, tmp_path):
+        # "1 0" after "0 1" once loaded silently as a 1-edge graph
+        path = tmp_path / "bad_graph.txt"
+        path.write_text("3 2 adjacency\n0 1\n1 0\n")
+        with pytest.raises(ValueError, match="bad_graph.txt line 3: .* line 2"):
+            load_edge_list(path)
+
+    def test_edge_count_mismatch_names_the_path(self, tmp_path):
+        path = tmp_path / "bad_graph.txt"
+        path.write_text("3 2 adjacency\n0 1\n")
+        with pytest.raises(ValueError, match="bad_graph.txt: header declares 2 edges, found 1"):
             load_edge_list(path)
 
 

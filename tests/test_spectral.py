@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -60,6 +63,50 @@ class TestEigSym:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    # LAPACK returns NaN eigenvalues for such input instead of raising
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(3)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            eig_sym(a)
+
+
+class TestEigSymOracle:
+    """``eig_sym`` against the identities that define an eigendecomposition:
+    ``A V = V diag(lam)``, ``V^T V = I`` and ascending ``lam``."""
+
+    @staticmethod
+    def check(mat):
+        pair = eig_sym(mat)
+        n = mat.shape[0]
+        assert pair.values.shape == (n,) and pair.vectors.shape == (n, n)
+        assert np.all(np.diff(pair.values) >= 0.0)
+        scale = max(1.0, np.abs(mat).max()) if n else 1.0
+        residual = mat @ pair.vectors - pair.vectors * pair.values
+        assert np.abs(residual).max(initial=0.0) <= 1e-12 * scale
+        assert np.abs(pair.vectors.T @ pair.vectors - np.eye(n)).max(initial=0.0) <= 1e-12
+        return pair
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 30])
+    def test_random_symmetric(self, n):
+        mat = Rng(n, 11).normal(size=(n, n))
+        self.check((mat + mat.T) / 2.0)
+
+    def test_repeated_eigenvalue(self):
+        q, _ = np.linalg.qr(Rng(5, 11).normal(size=(5, 5)))
+        mat = q @ np.diag([1.0, -2.0, 1.0, 3.0, 1.0]) @ q.T
+        pair = self.check((mat + mat.T) / 2.0)
+        assert np.abs(pair.values - [-2.0, 1.0, 1.0, 1.0, 3.0]).max() <= 1e-12
+
+    def test_empty_and_scalar(self):
+        assert self.check(np.zeros((0, 0))).values.shape == (0,)
+        assert self.check(np.array([[2.5]])).values.tolist() == [2.5]
+
+    def test_laplacian(self, random8):
+        pair = self.check(to_shift(random8, LAPLACIAN).mat)
+        assert abs(pair.values[0]) <= 1e-12
 
 
 class TestGft:
@@ -244,3 +291,30 @@ def test_generalized_response_constant_vector_property(h, lam):
     k = len(h) - 1
     got = generalized_freq_response(h, np.full(k, lam))
     assert got == pytest.approx(freq_response(h, lam), rel=1e-9, abs=1e-9)
+
+
+def _lipschitz_by_partials(h, domain, n_samples, rng):
+    """Per-candidate oracle of ``estimate_response_lipschitz``: the same
+    uniform, structured and vertex candidates, each gradient norm taken over
+    ``gfr_partial``."""
+    lo, hi = domain
+    k = len(h) - 1
+    candidates = list(rng.uniform(lo, hi, (n_samples, k)))
+    for a, b in itertools.product((lo, hi), repeat=2):
+        candidates += [[a] * (r - 1) + [b] * (k - r + 1) for r in range(1, k + 1)]
+    candidates += itertools.product((lo, hi), repeat=k)
+    return SAFETY * max(math.hypot(*(gfr_partial(h, lam, r) for r in range(1, k + 1)))
+                        for lam in candidates)
+
+
+_TAP = st.floats(-3, 3).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda k: st.lists(_TAP, min_size=k + 1, max_size=k + 1)),
+       st.floats(0.05, 2.0), st.floats(-1.0, 1.0), st.integers(0, 2**16))
+def test_vectorized_lipschitz_matches_partials_loop(h, hi, lo_frac, seed):
+    domain = (lo_frac * hi, hi)
+    got = estimate_response_lipschitz(h, domain, n_samples=16, rng=Rng(seed))
+    expect = _lipschitz_by_partials(h, domain, 16, Rng(seed))
+    assert abs(got - expect) <= 1e-12 * expect

@@ -32,12 +32,15 @@ from sgnn_lab import (
     to_shift,
     variance_std_error,
 )
+from sgnn_lab.experiments import write_results
+from sgnn_lab.variance import REPORT_COLUMNS
 
 
 class TestMcVariance:
     def test_constant_evaluator(self):
         var, se = mc_variance(lambda r: np.ones(4), 500, Rng(0))
         assert var == 0.0 and se == 0.0
+        assert type(var) is float and type(se) is float
 
     def test_deterministic_filter_evaluator(self, k3):
         h = [0.5, 1.0]
@@ -286,12 +289,13 @@ class TestVarianceReport:
         assert payload["n_samples"] == 400
         assert set(payload["constants"]) >= {"alpha", "num_edges", "order"}
 
-    def test_csv_row_matches_header(self):
+    def test_csv_row_matches_header(self, tmp_path):
         report = self._report()
-        header = VarianceReport.csv_header().split(",")
-        row = report.to_csv_row().split(",")
-        assert len(header) == len(row)
-        assert header[0] == "p" and float(row[0]) == 0.9
+        path = write_results([report.as_row()], tmp_path / "sweep.csv", columns=REPORT_COLUMNS)
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        assert header == list(REPORT_COLUMNS) and len(row) == len(header)
+        assert float(row[0]) == 0.9
+        assert float(row[header.index("mc_std_error")]) == report.mc_std_error
 
     def test_validation(self):
         with pytest.raises(ConfigError):
