@@ -58,7 +58,6 @@ from .filters import (
 )
 from .model import (
     FilterTensor,
-    RealizationSet,
     SgnnConfig,
     apply_nonlinearity,
     forward,

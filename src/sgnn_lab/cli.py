@@ -95,15 +95,20 @@ def _apply_overrides(cfg, overrides: list[str]):
             if raw.lower() not in _BOOLS:
                 raise ConfigError(f"{key}={raw!r} is not a boolean (use one of {sorted(_BOOLS)})")
             updates[key] = _BOOLS[raw.lower()]
-        elif isinstance(current, int):
-            updates[key] = int(raw)
-        elif isinstance(current, float):
-            updates[key] = float(raw)
-        elif isinstance(current, tuple):
-            elem = float if (len(current) == 0 or isinstance(current[0], float)) else int
-            updates[key] = tuple(elem(v) for v in raw.split(";") if v != "")
-        else:
-            updates[key] = raw
+            continue
+        try:
+            if isinstance(current, int):
+                updates[key] = int(raw)
+            elif isinstance(current, float):
+                updates[key] = float(raw)
+            elif isinstance(current, tuple):
+                elem = float if (len(current) == 0 or isinstance(current[0], float)) else int
+                updates[key] = tuple(elem(v) for v in raw.split(";") if v != "")
+            else:
+                updates[key] = raw
+        except ValueError:
+            raise ConfigError(f"{key}={raw!r} does not parse like its default "
+                              f"{current!r}") from None
     return dataclasses.replace(cfg, **updates)
 
 
@@ -349,6 +354,8 @@ def cmd_train(args) -> int:
             raise ConfigError(f"--seeds {args.seeds} asks for more seeds than the "
                               f"{len(cfg.seeds)} the config lists")
         cfg = dataclasses.replace(cfg, seeds=cfg.seeds[: args.seeds])
+    if not cfg.seeds:
+        raise ConfigError("the seed list is empty; give at least one seed")
     results = _common.map_over_seeds(run_seed, cfg, cfg.seeds, args.jobs)
     rows = [row for res in results for row in res["rows"]]
     out = Path(args.out)

@@ -225,8 +225,10 @@ def load_edge_list(path) -> ShiftOperator:
     rebuilt from the edge set (the normalization factor is recomputed)."""
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().split()
-        if len(header) != 3:
-            raise ValueError(f"malformed header in {path}")
+        if (len(header) != 3 or not all(t.isdigit() for t in header[:2])
+                or header[2] not in KINDS):
+            raise ValueError(f"{path} line 1: expected a header 'N M kind' with counts "
+                             f">= 0 and kind in {KINDS}, got {' '.join(header)!r}")
         n, m, kind = int(header[0]), int(header[1]), header[2]
         first_line = {}  # undirected edge (min, max) -> line it was read from
         for lineno, line in enumerate(fh, start=2):

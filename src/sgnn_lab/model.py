@@ -6,8 +6,8 @@ hidden width, middle layers map hidden to hidden (filter outputs sharing an
 input feature are summed to keep the bank from growing exponentially), and
 the last layer maps hidden to the output feature count.  Every (layer,
 out-feature, in-feature) filter runs on its own independently drawn sequence
-of shift realizations, so one forward pass is fixed by a realization set of
-``P = K * sum_l out_l * in_l`` sampled shifts.
+of shift realizations, so one forward pass is fixed by a realization set: a
+tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts.
 
 Two optional readout heads turn per-node features into task outputs; their
 weights live in the trailing block of the filter tensor and train jointly:
@@ -41,6 +41,8 @@ READOUTS = ("none", "pooled", "per_node")
 
 # All three nonlinearities are 1-Lipschitz with sigma(0) = 0.
 NONLINEARITY_LIPSCHITZ = 1.0
+
+Reals = tuple[np.ndarray, ...]  # a realization set: per layer (out, in, K, N, N) shifts
 
 
 def apply_nonlinearity(kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -165,15 +167,6 @@ class FilterTensor:
             head_b = flat[pos : pos + cfg.readout_dim].copy()
         return cls(cfg, layers, head_w, head_b)
 
-    @classmethod
-    def zeros(cls, cfg: SgnnConfig) -> "FilterTensor":
-        return cls.from_flat(cfg, np.zeros(cfg.num_params))
-
-    def copy(self) -> "FilterTensor":
-        head_w = None if self.head_weight is None else self.head_weight.copy()
-        head_b = None if self.head_bias is None else self.head_bias.copy()
-        return FilterTensor(self.cfg, [arr.copy() for arr in self.layers], head_w, head_b)
-
 
 def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     """I.i.d. uniform(-scale, scale) taps (and head weights, if any)."""
@@ -182,37 +175,15 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     return FilterTensor.from_flat(cfg, rng.uniform(-scale, scale, cfg.num_params))
 
 
-class RealizationSet:
-    """The realized shifts fixing one forward pass: per layer an (out, in, K,
-    N, N) array, one length-K sequence per (out-feature, in-feature) filter."""
-
-    __slots__ = ("base", "p", "cfg", "layer_mats")
-
-    def __init__(self, base: ShiftOperator, p: float, cfg: SgnnConfig,
-                 layer_mats: list[np.ndarray]):
-        self.base = base
-        self.p = float(p)
-        self.cfg = cfg
-        self.layer_mats = tuple(layer_mats)
-
-    @property
-    def num_shift_samples(self) -> int:
-        return sum(int(np.prod(m.shape[:3])) for m in self.layer_mats)
-
-    def __repr__(self) -> str:
-        return f"RealizationSet(p={self.p}, samples={self.num_shift_samples})"
-
-
-def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng) -> RealizationSet:
+def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng) -> Reals:
     """Draw a fresh realization set for one forward pass.
 
     Each filter's sequence consumes a disjoint, deterministic segment of the
     given counter-based stream, which realizes independent draws per filter.
     """
     n, k = base.n, cfg.order
-    layer_mats = [sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
-                  for o, i in cfg.layer_shapes()]
-    return RealizationSet(base, p, cfg, layer_mats)
+    return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
+                 for o, i in cfg.layer_shapes())
 
 
 @dataclass
@@ -220,15 +191,15 @@ class ForwardCache:
     """Intermediate state of one forward pass, consumed by backward."""
 
     tensor: FilterTensor
-    reals: RealizationSet | None
+    reals: Reals
     x: np.ndarray                       # (F_in, N, B)
+    out_shape: tuple = ()               # output shape before size-1 axes are dropped
     diffusions: list[np.ndarray] = field(default_factory=list)   # (K+1, out, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
     pooled: np.ndarray | None = None        # (F_out, B) node-averaged features
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
     pooled_hat: np.ndarray | None = None    # standardized pooled features
-    squeeze: str = "batched"
 
 
 def _normalize_input(cfg: SgnnConfig, x: np.ndarray) -> tuple[np.ndarray, str]:
@@ -248,11 +219,11 @@ def _normalize_input(cfg: SgnnConfig, x: np.ndarray) -> tuple[np.ndarray, str]:
     raise ValueError(f"input must be 1-D, 2-D, or 3-D, got shape {x.shape}")
 
 
-def _shape_output(out: np.ndarray, squeeze: str, pooled: bool) -> np.ndarray:
-    if squeeze == "batched":
+def _shape_output(out: np.ndarray, form: str, pooled: bool) -> np.ndarray:
+    if form == "batched":
         return out
     out = out[..., 0]
-    if squeeze == "signal" and not pooled and out.shape[0] == 1:
+    if form == "signal" and not pooled and out.shape[0] == 1:
         return out[0]
     return out
 
@@ -280,21 +251,18 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
     return out + tensor.head_bias[:, None, None]
 
 
-def _check_reals(cfg: SgnnConfig, reals: RealizationSet, n: int) -> None:
-    if reals.base.n != n:
-        raise ValueError(f"realizations built for {reals.base.n} nodes, signal has {n}")
+def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
     shapes = cfg.layer_shapes()
-    if len(reals.layer_mats) != len(shapes):
-        raise ValueError("realization set does not match the architecture depth")
-    for mats, (out_d, in_d) in zip(reals.layer_mats, shapes):
-        if mats.shape[:3] != (out_d, in_d, cfg.order):
-            raise ValueError(
-                f"realization block {mats.shape[:3]} does not match layer ({out_d}, {in_d}, K={cfg.order})"
-            )
+    if len(reals) != len(shapes):
+        raise ValueError(f"realization set has {len(reals)} layers, the architecture {len(shapes)}")
+    for layer, (mats, (out_d, in_d)) in enumerate(zip(reals, shapes)):
+        want = (out_d, in_d, cfg.order, n, n)
+        if np.shape(mats) != want:
+            raise ValueError(f"layer {layer} realizations have shape {np.shape(mats)}, "
+                             f"expected {want} for {n} nodes")
 
 
-def forward(tensor: FilterTensor, reals: RealizationSet, x: np.ndarray,
-            return_cache: bool = True):
+def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True):
     """Run the network on a fixed realization set.
 
     ``x`` may be a bare signal (N,), one sample (F_in, N), or a batch
@@ -304,14 +272,14 @@ def forward(tensor: FilterTensor, reals: RealizationSet, x: np.ndarray,
     false.
     """
     cfg = tensor.cfg
-    xs, squeeze = _normalize_input(cfg, x)
+    xs, form = _normalize_input(cfg, x)
     _check_reals(cfg, reals, xs.shape[1])
     n, b = xs.shape[1], xs.shape[2]
-    cache = ForwardCache(tensor=tensor, reals=reals, x=xs, squeeze=squeeze)
+    cache = ForwardCache(tensor=tensor, reals=reals, x=xs)
     current = xs
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
-        mats = reals.layer_mats[layer_idx].transpose(2, 0, 1, 3, 4)
+        mats = reals[layer_idx].transpose(2, 0, 1, 3, 4)
         diffs = diffusion_stages(mats, np.broadcast_to(current[None], (out_d, in_d, n, b)))
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs)
         act, _ = apply_nonlinearity(cfg.nonlinearity, u)
@@ -321,7 +289,8 @@ def forward(tensor: FilterTensor, reals: RealizationSet, x: np.ndarray,
             cache.activations.append(act)
         current = act
     out = _apply_head(tensor, current, cache)
-    return _shape_output(out, squeeze, cfg.readout == "pooled"), (cache if return_cache else None)
+    cache.out_shape = out.shape
+    return _shape_output(out, form, cfg.readout == "pooled"), (cache if return_cache else None)
 
 
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:
@@ -333,9 +302,9 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
     """
     cfg = tensor.cfg
     sbar = p * base.mat
-    mats = [np.broadcast_to(sbar, (out_d, in_d, cfg.order, base.n, base.n))
-            for out_d, in_d in cfg.layer_shapes()]
-    out, _ = forward(tensor, RealizationSet(base, p, cfg, mats), x, return_cache=False)
+    reals = tuple(np.broadcast_to(sbar, (out_d, in_d, cfg.order, base.n, base.n))
+                  for out_d, in_d in cfg.layer_shapes())
+    out, _ = forward(tensor, reals, x, return_cache=False)
     return out
 
 

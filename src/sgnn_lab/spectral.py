@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainViolationError
+from .filters import diffusion_stages
 from .rng import Rng
 
 # Safety factor applied to estimated constants: conservative constants keep
@@ -232,11 +233,8 @@ def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[
             f"spectrum [{pair.values[0]:.6g}, {pair.values[-1]:.6g}] exits domain ({lo}, {hi})"
         )
     h = np.asarray(h, dtype=float)
-    filter_mat = h[0] * np.eye(mat.shape[0])
-    power = np.eye(mat.shape[0])
-    for k in range(1, len(h)):
-        power = mat @ power
-        filter_mat = filter_mat + h[k] * power
+    # stage k of diffusing the identity is S^k
+    filter_mat = np.tensordot(h, diffusion_stages([mat] * (len(h) - 1), np.eye(len(mat))), 1)
     norm_vals = eig_sym(filter_mat).values
     norm = float(max(abs(norm_vals[0]), abs(norm_vals[-1])))
     return norm, estimate_response_bound(h, domain)

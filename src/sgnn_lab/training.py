@@ -32,7 +32,7 @@ from .graphs import ShiftOperator
 from .model import (
     FilterTensor,
     ForwardCache,
-    RealizationSet,
+    Reals,
     apply_nonlinearity,
     forward,
     sample_architecture,
@@ -102,20 +102,7 @@ def loss_cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
 # Reverse mode through the fixed realization set.
 
 
-def _lift_output_grad(cache: ForwardCache, out_grad: np.ndarray) -> np.ndarray:
-    cfg = cache.tensor.cfg
-    g = np.asarray(out_grad, dtype=float)
-    if cache.squeeze != "batched":
-        if cfg.readout == "pooled":
-            g = g[:, None]
-        elif cache.squeeze == "signal" and cfg.readout == "none" and g.ndim == 1:
-            g = g[None, :, None]
-        else:
-            g = g[..., None]
-    return g
-
-
-def backward(tensor: FilterTensor, reals: RealizationSet, cache: ForwardCache,
+def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
              out_grad: np.ndarray) -> FilterTensor:
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
     treating the sampled shifts as constants.
@@ -129,7 +116,8 @@ def backward(tensor: FilterTensor, reals: RealizationSet, cache: ForwardCache,
         raise StaleCacheError("cache was produced by a different tensor or realization set")
     if len(cache.diffusions) != cfg.layers:
         raise StaleCacheError("forward pass did not retain activations (return_cache=False?)")
-    g = _lift_output_grad(cache, out_grad)
+    # forward drops only size-1 axes from its output; a reshape restores them
+    g = np.asarray(out_grad, dtype=float).reshape(cache.out_shape)
     n = cache.x.shape[1]
 
     head_w_grad = head_b_grad = None
@@ -159,7 +147,7 @@ def backward(tensor: FilterTensor, reals: RealizationSet, cache: ForwardCache,
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
-        mats = reals.layer_mats[layer_idx]
+        mats = reals[layer_idx]
         # delta_x = sum_k h_k (S_1 ... S_k)^T delta_u, accumulated backwards.
         acc = coeffs[:, :, cfg.order, None, None] * delta_u[:, None]
         for k in range(cfg.order - 1, -1, -1):
@@ -306,12 +294,14 @@ def convergence_metric(trace) -> np.ndarray:
     return np.minimum.accumulate(sq)
 
 
-def _batch_arrays(train_set: TrainingSet, idx: np.ndarray, loss: str):
-    x = np.moveaxis(train_set.inputs[idx], 0, -1)           # (F_in, N, B)
+def _batch_arrays(train_set: TrainingSet, idx: np.ndarray | slice, loss: str):
+    # transpose, not np.moveaxis: this runs once per sample on per-sample bases
+    x = train_set.inputs[idx].transpose(1, 2, 0)            # (F_in, N, B)
     if loss == "cross_entropy":
         y = np.asarray(train_set.targets)[idx]
     else:
-        y = np.moveaxis(np.asarray(train_set.targets, dtype=float)[idx], 0, -1)
+        y = np.asarray(train_set.targets, dtype=float)[idx]
+        y = y.transpose(*range(1, y.ndim), 0)
     return x, y
 
 
@@ -321,45 +311,43 @@ def _loss_pair(loss: str, pred, target):
     return loss_cross_entropy(pred, target), loss_cross_entropy_grad(pred, target)
 
 
+def _groups(base: ShiftOperator | None, train_set: TrainingSet,
+            idx: np.ndarray) -> list[tuple[ShiftOperator, np.ndarray | slice]]:
+    """(graph, samples) per draw: the batch on the shared base, or each sample on its
+    own base as a slice (faster to index with than a one-element array)."""
+    if train_set.bases is None:
+        return [(base, idx)]
+    return [(train_set.bases[i], slice(i, i + 1)) for i in idx]
+
+
 def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
                    train_set: TrainingSet, idx: np.ndarray, p: float,
                    loss: str, rng: Rng) -> tuple[float, np.ndarray]:
-    """Cost and flat gradient of one fixed-realization step on a batch."""
-    if train_set.bases is None:
-        reals = sample_architecture(base, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, idx, loss)
+    """Cost and flat gradient of one step: the mean over equal-sized groups, each
+    on a fresh realization set."""
+    groups = _groups(base, train_set, idx)
+    cost, grad = 0.0, 0.0
+    for graph, members in groups:
+        reals = sample_architecture(graph, p, tensor.cfg, rng)
+        x, y = _batch_arrays(train_set, members, loss)
         out, cache = forward(tensor, reals, x)
-        cost, dout = _loss_pair(loss, out, y)
-        grad = backward(tensor, reals, cache, dout).flatten()
-        return cost, grad
-    cost = 0.0
-    grad = np.zeros(tensor.cfg.num_params)
-    for i in idx:
-        reals = sample_architecture(train_set.bases[i], p, tensor.cfg, rng)
-        x = train_set.inputs[i]
-        y = train_set.targets[i]
-        out, cache = forward(tensor, reals, x)
-        ci, dout = _loss_pair(loss, out, y)
-        cost += ci
-        grad += backward(tensor, reals, cache, dout).flatten()
-    return cost / len(idx), grad / len(idx)
+        c, dout = _loss_pair(loss, out, y)
+        cost += c
+        grad = grad + backward(tensor, reals, cache, dout).flatten()
+    return cost / len(groups), grad / len(groups)
 
 
 def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
                train_set: TrainingSet, p: float, loss: str, rng: Rng) -> float:
-    """Full-set cost on one fresh realization draw (forward only)."""
-    idx = np.arange(len(train_set))
-    if train_set.bases is None:
-        reals = sample_architecture(base, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, idx, loss)
-        out, _ = forward(tensor, reals, x, return_cache=False)
-        return _loss_pair(loss, out, y)[0]
+    """Full-set cost on fresh realization draws (forward only)."""
+    groups = _groups(base, train_set, np.arange(len(train_set)))
     total = 0.0
-    for i in idx:
-        reals = sample_architecture(train_set.bases[i], p, tensor.cfg, rng)
-        out, _ = forward(tensor, reals, train_set.inputs[i], return_cache=False)
-        total += _loss_pair(loss, out, train_set.targets[i])[0]
-    return total / len(idx)
+    for graph, members in groups:
+        reals = sample_architecture(graph, p, tensor.cfg, rng)
+        x, y = _batch_arrays(train_set, members, loss)
+        out, _ = forward(tensor, reals, x, return_cache=False)
+        total += _loss_pair(loss, out, y)[0]
+    return total / len(groups)
 
 
 def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,
@@ -403,21 +391,20 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     root = Rng(cfg.seed)
     r_real, r_batch, r_est = root.child(0), root.child(1), root.child(2)
 
-    tensor = model.copy()
     num_samples = len(train_set)
     batch_size = min(cfg.batch_size, num_samples)
 
     if cfg.schedule == "horizon":
         gap = cfg.cost_gap if cfg.cost_gap is not None else estimate_cost_gap(
-            tensor, base, train_set, cfg.link_p, cfg.cost_gap_samples, r_est.child(0), cfg.loss)
+            model, base, train_set, cfg.link_p, cfg.cost_gap_samples, r_est.child(0), cfg.loss)
         bound = cfg.grad_bound if cfg.grad_bound is not None else estimate_grad_bound(
-            tensor, base, train_set, cfg.link_p, cfg.grad_bound_samples, r_est.child(1), cfg.loss)
+            model, base, train_set, cfg.link_p, cfg.grad_bound_samples, r_est.child(1), cfg.loss)
         alpha0 = convergence_step_size(max(gap, 1e-12), cfg.iterations,
                                        cfg.smoothness, max(bound, 1e-12))
     else:
         alpha0 = cfg.lr
 
-    flat = tensor.flatten()
+    flat = model.flatten()
     m1 = np.zeros_like(flat)
     m2 = np.zeros_like(flat)
     costs = np.empty(cfg.iterations)
@@ -435,7 +422,7 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         idx = perm[pos : pos + batch_size]
         pos += batch_size
 
-        current = FilterTensor.from_flat(tensor.cfg, flat)
+        current = FilterTensor.from_flat(model.cfg, flat)
         cost, grad = _cost_and_grad(current, base, train_set, idx,
                                     cfg.link_p, cfg.loss, r_real)
         if not np.isfinite(cost) or not np.all(np.isfinite(grad)):
@@ -459,4 +446,4 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         wall[t] = (time.perf_counter() - tic) * 1e3
 
     return TrainTrace(costs=costs, grad_norms=grad_norms, lrs=lrs, wall_ms=wall,
-                      tensor=FilterTensor.from_flat(tensor.cfg, flat))
+                      tensor=FilterTensor.from_flat(model.cfg, flat))

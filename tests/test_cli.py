@@ -192,6 +192,16 @@ class TestExitCodes:
     def test_nonpositive_seeds_rejected_by_argument_type(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2
 
+    # a value that does not convert once died with a traceback and exit 1, and
+    # an empty seed list wrote a header-only table and exited 0
+    @pytest.mark.parametrize("argv", [
+        "train-source iterations=abc", "train-source test_p=1.0;x", "train-source lr=fast",
+        "train-flock seeds=0;one", "train-source seeds=", "train-flock seeds=;",
+    ])
+    def test_bad_override_value_is_config_error(self, tmp_path, argv):
+        assert run([*argv.split(), "--out", tmp_path]) == 2
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("command", ["train-source", "convergence"])
     def test_single_p_rejects_a_grid(self, tmp_path, command):
         assert run([command, "--T", "1", "--p", "0.5", "0.9", "--out", tmp_path]) == 2
@@ -224,6 +234,11 @@ class TestBoolOverrides:
     def test_other_values_rejected(self, raw):
         with pytest.raises(ConfigError):
             _apply_overrides(_Flagged(), [f"flag={raw}"])
+
+
+def test_unparsable_value_names_key_and_value():
+    with pytest.raises(ConfigError, match="iterations='abc'"):
+        _apply_overrides(SourceLocConfig(), ["iterations=abc"])
 
 
 class TestDeterminism:

@@ -272,6 +272,24 @@ class TestEdgeListIO:
         with pytest.raises(ValueError, match="bad_graph.txt line 2"):
             load_edge_list(path)
 
+    # a non-integer count once raised the bare int() error, and an unknown
+    # kind a ConfigError without the path, after every edge line was read
+    @pytest.mark.parametrize("body", [
+        "x 1 adjacency\n0 1\n",
+        "3 x adjacency\n0 1\n",
+        "-3 1 adjacency\n0 1\n",
+        "3 1 bogus\n0 5\n",
+        "3 1\n0 1\n",
+        "3 1 adjacency extra\n0 1\n",
+        "",
+    ], ids=["n_not_an_int", "m_not_an_int", "negative_n", "unknown_kind", "two_fields",
+            "four_fields", "empty_file"])
+    def test_malformed_header_names_the_path(self, tmp_path, body):
+        path = tmp_path / "bad_graph.txt"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="bad_graph.txt line 1"):
+            load_edge_list(path)
+
     def test_repeated_edge_names_both_lines(self, tmp_path):
         # "1 0" after "0 1" once loaded silently as a 1-edge graph
         path = tmp_path / "bad_graph.txt"

@@ -119,16 +119,15 @@ class TestSampleArchitecture:
     def test_sequence_counts(self, base8):
         cfg = SgnnConfig(layers=2, features=1, order=3)
         reals = sample_architecture(base8, 0.5, cfg, Rng(0))
-        assert reals.num_shift_samples == 6
-        seq = reals.layer_mats[0][0, 0]
+        assert sum(int(np.prod(m.shape[:3])) for m in reals) == 6
+        seq = reals[0][0, 0]
         assert len(seq) == 3
-        assert reals.base is base8
 
     def test_intact_probability_reproduces_base(self, base8):
         cfg = SgnnConfig(layers=1, features=2, order=2, out_features=2)
         reals = sample_architecture(base8, 1.0, cfg, Rng(0))
         for f in range(2):
-            for r in reals.layer_mats[0][f, 0]:
+            for r in reals[0][f, 0]:
                 assert np.array_equal(r, base8.mat)
 
     def test_different_streams_differ(self, base8):
@@ -136,7 +135,7 @@ class TestSampleArchitecture:
         cfg = SgnnConfig(layers=1, features=1, order=2)
         a = sample_architecture(base8, 0.5, cfg, Rng(0, 1))
         b = sample_architecture(base8, 0.5, cfg, Rng(0, 2))
-        assert not np.array_equal(a.layer_mats[0], b.layer_mats[0])
+        assert not np.array_equal(a[0], b[0])
 
 
 class TestForward:
@@ -146,7 +145,7 @@ class TestForward:
         reals = sample_architecture(base8, 0.6, cfg, Rng(4))
         x = Rng(5).normal(size=8)
         out, _ = forward(tensor, reals, x, return_cache=False)
-        want = np.abs(apply_filter(tensor.layers[0][0, 0], reals.layer_mats[0][0, 0], x))
+        want = np.abs(apply_filter(tensor.layers[0][0, 0], reals[0][0, 0], x))
         assert np.abs(out - want).max() <= 1e-12
 
     def test_two_layer_matches_matrix_product_loop(self, base8):
@@ -158,7 +157,7 @@ class TestForward:
         out, cache = forward(tensor, reals, x)
 
         current = x
-        for layer, (taps, mats) in enumerate(zip(tensor.layers, reals.layer_mats)):
+        for layer, (taps, mats) in enumerate(zip(tensor.layers, reals)):
             u = np.zeros((taps.shape[0], 8))
             for f in range(taps.shape[0]):
                 for g in range(taps.shape[1]):
@@ -235,6 +234,18 @@ class TestForward:
         for b in range(5):
             single, _ = forward(tensor, reals, xs[:, :, b], return_cache=False)
             assert np.abs(batch_out[:, :, b] - single).max() <= 1e-12
+
+    def test_mismatched_realizations_rejected(self, base8, p3):
+        cfg = SgnnConfig(layers=2, features=2, order=1)
+        tensor = init_tensor(cfg, Rng(0), 0.5)
+        reals = sample_architecture(base8, 0.5, cfg, Rng(1))
+        with pytest.raises(ValueError, match="has 1 layers"):
+            forward(tensor, reals[:1], np.ones(8))
+        with pytest.raises(ValueError, match="layer 0 .* for 8 nodes"):
+            forward(tensor, sample_architecture(p3, 0.5, cfg, Rng(1)), np.ones(8))
+        # a node-count mismatch in a later layer alone is caught too
+        with pytest.raises(ValueError, match="layer 1 .* for 8 nodes"):
+            forward(tensor, (reals[0], reals[1][..., :3, :3]), np.ones(8))
 
 
 class TestForwardExpected:

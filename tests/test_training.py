@@ -28,7 +28,7 @@ from sgnn_lab import (
     to_shift,
     train,
 )
-from sgnn_lab.training import _loss_pair
+from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair
 
 
 @pytest.fixture
@@ -146,6 +146,23 @@ class TestBackward:
         grad = backward(tensor, reals, cache, loss_mse_grad(out, t)).flatten()
         want = np.mean(2.0 * (1.3 * x - t) * x)
         assert grad[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("readout", ["none", "pooled", "per_node"])
+    def test_every_input_form_gives_the_same_gradient(self, base8, readout):
+        # forward drops the size-1 axes of (N,) and (1, N) inputs from its output;
+        # backward must restore exactly those
+        cfg, tensor, reals, _, _, _, _ = self._setup(base8, readout, "mse", "tanh", seed=32)
+        x = Rng(33).normal(size=8)
+        target = None
+        grads = []
+        for form in (x, x[None], x[None, :, None]):
+            out, cache = forward(tensor, reals, form)
+            if target is None:
+                target = Rng(34).normal(size=out.size)
+            grad = backward(tensor, reals, cache, loss_mse_grad(out, target.reshape(out.shape)))
+            grads.append(grad.flatten())
+        assert np.array_equal(grads[0], grads[1])
+        assert np.array_equal(grads[0], grads[2])
 
     def test_stale_cache_rejected(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -296,6 +313,52 @@ class TestSchedules:
         assert trace.lrs[0] != 123.0 and trace.lrs[0] > 0
 
 
+class TestPerSampleBases:
+    """One step on per-sample bases against a loop over the samples written
+    out here: each sample draws its own realization set on its own graph, in
+    batch order from the step's stream, and the step averages over them."""
+
+    @pytest.mark.parametrize("readout,loss", [
+        ("none", "mse"), ("pooled", "cross_entropy"), ("per_node", "mse"),
+    ])
+    def test_step_matches_a_per_sample_loop(self, readout, loss):
+        graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(40).child(c)), NORMALIZED_ADJACENCY)
+                  for c in range(3)]
+        assert not np.array_equal(graphs[0].mat, graphs[1].mat)
+        assert not np.array_equal(graphs[1].mat, graphs[2].mat)
+        cfg = SgnnConfig(layers=2, features=3, order=2, nonlinearity="tanh", in_features=2,
+                         out_features=2, readout=readout,
+                         readout_dim=0 if readout == "none" else 3)
+        tensor = init_tensor(cfg, Rng(41), 0.5)
+        inputs = Rng(42).normal(size=(3, 2, 6))
+        if loss == "cross_entropy":
+            targets = Rng(43).integers(0, 3, 3)
+        else:
+            width = 2 if readout == "none" else 3
+            targets = Rng(43).normal(size=(3, width, 6))
+        data = TrainingSet(inputs, targets, bases=graphs)
+        idx = np.array([2, 0, 1])
+
+        cost, grad = _cost_and_grad(tensor, None, data, idx, 0.7, loss, Rng(44))
+        rng = Rng(44)
+        costs, grads = [], []
+        for i in idx:
+            reals = sample_architecture(graphs[i], 0.7, cfg, rng)
+            out, cache = forward(tensor, reals, inputs[i])
+            c, dout = _loss_pair(loss, out, targets[i])
+            costs.append(c)
+            grads.append(backward(tensor, reals, cache, dout).flatten())
+        assert cost == sum(costs) / 3
+        assert np.array_equal(grad, sum(grads) / 3)
+
+        full = _full_cost(tensor, None, data, 0.7, loss, Rng(45))
+        rng = Rng(45)
+        want = sum(_loss_pair(loss, forward(tensor, sample_architecture(graphs[i], 0.7, cfg, rng),
+                                            inputs[i], return_cache=False)[0], targets[i])[0]
+                   for i in range(3)) / 3
+        assert full == want
+
+
 class TestEstimators:
     def test_grad_bound_zero_for_zero_problem(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -316,7 +379,6 @@ class TestEstimators:
         tensor = init_tensor(cfg, Rng(1), 0.4)
         data = TrainingSet(Rng(2).normal(size=(12, 1, 8)), Rng(3).normal(size=(12, 2, 8)))
         bound = estimate_grad_bound(tensor, base8, data, 0.6, 20, Rng(10))
-        from sgnn_lab.training import _cost_and_grad
         rng = Rng(11)
         idx = np.arange(len(data))
         exceed = 0
