@@ -36,9 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import variance
+from . import common, variance
 from .errors import ConfigError, DivergenceError
-from .experiments import common as _common
 from .experiments.flocking import FlockingConfig, run_flock_seed
 from .experiments.source import SourceLocConfig, gen_source_dataset, run_source_seed
 from .graphs import (
@@ -149,8 +148,8 @@ def cmd_moment_check(args) -> int:
             ok &= passed
             rows.append({"check": "nonlinearity_variance", "case": f"{kind}/{dist_name}",
                          "value": var_out / max(var_in, 1e-12), "pass": passed})
-    path = _common.write_results(rows, Path(args.out) / f"moment_check.{args.format}",
-                                 args.format, columns=("check", "case", "value", "pass"))
+    path = common.write_results(rows, Path(args.out) / f"moment_check.{args.format}",
+                                args.format, columns=("check", "case", "value", "pass"))
     print(f"moment-check: {sum(r['pass'] for r in rows)}/{len(rows)} cases pass -> {path}")
     return EXIT_OK if ok else EXIT_ASSERTION
 
@@ -179,8 +178,8 @@ def cmd_variance_sweep(args) -> int:
         with open(path, "w", encoding="ascii") as fh:
             fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
     else:
-        path = _common.write_results([r.as_row() for r in reports], out / "variance_sweep.csv",
-                                     columns=variance.REPORT_COLUMNS)
+        path = common.write_results([r.as_row() for r in reports], out / "variance_sweep.csv",
+                                    columns=variance.REPORT_COLUMNS)
     print(f"variance-sweep: {len(reports)} rows -> {path}")
     if args.check:
         for r in reports:
@@ -249,7 +248,7 @@ def cmd_grad_check(args) -> int:
         rows.append({"case": case, "nonlinearity": nl, "loss": loss,
                      "readout": readout, "max_rel_err": rel})
         case += 1
-    path = _common.write_results(
+    path = common.write_results(
         rows, Path(args.out) / f"grad_check.{args.format}", args.format,
         columns=("case", "nonlinearity", "loss", "readout", "max_rel_err"))
     print(f"grad-check: {len(rows)} cases, max rel err {worst:.3e} -> {path}")
@@ -291,7 +290,7 @@ def cmd_convergence(args) -> int:
     rows.append({"seed": "mean", "iterations": args.iterations,
                  "min_grad_sq": mean_min,
                  "final_cost": float(np.mean([r["final_cost"] for r in rows]))})
-    path = _common.write_results(
+    path = common.write_results(
         rows, Path(args.out) / f"convergence_T{args.iterations}.{args.format}", args.format,
         columns=("seed", "iterations", "min_grad_sq", "final_cost"))
     print(f"convergence: T={args.iterations} p={args.p} mean running-min |grad|^2 = "
@@ -356,10 +355,9 @@ def cmd_train(args) -> int:
         cfg = dataclasses.replace(cfg, seeds=cfg.seeds[: args.seeds])
     if not cfg.seeds:
         raise ConfigError("the seed list is empty; give at least one seed")
-    results = _common.map_over_seeds(run_seed, cfg, cfg.seeds, args.jobs)
-    rows = [row for res in results for row in res["rows"]]
+    results, rows = common.run_seeds(run_seed, cfg, args.jobs)
     out = Path(args.out)
-    _common.write_results(rows, out / f"{table}.{args.format}", args.format)
+    common.write_results(rows, out / f"{table}.{args.format}", args.format)
     for res, seed in zip(results, cfg.seeds):
         for model in ("sgnn", "gnn"):
             trace = res[f"{model}_trace"]
@@ -397,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("moment-check", cmd_moment_check, "second-moment closed forms vs enumeration")
     p.add_argument("--kind", choices=(ADJACENCY, LAPLACIAN, "both"), default="both")
-    p.add_argument("--max-edges", type=int, default=12)
+    p.add_argument("--max-edges", type=_positive, default=12)
     p.add_argument("--samples", type=int, default=100_000)
 
     p = command("variance-sweep", cmd_variance_sweep, "Monte-Carlo variance vs first-order bound")
@@ -407,7 +405,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 1 if the variance exceeds the bound")
 
     p = command("grad-check", cmd_grad_check, "analytic gradients vs finite differences")
-    p.add_argument("--cases", type=int, default=20)
+    p.add_argument("--cases", type=_positive, default=20)
 
     p = command("convergence", cmd_convergence, "running-min gradient norm for a horizon")
     p.add_argument("--T", dest="iterations", type=_positive, required=True,
@@ -423,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--T", dest="iterations", type=_positive, default=None,
                        help="training iterations")
         p.add_argument("--seeds", type=_positive, default=None, help="use only the first N seeds")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for multi-seed fan-out")
+        p.add_argument("--jobs", type=_positive, default=1, help="worker processes for the seeds")
         p.add_argument("--assert", dest="check", action="store_true",
                        help="exit 1 if the experiment's directional checks fail")
         p.add_argument("overrides", nargs="*", metavar="key=value",

@@ -1,5 +1,4 @@
-"""Shared plumbing for the experiment pipelines: the plot-ready results
-table writer and the multi-seed fan-out."""
+"""The package's one table writer, ``write_results``, and one seed driver, ``run_seeds``."""
 
 from __future__ import annotations
 
@@ -41,10 +40,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def map_over_seeds(worker, cfg, seeds, jobs: int = 1) -> list:
-    """Run ``worker(cfg, seed)`` per seed, optionally on a process pool.
-    Results come back in seed order either way."""
+def run_seeds(worker, cfg, jobs: int = 1) -> tuple[list, list[dict]]:
+    """Run ``worker(cfg, seed)`` for every seed in ``cfg.seeds`` (on a pool of ``jobs``
+    processes if jobs > 1); the results in seed order, and their rows joined."""
     if jobs <= 1:
-        return [worker(cfg, seed) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, [cfg] * len(seeds), seeds))
+        results = [worker(cfg, seed) for seed in cfg.seeds]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(worker, [cfg] * len(cfg.seeds), cfg.seeds))
+    return results, [row for result in results for row in result["rows"]]

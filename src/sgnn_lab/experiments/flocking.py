@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import common
 from ..errors import ConfigError, DegenerateInputError, DivergenceError
 from ..graphs import (
     NORMALIZED_ADJACENCY,
@@ -34,7 +35,6 @@ from ..graphs import (
 from ..model import SgnnConfig, forward, init_tensor, sample_architecture
 from ..rng import Rng
 from ..training import TrainConfig, TrainingSet, train
-from . import common
 
 
 @dataclass
@@ -84,6 +84,11 @@ class FlockingConfig:
     train_p: float = 0.7
     test_p: tuple = (1.0, 0.9, 0.7, 0.5)
     seeds: tuple = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        for name in ("train_trajectories", "eval_trajectories"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     @property
     def init_radius(self) -> float:
@@ -275,8 +280,8 @@ def make_policies(sgnn_tensor, gnn_tensor, scaler, cfg: FlockingConfig,
             feat_graph = sample_realization(graph, p, rng)
             feats = _standardize(swarm_features(state, feat_graph), own_scaler)
             reals = sample_architecture(_filter_base(graph), p, tensor.cfg, rng)
-            out, _ = forward(tensor, reals, feats, return_cache=False)
-            return out.T
+            out, _ = forward(tensor, reals, feats[..., None], return_cache=False)
+            return out[..., 0].T
         return policy
 
     def expert_policy(state, graph, p, rng):
@@ -335,8 +340,4 @@ def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
 
 def run_flocking(cfg: FlockingConfig, jobs: int = 1) -> list[dict]:
     """Closed-loop cost rows over the probability grid for every seed."""
-    results = common.map_over_seeds(run_flock_seed, cfg, cfg.seeds, jobs)
-    rows = []
-    for result in results:
-        rows.extend(result["rows"])
-    return rows
+    return common.run_seeds(run_flock_seed, cfg, jobs)[1]

@@ -19,13 +19,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .. import common
 from ..errors import ConfigError
 from ..filters import diffusion_stages
 from ..graphs import NORMALIZED_ADJACENCY, ShiftOperator, build_sbm, to_shift
 from ..model import SgnnConfig, forward, init_tensor, sample_architecture
 from ..rng import Rng
 from ..training import TrainConfig, TrainingSet, train
-from . import common
 
 
 class Split(NamedTuple):
@@ -73,6 +73,10 @@ class SourceLocConfig:
     train_p: float = 0.7
     test_p: tuple = (1.0, 0.9, 0.7, 0.5, 0.1)
     seeds: tuple = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        if self.test_size < 1:
+            raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
 
     def model_config(self) -> SgnnConfig:
         return SgnnConfig(
@@ -133,7 +137,7 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     correct = 0
     for i in range(len(inputs)):
         reals = sample_architecture(base, p, tensor.cfg, rng)
-        logits, _ = forward(tensor, reals, inputs[i], return_cache=False)
+        logits, _ = forward(tensor, reals, inputs[i][..., None], return_cache=False)
         correct += int(np.argmax(logits) == labels[i])
     return correct / len(inputs)
 
@@ -167,8 +171,4 @@ def run_source_seed(cfg: SourceLocConfig, seed: int) -> dict:
 
 def run_source_localization(cfg: SourceLocConfig, jobs: int = 1) -> list[dict]:
     """Accuracy rows over the probability grid for every seed."""
-    results = common.map_over_seeds(run_source_seed, cfg, cfg.seeds, jobs)
-    rows = []
-    for result in results:
-        rows.extend(result["rows"])
-    return rows
+    return common.run_seeds(run_source_seed, cfg, jobs)[1]

@@ -19,10 +19,11 @@ received over live incident edges.  It can record the full message trace
 
 from __future__ import annotations
 
-import csv
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .common import write_results
 
 
 class Message(NamedTuple):
@@ -106,10 +107,10 @@ def apply_distributed(
     messages: list[Message] = []
     for k, mat in enumerate(mats, start=1):
         incoming = [mat[i, i] * current[i] for i in range(n)]  # diagonal term is local
-        for i, j in np.argwhere(np.triu(mat, 1)):  # surviving links, i < j
+        for i, j in np.argwhere(np.triu(mat, 1)).tolist():  # surviving links, i < j
             if record_trace:
-                messages.append(Message(k, j, i, current[j]))
-                messages.append(Message(k, i, j, current[i]))
+                messages.append(Message(k, j, i, float(current[j])))
+                messages.append(Message(k, i, j, float(current[i])))
             incoming[i] += mat[i, j] * current[j]
             incoming[j] += mat[j, i] * current[i]
         current = incoming
@@ -123,8 +124,4 @@ def apply_distributed(
 
 def write_message_trace(messages: Sequence[Message], path) -> None:
     """Dump a message trace as CSV with columns round, sender, receiver, value."""
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["round", "sender", "receiver", "value"])
-        for msg in messages:
-            writer.writerow([msg.round, msg.sender, msg.receiver, repr(msg.value)])
+    write_results([m._asdict() for m in messages], path, columns=Message._fields)

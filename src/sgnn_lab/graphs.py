@@ -223,7 +223,8 @@ def save_edge_list(shift: ShiftOperator, path) -> None:
 def load_edge_list(path) -> ShiftOperator:
     """Load a graph saved by :func:`save_edge_list`; non-adjacency kinds are
     rebuilt from the edge set (the normalization factor is recomputed)."""
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte decodes to U+FFFD, which no header or edge field accepts
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().split()
         if (len(header) != 3 or not all(t.isdigit() for t in header[:2])
                 or header[2] not in KINDS):

@@ -19,9 +19,9 @@ weights live in the trailing block of the filter tensor and train jointly:
 * ``per_node``: a shared linear map applied at every node (used for
   regression of per-node quantities such as accelerations).
 
-``forward`` caches every diffusion stage and pre-activation because the
-training module backpropagates through them; Monte-Carlo sweeps pass
-``return_cache=False`` to skip the bookkeeping.
+``forward`` takes one input shape, a batch (F_in, N, B), and caches every
+diffusion stage and pre-activation because the training module backpropagates
+through them; Monte-Carlo sweeps pass ``return_cache=False`` to skip that.
 """
 
 from __future__ import annotations
@@ -193,39 +193,12 @@ class ForwardCache:
     tensor: FilterTensor
     reals: Reals
     x: np.ndarray                       # (F_in, N, B)
-    out_shape: tuple = ()               # output shape before size-1 axes are dropped
     diffusions: list[np.ndarray] = field(default_factory=list)   # (K+1, out, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
     pooled: np.ndarray | None = None        # (F_out, B) node-averaged features
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
     pooled_hat: np.ndarray | None = None    # standardized pooled features
-
-
-def _normalize_input(cfg: SgnnConfig, x: np.ndarray) -> tuple[np.ndarray, str]:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        if cfg.in_features != 1:
-            raise ValueError(f"1-D signal given but the model takes {cfg.in_features} features")
-        return x[None, :, None], "signal"
-    if x.ndim == 2:
-        if x.shape[0] != cfg.in_features:
-            raise ValueError(f"expected {cfg.in_features} input features, got {x.shape[0]}")
-        return x[:, :, None], "single"
-    if x.ndim == 3:
-        if x.shape[0] != cfg.in_features:
-            raise ValueError(f"expected {cfg.in_features} input features, got {x.shape[0]}")
-        return x, "batched"
-    raise ValueError(f"input must be 1-D, 2-D, or 3-D, got shape {x.shape}")
-
-
-def _shape_output(out: np.ndarray, form: str, pooled: bool) -> np.ndarray:
-    if form == "batched":
-        return out
-    out = out[..., 0]
-    if form == "signal" and not pooled and out.shape[0] == 1:
-        return out[0]
-    return out
 
 
 _STD_FLOOR = 1e-12
@@ -265,18 +238,20 @@ def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
 def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True):
     """Run the network on a fixed realization set.
 
-    ``x`` may be a bare signal (N,), one sample (F_in, N), or a batch
-    (F_in, N, B); the batch shares the realization set, matching a training
-    iteration that processes every sample on one fixed architecture draw.
-    Returns ``(output, cache)``; the cache is None when ``return_cache`` is
-    false.
+    ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
+    training step; one sample is the batch ``x[..., None]``.  Returns
+    ``(output, cache)``, the output batched along its last axis and the cache
+    None when ``return_cache`` is false.
     """
     cfg = tensor.cfg
-    xs, form = _normalize_input(cfg, x)
-    _check_reals(cfg, reals, xs.shape[1])
-    n, b = xs.shape[1], xs.shape[2]
-    cache = ForwardCache(tensor=tensor, reals=reals, x=xs)
-    current = xs
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[0] != cfg.in_features:
+        raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
+                         f"with F_in = {cfg.in_features}")
+    _check_reals(cfg, reals, x.shape[1])
+    n, b = x.shape[1], x.shape[2]
+    cache = ForwardCache(tensor=tensor, reals=reals, x=x)
+    current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
         mats = reals[layer_idx].transpose(2, 0, 1, 3, 4)
@@ -288,14 +263,12 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
             cache.pre_activations.append(u)
             cache.activations.append(act)
         current = act
-    out = _apply_head(tensor, current, cache)
-    cache.out_shape = out.shape
-    return _shape_output(out, form, cfg.readout == "pooled"), (cache if return_cache else None)
+    return _apply_head(tensor, current, cache), (cache if return_cache else None)
 
 
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:
     """Forward pass with every stochastic filter replaced by its
-    deterministic counterpart on the mean shift ``p * S``.
+    deterministic counterpart on the mean shift ``p * S`` (batched as :func:`forward`).
 
     With p = 1 this is the conventional deterministic network on ``S``.  The
     nonlinearity makes this the mean output per filter, not end to end.

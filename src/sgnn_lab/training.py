@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import common
 from .errors import ConfigError, DivergenceError, StaleCacheError
 from .graphs import ShiftOperator
 from .model import (
@@ -107,18 +108,21 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
     treating the sampled shifts as constants.
 
-    ``out_grad`` is the cost gradient w.r.t. the forward output, in the same
-    shape the forward returned.  Raises :class:`StaleCacheError` when the
-    cache does not belong to ``(tensor, reals)``.
+    ``out_grad`` is the cost gradient w.r.t. the forward output, in its
+    shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
+    the cache does not belong to ``(tensor, reals)``.
     """
     cfg = tensor.cfg
     if cache.tensor is not tensor or cache.reals is not reals:
         raise StaleCacheError("cache was produced by a different tensor or realization set")
     if len(cache.diffusions) != cfg.layers:
         raise StaleCacheError("forward pass did not retain activations (return_cache=False?)")
-    # forward drops only size-1 axes from its output; a reshape restores them
-    g = np.asarray(out_grad, dtype=float).reshape(cache.out_shape)
-    n = cache.x.shape[1]
+    g = np.asarray(out_grad, dtype=float)
+    act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
+    want = act if cfg.readout == "none" else (cfg.readout_dim, *act[1 + (cfg.readout == "pooled"):])
+    if g.shape != want:
+        raise ValueError(f"out_grad has shape {g.shape}, the forward output {want}")
+    n = act[1]
 
     head_w_grad = head_b_grad = None
     if cfg.readout == "none":
@@ -239,15 +243,15 @@ class TrainTrace:
     tensor: FilterTensor
 
     def to_csv(self, path, include_timing: bool = True) -> None:
-        """Columns iter, cost, grad_norm_sq, lr, wall_ms.  With
-        ``include_timing=False`` the wall column is written as 0 so output
+        """Columns iter, cost, grad_norm_sq, lr, wall_ms, through ``write_results``.
+        With ``include_timing=False`` the wall column is written as 0 so output
         files are bit-reproducible under a fixed seed."""
+        columns = ("iter", "cost", "grad_norm_sq", "lr", "wall_ms")
         wall = self.wall_ms if include_timing else np.zeros_like(self.wall_ms)
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("iter,cost,grad_norm_sq,lr,wall_ms\n")
-            for t in range(len(self.costs)):
-                fh.write(f"{t},{float(self.costs[t])!r},{float(self.grad_norms[t]) ** 2!r},"
-                         f"{float(self.lrs[t])!r},{float(wall[t])!r}\n")
+        rows = [dict(zip(columns, (t, float(cost), float(norm) ** 2, float(lr), float(ms))))
+                for t, (cost, norm, lr, ms)
+                in enumerate(zip(self.costs, self.grad_norms, self.lrs, wall))]
+        common.write_results(rows, path, columns=columns)
 
 
 def gradient_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:

@@ -239,11 +239,12 @@ def tensor_constants(tensor: FilterTensor, base: ShiftOperator, n_samples: int =
 def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng) -> tuple[float, float]:
     """Monte-Carlo output variance of the network over fresh realization
-    sets."""
+    sets, for one signal ``x`` of shape (N,)."""
+    xs = np.asarray(x, dtype=float)[None, :, None]
 
     def evaluate(r: Rng) -> np.ndarray:
         reals = sample_architecture(base, p, tensor.cfg, r)
-        out, _ = forward(tensor, reals, x, return_cache=False)
+        out, _ = forward(tensor, reals, xs, return_cache=False)
         return np.ravel(out)
 
     return mc_variance(evaluate, n_samples, rng)

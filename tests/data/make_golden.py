@@ -52,7 +52,7 @@ def run_all(out: Path) -> None:
                 raise RuntimeError(f"{command} --format {fmt} exited {rc}")
 
 
-def _cell(text: str):
+def _parse_cell(text: str):
     for parse in (int, float):
         try:
             return parse(text)
@@ -72,7 +72,7 @@ def read_file(path: Path):
     if path.suffix == ".json":
         return json.loads(path.read_text(encoding="ascii"))
     lines = path.read_text(encoding="ascii").splitlines()
-    return [lines[0].split(",")] + [[_cell(c) for c in line.split(",")] for line in lines[1:]]
+    return [lines[0].split(",")] + [[_parse_cell(c) for c in line.split(",")] for line in lines[1:]]
 
 
 def read_outputs(out: Path) -> dict:

@@ -192,6 +192,29 @@ class TestExitCodes:
     def test_nonpositive_seeds_rejected_by_argument_type(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2
 
+    # --cases 0 once checked no case and exited 0, --max-edges 0 left the
+    # second-moment battery empty, and --jobs 0 or -2 quietly ran serially
+    @pytest.mark.parametrize("argv", [
+        "grad-check --cases 0", "moment-check --max-edges 0 --samples 2000",
+        "train-source --jobs 0", "train-source --jobs -2", "train-flock --jobs 0",
+    ])
+    def test_nonpositive_count_rejected_by_argument_type(self, tmp_path, argv):
+        tiny = {"train-source": TINY_SOURCE, "train-flock": TINY_FLOCK}.get(argv.split()[0], [])
+        assert run([*argv.split(), "--out", tmp_path, *tiny]) == 2
+        assert not any(tmp_path.iterdir())
+
+    # test_size=0 once raised ZeroDivisionError after training both models,
+    # train_trajectories=0 a bare numpy stacking error, and eval_trajectories=0
+    # wrote NaN cost rows and exited 0
+    @pytest.mark.parametrize("argv", [
+        ["train-source", *TINY_SOURCE, "test_size=0"],
+        ["train-flock", *TINY_FLOCK, "train_trajectories=0"],
+        ["train-flock", *TINY_FLOCK, "eval_trajectories=0"],
+    ], ids=["test_size", "train_trajectories", "eval_trajectories"])
+    def test_empty_experiment_size_is_config_error(self, tmp_path, argv):
+        assert run([*argv, "--out", tmp_path]) == 2
+        assert not any(tmp_path.iterdir())
+
     # a value that does not convert once died with a traceback and exit 1, and
     # an empty seed list wrote a header-only table and exited 0
     @pytest.mark.parametrize("argv", [

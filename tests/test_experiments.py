@@ -28,7 +28,7 @@ from sgnn_lab.experiments import (
     write_results,
 )
 from sgnn_lab.experiments.flocking import SwarmState, velocity_variance
-from sgnn_lab.experiments.common import rows_to_records
+from sgnn_lab.common import rows_to_records
 
 
 @pytest.fixture

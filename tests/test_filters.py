@@ -171,6 +171,8 @@ class TestApplyDistributed:
             rows = list(csv.reader(fh))
         assert rows[0] == ["round", "sender", "receiver", "value"]
         assert len(rows) == 1 + 2 * 3  # both directions over the 3 edges
+        # values were once written as "np.float64(...)"
+        assert [float(row[3]) for row in rows[1:]] == [m.value for m in messages]
 
 
 class TestMonteCarloMean:

@@ -264,11 +264,12 @@ class TestEdgeListIO:
         "3 1 adjacency\n0\n",                 # one column
         "3 1 adjacency\n0 one\n",             # not an integer
         "3 1 adjacency\n1 1\n",               # self-loop: once an error without the path
+        "3 1 adjacency\n0 \u00e9\n",           # non-ASCII: once a bare UnicodeDecodeError
     ], ids=["negative", "out_of_range", "three_columns", "one_column", "not_an_int",
-            "self_loop"])
+            "self_loop", "non_ascii"])
     def test_malformed_edge_line_names_the_path(self, tmp_path, body):
         path = tmp_path / "bad_graph.txt"
-        path.write_text(body)
+        path.write_bytes(body.encode("utf-8"))
         with pytest.raises(ValueError, match="bad_graph.txt line 2"):
             load_edge_list(path)
 

@@ -94,8 +94,8 @@ class TestInitTensor:
         cfg = SgnnConfig(layers=2, features=2, order=2)
         tensor = init_tensor(cfg, Rng(0), 0.0)
         reals = sample_architecture(base8, 0.8, cfg, Rng(1))
-        out, _ = forward(tensor, reals, Rng(2).normal(size=8), return_cache=False)
-        assert np.array_equal(out, np.zeros(8))
+        out, _ = forward(tensor, reals, Rng(2).normal(size=(1, 8, 1)), return_cache=False)
+        assert np.array_equal(out, np.zeros((1, 8, 1)))
 
     def test_reproducible(self):
         cfg = SgnnConfig(layers=2, features=3, order=1)
@@ -144,9 +144,9 @@ class TestForward:
         tensor = init_tensor(cfg, Rng(3), 0.7)
         reals = sample_architecture(base8, 0.6, cfg, Rng(4))
         x = Rng(5).normal(size=8)
-        out, _ = forward(tensor, reals, x, return_cache=False)
+        out, _ = forward(tensor, reals, x[None, :, None], return_cache=False)
         want = np.abs(apply_filter(tensor.layers[0][0, 0], reals[0][0, 0], x))
-        assert np.abs(out - want).max() <= 1e-12
+        assert np.abs(out[0, :, 0] - want).max() <= 1e-12
 
     def test_two_layer_matches_matrix_product_loop(self, base8):
         # every filter's stages and every layer's output against plain matmuls
@@ -154,7 +154,7 @@ class TestForward:
         tensor = init_tensor(cfg, Rng(6), 0.5)
         reals = sample_architecture(base8, 0.6, cfg, Rng(7))
         x = Rng(8).normal(size=(2, 8))
-        out, cache = forward(tensor, reals, x)
+        out, cache = forward(tensor, reals, x[..., None])
 
         current = x
         for layer, (taps, mats) in enumerate(zip(tensor.layers, reals)):
@@ -169,14 +169,14 @@ class TestForward:
                     u[f] += taps[f, g] @ np.array(stages)
             assert np.abs(cache.pre_activations[layer][:, :, 0] - u).max() <= 1e-12
             current = np.tanh(u)
-        assert np.abs(out - current).max() <= 1e-12
+        assert np.abs(out[..., 0] - current).max() <= 1e-12
 
     def test_zero_tensor_zero_output(self, base8):
         cfg = SgnnConfig(layers=2, features=3, order=2)
         tensor = FilterTensor.from_flat(cfg, np.zeros(cfg.num_params))
         reals = sample_architecture(base8, 0.5, cfg, Rng(0))
-        out, _ = forward(tensor, reals, Rng(1).normal(size=8), return_cache=False)
-        assert np.array_equal(out, np.zeros(8))
+        out, _ = forward(tensor, reals, Rng(1).normal(size=(1, 8, 1)), return_cache=False)
+        assert np.array_equal(out, np.zeros((1, 8, 1)))
 
     def test_two_layer_hand_oracle_on_path(self, p3):
         # nonnegative data and taps with abs nonlinearity: every activation
@@ -189,7 +189,7 @@ class TestForward:
         tensor = FilterTensor.from_flat(cfg, flat)
         reals = sample_architecture(base, 1.0, cfg, rng)
         x = np.array([0.5, 1.0, 0.25])
-        out, _ = forward(tensor, reals, x, return_cache=False)
+        out, _ = forward(tensor, reals, x[None, :, None], return_cache=False)
 
         s = base.mat
         h1 = tensor.layers[0]          # (2, 1, 2)
@@ -198,7 +198,7 @@ class TestForward:
         want = np.zeros(3)
         for g in range(2):
             want += h2[0, g, 0] * layer1[g] + h2[0, g, 1] * (s @ layer1[g])
-        assert np.abs(out - want).max() <= 1e-12
+        assert np.abs(out[0, :, 0] - want).max() <= 1e-12
 
     def test_permutation_equivariance_on_intact_graph(self, random8):
         cfg = SgnnConfig(layers=2, features=3, order=2, nonlinearity="tanh")
@@ -207,17 +207,17 @@ class TestForward:
         perm = Rng(3).permutation(8)
         pmat = np.eye(8)[perm]
 
-        out, _ = forward(tensor, sample_architecture(random8, 1.0, cfg, Rng(4)), x,
-                         return_cache=False)
+        out, _ = forward(tensor, sample_architecture(random8, 1.0, cfg, Rng(4)),
+                         x[None, :, None], return_cache=False)
         permuted_base = ShiftOperator(ADJACENCY, pmat @ random8.mat @ pmat.T)
         out_p, _ = forward(tensor, sample_architecture(permuted_base, 1.0, cfg, Rng(5)),
-                           pmat @ x, return_cache=False)
-        assert np.abs(out_p - pmat @ out).max() <= 1e-10
+                           (pmat @ x)[None, :, None], return_cache=False)
+        assert np.abs(out_p[0, :, 0] - pmat @ out[0, :, 0]).max() <= 1e-10
 
     def test_intact_forward_ignores_rng(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=3)
         tensor = init_tensor(cfg, Rng(0), 0.4)
-        x = Rng(1).normal(size=8)
+        x = Rng(1).normal(size=(1, 8, 1))
         a, _ = forward(tensor, sample_architecture(base8, 1.0, cfg, Rng(100)), x,
                        return_cache=False)
         b, _ = forward(tensor, sample_architecture(base8, 1.0, cfg, Rng(999)), x,
@@ -232,27 +232,27 @@ class TestForward:
         xs = Rng(2).normal(size=(1, 8, 5))
         batch_out, _ = forward(tensor, reals, xs, return_cache=False)
         for b in range(5):
-            single, _ = forward(tensor, reals, xs[:, :, b], return_cache=False)
-            assert np.abs(batch_out[:, :, b] - single).max() <= 1e-12
+            single, _ = forward(tensor, reals, xs[:, :, b, None], return_cache=False)
+            assert np.abs(batch_out[:, :, b] - single[:, :, 0]).max() <= 1e-12
 
     def test_mismatched_realizations_rejected(self, base8, p3):
         cfg = SgnnConfig(layers=2, features=2, order=1)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
         with pytest.raises(ValueError, match="has 1 layers"):
-            forward(tensor, reals[:1], np.ones(8))
+            forward(tensor, reals[:1], np.ones((1, 8, 1)))
         with pytest.raises(ValueError, match="layer 0 .* for 8 nodes"):
-            forward(tensor, sample_architecture(p3, 0.5, cfg, Rng(1)), np.ones(8))
+            forward(tensor, sample_architecture(p3, 0.5, cfg, Rng(1)), np.ones((1, 8, 1)))
         # a node-count mismatch in a later layer alone is caught too
         with pytest.raises(ValueError, match="layer 1 .* for 8 nodes"):
-            forward(tensor, (reals[0], reals[1][..., :3, :3]), np.ones(8))
+            forward(tensor, (reals[0], reals[1][..., :3, :3]), np.ones((1, 8, 1)))
 
 
 class TestForwardExpected:
     def test_intact_probability_equals_deterministic_network(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=2)
         tensor = init_tensor(cfg, Rng(0), 0.5)
-        x = Rng(1).normal(size=8)
+        x = Rng(1).normal(size=(1, 8, 1))
         want, _ = forward(tensor, sample_architecture(base8, 1.0, cfg, Rng(2)), x,
                           return_cache=False)
         got = forward_expected(tensor, base8, 1.0, x)
@@ -261,7 +261,8 @@ class TestForwardExpected:
     def test_zero_tensor(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor = FilterTensor.from_flat(cfg, np.zeros(cfg.num_params))
-        assert np.array_equal(forward_expected(tensor, base8, 0.7, np.ones(8)), np.zeros(8))
+        assert np.array_equal(forward_expected(tensor, base8, 0.7, np.ones((1, 8, 1))),
+                              np.zeros((1, 8, 1)))
 
     def test_single_layer_linear_regime_mean(self, k3):
         # nonnegative taps and signal with adjacency masks keep every
@@ -280,7 +281,7 @@ class TestForwardExpected:
             outs[i] = np.abs(apply_filter(h, reals[2 * i : 2 * i + 2], x))
         mean = outs.mean(axis=0)
         se = outs.std(axis=0, ddof=1) / np.sqrt(n_draws)
-        want = forward_expected(tensor, k3, p, x)
+        want = forward_expected(tensor, k3, p, x[None, :, None])[0, :, 0]
         assert np.all(np.abs(mean - want) <= 3 * se + 1e-12)
 
 

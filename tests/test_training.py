@@ -19,6 +19,7 @@ from sgnn_lab import (
     estimate_cost_gap,
     estimate_grad_bound,
     forward,
+    forward_expected,
     init_tensor,
     loss_cross_entropy,
     loss_cross_entropy_grad,
@@ -142,34 +143,36 @@ class TestBackward:
         reals = sample_architecture(base, 1.0, cfg, Rng(1))
         x = np.array([0.5, 2.0])
         t = np.array([1.0, 2.0])
-        out, cache = forward(tensor, reals, x)
-        grad = backward(tensor, reals, cache, loss_mse_grad(out, t)).flatten()
+        out, cache = forward(tensor, reals, x[None, :, None])
+        grad = backward(tensor, reals, cache, loss_mse_grad(out, t[None, :, None])).flatten()
         want = np.mean(2.0 * (1.3 * x - t) * x)
         assert grad[0] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(8,), (1, 8)], ids=["signal", "one_sample"])
+    def test_unbatched_input_rejected(self, base8, shape):
+        # one input shape: a single sample is a batch of one, (F_in, N, 1)
+        _, tensor, reals, _, _, _, _ = self._setup(base8, "none", "mse", "tanh", seed=32)
+        with pytest.raises(ValueError, match=r"expected \(F_in, N, B\)"):
+            forward(tensor, reals, np.ones(shape))
+        with pytest.raises(ValueError, match=r"expected \(F_in, N, B\)"):
+            forward_expected(tensor, base8, 0.7, np.ones(shape))
+
     @pytest.mark.parametrize("readout", ["none", "pooled", "per_node"])
-    def test_every_input_form_gives_the_same_gradient(self, base8, readout):
-        # forward drops the size-1 axes of (N,) and (1, N) inputs from its output;
-        # backward must restore exactly those
-        cfg, tensor, reals, _, _, _, _ = self._setup(base8, readout, "mse", "tanh", seed=32)
-        x = Rng(33).normal(size=8)
-        target = None
-        grads = []
-        for form in (x, x[None], x[None, :, None]):
-            out, cache = forward(tensor, reals, form)
-            if target is None:
-                target = Rng(34).normal(size=out.size)
-            grad = backward(tensor, reals, cache, loss_mse_grad(out, target.reshape(out.shape)))
-            grads.append(grad.flatten())
-        assert np.array_equal(grads[0], grads[1])
-        assert np.array_equal(grads[0], grads[2])
+    def test_out_grad_of_another_shape_rejected(self, base8, readout):
+        # a gradient that broadcasts against the output once gave a wrong
+        # gradient without an error
+        _, tensor, reals, _, _, out, cache = self._setup(base8, readout, "mse", "tanh", seed=35)
+        backward(tensor, reals, cache, np.ones(out.shape))
+        for shape in (out.shape[:-1] + (1,), out.shape[1:]):
+            with pytest.raises(ValueError, match="out_grad has shape"):
+                backward(tensor, reals, cache, np.ones(shape))
 
     def test_stale_cache_rejected(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         other = init_tensor(cfg, Rng(9), 0.5)
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
-        out, cache = forward(tensor, reals, np.ones(8))
+        out, cache = forward(tensor, reals, np.ones((1, 8, 1)))
         with pytest.raises(StaleCacheError):
             backward(other, reals, cache, np.ones_like(out))
 
@@ -177,9 +180,9 @@ class TestBackward:
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
-        out, cache = forward(tensor, reals, np.ones(8), return_cache=False)
+        out, cache = forward(tensor, reals, np.ones((1, 8, 1)), return_cache=False)
         assert cache is None
-        out2, cache2 = forward(tensor, reals, np.ones(8))
+        out2, cache2 = forward(tensor, reals, np.ones((1, 8, 1)))
         cache2.diffusions.clear()
         with pytest.raises(StaleCacheError):
             backward(tensor, reals, cache2, np.ones_like(out2))
@@ -193,8 +196,8 @@ class TestTrain:
         rng = Rng(5)
         inputs = np.abs(rng.child(1).normal(size=(64, 1, 6))) + 0.1
         reals = sample_architecture(base, 1.0, cfg, rng.child(2))
-        targets = np.stack([forward(generator, reals, inputs[i], return_cache=False)[0]
-                            for i in range(64)])
+        targets = np.stack([forward(generator, reals, inputs[i][..., None],
+                                    return_cache=False)[0][..., 0] for i in range(64)])
         return base, cfg, TrainingSet(inputs, targets)
 
     def test_recovers_generating_filter(self):
@@ -342,10 +345,13 @@ class TestPerSampleBases:
         cost, grad = _cost_and_grad(tensor, None, data, idx, 0.7, loss, Rng(44))
         rng = Rng(44)
         costs, grads = [], []
+        def target(i):  # the target of sample i run as a batch of one
+            return targets[i:i + 1] if loss == "cross_entropy" else targets[i][..., None]
+
         for i in idx:
             reals = sample_architecture(graphs[i], 0.7, cfg, rng)
-            out, cache = forward(tensor, reals, inputs[i])
-            c, dout = _loss_pair(loss, out, targets[i])
+            out, cache = forward(tensor, reals, inputs[i][..., None])
+            c, dout = _loss_pair(loss, out, target(i))
             costs.append(c)
             grads.append(backward(tensor, reals, cache, dout).flatten())
         assert cost == sum(costs) / 3
@@ -354,7 +360,8 @@ class TestPerSampleBases:
         full = _full_cost(tensor, None, data, 0.7, loss, Rng(45))
         rng = Rng(45)
         want = sum(_loss_pair(loss, forward(tensor, sample_architecture(graphs[i], 0.7, cfg, rng),
-                                            inputs[i], return_cache=False)[0], targets[i])[0]
+                                            inputs[i][..., None], return_cache=False)[0],
+                              target(i))[0]
                    for i in range(3)) / 3
         assert full == want
 
