@@ -46,9 +46,11 @@ def _check_inputs(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 
 def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Stages ``x, S_1 x, S_2 S_1 x, ...`` (``S_k = mats[k - 1]``) written into one
-    preallocated ``(K+1,) + x.shape`` array; the matmul broadcasts, so a stack of
-    shifts ``(..., N, N)`` diffuses a stack of signals ``(..., N, B)``."""
-    stages = np.empty((len(mats) + 1,) + x.shape)
+    preallocated ``(K+1, ...)`` array; the matmul broadcasts, so a stack of shifts
+    ``(..., N, N)`` diffuses a stack of signals ``(..., N, B)``, and each stage has
+    the broadcast shape of the shift stack and the signal stack."""
+    lead = np.broadcast_shapes(np.shape(mats[0])[:-2] if len(mats) else (), x.shape[:-2])
+    stages = np.empty((len(mats) + 1,) + lead + x.shape[-2:])
     stages[0] = x
     for k in range(1, len(stages)):
         np.matmul(mats[k - 1], stages[k - 1], out=stages[k])

@@ -6,8 +6,8 @@ A :class:`ShiftOperator` couples a symmetric matrix with its kind tag and
 edge list.  A realization, one sample of the random edge-sampling model, is
 its N x N matrix: every edge of the base graph survives independently with
 probability ``p``, realized through a symmetric 0/1 mask applied entrywise
-to the adjacency.  Laplacian realizations are the Laplacian of the surviving
-edge set; realizations of a spectrally normalized adjacency are masked
+to the adjacency.  Laplacian realizations are the weighted Laplacian of the
+surviving edges; realizations of a spectrally normalized adjacency are masked
 without re-normalizing (re-normalizing per realization would need global
 knowledge, which a distributed deployment does not have).
 """
@@ -34,7 +34,7 @@ class ShiftOperator:
     ``mat`` exactly.
     """
 
-    __slots__ = ("n", "kind", "mat", "edges", "_weights", "_degrees")
+    __slots__ = ("n", "kind", "mat", "edges", "_weights")
 
     def __init__(self, kind: str, mat: np.ndarray, edges: np.ndarray | None = None):
         if kind not in KINDS:
@@ -75,11 +75,6 @@ class ShiftOperator:
         self.mat = mat
         self.edges = edges
         self._weights = np.abs(mat[edges[:, 0], edges[:, 1]]) if len(edges) else np.empty(0)
-        degrees = np.zeros(n)
-        if len(edges):
-            np.add.at(degrees, edges[:, 0], 1.0)
-            np.add.at(degrees, edges[:, 1], 1.0)
-        self._degrees = degrees
 
     @property
     def num_edges(self) -> int:
@@ -88,7 +83,7 @@ class ShiftOperator:
     @property
     def degrees(self) -> np.ndarray:
         """Unweighted degree (edge count) per node of the underlying graph."""
-        return self._degrees
+        return np.bincount(self.edges.ravel(), minlength=self.n).astype(float)
 
     def __repr__(self) -> str:
         return f"ShiftOperator(kind={self.kind!r}, n={self.n}, m={self.num_edges})"
@@ -160,30 +155,35 @@ def _realized_mats(base: ShiftOperator, keep: np.ndarray) -> np.ndarray:
     if base.num_edges == 0:
         return mats
     iu, ju = base.edges[:, 0], base.edges[:, 1]
-    if base.kind in (ADJACENCY, NORMALIZED_ADJACENCY):
-        vals = keep * base._weights
-        mats[:, iu, ju] = vals
-        mats[:, ju, iu] = vals
-    else:  # laplacian of the surviving edge set
-        kept = keep.astype(float)
-        mats[:, iu, ju] = -kept
-        mats[:, ju, iu] = -kept
-        degrees = np.zeros((b, n))
-        np.add.at(degrees, (slice(None), iu), kept)
-        np.add.at(degrees, (slice(None), ju), kept)
+    vals = keep * base._weights
+    if base.kind == LAPLACIAN:  # of the surviving edges: base degrees less dropped weights
+        vals = -vals
+        degrees = np.repeat(np.diag(base.mat)[None], b, axis=0)
+        np.subtract.at(degrees, (slice(None), iu), ~keep * base._weights)
+        np.subtract.at(degrees, (slice(None), ju), ~keep * base._weights)
         mats[:, np.arange(n), np.arange(n)] = degrees
+    mats[:, iu, ju] = vals
+    mats[:, ju, iu] = vals
     return mats
 
 
 def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> np.ndarray:
-    """Draw ``count`` independent realized shifts as a (count, N, N) array."""
+    """Draw ``count`` independent realized shifts as a (count, N, N) array.
+
+    At p = 1 every realization is the base: the result is a read-only view of
+    ``base.mat`` (stride 0 along ``count``) and no random numbers are consumed.
+    Callers never write into a realization.
+    """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    if p == 1.0:
+        return np.broadcast_to(base.mat, (count, base.n, base.n))
     return _realized_mats(base, rng.random((count, base.num_edges)) < p)
 
 
 def sample_realization(base: ShiftOperator, p: float, rng: Rng) -> np.ndarray:
-    """Draw one (N, N) realization: each base edge kept independently w.p. ``p``."""
+    """Draw one (N, N) realization: each base edge kept independently w.p. ``p``
+    (at p = 1 a read-only view of the base, drawing nothing)."""
     return sample_realizations(base, p, rng, 1)[0]
 
 
@@ -197,18 +197,20 @@ def expected_shift(base: ShiftOperator, p: float) -> np.ndarray:
 
 
 def expected_shift_square(base: ShiftOperator, p: float) -> np.ndarray:
-    """Closed form of ``E[S_k^2]`` for adjacency and Laplacian bases.
+    """Closed form of ``E[S_k^2]`` for adjacency and Laplacian bases, with
+    ``W2`` the squared edge weights (on unit weights, the adjacency itself).
 
-    Adjacency: ``(p S)^2 + p (1-p) D`` with ``D`` the diagonal degree matrix.
-    Laplacian: ``(p S)^2 + 2 p (1-p) S``.
+    Adjacency: ``(p S)^2 + p (1-p) diag(W2 1)``.
+    Laplacian: ``(p S)^2 + 2 p (1-p) L(W2)``, ``L(W2)`` the Laplacian of ``W2``.
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
     sbar = p * base.mat
+    w2 = (base.mat - np.diag(np.diag(base.mat))) ** 2
     if base.kind == ADJACENCY:
-        return sbar @ sbar + p * (1.0 - p) * np.diag(base.degrees)
+        return sbar @ sbar + p * (1.0 - p) * np.diag(w2.sum(axis=1))
     if base.kind == LAPLACIAN:
-        return sbar @ sbar + 2.0 * p * (1.0 - p) * base.mat
+        return sbar @ sbar + 2.0 * p * (1.0 - p) * (np.diag(w2.sum(axis=1)) - w2)
     raise UnsupportedKindError("expected_shift_square supports adjacency and laplacian only")
 
 

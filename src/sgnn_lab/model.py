@@ -180,6 +180,8 @@ def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng
 
     Each filter's sequence consumes a disjoint, deterministic segment of the
     given counter-based stream, which realizes independent draws per filter.
+    At p = 1 each layer is a read-only stride-0 view of ``base.mat`` in the full
+    shape and no random numbers are consumed; callers never write into it.
     """
     n, k = base.n, cfg.order
     return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
@@ -253,9 +255,12 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
     cache = ForwardCache(tensor=tensor, reals=reals, x=x)
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
+        mats = reals[layer_idx]
+        # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
+        mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
         # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
-        mats = reals[layer_idx].transpose(2, 0, 1, 3, 4)
-        diffs = diffusion_stages(mats, np.broadcast_to(current[None], (out_d, in_d, n, b)))
+        diffs = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None])
+        diffs = np.broadcast_to(diffs, (cfg.order + 1, out_d, in_d, n, b))
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs)
         act, _ = apply_nonlinearity(cfg.nonlinearity, u)
         if return_cache:

@@ -65,6 +65,15 @@ class TestDiffuse:
                     stage = mats[k, f, g] @ stage
                     assert np.array_equal(stages[k + 1, f, g], stage)
 
+    def test_stages_take_the_broadcast_shape_of_shifts_and_signals(self, random8):
+        mats = sample_realizations(random8, 0.7, Rng(1), 6).reshape(2, 1, 3, 8, 8)
+        x = Rng(0).normal(size=(2, 1, 8, 5))
+        stages = diffusion_stages(mats, x)
+        assert stages.shape == (3, 2, 3, 8, 5)
+        for f, g in np.ndindex(2, 3):
+            assert np.array_equal(stages[2, f, g], mats[1, 0, g] @ (mats[0, 0, g] @ x[f, 0]))
+        assert diffusion_stages(mats[:0], x).shape == (1, 2, 1, 8, 5)
+
     def test_mismatched_sizes_rejected(self, k3, p4):
         r1 = sample_realization(k3, 1.0, Rng(0))
         r2 = sample_realization(p4, 1.0, Rng(0))

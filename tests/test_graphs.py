@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgnn_lab import (
     ADJACENCY,
+    KINDS,
     LAPLACIAN,
     NORMALIZED_ADJACENCY,
     ConfigError,
@@ -14,6 +17,7 @@ from sgnn_lab import (
     UnsupportedKindError,
     build_disc_graph,
     build_sbm,
+    enumerate_expected_shift_square,
     expected_shift,
     expected_shift_square,
     load_edge_list,
@@ -22,6 +26,18 @@ from sgnn_lab import (
     save_edge_list,
     to_shift,
 )
+from sgnn_lab.graphs import _realized_mats
+
+# weighted path 0 - 1 - 2 with edge weights 2 and 0.5
+WEIGHTED_PATH = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
+
+
+def weighted_shift(weights: np.ndarray, kind: str) -> ShiftOperator:
+    """Shift of the given kind over a symmetric nonnegative weight matrix."""
+    if kind == LAPLACIAN:
+        return ShiftOperator(LAPLACIAN, np.diag(weights.sum(axis=1)) - weights)
+    scale = np.abs(np.linalg.eigvalsh(weights)).max() if kind == NORMALIZED_ADJACENCY else 1.0
+    return ShiftOperator(kind, weights / scale)
 
 
 def brute_expected_shift_square(base, p):
@@ -30,13 +46,12 @@ def brute_expected_shift_square(base, p):
     edges = base.edges
     m = len(edges)
     n = base.n
-    adj = (base.mat != 0).astype(float)
     total = np.zeros((n, n))
     for bits in itertools.product((0, 1), repeat=m):
         kept_adj = np.zeros((n, n))
         for (i, j), bit in zip(edges, bits):
             if bit:
-                kept_adj[i, j] = kept_adj[j, i] = 1.0
+                kept_adj[i, j] = kept_adj[j, i] = abs(base.mat[i, j])
         if base.kind == ADJACENCY:
             mat = kept_adj
         elif base.kind == LAPLACIAN:
@@ -45,7 +60,6 @@ def brute_expected_shift_square(base, p):
             raise AssertionError(base.kind)
         weight = p ** sum(bits) * (1 - p) ** (m - sum(bits))
         total += weight * (mat @ mat)
-    assert adj.shape == (n, n)
     return total
 
 
@@ -177,6 +191,55 @@ class TestSampleRealization:
         with pytest.raises(ConfigError):
             sample_realization(k3, 1.2, Rng(0))
 
+    def test_weighted_laplacian_realizations_keep_weights(self):
+        base = weighted_shift(WEIGHTED_PATH, LAPLACIAN)
+        for keep in itertools.product((False, True), repeat=2):
+            kept = WEIGHTED_PATH * np.array([[0, keep[0], 0], [keep[0], 0, keep[1]],
+                                             [0, keep[1], 0]])
+            got = _realized_mats(base, np.array([keep]))[0]
+            assert np.array_equal(got, np.diag(kept.sum(axis=1)) - kept)
+        masks = np.array(list(itertools.product((False, True), repeat=2)))
+        probs = np.prod(np.where(masks, 0.3, 0.7), axis=1)
+        mean = np.einsum("b,bnm->nm", probs, _realized_mats(base, masks))
+        assert np.abs(mean - expected_shift(base, 0.3)).max() <= 1e-15
+
+
+def _state(rng: Rng) -> str:
+    return repr(rng.generator.bit_generator.state)
+
+
+def _p_one_bases(random8):
+    weights = np.triu(random8.mat * Rng(5).uniform(0.5, 2.0, (8, 8)), 1)
+    for kind in KINDS:
+        yield to_shift(random8, kind)
+        yield weighted_shift(weights + weights.T, kind)
+        yield weighted_shift(WEIGHTED_PATH, kind)
+
+
+class TestIntactRealizations:
+    """At p = 1 every realization is the base: a read-only view, no draw."""
+
+    def test_view_of_the_base_that_draws_nothing(self, random8):
+        for base in _p_one_bases(random8):
+            rng = Rng(3)
+            state = _state(rng)
+            got = sample_realizations(base, 1.0, rng, 5)
+            want = _realized_mats(base, np.ones((5, base.num_edges), dtype=bool))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and np.shares_memory(got, base.mat)
+            one = sample_realization(base, 1.0, rng)
+            assert one.tobytes() == base.mat.tobytes() and np.shares_memory(one, base.mat)
+            assert _state(rng) == state
+
+    def test_writing_into_a_realization_raises(self, random8):
+        for base in _p_one_bases(random8):
+            before = base.mat.copy()
+            for real in (sample_realizations(base, 1.0, Rng(0), 2),
+                         sample_realization(base, 1.0, Rng(0))):
+                with pytest.raises(ValueError):
+                    real[..., 0, 1] = 7.0
+            assert np.array_equal(base.mat, before)
+
 
 N_DRAWS = 100_000
 
@@ -238,6 +301,32 @@ class TestExpectedShiftSquare:
         norm = to_shift(k3, NORMALIZED_ADJACENCY)
         with pytest.raises(UnsupportedKindError):
             expected_shift_square(norm, 0.5)
+
+    def test_weighted_hand_values(self):
+        # diagonal p^2 W2 1 + p(1-p) W2 1 at p = 1/2, with W2 1 = [4, 4.25, 0.25]
+        got = expected_shift_square(weighted_shift(WEIGHTED_PATH, ADJACENCY), 0.5)
+        assert np.array_equal(np.diag(got), [2.0, 2.125, 0.125])
+
+
+@st.composite
+def _weighted_graphs(draw):
+    n = draw(st.integers(2, 6))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=8, unique=True))
+    weights = np.zeros((n, n))
+    for i, j in chosen:
+        weights[i, j] = weights[j, i] = draw(st.floats(0.05, 3.0))
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(_weighted_graphs(), st.sampled_from([ADJACENCY, LAPLACIAN]), st.floats(0.0, 1.0))
+def test_weighted_second_moment_matches_enumeration(weights, kind, p):
+    base = weighted_shift(weights, kind)
+    got = expected_shift_square(base, p)
+    scale = max(1.0, np.abs(got).max())
+    assert np.abs(got - enumerate_expected_shift_square(base, p)).max() <= 1e-12 * scale
+    assert np.abs(got - brute_expected_shift_square(base, p)).max() <= 1e-12 * scale
 
 
 class TestEdgeListIO:

@@ -130,6 +130,16 @@ class TestSampleArchitecture:
             for r in reals[0][f, 0]:
                 assert np.array_equal(r, base8.mat)
 
+    def test_intact_set_is_a_full_shape_view_that_draws_nothing(self, base8):
+        cfg = SgnnConfig(layers=3, features=2, order=3, in_features=2)
+        rng = Rng(0)
+        reals = sample_architecture(base8, 1.0, cfg, rng)
+        assert [m.shape for m in reals] == [(o, i, 3, 8, 8) for o, i in cfg.layer_shapes()]
+        for mats in reals:
+            assert mats.strides[:3] == (0, 0, 0) and not mats.flags.writeable
+            assert np.shares_memory(mats, base8.mat)
+        assert np.array_equal(rng.random(4), Rng(0).random(4))
+
     def test_different_streams_differ(self, base8):
         assert base8.num_edges >= 8
         cfg = SgnnConfig(layers=1, features=1, order=2)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgnn_lab import (
+    KINDS,
     ConfigError,
     DivergenceError,
     FilterTensor,
@@ -29,6 +32,8 @@ from sgnn_lab import (
     to_shift,
     train,
 )
+from sgnn_lab.filters import diffusion_stages
+from sgnn_lab.model import NONLINEARITIES, READOUTS
 from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair
 
 
@@ -186,6 +191,65 @@ class TestBackward:
         cache2.diffusions.clear()
         with pytest.raises(StaleCacheError):
             backward(tensor, reals, cache2, np.ones_like(out2))
+
+
+_GRAPH8 = build_sbm(8, 2, 0.9, 0.4, Rng(2024).child(0))
+
+
+@st.composite
+def _networks(draw):
+    """(tensor, base, input batch, seed) for a random architecture on an 8-node graph."""
+    readout = draw(st.sampled_from(READOUTS))
+    cfg = SgnnConfig(layers=draw(st.integers(1, 3)), features=draw(st.integers(1, 3)),
+                     order=draw(st.integers(0, 4)),
+                     nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                     in_features=draw(st.integers(1, 2)), out_features=draw(st.integers(1, 3)),
+                     readout=readout,
+                     readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    x = rng.child(1).normal(size=(cfg.in_features, 8, draw(st.integers(1, 5))))
+    return init_tensor(cfg, rng.child(0), 0.6), to_shift(_GRAPH8, draw(st.sampled_from(KINDS))), x, rng
+
+
+def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
+    """Forward output, cached stages and backward gradient on ``reals`` equal, bit for
+    bit, those on C-contiguous copies (the layout of every drawn realization set), and
+    each filter's cached stages equal its own diffusion of its layer input."""
+    out_grad = None
+    passes = []
+    for rs in (reals, tuple(np.ascontiguousarray(m) for m in reals)):
+        out, cache = forward(tensor, rs, x)
+        for layer, (mats, stages) in enumerate(zip(rs, cache.diffusions)):
+            inputs = cache.activations[layer - 1] if layer else x
+            for o, i in np.ndindex(*mats.shape[:2]):
+                want = diffusion_stages(mats[o, i], inputs[i])
+                assert stages[:, o, i].tobytes() == want.tobytes()
+        if out_grad is None:
+            out_grad = rng.child(2).normal(size=out.shape)
+        grad = backward(tensor, rs, cache, out_grad).flatten()
+        passes.append([out, *cache.diffusions, *cache.pre_activations, grad])
+    for got, want in zip(*passes):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks())
+def test_intact_broadcast_set_matches_its_copy(net):
+    tensor, base, x, rng = net
+    reals = sample_architecture(base, 1.0, tensor.cfg, rng.child(3))
+    assert all(not m.flags.writeable for m in reals)
+    _assert_pass_matches_contiguous_copy(tensor, reals, x, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks(), st.lists(st.tuples(st.booleans(), st.booleans()), min_size=3, max_size=3))
+def test_partly_shared_set_matches_its_copy(net, shared):
+    # shifts drawn at p < 1, then shared along the chosen out / in axes of each layer
+    tensor, base, x, rng = net
+    reals = tuple(np.broadcast_to(m[:1 if s_out else None, :1 if s_in else None], m.shape)
+                  for m, (s_out, s_in) in zip(sample_architecture(base, 0.6, tensor.cfg,
+                                                                  rng.child(3)), shared))
+    _assert_pass_matches_contiguous_copy(tensor, reals, x, rng)
 
 
 class TestTrain:
