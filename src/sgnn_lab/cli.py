@@ -75,9 +75,6 @@ def _small_graphs(rng: Rng, max_edges: int) -> list[tuple[str, ShiftOperator]]:
     return [(name, g) for name, g in graphs if g.num_edges <= max_edges]
 
 
-_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
-
-
 def _apply_overrides(cfg, overrides: list[str]):
     """Apply key=value overrides to a dataclass config; unknown keys are
     rejected."""
@@ -90,11 +87,6 @@ def _apply_overrides(cfg, overrides: list[str]):
         if key not in fields:
             raise ConfigError(f"unknown config key {key!r} (known: {sorted(fields)})")
         current = getattr(cfg, key)
-        if isinstance(current, bool):
-            if raw.lower() not in _BOOLS:
-                raise ConfigError(f"{key}={raw!r} is not a boolean (use one of {sorted(_BOOLS)})")
-            updates[key] = _BOOLS[raw.lower()]
-            continue
         try:
             if isinstance(current, int):
                 updates[key] = int(raw)
@@ -232,16 +224,16 @@ def cmd_grad_check(args) -> int:
         else:
             y = r.child(5).normal(size=out.shape)
         cost, dout = _loss_pair(loss, out, y)
-        grad = backward(tensor, reals, cache, dout).flatten()
-        flat = tensor.flatten()
+        grad = backward(tensor, reals, cache, dout)
+        flat = tensor.flat
         fd = np.zeros_like(flat)
         eps = 1e-5
         for i in range(len(flat)):
             up, dn = flat.copy(), flat.copy()
             up[i] += eps
             dn[i] -= eps
-            cu = _loss_pair(loss, forward(FilterTensor.from_flat(cfg, up), reals, x, return_cache=False)[0], y)[0]
-            cd = _loss_pair(loss, forward(FilterTensor.from_flat(cfg, dn), reals, x, return_cache=False)[0], y)[0]
+            cu = _loss_pair(loss, forward(FilterTensor(cfg, up), reals, x, return_cache=False)[0], y)[0]
+            cd = _loss_pair(loss, forward(FilterTensor(cfg, dn), reals, x, return_cache=False)[0], y)[0]
             fd[i] = (cu - cd) / (2 * eps)
         rel = gradient_rel_error(grad, fd)
         worst = max(worst, rel)

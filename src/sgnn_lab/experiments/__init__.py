@@ -3,7 +3,6 @@ stochastic block model, and imitation-learned flocking control, each
 comparing a network trained under link failures with a baseline trained on
 the intact graph."""
 
-from ..common import RESULT_COLUMNS, write_results, rows_to_records
 from .source import (
     SourceLocConfig,
     SourceLocDataset,

@@ -268,12 +268,11 @@ def _standardize(feats: np.ndarray, scaler) -> np.ndarray:
 
 
 def make_policies(sgnn_tensor, gnn_tensor, scaler, cfg: FlockingConfig,
-                  gnn_scaler=None) -> dict:
+                  gnn_scaler) -> dict:
     """Closed-loop policies under a common interface: the two learned
     policies (features over a sampled link realization, filters over fresh
-    realizations), the centralized expert, and the do-nothing baseline."""
-    if gnn_scaler is None:
-        gnn_scaler = scaler
+    realizations), the centralized expert, and the do-nothing baseline.
+    ``scaler`` standardizes the SGNN policy's features, ``gnn_scaler`` the GNN's."""
 
     def learned(tensor, own_scaler):
         def policy(state, graph, p, rng):

@@ -9,8 +9,11 @@ out-feature, in-feature) filter runs on its own independently drawn sequence
 of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts.
 
-Two optional readout heads turn per-node features into task outputs; their
-weights live in the trailing block of the filter tensor and train jointly:
+All trainable coefficients are one flat vector, the one SGD updates;
+:func:`split_params` is its layout (per-layer taps, then the head), and a
+:class:`FilterTensor` is that vector with its blocks as views.  Two optional
+readout heads turn per-node features into task outputs; their weights are
+the trailing block of the vector and train jointly:
 
 * ``pooled``: node-average the features, standardize them across the
   feature axis, then a shared linear map to logits (permutation invariant,
@@ -112,67 +115,57 @@ class SgnnConfig:
         return taps
 
 
+def split_params(cfg: SgnnConfig, flat: np.ndarray):
+    """The parameter layout, and the only code that knows it: views into
+    ``flat`` of the per-layer (out, in, K+1) taps in layer order, then of the
+    head weight (D, F_out) and bias (D,), both None without a readout head."""
+    taps, pos, width = [], 0, cfg.order + 1
+    for out_d, in_d in cfg.layer_shapes():
+        size = out_d * in_d * width
+        taps.append(flat[pos : pos + size].reshape(out_d, in_d, width))
+        pos += size
+    if cfg.readout == "none":
+        return taps, None, None
+    size = cfg.readout_dim * cfg.out_features
+    return taps, flat[pos : pos + size].reshape(cfg.readout_dim, cfg.out_features), flat[pos + size :]
+
+
 @dataclass
 class FilterTensor:
-    """All trainable coefficients: per-layer tap arrays of shape
-    (out, in, K+1) plus the optional readout head as the trailing block."""
+    """All trainable coefficients as one flat vector, ``cfg.num_params`` long.
+
+    ``layers`` (per-layer (out, in, K+1) taps), ``head_weight`` and
+    ``head_bias`` are views into ``flat`` laid out by :func:`split_params`.
+    The constructor shares the given vector; :meth:`from_flat` copies it.
+    """
 
     cfg: SgnnConfig
-    layers: list[np.ndarray]
-    head_weight: np.ndarray | None = None
-    head_bias: np.ndarray | None = None
+    flat: np.ndarray
+    layers: list[np.ndarray] = field(init=False, repr=False)
+    head_weight: np.ndarray | None = field(init=False, repr=False)
+    head_bias: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        shapes = self.cfg.layer_shapes()
-        if len(self.layers) != len(shapes):
-            raise ConfigError(f"expected {len(shapes)} layer arrays, got {len(self.layers)}")
-        for idx, (arr, (out_d, in_d)) in enumerate(zip(self.layers, shapes)):
-            want = (out_d, in_d, self.cfg.order + 1)
-            if arr.shape != want:
-                raise ConfigError(f"layer {idx} taps have shape {arr.shape}, expected {want}")
-            if not np.all(np.isfinite(arr)):
-                raise ConfigError(f"layer {idx} taps contain non-finite values")
-        if self.cfg.readout != "none":
-            want_w = (self.cfg.readout_dim, self.cfg.out_features)
-            if self.head_weight is None or self.head_weight.shape != want_w:
-                raise ConfigError(f"readout head weight must have shape {want_w}")
-            if self.head_bias is None or self.head_bias.shape != (self.cfg.readout_dim,):
-                raise ConfigError(f"readout head bias must have shape ({self.cfg.readout_dim},)")
-        elif self.head_weight is not None or self.head_bias is not None:
-            raise ConfigError("head arrays given but cfg has no readout")
+        self.flat = np.ascontiguousarray(self.flat, dtype=float)
+        if self.flat.shape != (self.cfg.num_params,):
+            raise ConfigError(f"expected {self.cfg.num_params} parameters, got {self.flat.shape}")
+        if not np.all(np.isfinite(self.flat)):
+            raise ConfigError("parameters contain non-finite values")
+        self.layers, self.head_weight, self.head_bias = split_params(self.cfg, self.flat)
 
     def flatten(self) -> np.ndarray:
-        parts = [arr.ravel() for arr in self.layers]
-        if self.head_weight is not None:
-            parts.append(self.head_weight.ravel())
-            parts.append(self.head_bias.ravel())
-        return np.concatenate(parts) if parts else np.empty(0)
+        return self.flat.copy()
 
     @classmethod
     def from_flat(cls, cfg: SgnnConfig, flat: np.ndarray) -> "FilterTensor":
-        flat = np.asarray(flat, dtype=float)
-        if flat.shape != (cfg.num_params,):
-            raise ConfigError(f"expected {cfg.num_params} parameters, got {flat.shape}")
-        layers = []
-        pos = 0
-        for out_d, in_d in cfg.layer_shapes():
-            size = out_d * in_d * (cfg.order + 1)
-            layers.append(flat[pos : pos + size].reshape(out_d, in_d, cfg.order + 1).copy())
-            pos += size
-        head_w = head_b = None
-        if cfg.readout != "none":
-            size = cfg.readout_dim * cfg.out_features
-            head_w = flat[pos : pos + size].reshape(cfg.readout_dim, cfg.out_features).copy()
-            pos += size
-            head_b = flat[pos : pos + cfg.readout_dim].copy()
-        return cls(cfg, layers, head_w, head_b)
+        return cls(cfg, np.array(flat, dtype=float))
 
 
 def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     """I.i.d. uniform(-scale, scale) taps (and head weights, if any)."""
     if scale < 0:
         raise ConfigError(f"init scale must be >= 0, got {scale}")
-    return FilterTensor.from_flat(cfg, rng.uniform(-scale, scale, cfg.num_params))
+    return FilterTensor(cfg, rng.uniform(-scale, scale, cfg.num_params))
 
 
 def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng) -> Reals:
@@ -198,7 +191,6 @@ class ForwardCache:
     diffusions: list[np.ndarray] = field(default_factory=list)   # (K+1, out, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
-    pooled: np.ndarray | None = None        # (F_out, B) node-averaged features
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
     pooled_hat: np.ndarray | None = None    # standardized pooled features
 
@@ -220,7 +212,7 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
         std = np.maximum(np.sqrt((centered**2).mean(axis=0)), _STD_FLOOR)
         hat = centered / std
         if cache is not None:
-            cache.pooled, cache.pooled_std, cache.pooled_hat = pooled, std, hat
+            cache.pooled_std, cache.pooled_hat = std, hat
         return tensor.head_weight @ hat + tensor.head_bias[:, None]
     out = np.einsum("df,fnb->dnb", tensor.head_weight, core)
     return out + tensor.head_bias[:, None, None]
@@ -301,7 +293,7 @@ def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None
         f"nonlinearity={cfg.nonlinearity} readout={cfg.readout} readout_dim={cfg.readout_dim} "
         f"kind={kind}\n"
     )
-    flat = np.ascontiguousarray(tensor.flatten(), dtype="<f8")
+    flat = np.ascontiguousarray(tensor.flat, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(struct.pack("<q", flat.size))
@@ -335,4 +327,4 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
         if fh.read(1):
             raise ValueError(f"checkpoint in {path} has trailing bytes after the tap array")
     flat = np.frombuffer(taps, dtype="<f8")
-    return FilterTensor.from_flat(cfg, flat.astype(float)), kind
+    return FilterTensor(cfg, flat.astype(float)), kind

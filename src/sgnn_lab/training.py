@@ -37,6 +37,7 @@ from .model import (
     apply_nonlinearity,
     forward,
     sample_architecture,
+    split_params,
 )
 from .rng import Rng
 
@@ -104,9 +105,10 @@ def loss_cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
 
 
 def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
-             out_grad: np.ndarray) -> FilterTensor:
+             out_grad: np.ndarray) -> np.ndarray:
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
-    treating the sampled shifts as constants.
+    treating the sampled shifts as constants, as one flat vector in the
+    order of ``tensor.flatten()`` (laid out by :func:`split_params`).
 
     ``out_grad`` is the cost gradient w.r.t. the forward output, in its
     shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
@@ -124,12 +126,13 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
         raise ValueError(f"out_grad has shape {g.shape}, the forward output {want}")
     n = act[1]
 
-    head_w_grad = head_b_grad = None
+    grad = np.zeros(cfg.num_params)
+    layer_grads, head_w_grad, head_b_grad = split_params(cfg, grad)
     if cfg.readout == "none":
         d_act = g
     elif cfg.readout == "pooled":
-        head_w_grad = g @ cache.pooled_hat.T
-        head_b_grad = g.sum(axis=1)
+        head_w_grad[...] = g @ cache.pooled_hat.T
+        head_b_grad[...] = g.sum(axis=1)
         d_hat = tensor.head_weight.T @ g
         # through the feature standardization:
         # d pooled = (d_hat - mean(d_hat) - hat * mean(d_hat * hat)) / std
@@ -138,16 +141,15 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
                     - hat * (d_hat * hat).mean(axis=0)) / cache.pooled_std
         d_act = np.broadcast_to(d_pooled[:, None, :] / n, cache.activations[-1].shape)
     else:  # per_node
-        head_w_grad = np.einsum("dnb,fnb->df", g, cache.activations[-1])
-        head_b_grad = g.sum(axis=(1, 2))
+        head_w_grad[...] = np.einsum("dnb,fnb->df", g, cache.activations[-1])
+        head_b_grad[...] = g.sum(axis=(1, 2))
         d_act = np.einsum("df,dnb->fnb", tensor.head_weight, g)
 
-    layer_grads: list[np.ndarray | None] = [None] * cfg.layers
     for layer_idx in range(cfg.layers - 1, -1, -1):
         _, du = apply_nonlinearity(cfg.nonlinearity, cache.pre_activations[layer_idx])
         delta_u = d_act * du                                    # (out, N, B)
         diffs = cache.diffusions[layer_idx]
-        layer_grads[layer_idx] = np.einsum("onb,koinb->oik", delta_u, diffs)
+        layer_grads[layer_idx][...] = np.einsum("onb,koinb->oik", delta_u, diffs)
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
@@ -159,7 +161,7 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
             acc = np.matmul(mats[:, :, k].transpose(0, 1, 3, 2), acc)
             acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
         d_act = acc.sum(axis=0)                                 # (in, N, B)
-    return FilterTensor(cfg, layer_grads, head_w_grad, head_b_grad)
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,7 @@ def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
         out, cache = forward(tensor, reals, x)
         c, dout = _loss_pair(loss, out, y)
         cost += c
-        grad = grad + backward(tensor, reals, cache, dout).flatten()
+        grad = grad + backward(tensor, reals, cache, dout)
     return cost / len(groups), grad / len(groups)
 
 
@@ -408,7 +410,7 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     else:
         alpha0 = cfg.lr
 
-    flat = model.flatten()
+    flat = model.flat
     m1 = np.zeros_like(flat)
     m2 = np.zeros_like(flat)
     costs = np.empty(cfg.iterations)
@@ -426,13 +428,8 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         idx = perm[pos : pos + batch_size]
         pos += batch_size
 
-        current = FilterTensor.from_flat(model.cfg, flat)
-        cost, grad = _cost_and_grad(current, base, train_set, idx,
+        cost, grad = _cost_and_grad(FilterTensor(model.cfg, flat), base, train_set, idx,
                                     cfg.link_p, cfg.loss, r_real)
-        if not np.isfinite(cost) or not np.all(np.isfinite(grad)):
-            raise DivergenceError(
-                f"cost became non-finite at iteration {t} (cost={cost}); "
-                "reduce the step size or check the data scale")
 
         lr_t = alpha0 / np.sqrt(t + 1.0) if cfg.schedule == "invsqrt" else alpha0
         if cfg.optimizer == "sgd":
@@ -443,6 +440,11 @@ def train(model: FilterTensor, base: ShiftOperator | None,
             m1_hat = m1 / (1.0 - cfg.beta1 ** (t + 1))
             m2_hat = m2 / (1.0 - cfg.beta2 ** (t + 1))
             flat = flat - lr_t * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+        # a non-finite gradient always makes the update non-finite
+        if not np.isfinite(cost) or not np.all(np.isfinite(flat)):
+            raise DivergenceError(
+                f"training diverged at iteration {t} (cost={cost}); "
+                "reduce the step size or check the data scale")
 
         costs[t] = cost
         grad_norms[t] = np.linalg.norm(grad)
@@ -450,4 +452,4 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         wall[t] = (time.perf_counter() - tic) * 1e3
 
     return TrainTrace(costs=costs, grad_norms=grad_norms, lrs=lrs, wall_ms=wall,
-                      tensor=FilterTensor.from_flat(model.cfg, flat))
+                      tensor=FilterTensor(model.cfg, flat))

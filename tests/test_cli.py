@@ -1,4 +1,3 @@
-import dataclasses
 import filecmp
 import json
 from pathlib import Path
@@ -238,25 +237,6 @@ class TestExitCodes:
     ])
     def test_unread_flag_rejected(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2
-
-
-@dataclasses.dataclass(frozen=True)
-class _Flagged:
-    flag: bool = False
-
-
-class TestBoolOverrides:
-    @pytest.mark.parametrize("raw, want", [
-        ("1", True), ("true", True), ("YES", True), ("True", True),
-        ("0", False), ("false", False), ("No", False), ("FALSE", False),
-    ])
-    def test_accepted_spellings(self, raw, want):
-        assert _apply_overrides(_Flagged(flag=not want), [f"flag={raw}"]).flag is want
-
-    @pytest.mark.parametrize("raw", ["ture", "", "2", "on", "y"])
-    def test_other_values_rejected(self, raw):
-        with pytest.raises(ConfigError):
-            _apply_overrides(_Flagged(), [f"flag={raw}"])
 
 
 def test_unparsable_value_names_key_and_value():

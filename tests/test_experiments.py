@@ -25,10 +25,9 @@ from sgnn_lab.experiments import (
     run_source_seed,
     simulate_swarm,
     swarm_features,
-    write_results,
 )
 from sgnn_lab.experiments.flocking import SwarmState, velocity_variance
-from sgnn_lab.common import rows_to_records
+from sgnn_lab.common import rows_to_records, write_results
 
 
 @pytest.fixture
@@ -273,7 +272,7 @@ class TestFlockingPipeline:
         from sgnn_lab.model import init_tensor
 
         tensor = init_tensor(cfg.model_config(), Rng(1), 0.1)
-        policies = make_policies(tensor, tensor, scaler, cfg)
+        policies = make_policies(tensor, tensor, scaler, cfg, scaler)
         state = random_swarm_state(cfg, Rng(2))
         graph = build_disc_graph(state.z, cfg.comm_radius)
         for name, policy in policies.items():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgnn_lab import (
     ConfigError,
@@ -9,6 +11,7 @@ from sgnn_lab import (
     SgnnConfig,
     ShiftOperator,
     ADJACENCY,
+    KINDS,
     apply_filter,
     apply_nonlinearity,
     build_sbm,
@@ -21,6 +24,7 @@ from sgnn_lab import (
     save_checkpoint,
     to_shift,
 )
+from sgnn_lab.model import NONLINEARITIES, READOUTS, split_params
 
 
 @pytest.fixture
@@ -279,7 +283,7 @@ class TestForwardExpected:
         # activation nonnegative, so abs acts as identity and the Monte-Carlo
         # mean of stochastic forwards approaches the mean-shift forward
         cfg = SgnnConfig(layers=1, features=1, order=2, nonlinearity="abs")
-        tensor = FilterTensor(cfg, [np.array([[[0.4, 0.8, 0.3]]])])
+        tensor = FilterTensor(cfg, np.array([0.4, 0.8, 0.3]))
         x = np.array([0.2, 1.0, 0.6])
         p = 0.6
         n_draws = 100_000
@@ -364,3 +368,53 @@ def test_tensor_flatten_round_trip():
     assert np.array_equal(again.flatten(), tensor.flatten())
     for a, b in zip(again.layers, tensor.layers):
         assert np.array_equal(a, b)
+
+
+def test_tensor_blocks_are_views_of_its_vector():
+    cfg = SgnnConfig(layers=2, features=2, order=1, out_features=2, readout="pooled",
+                     readout_dim=3)
+    flat = np.arange(cfg.num_params, dtype=float)
+    tensor = FilterTensor(cfg, flat)
+    tensor.layers[1][0, 1, 1] = -1.0
+    tensor.head_bias[-1] = -2.0
+    assert flat[4 + 3] == -1.0 and flat[-1] == -2.0  # layer 0 holds 2 x 1 x 2 taps
+    assert not np.shares_memory(tensor.flatten(), flat)
+    assert not np.shares_memory(FilterTensor.from_flat(cfg, flat).flat, flat)
+    for bad in (flat[:-1], np.append(flat, 0.0), np.where(flat == 0.0, np.nan, flat)):
+        with pytest.raises(ConfigError):
+            FilterTensor(cfg, bad)
+
+
+@st.composite
+def _configs(draw):
+    readout = draw(st.sampled_from(READOUTS))
+    return SgnnConfig(layers=draw(st.integers(1, 4)), features=draw(st.integers(1, 4)),
+                      order=draw(st.integers(0, 5)),
+                      nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                      in_features=draw(st.integers(1, 3)), out_features=draw(st.integers(1, 3)),
+                      readout=readout,
+                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_configs(), st.sampled_from(KINDS), st.integers(0, 2**16))
+def test_checkpoint_round_trip_and_layout(tmp_path_factory, cfg, kind, seed):
+    tensor = init_tensor(cfg, Rng(seed), 1.0)
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(tensor, path, kind=kind)
+    loaded, loaded_kind = load_checkpoint(path)
+    assert (loaded.cfg, loaded_kind) == (cfg, kind)
+    assert loaded.flat.tobytes() == tensor.flat.tobytes()
+    # the views tile the flat vector in order: taps by layer, head weight, head bias
+    taps, head_w, head_b = split_params(cfg, tensor.flat)
+    views = [*taps, *(() if head_w is None else (head_w, head_b))]
+    assert [v.shape for v in taps] == [(o, i, cfg.order + 1) for o, i in cfg.layer_shapes()]
+    assert (head_w is None) == (cfg.readout == "none")
+    assert head_w is None or (head_w.shape, head_b.shape) == ((cfg.readout_dim, cfg.out_features),
+                                                              (cfg.readout_dim,))
+    pos = 0
+    for view in views:
+        assert view.base is tensor.flat and view.flags.c_contiguous
+        assert view.ctypes.data == tensor.flat.ctypes.data + pos * tensor.flat.itemsize
+        pos += view.size
+    assert pos == cfg.num_params

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgnn_lab import (
@@ -34,7 +34,7 @@ from sgnn_lab import (
 )
 from sgnn_lab.filters import diffusion_stages
 from sgnn_lab.model import NONLINEARITIES, READOUTS
-from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair
+from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair, gradient_rel_error
 
 
 @pytest.fixture
@@ -85,6 +85,20 @@ class TestLosses:
             loss_cross_entropy(np.zeros(3), 5)
 
 
+def _central_differences(tensor, reals, x, y, loss, eps=1e-5):
+    """Cost gradient by central differences on each entry of the flat vector."""
+    fd = np.zeros(tensor.cfg.num_params)
+    for i in range(len(fd)):
+        costs = []
+        for step in (eps, -eps):
+            flat = tensor.flatten()
+            flat[i] += step
+            out, _ = forward(FilterTensor(tensor.cfg, flat), reals, x, return_cache=False)
+            costs.append(_loss_pair(loss, out, y)[0])
+        fd[i] = (costs[0] - costs[1]) / (2 * eps)
+    return fd
+
+
 class TestBackward:
     def _setup(self, base, readout, loss, nonlinearity, seed):
         cfg = SgnnConfig(layers=2, features=2, order=2, nonlinearity=nonlinearity,
@@ -115,20 +129,7 @@ class TestBackward:
             assert min(np.abs(u).min() for u in cache.pre_activations) > 1e-4
         cost, dout = _loss_pair(loss, out, y)
         grad = backward(tensor, reals, cache, dout).flatten()
-        flat = tensor.flatten()
-        eps = 1e-5
-        fd = np.zeros_like(flat)
-        for i in range(len(flat)):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += eps
-            dn[i] -= eps
-            cu = _loss_pair(loss, forward(FilterTensor.from_flat(cfg, up), reals, x,
-                                          return_cache=False)[0], y)[0]
-            cd = _loss_pair(loss, forward(FilterTensor.from_flat(cfg, dn), reals, x,
-                                          return_cache=False)[0], y)[0]
-            fd[i] = (cu - cd) / (2 * eps)
-        from sgnn_lab.training import gradient_rel_error
-        assert gradient_rel_error(grad, fd) <= 1e-5
+        assert gradient_rel_error(grad, _central_differences(tensor, reals, x, y, loss)) <= 1e-5
 
     def test_zero_input_batch_gives_zero_gradient(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=1, nonlinearity="relu")
@@ -144,7 +145,7 @@ class TestBackward:
         # cost = mean((h0 x - t)^2), d cost/d h0 = mean(2 (h0 x - t) x)
         base = build_sbm(2, 1, 1.0, 1.0, Rng(0))
         cfg = SgnnConfig(layers=1, features=1, order=0, nonlinearity="abs")
-        tensor = FilterTensor(cfg, [np.array([[[1.3]]])])
+        tensor = FilterTensor(cfg, np.array([1.3]))
         reals = sample_architecture(base, 1.0, cfg, Rng(1))
         x = np.array([0.5, 2.0])
         t = np.array([1.0, 2.0])
@@ -209,6 +210,34 @@ def _networks(draw):
     rng = Rng(draw(st.integers(0, 2**16)))
     x = rng.child(1).normal(size=(cfg.in_features, 8, draw(st.integers(1, 5))))
     return init_tensor(cfg, rng.child(0), 0.6), to_shift(_GRAPH8, draw(st.sampled_from(KINDS))), x, rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(_networks(), st.booleans())
+def test_backward_matches_central_differences(net, cross_entropy):
+    # mse on every head, cross-entropy on pooled heads
+    tensor, base, x, rng = net
+    cfg = tensor.cfg
+    loss = "cross_entropy" if cross_entropy and cfg.readout == "pooled" else "mse"
+    reals = sample_architecture(base, 0.7, cfg, rng.child(3))
+    out, cache = forward(tensor, reals, x)
+    if cfg.nonlinearity in ("relu", "abs"):
+        assume(min(np.abs(u).min() for u in cache.pre_activations) > 1e-4)
+    # the pooled head's std floor is a kink too
+    assume(cfg.readout != "pooled" or cache.pooled_std.min() > 1e-6)
+    if loss == "cross_entropy":
+        y = rng.child(4).integers(0, cfg.readout_dim, x.shape[2])
+    else:
+        y = rng.child(4).normal(size=out.shape)
+    cost, dout = _loss_pair(loss, out, y)
+    grad = backward(tensor, reals, cache, dout)
+    assert grad.shape == (cfg.num_params,)
+    # skip draws central differences cannot resolve: a gradient near their
+    # roundoff (~1e-11 * cost, saturated tanh), or curvature or a kink within
+    # the step, where two steps disagree
+    fd, fd2 = (_central_differences(tensor, reals, x, y, loss, eps) for eps in (1e-5, 2e-5))
+    assume(np.abs(fd).max() >= 1e-2 * cost and gradient_rel_error(fd, fd2) <= 1e-6)
+    assert gradient_rel_error(grad, fd) <= 1e-5
 
 
 def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
@@ -308,6 +337,22 @@ class TestTrain:
         with pytest.raises(DivergenceError):
             train(tensor0, base8, TrainingSet(inputs, targets),
                   TrainConfig(iterations=400, batch_size=10, lr=1e4,
+                              optimizer="sgd", link_p=1.0, seed=0))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("layers, input_scale, lr, iterations",
+                             [(2, 10.0, 1e2, 200), (1, 1.0, 1e308, 5)],
+                             ids=["gradient", "update"])
+    def test_divergence_is_divergence_error(self, layers, input_scale, lr, iterations):
+        # a non-finite gradient (two layers) or an update that overflows (one
+        # layer) is a diverged run, not an invalid configuration
+        cfg = SgnnConfig(layers=layers, features=2, order=2, nonlinearity="abs")
+        base = to_shift(build_sbm(8, 2, 0.9, 0.5, Rng(3)), NORMALIZED_ADJACENCY)
+        inputs = input_scale * np.abs(Rng(1).normal(size=(10, 1, 8)))
+        targets = Rng(2).normal(size=(10, 1, 8))
+        with pytest.raises(DivergenceError, match="at iteration"):
+            train(init_tensor(cfg, Rng(0), 2.0), base, TrainingSet(inputs, targets),
+                  TrainConfig(iterations=iterations, batch_size=10, lr=lr,
                               optimizer="sgd", link_p=1.0, seed=0))
 
     def test_input_tensor_not_mutated(self, base8):

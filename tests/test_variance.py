@@ -32,7 +32,7 @@ from sgnn_lab import (
     to_shift,
     variance_std_error,
 )
-from sgnn_lab.experiments import write_results
+from sgnn_lab.common import write_results
 from sgnn_lab.variance import REPORT_COLUMNS
 
 
