@@ -44,13 +44,16 @@ def _check_inputs(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
+def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray,
+                     reuse: np.ndarray | None = None) -> np.ndarray:
     """Stages ``x, S_1 x, S_2 S_1 x, ...`` (``S_k = mats[k - 1]``) written into one
-    preallocated ``(K+1, ...)`` array; the matmul broadcasts, so a stack of shifts
-    ``(..., N, N)`` diffuses a stack of signals ``(..., N, B)``, and each stage has
-    the broadcast shape of the shift stack and the signal stack."""
+    ``(K+1, ...)`` array: ``reuse`` when it has that shape, else a new one.  The
+    matmul broadcasts, so a stack of shifts ``(..., N, N)`` diffuses a stack of
+    signals ``(..., N, B)``, and each stage has the broadcast shape of the shift
+    stack and the signal stack."""
     lead = np.broadcast_shapes(np.shape(mats[0])[:-2] if len(mats) else (), x.shape[:-2])
-    stages = np.empty((len(mats) + 1,) + lead + x.shape[-2:])
+    shape = (len(mats) + 1,) + lead + x.shape[-2:]
+    stages = reuse if reuse is not None and reuse.shape == shape else np.empty(shape)
     stages[0] = x
     for k in range(1, len(stages)):
         np.matmul(mats[k - 1], stages[k - 1], out=stages[k])

@@ -25,6 +25,11 @@ the trailing block of the vector and train jointly:
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
 diffusion stage and pre-activation because the training module backpropagates
 through them; Monte-Carlo sweeps pass ``return_cache=False`` to skip that.
+A training loop hands each ``forward`` the previous step's cache, whose arrays
+the new pass refills in place when their shapes match, so steady-state steps
+allocate no stage, pre-activation or activation arrays.  ``forward`` computes
+the nonlinearity's value only; ``backward`` takes its derivative from the
+cached pre-activations.
 """
 
 from __future__ import annotations
@@ -48,17 +53,26 @@ NONLINEARITY_LIPSCHITZ = 1.0
 Reals = tuple[np.ndarray, ...]  # a realization set: per layer (out, in, K, N, N) shifts
 
 
+def _activate(kind: str, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entrywise nonlinearity, written into ``out`` when given."""
+    if kind == "relu":
+        return np.maximum(u, 0.0, out=out)
+    if kind == "abs":
+        return np.abs(u, out=out)
+    if kind == "tanh":
+        return np.tanh(u, out=out)
+    raise ConfigError(f"unknown nonlinearity {kind!r}")
+
+
 def apply_nonlinearity(kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise nonlinearity and its derivative (subgradient 0 at kinks)."""
     u = np.asarray(u, dtype=float)
+    val = _activate(kind, u)
     if kind == "relu":
-        return np.maximum(u, 0.0), (u > 0).astype(float)
+        return val, (u > 0).astype(float)
     if kind == "abs":
-        return np.abs(u), np.sign(u)
-    if kind == "tanh":
-        t = np.tanh(u)
-        return t, 1.0 - t * t
-    raise ConfigError(f"unknown nonlinearity {kind!r}")
+        return val, np.sign(u)
+    return val, 1.0 - val * val
 
 
 @dataclass(frozen=True)
@@ -183,16 +197,26 @@ def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng
 
 @dataclass
 class ForwardCache:
-    """Intermediate state of one forward pass, consumed by backward."""
+    """Intermediate state of one forward pass, consumed by backward.
+
+    A later :func:`forward` given this cache takes its arrays over and leaves
+    it empty, so a superseded cache cannot feed backward.
+    """
 
     tensor: FilterTensor
-    reals: Reals
-    x: np.ndarray                       # (F_in, N, B)
-    diffusions: list[np.ndarray] = field(default_factory=list)   # (K+1, out, in, N, B)
+    reals: Reals | None                 # None once released
+    x: np.ndarray | None                # (F_in, N, B)
+    stages: list[np.ndarray] = field(default_factory=list)       # (K+1, out or 1, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
+    pooled_floored: np.ndarray | None = None    # (B,) True where the floor replaced the std
     pooled_hat: np.ndarray | None = None    # standardized pooled features
+
+    def release(self) -> None:
+        """Drop all but the arrays a later pass refills (``backward`` then
+        rejects the cache), so that a loop holding it keeps no more alive."""
+        self.reals = self.x = self.pooled_std = self.pooled_floored = self.pooled_hat = None
 
 
 _STD_FLOOR = 1e-12
@@ -209,10 +233,12 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
         # class decision rides on the feature profile that survives them.
         pooled = core.mean(axis=1)                                   # (F_out, B)
         centered = pooled - pooled.mean(axis=0)
-        std = np.maximum(np.sqrt((centered**2).mean(axis=0)), _STD_FLOOR)
+        raw_std = np.sqrt((centered**2).mean(axis=0))
+        std = np.maximum(raw_std, _STD_FLOOR)
         hat = centered / std
         if cache is not None:
             cache.pooled_std, cache.pooled_hat = std, hat
+            cache.pooled_floored = raw_std <= _STD_FLOOR
         return tensor.head_weight @ hat + tensor.head_bias[:, None]
     out = np.einsum("df,fnb->dnb", tensor.head_weight, core)
     return out + tensor.head_bias[:, None, None]
@@ -229,13 +255,21 @@ def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
                              f"expected {want} for {n} nodes")
 
 
-def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True):
+def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True,
+            cache: ForwardCache | None = None):
     """Run the network on a fixed realization set.
 
     ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
     training step; one sample is the batch ``x[..., None]``.  Returns
     ``(output, cache)``, the output batched along its last axis and the cache
     None when ``return_cache`` is false.
+
+    ``cache`` is the previous pass's cache, given to reuse its memory: every
+    stage, pre-activation and activation array of the right shape is refilled
+    in place (the results are the same as on new arrays), and ``cache`` is
+    left empty, so that ``backward`` rejects it.  The output of a network
+    without a readout head is then the cache's last activation array, which
+    the next pass on that cache overwrites.
     """
     cfg = tensor.cfg
     x = np.asarray(x, dtype=float)
@@ -244,19 +278,26 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
                          f"with F_in = {cfg.in_features}")
     _check_reals(cfg, reals, x.shape[1])
     n, b = x.shape[1], x.shape[2]
+    spare = []
+    if cache is not None:  # its arrays move to this pass, layer by layer
+        spare = list(zip(cache.stages, cache.pre_activations, cache.activations))
+        cache.stages, cache.pre_activations, cache.activations = [], [], []
     cache = ForwardCache(tensor=tensor, reals=reals, x=x)
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
+        old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
+        if old_u is not None and old_u.shape != (out_d, n, b):
+            old_u = old_act = None
         mats = reals[layer_idx]
         # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
         mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
         # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
-        diffs = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None])
-        diffs = np.broadcast_to(diffs, (cfg.order + 1, out_d, in_d, n, b))
-        u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs)
-        act, _ = apply_nonlinearity(cfg.nonlinearity, u)
+        stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
+        diffs = np.broadcast_to(stages, (cfg.order + 1, out_d, in_d, n, b))
+        u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs, out=old_u)
+        act = _activate(cfg.nonlinearity, u, old_act)
         if return_cache:
-            cache.diffusions.append(diffs)
+            cache.stages.append(stages)
             cache.pre_activations.append(u)
             cache.activations.append(act)
         current = act

@@ -117,8 +117,9 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
     cfg = tensor.cfg
     if cache.tensor is not tensor or cache.reals is not reals:
         raise StaleCacheError("cache was produced by a different tensor or realization set")
-    if len(cache.diffusions) != cfg.layers:
-        raise StaleCacheError("forward pass did not retain activations (return_cache=False?)")
+    if len(cache.stages) != cfg.layers:
+        raise StaleCacheError("cache holds no forward pass (return_cache=False, or a later "
+                              "forward took it over)")
     g = np.asarray(out_grad, dtype=float)
     act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
     want = act if cfg.readout == "none" else (cfg.readout_dim, *act[1 + (cfg.readout == "pooled"):])
@@ -135,10 +136,12 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
         head_b_grad[...] = g.sum(axis=1)
         d_hat = tensor.head_weight.T @ g
         # through the feature standardization:
-        # d pooled = (d_hat - mean(d_hat) - hat * mean(d_hat * hat)) / std
+        # d pooled = (d_hat - mean(d_hat) - hat * mean(d_hat * hat)) / std,
+        # without the last term where the std is floored, hence constant
         hat = cache.pooled_hat
         d_pooled = (d_hat - d_hat.mean(axis=0)
-                    - hat * (d_hat * hat).mean(axis=0)) / cache.pooled_std
+                    - np.where(cache.pooled_floored, 0.0, hat * (d_hat * hat).mean(axis=0))
+                    ) / cache.pooled_std
         d_act = np.broadcast_to(d_pooled[:, None, :] / n, cache.activations[-1].shape)
     else:  # per_node
         head_w_grad[...] = np.einsum("dnb,fnb->df", g, cache.activations[-1])
@@ -148,7 +151,9 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
     for layer_idx in range(cfg.layers - 1, -1, -1):
         _, du = apply_nonlinearity(cfg.nonlinearity, cache.pre_activations[layer_idx])
         delta_u = d_act * du                                    # (out, N, B)
-        diffs = cache.diffusions[layer_idx]
+        stages = cache.stages[layer_idx]  # (K+1, out or 1, in, N, B)
+        diffs = np.broadcast_to(stages, (cfg.order + 1, *tensor.layers[layer_idx].shape[:2],
+                                         *stages.shape[3:]))
         layer_grads[layer_idx][...] = np.einsum("onb,koinb->oik", delta_u, diffs)
         if layer_idx == 0:
             break
@@ -327,20 +332,22 @@ def _groups(base: ShiftOperator | None, train_set: TrainingSet,
 
 
 def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
-                   train_set: TrainingSet, idx: np.ndarray, p: float,
-                   loss: str, rng: Rng) -> tuple[float, np.ndarray]:
+                   train_set: TrainingSet, idx: np.ndarray, p: float, loss: str, rng: Rng,
+                   cache: ForwardCache | None = None) -> tuple[float, np.ndarray, ForwardCache]:
     """Cost and flat gradient of one step: the mean over equal-sized groups, each
-    on a fresh realization set."""
+    on a fresh realization set.  Every forward pass refills the previous one's
+    ``cache``; the last is returned for the next step."""
     groups = _groups(base, train_set, idx)
     cost, grad = 0.0, 0.0
     for graph, members in groups:
         reals = sample_architecture(graph, p, tensor.cfg, rng)
         x, y = _batch_arrays(train_set, members, loss)
-        out, cache = forward(tensor, reals, x)
+        out, cache = forward(tensor, reals, x, cache=cache)
         c, dout = _loss_pair(loss, out, y)
         cost += c
         grad = grad + backward(tensor, reals, cache, dout)
-    return cost / len(groups), grad / len(groups)
+        cache.release()  # free the set before the next draw
+    return cost / len(groups), grad / len(groups), cache
 
 
 def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
@@ -366,7 +373,7 @@ def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,
     idx = np.arange(len(train_set))
     best = 0.0
     for _ in range(n_samples):
-        _, grad = _cost_and_grad(model, base, train_set, idx, p, loss, rng)
+        _, grad, _ = _cost_and_grad(model, base, train_set, idx, p, loss, rng)
         best = max(best, float(np.linalg.norm(grad)))
     return safety * best
 
@@ -390,8 +397,6 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     The input tensor is not mutated.  All randomness derives from
     ``cfg.seed``: equal configs produce bit-identical traces.
     """
-    if len(train_set) == 0:
-        raise ConfigError("empty training set")
     if train_set.bases is None and base is None:
         raise ConfigError("either a shared base graph or per-sample bases are required")
     root = Rng(cfg.seed)
@@ -419,7 +424,7 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     wall = np.empty(cfg.iterations)
 
     perm = r_batch.permutation(num_samples)
-    pos = 0
+    pos, cache = 0, None
     for t in range(cfg.iterations):
         tic = time.perf_counter()
         if pos + batch_size > num_samples:
@@ -428,8 +433,8 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         idx = perm[pos : pos + batch_size]
         pos += batch_size
 
-        cost, grad = _cost_and_grad(FilterTensor(model.cfg, flat), base, train_set, idx,
-                                    cfg.link_p, cfg.loss, r_real)
+        cost, grad, cache = _cost_and_grad(FilterTensor(model.cfg, flat), base, train_set, idx,
+                                           cfg.link_p, cfg.loss, r_real, cache)
 
         lr_t = alpha0 / np.sqrt(t + 1.0) if cfg.schedule == "invsqrt" else alpha0
         if cfg.optimizer == "sgd":

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgnn_lab import (
@@ -392,6 +392,35 @@ class TestEdgeListIO:
         path.write_text("3 2 adjacency\n0 1\n")
         with pytest.raises(ValueError, match="bad_graph.txt: header declares 2 edges, found 1"):
             load_edge_list(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))),
+    st.sampled_from(KINDS))
+@example((1, []), NORMALIZED_ADJACENCY)
+@example((4, [False] * 6), ADJACENCY)
+@example((4, [False] * 6), LAPLACIAN)
+@example((4, [False] * 6), NORMALIZED_ADJACENCY)
+def test_edge_list_round_trip(tmp_path_factory, graph, kind):
+    n, keep = graph
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
+    mat = np.zeros((n, n))
+    for i, j in pairs[np.array(keep, dtype=bool)]:
+        mat[i, j] = mat[j, i] = 1.0
+    adj = ShiftOperator(ADJACENCY, mat)
+    if kind == NORMALIZED_ADJACENCY and adj.num_edges == 0:
+        # an edgeless graph has no normalization factor, so it has no such shift to save
+        with pytest.raises(DegenerateInputError):
+            to_shift(adj, kind)
+        return
+    shift = to_shift(adj, kind)
+    path = tmp_path_factory.getbasetemp() / "round_trip.txt"
+    save_edge_list(shift, path)
+    loaded = load_edge_list(path)
+    assert (loaded.kind, loaded.n) == (shift.kind, shift.n)
+    assert np.array_equal(loaded.edges, shift.edges)
+    assert np.abs(loaded.mat - shift.mat).max() <= 1e-12
 
 
 class TestShiftOperatorInvariants:

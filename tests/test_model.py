@@ -178,7 +178,7 @@ class TestForward:
                     stages = [current[g]]
                     for k in range(cfg.order):
                         stages.append(mats[f, g, k] @ stages[-1])
-                    got = cache.diffusions[layer][:, f, g, :, 0]
+                    got = cache.stages[layer][:, f, g, :, 0]
                     assert np.abs(got - np.array(stages)).max() <= 1e-12
                     u[f] += taps[f, g] @ np.array(stages)
             assert np.abs(cache.pre_activations[layer][:, :, 0] - u).max() <= 1e-12

@@ -32,6 +32,7 @@ from sgnn_lab import (
     to_shift,
     train,
 )
+from sgnn_lab import training
 from sgnn_lab.filters import diffusion_stages
 from sgnn_lab.model import NONLINEARITIES, READOUTS
 from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair, gradient_rel_error
@@ -182,6 +183,40 @@ class TestBackward:
         with pytest.raises(StaleCacheError):
             backward(other, reals, cache, np.ones_like(out))
 
+    def test_superseded_cache_rejected(self, base8):
+        # a pass on a reused cache empties the old handle: even with the same
+        # tensor and set, backward cannot read the newer pass through it
+        cfg = SgnnConfig(layers=2, features=2, order=1)
+        tensor = init_tensor(cfg, Rng(0), 0.5)
+        reals = sample_architecture(base8, 0.5, cfg, Rng(1))
+        out, first = forward(tensor, reals, np.ones((1, 8, 2)))
+        out2, second = forward(tensor, reals, 2.0 * np.ones((1, 8, 2)), cache=first)
+        assert second is not first
+        with pytest.raises(StaleCacheError, match="later forward"):
+            backward(tensor, reals, first, np.ones_like(out))
+        backward(tensor, reals, second, np.ones_like(out2))
+
+    @pytest.mark.parametrize("loss", ["mse", "cross_entropy"])
+    def test_floored_pooled_std_matches_central_differences(self, base8, loss):
+        # both columns' pooled features agree to within the std floor, where the
+        # std is a constant; backward once kept the standardization's scale
+        # term there and missed central differences by 1.8e-4 (mse)
+        cfg = SgnnConfig(layers=1, features=3, order=2, nonlinearity="tanh", out_features=3,
+                         readout="pooled", readout_dim=2)
+        rng = Rng(0)
+        tensor = init_tensor(cfg, rng.child(0), 0.6)
+        reals = sample_architecture(base8, 0.7, cfg, rng.child(1))
+        x = 1e-13 * rng.child(2).normal(size=(1, 8, 2))
+        out, cache = forward(tensor, reals, x)
+        assert np.array_equal(cache.pooled_std, [1e-12, 1e-12])
+        assert cache.pooled_floored.all()
+        if loss == "cross_entropy":
+            y = rng.child(3).integers(0, 2, 2)
+        else:
+            y = rng.child(3).normal(size=out.shape)
+        grad = backward(tensor, reals, cache, _loss_pair(loss, out, y)[1])
+        assert gradient_rel_error(grad, _central_differences(tensor, reals, x, y, loss)) <= 1e-5
+
     def test_cacheless_forward_rejected(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor = init_tensor(cfg, Rng(0), 0.5)
@@ -189,7 +224,7 @@ class TestBackward:
         out, cache = forward(tensor, reals, np.ones((1, 8, 1)), return_cache=False)
         assert cache is None
         out2, cache2 = forward(tensor, reals, np.ones((1, 8, 1)))
-        cache2.diffusions.clear()
+        cache2.stages.clear()
         with pytest.raises(StaleCacheError):
             backward(tensor, reals, cache2, np.ones_like(out2))
 
@@ -240,6 +275,12 @@ def test_backward_matches_central_differences(net, cross_entropy):
     assert gradient_rel_error(grad, fd) <= 1e-5
 
 
+def _diffusions(cache):
+    """Each layer's cached stages broadcast to every filter, (K+1, out, in, N, B)."""
+    return [np.broadcast_to(stages, (len(stages), *taps.shape[:2], *stages.shape[3:]))
+            for stages, taps in zip(cache.stages, cache.tensor.layers)]
+
+
 def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
     """Forward output, cached stages and backward gradient on ``reals`` equal, bit for
     bit, those on C-contiguous copies (the layout of every drawn realization set), and
@@ -248,7 +289,7 @@ def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
     passes = []
     for rs in (reals, tuple(np.ascontiguousarray(m) for m in reals)):
         out, cache = forward(tensor, rs, x)
-        for layer, (mats, stages) in enumerate(zip(rs, cache.diffusions)):
+        for layer, (mats, stages) in enumerate(zip(rs, _diffusions(cache))):
             inputs = cache.activations[layer - 1] if layer else x
             for o, i in np.ndindex(*mats.shape[:2]):
                 want = diffusion_stages(mats[o, i], inputs[i])
@@ -256,7 +297,7 @@ def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
         if out_grad is None:
             out_grad = rng.child(2).normal(size=out.shape)
         grad = backward(tensor, rs, cache, out_grad).flatten()
-        passes.append([out, *cache.diffusions, *cache.pre_activations, grad])
+        passes.append([out, *_diffusions(cache), *cache.pre_activations, grad])
     for got, want in zip(*passes):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -279,6 +320,34 @@ def test_partly_shared_set_matches_its_copy(net, shared):
                   for m, (s_out, s_in) in zip(sample_architecture(base, 0.6, tensor.cfg,
                                                                   rng.child(3)), shared))
     _assert_pass_matches_contiguous_copy(tensor, reals, x, rng)
+
+
+def _arrays(cache):
+    return [*cache.stages, *cache.pre_activations, *cache.activations]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks(), st.lists(st.tuples(st.sampled_from([0.6, 1.0]), st.integers(1, 3)),
+                             min_size=2, max_size=4))
+def test_pass_on_a_reused_cache_equals_a_fresh_pass(net, passes):
+    # each pass draws its own set (a stride-0 view at p = 1) and batch width;
+    # it refills exactly those arrays of the previous pass whose shapes match
+    tensor, base, _, rng = net
+    cache = None
+    for j, (p, width) in enumerate(passes):
+        reals = sample_architecture(base, p, tensor.cfg, rng.child(10 + j))
+        x = rng.child(20 + j).normal(size=(tensor.cfg.in_features, base.n, width))
+        old = [] if cache is None else _arrays(cache)
+        out, cache = forward(tensor, reals, x, cache=cache)
+        for got, was in zip(_arrays(cache), old):
+            assert (got is was) == (got.shape == was.shape)
+        want_out, fresh = forward(tensor, reals, x)
+        out_grad = rng.child(30 + j).normal(size=out.shape)
+        got = [out, *_diffusions(cache), *_arrays(cache), backward(tensor, reals, cache, out_grad)]
+        want = [want_out, *_diffusions(fresh), *_arrays(fresh),
+                backward(tensor, reals, fresh, out_grad)]
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestTrain:
@@ -354,6 +423,32 @@ class TestTrain:
             train(init_tensor(cfg, Rng(0), 2.0), base, TrainingSet(inputs, targets),
                   TrainConfig(iterations=iterations, batch_size=10, lr=lr,
                               optimizer="sgd", link_p=1.0, seed=0))
+
+    @pytest.mark.parametrize("p, per_sample", [(0.7, False), (1.0, False), (0.7, True)],
+                             ids=["drawn", "shared", "per_sample_bases"])
+    def test_steps_refill_one_cache(self, monkeypatch, random8, p, per_sample):
+        # every forward pass of a run after the first writes into the first one's
+        # arrays, and the previous pass's set was released before this one's draw
+        pointers = []
+
+        def recording_forward(*args, **kwargs):
+            assert kwargs["cache"] is None or kwargs["cache"].reals is None
+            out, cache = forward(*args, **kwargs)
+            pointers.append([a.ctypes.data for a in _arrays(cache)])
+            return out, cache
+
+        monkeypatch.setattr(training, "forward", recording_forward)
+        cfg = SgnnConfig(layers=2, features=3, order=2, out_features=2,
+                         readout="pooled", readout_dim=2)
+        graphs = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(50).child(c)), NORMALIZED_ADJACENCY)
+                  for c in range(12)]
+        data = TrainingSet(Rng(1).normal(size=(12, 1, 8)), Rng(2).integers(0, 2, 12),
+                           bases=graphs if per_sample else None)
+        train(init_tensor(cfg, Rng(0), 0.5), None if per_sample else graphs[0], data,
+              TrainConfig(iterations=5, batch_size=4, lr=1e-2, link_p=p, seed=3,
+                          loss="cross_entropy"))
+        assert len(pointers) == 5 * (4 if per_sample else 1)
+        assert all(ptrs == pointers[0] for ptrs in pointers[1:])
 
     def test_input_tensor_not_mutated(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -451,7 +546,7 @@ class TestPerSampleBases:
         data = TrainingSet(inputs, targets, bases=graphs)
         idx = np.array([2, 0, 1])
 
-        cost, grad = _cost_and_grad(tensor, None, data, idx, 0.7, loss, Rng(44))
+        cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 0.7, loss, Rng(44))
         rng = Rng(44)
         costs, grads = [], []
         def target(i):  # the target of sample i run as a batch of one
@@ -500,7 +595,7 @@ class TestEstimators:
         exceed = 0
         trials = 1000
         for _ in range(trials):
-            _, grad = _cost_and_grad(tensor, base8, data, idx, 0.6, "mse", rng)
+            _, grad, _ = _cost_and_grad(tensor, base8, data, idx, 0.6, "mse", rng)
             exceed += float(np.linalg.norm(grad)) > bound
         assert exceed / trials <= 0.05
 
