@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 RESULT_COLUMNS = ("p", "method", "seed", "metric", "value")
@@ -46,6 +45,8 @@ def run_seeds(worker, cfg, jobs: int = 1) -> tuple[list, list[dict]]:
     if jobs <= 1:
         results = [worker(cfg, seed) for seed in cfg.seeds]
     else:
+        # imported here: it pulls in multiprocessing, which serial runs never need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(worker, [cfg] * len(cfg.seeds), cfg.seeds))
     return results, [row for result in results for row in result["rows"]]

@@ -51,7 +51,11 @@ def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray,
     matmul broadcasts, so a stack of shifts ``(..., N, N)`` diffuses a stack of
     signals ``(..., N, B)``, and each stage has the broadcast shape of the shift
     stack and the signal stack."""
-    lead = np.broadcast_shapes(np.shape(mats[0])[:-2] if len(mats) else (), x.shape[:-2])
+    # the broadcast shape of the leading axes, without np.broadcast_shapes' call cost:
+    # a size-1 axis takes the other's size; any other mismatch raises in the copy below
+    lead_m, lead_x = np.shape(mats[0])[:-2] if len(mats) else (), x.shape[:-2]
+    pad = len(lead_x) - len(lead_m)
+    lead = tuple(b if a == 1 else a for a, b in zip((1,) * pad + lead_m, (1,) * -pad + lead_x))
     shape = (len(mats) + 1,) + lead + x.shape[-2:]
     stages = reuse if reuse is not None and reuse.shape == shape else np.empty(shape)
     stages[0] = x

@@ -24,7 +24,7 @@ the trailing block of the vector and train jointly:
 
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
 diffusion stage and pre-activation because the training module backpropagates
-through them; Monte-Carlo sweeps pass ``return_cache=False`` to skip that.
+through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache.
 A training loop hands each ``forward`` the previous step's cache, whose arrays
 the new pass refills in place when their shapes match, so steady-state steps
 allocate no stage, pre-activation or activation arrays.  ``forward`` computes
@@ -64,15 +64,23 @@ def _activate(kind: str, u: np.ndarray, out: np.ndarray | None = None) -> np.nda
     raise ConfigError(f"unknown nonlinearity {kind!r}")
 
 
+def _slope(kind: str, u: np.ndarray) -> np.ndarray:
+    """Entrywise derivative of the nonlinearity at ``u`` (subgradient 0 at kinks),
+    computed from ``u`` alone: a cached activation can be the caller's output."""
+    if kind == "relu":
+        return (u > 0).astype(float)
+    if kind == "abs":
+        return np.sign(u)
+    if kind == "tanh":
+        val = np.tanh(u)
+        return 1.0 - val * val
+    raise ConfigError(f"unknown nonlinearity {kind!r}")
+
+
 def apply_nonlinearity(kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entrywise nonlinearity and its derivative (subgradient 0 at kinks)."""
     u = np.asarray(u, dtype=float)
-    val = _activate(kind, u)
-    if kind == "relu":
-        return val, (u > 0).astype(float)
-    if kind == "abs":
-        return val, np.sign(u)
-    return val, 1.0 - val * val
+    return _activate(kind, u), _slope(kind, u)
 
 
 @dataclass(frozen=True)
@@ -231,9 +239,10 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
         # linear map.  Link loss rescales and uniformly shifts the pooled
         # features; standardizing removes both nuisance directions so the
         # class decision rides on the feature profile that survives them.
-        pooled = core.mean(axis=1)                                   # (F_out, B)
-        centered = pooled - pooled.mean(axis=0)
-        raw_std = np.sqrt((centered**2).mean(axis=0))
+        # np.add.reduce / count is what ndarray.mean computes, without its wrappers
+        pooled = np.add.reduce(core, axis=1) / core.shape[1]         # (F_out, B)
+        centered = pooled - np.add.reduce(pooled, axis=0) / len(pooled)
+        raw_std = np.sqrt(np.add.reduce(centered**2, axis=0) / len(pooled))
         std = np.maximum(raw_std, _STD_FLOOR)
         hat = centered / std
         if cache is not None:
@@ -282,7 +291,7 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
     if cache is not None:  # its arrays move to this pass, layer by layer
         spare = list(zip(cache.stages, cache.pre_activations, cache.activations))
         cache.stages, cache.pre_activations, cache.activations = [], [], []
-    cache = ForwardCache(tensor=tensor, reals=reals, x=x)
+    cache = ForwardCache(tensor=tensor, reals=reals, x=x) if return_cache else None
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
@@ -291,17 +300,17 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
         mats = reals[layer_idx]
         # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
         mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
-        # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once
+        # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once;
+        # einsum broadcasts a size-1 out axis of the stages itself
         stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
-        diffs = np.broadcast_to(stages, (cfg.order + 1, out_d, in_d, n, b))
-        u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], diffs, out=old_u)
+        u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], stages, out=old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
         if return_cache:
             cache.stages.append(stages)
             cache.pre_activations.append(u)
             cache.activations.append(act)
         current = act
-    return _apply_head(tensor, current, cache), (cache if return_cache else None)
+    return _apply_head(tensor, current, cache), cache
 
 
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:

@@ -34,7 +34,7 @@ from .model import (
     FilterTensor,
     ForwardCache,
     Reals,
-    apply_nonlinearity,
+    _slope,
     forward,
     sample_architecture,
     split_params,
@@ -149,12 +149,9 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
         d_act = np.einsum("df,dnb->fnb", tensor.head_weight, g)
 
     for layer_idx in range(cfg.layers - 1, -1, -1):
-        _, du = apply_nonlinearity(cfg.nonlinearity, cache.pre_activations[layer_idx])
-        delta_u = d_act * du                                    # (out, N, B)
-        stages = cache.stages[layer_idx]  # (K+1, out or 1, in, N, B)
-        diffs = np.broadcast_to(stages, (cfg.order + 1, *tensor.layers[layer_idx].shape[:2],
-                                         *stages.shape[3:]))
-        layer_grads[layer_idx][...] = np.einsum("onb,koinb->oik", delta_u, diffs)
+        delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
+        # stages are (K+1, out or 1, in, N, B); einsum broadcasts a size-1 out axis
+        layer_grads[layer_idx][...] = np.einsum("onb,koinb->oik", delta_u, cache.stages[layer_idx])
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]

@@ -239,8 +239,11 @@ def tensor_constants(tensor: FilterTensor, base: ShiftOperator, n_samples: int =
 def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng) -> tuple[float, float]:
     """Monte-Carlo output variance of the network over fresh realization
-    sets, for one signal ``x`` of shape (N,)."""
-    xs = np.asarray(x, dtype=float)[None, :, None]
+    sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (base.n,):
+        raise ValueError(f"signal has shape {x.shape}, expected ({base.n},) for {base.n} nodes")
+    xs = x[None, :, None]
 
     def evaluate(r: Rng) -> np.ndarray:
         reals = sample_architecture(base, p, tensor.cfg, r)
@@ -302,9 +305,9 @@ def make_sgnn_report(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng,
                      constants: spectral.FilterConstants | None = None) -> VarianceReport:
     """Build a sweep row for one link probability."""
+    var, se = mc_sgnn_variance(tensor, base, p, x, n_samples, rng.child(1))  # checks x first
     if constants is None:
         constants = tensor_constants(tensor, base, rng=rng.child(0))
-    var, se = mc_sgnn_variance(tensor, base, p, x, n_samples, rng.child(1))
     cfg = tensor.cfg
     bound = sgnn_variance_bound(cfg, base, p, x, constants)
     return VarianceReport(

@@ -1,5 +1,7 @@
 import filecmp
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,15 @@ class TestExitCodes:
 def test_unparsable_value_names_key_and_value():
     with pytest.raises(ConfigError, match="iterations='abc'"):
         _apply_overrides(SourceLocConfig(), ["iterations=abc"])
+
+
+def test_import_leaves_multiprocessing_out():
+    # the worker pool is imported only when a command asks for --jobs > 1
+    code = "import sys, sgnn_lab, sgnn_lab.cli; print('multiprocessing' in sys.modules)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd=src, timeout=120, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestDeterminism:

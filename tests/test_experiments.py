@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sgnn_lab import (
     ConfigError,
@@ -11,6 +13,9 @@ from sgnn_lab import (
     Rng,
     build_disc_graph,
     build_sbm,
+    forward,
+    init_tensor,
+    sample_architecture,
     to_shift,
 )
 from sgnn_lab.experiments import (
@@ -18,6 +23,7 @@ from sgnn_lab.experiments import (
     SourceLocConfig,
     centralized_controller,
     collect_expert_dataset,
+    evaluate_accuracy,
     gen_source_dataset,
     make_policies,
     random_swarm_state,
@@ -110,6 +116,35 @@ class TestSourcePipeline:
         acc1 = evaluate_accuracy(tensor, norm20, ds.test.inputs, ds.test.labels, 1.0, Rng(2))
         acc2 = evaluate_accuracy(tensor, norm20, ds.test.inputs, ds.test.labels, 1.0, Rng(99))
         assert acc1 == acc2
+
+    @pytest.mark.parametrize("size, labels", [(0, 0), (6, 5), (5, 6)])
+    def test_malformed_test_set_rejected(self, norm20, size, labels):
+        tensor = init_tensor(SourceLocConfig(features=4).model_config(), Rng(0), 0.5)
+        inputs = Rng(1).normal(size=(size, 1, 20))
+        with pytest.raises(ValueError, match=f"{size} test inputs with {labels} labels"):
+            evaluate_accuracy(tensor, norm20, inputs, np.zeros(labels, dtype=int), 0.7, Rng(2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 4), st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from(["relu", "abs", "tanh"]), st.integers(1, 40), st.integers(0, 2**16))
+def test_intact_accuracy_equals_a_per_sample_loop(per_community, communities, features, order,
+                                                   nonlinearity, size, seed):
+    # at p = 1 one batched pass scores the set; it draws no random numbers
+    cfg = SourceLocConfig(nodes=per_community * communities, communities=communities,
+                          features=features, order=order, nonlinearity=nonlinearity)
+    rng = Rng(seed)
+    base = to_shift(build_sbm(cfg.nodes, communities, 1.0, 0.2, rng.child(0)),
+                    NORMALIZED_ADJACENCY)
+    test = gen_source_dataset(base, communities, (1, 1, size), 3, 0.01, rng.child(1)).test
+    tensor = init_tensor(cfg.model_config(), rng.child(2), 1.0)
+    reals = sample_architecture(base, 1.0, tensor.cfg, rng.child(3))
+    hits = [np.argmax(forward(tensor, reals, x[..., None], return_cache=False)[0]) == y
+            for x, y in zip(test.inputs, test.labels)]
+    eval_rng = rng.child(4)
+    assert evaluate_accuracy(tensor, base, test.inputs, test.labels, 1.0, eval_rng) == (
+        sum(hits) / size)
+    assert eval_rng.random(4).tobytes() == rng.child(4).random(4).tobytes()  # nothing drawn
 
 
 class TestCentralizedController:

@@ -80,6 +80,12 @@ class TestDiffuse:
         with pytest.raises(ValueError):
             diffuse(np.zeros(3), [r1, r2])
 
+    @pytest.mark.parametrize("mats_lead, x_lead", [((2, 3), (3, 3)), ((2, 1), (3, 1)), ((3,), (2,))])
+    def test_stacks_that_do_not_broadcast_rejected(self, random8, mats_lead, x_lead):
+        mats = np.broadcast_to(random8.mat, (2, *mats_lead, 8, 8))
+        with pytest.raises(ValueError):
+            diffusion_stages(mats, np.ones((*x_lead, 8, 1)))
+
 
 class TestApplyFilter:
     def test_identity_taps(self, random8):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,7 +34,7 @@ from sgnn_lab import (
     to_shift,
     train,
 )
-from sgnn_lab import training
+from sgnn_lab import model, training
 from sgnn_lab.filters import diffusion_stages
 from sgnn_lab.model import NONLINEARITIES, READOUTS
 from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair, gradient_rel_error
@@ -320,6 +322,43 @@ def test_partly_shared_set_matches_its_copy(net, shared):
                   for m, (s_out, s_in) in zip(sample_architecture(base, 0.6, tensor.cfg,
                                                                   rng.child(3)), shared))
     _assert_pass_matches_contiguous_copy(tensor, reals, x, rng)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_networks(), st.sampled_from([0.6, 1.0]))
+def test_cacheless_pass_equals_a_cached_pass(net, p):
+    tensor, base, x, rng = net
+    reals = sample_architecture(base, p, tensor.cfg, rng.child(3))
+    with mock.patch.object(model, "ForwardCache", side_effect=AssertionError("cache built")):
+        out, cache = forward(tensor, reals, x, return_cache=False)
+    want, _ = forward(tensor, reals, x)
+    assert cache is None and out.shape == want.shape and out.tobytes() == want.tobytes()
+
+
+def _value_and_slope(kind, u):
+    """The nonlinearity's value and derivative as they were computed together."""
+    val = {"relu": np.maximum(u, 0.0), "abs": np.abs(u), "tanh": np.tanh(u)}[kind]
+    return val, {"relu": (u > 0).astype(float), "abs": np.sign(u), "tanh": 1.0 - val * val}[kind]
+
+
+@pytest.mark.parametrize("readout", ["none", "pooled"])
+@pytest.mark.parametrize("kind", NONLINEARITIES)
+def test_backward_equals_the_value_and_slope_reference(base8, kind, readout):
+    # zero taps put one feature of every hidden layer exactly on the relu / abs kink
+    cfg = SgnnConfig(layers=3, features=3, order=2, nonlinearity=kind, out_features=2,
+                     readout=readout, readout_dim=0 if readout == "none" else 2)
+    tensor = init_tensor(cfg, Rng(4), 0.6)
+    for taps in tensor.layers[:-1]:
+        taps[0] = 0.0
+    x = Rng(5).normal(size=(1, 8, 4))
+    reals = sample_architecture(base8, 0.7, cfg, Rng(6))
+    out, cache = forward(tensor, reals, x)
+    assert any((u == 0.0).any() for u in cache.pre_activations)
+    out_grad = Rng(7).normal(size=out.shape)
+    grad = backward(tensor, reals, cache, out_grad)
+    with mock.patch.object(training, "_slope", lambda k, u: _value_and_slope(k, u)[1]):
+        want = backward(tensor, reals, cache, out_grad)
+    assert grad.tobytes() == want.tobytes()
 
 
 def _arrays(cache):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -226,6 +227,19 @@ class TestSgnnVarianceBound:
         var, se = mc_sgnn_variance(tensor, base, 0.95, x, 3000, rng.child(4))
         bound = sgnn_variance_bound(cfg, base, 0.95, x, consts)
         assert var <= bound + 3 * se
+
+    @pytest.mark.parametrize("shape", [(19,), (20, 1), ()])
+    def test_signal_of_the_wrong_shape_rejected(self, shape):
+        # before any draw, in the report too (which would estimate constants first)
+        base = to_shift(build_sbm(20, 4, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
+        tensor = init_tensor(SgnnConfig(layers=2, features=2, order=2), Rng(4), 0.5)
+        rng = Rng(5)
+        msg = rf"signal has shape {re.escape(str(shape))}, expected \(20,\) for 20 nodes"
+        with pytest.raises(ValueError, match=msg):
+            mc_sgnn_variance(tensor, base, 0.9, np.ones(shape), 10, rng)
+        assert rng.random(4).tobytes() == Rng(5).random(4).tobytes()  # nothing drawn
+        with pytest.raises(ValueError, match=msg):
+            make_sgnn_report(tensor, base, 0.9, np.ones(shape), 10, rng)
 
 
 class TestNonlinearityVariance:
