@@ -17,8 +17,8 @@ Subcommands and the flags each one reads, beyond ``--seed``, ``--out`` and
                     norm (--T, required; --p, --seeds, --schedule)
     train-source    the source-localization experiment (accuracy table)
     train-flock     the flocking experiment (closed-loop cost table)
-                    (both: --p, --T, --seeds, --jobs, --assert, key=value
-                    config overrides; run seeds come from ``seeds=``)
+                    (both: --jobs, --assert, key=value config overrides
+                    such as ``train_p=``, ``iterations=`` and ``seeds=``)
 
 Every subcommand takes ``--seed`` and bit-reproduces its output files under
 a fixed seed (timing columns are zeroed in files for that reason).  Exit
@@ -49,11 +49,10 @@ from .graphs import (
     expected_shift_square,
     to_shift,
 )
-from .model import (FilterTensor, SgnnConfig, forward, init_tensor, sample_architecture,
-                    save_checkpoint)
+from .model import SgnnConfig, forward, init_tensor, sample_architecture, save_checkpoint
 from .rng import Rng
-from .training import (TrainConfig, TrainingSet, _loss_pair, backward, convergence_metric,
-                       gradient_rel_error, train)
+from .training import (TrainConfig, TrainingSet, _loss_pair, backward, central_differences,
+                       convergence_metric, gradient_rel_error, train)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -223,19 +222,8 @@ def cmd_grad_check(args) -> int:
             y = r.child(5).integers(0, 3, 3)
         else:
             y = r.child(5).normal(size=out.shape)
-        cost, dout = _loss_pair(loss, out, y)
-        grad = backward(tensor, reals, cache, dout)
-        flat = tensor.flat
-        fd = np.zeros_like(flat)
-        eps = 1e-5
-        for i in range(len(flat)):
-            up, dn = flat.copy(), flat.copy()
-            up[i] += eps
-            dn[i] -= eps
-            cu = _loss_pair(loss, forward(FilterTensor(cfg, up), reals, x, return_cache=False)[0], y)[0]
-            cd = _loss_pair(loss, forward(FilterTensor(cfg, dn), reals, x, return_cache=False)[0], y)[0]
-            fd[i] = (cu - cd) / (2 * eps)
-        rel = gradient_rel_error(grad, fd)
+        grad = backward(tensor, reals, cache, _loss_pair(loss, out, y)[1])
+        rel = gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss))
         worst = max(worst, rel)
         rows.append({"case": case, "nonlinearity": nl, "loss": loss,
                      "readout": readout, "max_rel_err": rel})
@@ -336,15 +324,6 @@ EXPERIMENTS = {
 def cmd_train(args) -> int:
     config, run_seed, prefix, table, checks = EXPERIMENTS[args.command]
     cfg = _apply_overrides(config(), args.overrides)
-    if args.p is not None:
-        cfg = dataclasses.replace(cfg, train_p=args.p)
-    if args.iterations is not None:
-        cfg = dataclasses.replace(cfg, iterations=args.iterations)
-    if args.seeds:
-        if args.seeds > len(cfg.seeds):
-            raise ConfigError(f"--seeds {args.seeds} asks for more seeds than the "
-                              f"{len(cfg.seeds)} the config lists")
-        cfg = dataclasses.replace(cfg, seeds=cfg.seeds[: args.seeds])
     if not cfg.seeds:
         raise ConfigError("the seed list is empty; give at least one seed")
     results, rows = common.run_seeds(run_seed, cfg, args.jobs)
@@ -409,10 +388,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, summary in (("train-source", "source-localization experiment"),
                           ("train-flock", "flocking experiment")):
         p = command(name, cmd_train, summary)
-        p.add_argument("--p", type=float, default=None, help="training link probability")
-        p.add_argument("--T", dest="iterations", type=_positive, default=None,
-                       help="training iterations")
-        p.add_argument("--seeds", type=_positive, default=None, help="use only the first N seeds")
         p.add_argument("--jobs", type=_positive, default=1, help="worker processes for the seeds")
         p.add_argument("--assert", dest="check", action="store_true",
                        help="exit 1 if the experiment's directional checks fail")

@@ -333,8 +333,7 @@ def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
             rows.append({"p": p, "method": method, "seed": seed,
                          "metric": "velocity_variance_cost",
                          "value": float(np.mean(costs))})
-    return {"rows": rows, "sgnn_trace": sgnn_trace, "gnn_trace": gnn_trace,
-            "scaler": scaler}
+    return {"rows": rows, "sgnn_trace": sgnn_trace, "gnn_trace": gnn_trace}
 
 
 def run_flocking(cfg: FlockingConfig, jobs: int = 1) -> list[dict]:

@@ -177,7 +177,7 @@ def run_source_seed(cfg: SourceLocConfig, seed: int) -> dict:
                                     dataset.test.labels, p, rng.child(100 + 10 * p_idx + m_idx))
             rows.append({"p": p, "method": method, "seed": seed,
                          "metric": "accuracy", "value": acc})
-    return {"rows": rows, "sgnn_trace": sgnn_trace, "gnn_trace": gnn_trace, "base": base}
+    return {"rows": rows, "sgnn_trace": sgnn_trace, "gnn_trace": gnn_trace}
 
 
 def run_source_localization(cfg: SourceLocConfig, jobs: int = 1) -> list[dict]:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .filters import diffusion_stages
-from .graphs import KINDS, ShiftOperator, sample_realizations
+from .graphs import KINDS, ShiftOperator, expected_shift, sample_realizations
 from .rng import Rng
 
 NONLINEARITIES = ("relu", "abs", "tanh")
@@ -319,9 +319,10 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
 
     With p = 1 this is the conventional deterministic network on ``S``.  The
     nonlinearity makes this the mean output per filter, not end to end.
+    ``ConfigError`` for p outside [0, 1].
     """
     cfg = tensor.cfg
-    sbar = p * base.mat
+    sbar = expected_shift(base, p)
     reals = tuple(np.broadcast_to(sbar, (out_d, in_d, cfg.order, base.n, base.n))
                   for out_d, in_d in cfg.layer_shapes())
     out, _ = forward(tensor, reals, x, return_cache=False)

@@ -112,9 +112,17 @@ def igft(v, xhat: np.ndarray) -> np.ndarray:
     return basis @ xhat
 
 
+def _taps(h) -> np.ndarray:
+    """Filter taps as a 1-D float array of at least one tap (``ValueError`` otherwise)."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or len(h) == 0:
+        raise ValueError(f"filter taps must be a non-empty 1-D sequence, got shape {h.shape}")
+    return h
+
+
 def freq_response(h, lam):
     """Evaluate ``sum_k h_k lam^k`` (Horner); ``lam`` may be scalar or array."""
-    h = np.asarray(h, dtype=float)
+    h = _taps(h)
     lam = np.asarray(lam, dtype=float)
     out = np.full(lam.shape, h[-1], dtype=float)
     for k in range(len(h) - 2, -1, -1):
@@ -163,41 +171,35 @@ def default_domain(s) -> tuple[float, float]:
     return (-rho, rho)
 
 
-def estimate_response_bound(h, domain, grid_points: int = 512) -> float:
-    """Sup of ``|h(lam)|`` over a uniform grid on ``domain`` times the safety
-    factor."""
+def estimate_response_bound(h, domain) -> float:
+    """Sup of ``|h(lam)|`` over a uniform 512-point grid on ``domain`` times the
+    safety factor."""
     lo, hi = domain
     if lo > hi:
         raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
-    if grid_points < 2:
-        raise ConfigError("grid_points must be >= 2")
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, 512)
     return SAFETY * float(np.abs(freq_response(h, grid)).max())
 
 
-def estimate_response_lipschitz(h, domain, n_samples: int = 256, rng: Rng | None = None) -> float:
+def estimate_response_lipschitz(h, domain, rng: Rng) -> float:
     """Lipschitz constant of the generalized frequency response on
     ``domain**K``, estimated as the sup of the gradient norm.
 
-    Candidate points are (a) ``n_samples`` uniform draws, (b) the structured
+    Candidate points are (a) 256 uniform draws from ``rng``, (b) the structured
     vectors ``(a, ..., a, b, ..., b)`` built from the domain endpoints that
     drive the variance-bound proofs, and (c) for small K, every vertex of the
     box.  The gradient-norm square is coordinate-wise convex, so its maximum
     over the box sits at a vertex and (c) makes the estimate exact before the
     safety factor.
     """
-    h = np.asarray(h, dtype=float)
+    h = _taps(h)
     k_order = len(h) - 1
     if k_order == 0:
         return 0.0
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
     lo, hi = domain
     if lo > hi:
         raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
-    if rng is None:
-        rng = Rng(0, 0)
-    rows = [rng.uniform(lo, hi, (n_samples, k_order))]
+    rows = [rng.uniform(lo, hi, (256, k_order))]
     # row r-1 of ``head`` marks the r-1 leading entries that take the value a
     head = np.tri(k_order, k=-1, dtype=bool)
     rows += [np.where(head, a, b) for a, b in itertools.product((lo, hi), repeat=2)]

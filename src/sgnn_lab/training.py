@@ -16,8 +16,8 @@ constant rate matched to the training horizon,
 
 which certifies an O(1/sqrt(T)) decay of the minimum gradient norm under the
 usual smoothness/bounded-gradient conditions.  Only the 1/sqrt(T) scaling is
-load-bearing; the smoothness constant is user-supplied and the other two
-factors can be estimated empirically.
+load-bearing: the smoothness is fixed at 1, and the cost gap and gradient
+bound are always estimated at the initial tensor.
 """
 
 from __future__ import annotations
@@ -44,6 +44,13 @@ from .rng import Rng
 LOSSES = ("mse", "cross_entropy")
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "invsqrt", "horizon")
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # decay factors, denominator guard
+# horizon schedule: the smoothness, and the realization draws behind its
+# cost-gap and gradient-bound estimates
+HORIZON_SMOOTHNESS = 1.0
+HORIZON_COST_GAP_SAMPLES = 100
+HORIZON_GRAD_BOUND_SAMPLES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -204,17 +211,9 @@ class TrainConfig:
     lr: float = 1e-3
     schedule: str = "constant"
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     link_p: float = 1.0
     seed: int = 0
     loss: str = "mse"
-    smoothness: float = 1.0          # supplied, not estimated; only the
-    grad_bound: float | None = None  # 1/sqrt(T) scaling matters for the rate
-    cost_gap: float | None = None
-    grad_bound_samples: int = 16
-    cost_gap_samples: int = 100
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -223,8 +222,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.lr < 0:
             raise ConfigError("lr must be >= 0")
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ConfigError("adam decay factors must lie in (0, 1)")
         if not 0.0 <= self.link_p <= 1.0:
             raise ConfigError(f"link_p={self.link_p} outside [0, 1]")
         if self.schedule not in SCHEDULES:
@@ -274,6 +271,23 @@ def gradient_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     scale = max(np.abs(numeric).max(initial=0.0), 1e-12)
     denom = np.maximum(np.abs(numeric), 1e-3 * scale)
     return float((np.abs(analytic - numeric) / denom).max())
+
+
+def central_differences(tensor: FilterTensor, reals: Reals, x: np.ndarray, y, loss: str,
+                        eps: float = 1e-5) -> np.ndarray:
+    """Cost gradient on the fixed ``reals`` by central differences on each entry
+    of the flat vector: ``(cost(+eps) - cost(-eps)) / (2 eps)``."""
+    def cost(flat):
+        out, _ = forward(FilterTensor(tensor.cfg, flat), reals, x, return_cache=False)
+        return _loss_pair(loss, out, y)[0]
+
+    fd = np.zeros(tensor.cfg.num_params)
+    for i in range(len(fd)):
+        up, dn = tensor.flatten(), tensor.flatten()
+        up[i] += eps
+        dn[i] -= eps
+        fd[i] = (cost(up) - cost(dn)) / (2 * eps)
+    return fd
 
 
 def convergence_step_size(cost_gap: float, iterations: int, smoothness: float,
@@ -362,25 +376,28 @@ def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
 
 def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,
                         train_set: TrainingSet, p: float, n_samples: int,
-                        rng: Rng, loss: str = "mse",
-                        safety: float = 1.5) -> float:
+                        rng: Rng, loss: str = "mse") -> float:
     """Empirical bound on the full-set gradient norm: the max over
-    ``n_samples`` independent realization sets at the current tensor, times a
-    safety factor."""
+    ``n_samples >= 1`` independent realization sets at the current tensor,
+    times a safety factor of 1.5."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     idx = np.arange(len(train_set))
     best = 0.0
     for _ in range(n_samples):
         _, grad, _ = _cost_and_grad(model, base, train_set, idx, p, loss, rng)
         best = max(best, float(np.linalg.norm(grad)))
-    return safety * best
+    return 1.5 * best
 
 
 def estimate_cost_gap(model: FilterTensor, base: ShiftOperator | None,
                       train_set: TrainingSet, p: float, n_samples: int,
                       rng: Rng, loss: str = "mse") -> float:
     """Upper bound on the optimality gap of the expected cost: Monte-Carlo
-    average of the initial cost (the optimum of a nonnegative loss is taken
-    as 0)."""
+    average of the initial cost over ``n_samples >= 1`` draws (the optimum of
+    a nonnegative loss is taken as 0)."""
+    if n_samples < 1:
+        raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     total = 0.0
     for _ in range(n_samples):
         total += _full_cost(model, base, train_set, p, loss, rng)
@@ -403,12 +420,12 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     batch_size = min(cfg.batch_size, num_samples)
 
     if cfg.schedule == "horizon":
-        gap = cfg.cost_gap if cfg.cost_gap is not None else estimate_cost_gap(
-            model, base, train_set, cfg.link_p, cfg.cost_gap_samples, r_est.child(0), cfg.loss)
-        bound = cfg.grad_bound if cfg.grad_bound is not None else estimate_grad_bound(
-            model, base, train_set, cfg.link_p, cfg.grad_bound_samples, r_est.child(1), cfg.loss)
+        gap = estimate_cost_gap(model, base, train_set, cfg.link_p,
+                                HORIZON_COST_GAP_SAMPLES, r_est.child(0), cfg.loss)
+        bound = estimate_grad_bound(model, base, train_set, cfg.link_p,
+                                    HORIZON_GRAD_BOUND_SAMPLES, r_est.child(1), cfg.loss)
         alpha0 = convergence_step_size(max(gap, 1e-12), cfg.iterations,
-                                       cfg.smoothness, max(bound, 1e-12))
+                                       HORIZON_SMOOTHNESS, max(bound, 1e-12))
     else:
         alpha0 = cfg.lr
 
@@ -437,11 +454,11 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         if cfg.optimizer == "sgd":
             flat = flat - lr_t * grad
         else:
-            m1 = cfg.beta1 * m1 + (1.0 - cfg.beta1) * grad
-            m2 = cfg.beta2 * m2 + (1.0 - cfg.beta2) * grad * grad
-            m1_hat = m1 / (1.0 - cfg.beta1 ** (t + 1))
-            m2_hat = m2 / (1.0 - cfg.beta2 ** (t + 1))
-            flat = flat - lr_t * m1_hat / (np.sqrt(m2_hat) + cfg.eps)
+            m1 = ADAM_BETA1 * m1 + (1.0 - ADAM_BETA1) * grad
+            m2 = ADAM_BETA2 * m2 + (1.0 - ADAM_BETA2) * grad * grad
+            m1_hat = m1 / (1.0 - ADAM_BETA1 ** (t + 1))
+            m2_hat = m2 / (1.0 - ADAM_BETA2 ** (t + 1))
+            flat = flat - lr_t * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)
         # a non-finite gradient always makes the update non-finite
         if not np.isfinite(cost) or not np.all(np.isfinite(flat)):
             raise DivergenceError(

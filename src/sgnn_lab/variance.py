@@ -32,8 +32,9 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .errors import ConfigError, SizeGuardError
-from .graphs import ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY, ShiftOperator, _realized_mats
+from .errors import ConfigError, SizeGuardError, UnsupportedKindError
+from .graphs import (ADJACENCY, KINDS, LAPLACIAN, NORMALIZED_ADJACENCY, ShiftOperator,
+                     _realized_mats)
 from .model import (
     NONLINEARITY_LIPSCHITZ,
     FilterTensor,
@@ -57,7 +58,17 @@ _ALPHA = {
 
 def shift_alpha(kind: str) -> float:
     """Second-moment factor of the shift kind entering the bounds."""
+    if kind not in _ALPHA:
+        raise UnsupportedKindError(f"unknown shift kind {kind!r} (supported: {KINDS})")
     return _ALPHA[kind]
+
+
+def _signal(x, base: ShiftOperator) -> np.ndarray:
+    """``x`` as a float signal of shape (N,) on ``base`` (``ValueError`` otherwise)."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (base.n,):
+        raise ValueError(f"signal has shape {x.shape}, expected ({base.n},) for {base.n} nodes")
+    return x
 
 
 def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
@@ -123,12 +134,10 @@ def exact_filter_variance(h, base: ShiftOperator, p: float, x: np.ndarray) -> fl
     """Exact output variance of a stochastic filter by enumerating every mask
     sequence with its probability.  Feasible only while (2^M)^K stays within
     the enumeration guard."""
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
+    h = spectral._taps(h)
+    x = _signal(x, base)
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    if base.n != len(x):
-        raise ValueError(f"signal length {len(x)} != node count {base.n}")
     k_order = len(h) - 1
     if k_order == 0:
         return 0.0
@@ -164,8 +173,8 @@ def filter_variance_bound(h, base: ShiftOperator, p: float, x: np.ndarray,
     ``p (1-p) * 2 alpha M K Cg^2 * ||x||^2``."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    h = np.asarray(h, dtype=float)
-    x = np.asarray(x, dtype=float)
+    h = spectral._taps(h)
+    x = _signal(x, base)
     k_order = len(h) - 1
     c = 2.0 * shift_alpha(base.kind) * base.num_edges * k_order * constants.response_lipschitz**2
     return p * (1.0 - p) * c * float(x @ x)
@@ -177,7 +186,7 @@ def sgnn_variance_bound(cfg: SgnnConfig, base: ShiftOperator, p: float,
     for every depth, including L = 1)."""
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    x = np.asarray(x, dtype=float)
+    x = _signal(x, base)
     big_l, big_f = cfg.layers, cfg.features
     cu, cg, cs = (constants.response_bound, constants.response_lipschitz,
                   constants.nonlinearity_lipschitz)
@@ -202,32 +211,31 @@ def check_nonlinearity_variance(kind: str, sampler: Callable[[int], np.ndarray],
     return float(x.var(ddof=1)), float(y.var(ddof=1))
 
 
-def filter_constants(h, base: ShiftOperator, n_samples: int = 256,
-                     rng: Rng | None = None) -> spectral.FilterConstants:
+def filter_constants(h, base: ShiftOperator, rng: Rng) -> spectral.FilterConstants:
     """Constants of one filter on the default frequency domain of ``base``."""
     domain = spectral.default_domain(base)
     return spectral.FilterConstants(
         response_bound=spectral.estimate_response_bound(h, domain),
-        response_lipschitz=spectral.estimate_response_lipschitz(h, domain, n_samples, rng),
+        response_lipschitz=spectral.estimate_response_lipschitz(h, domain, rng),
         nonlinearity_lipschitz=NONLINEARITY_LIPSCHITZ,
         domain=domain,
     )
 
 
-def tensor_constants(tensor: FilterTensor, base: ShiftOperator, n_samples: int = 256,
-                     rng: Rng | None = None) -> spectral.FilterConstants:
+def tensor_constants(tensor: FilterTensor, base: ShiftOperator,
+                     rng: Rng) -> spectral.FilterConstants:
     """Max of the per-filter constants over every filter in the tensor
     (conservative: keeps the single-constant bound form)."""
     domain = spectral.default_domain(base)
     cu = 0.0
     cg = 0.0
     for idx, arr in enumerate(tensor.layers):
-        child = None if rng is None else rng.child(idx)
+        child = rng.child(idx)
         for f in range(arr.shape[0]):
             for g in range(arr.shape[1]):
                 h = arr[f, g]
                 cu = max(cu, spectral.estimate_response_bound(h, domain))
-                cg = max(cg, spectral.estimate_response_lipschitz(h, domain, n_samples, child))
+                cg = max(cg, spectral.estimate_response_lipschitz(h, domain, child))
     return spectral.FilterConstants(
         response_bound=cu,
         response_lipschitz=cg,
@@ -240,10 +248,7 @@ def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng) -> tuple[float, float]:
     """Monte-Carlo output variance of the network over fresh realization
     sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (base.n,):
-        raise ValueError(f"signal has shape {x.shape}, expected ({base.n},) for {base.n} nodes")
-    xs = x[None, :, None]
+    xs = _signal(x, base)[None, :, None]
 
     def evaluate(r: Rng) -> np.ndarray:
         reals = sample_architecture(base, p, tensor.cfg, r)

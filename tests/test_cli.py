@@ -175,21 +175,26 @@ class TestExitCodes:
     def test_bad_flag_value(self):
         assert run(["grad-check", "--cases", "not-an-int"]) == 2
 
-    def test_nonpositive_iterations(self):
-        assert run(["train-source", "--T", "0"]) == 2
+    def test_nonpositive_iterations(self, tmp_path):
+        assert run(["train-source", *TINY_SOURCE, "iterations=0", "--out", tmp_path]) == 2
+        assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["train-flock", "convergence"])
+    # the experiments take these values only as overrides
+    @pytest.mark.parametrize("argv", [
+        ["train-flock", *TINY_FLOCK, "iterations=0"],
+        ["train-source", *TINY_SOURCE, "train_p=1.5"],
+        ["train-flock", *TINY_FLOCK, "train_p=1.5"],
+    ], ids=["train-flock iterations=0", "train-source train_p=1.5", "train-flock train_p=1.5"])
+    def test_out_of_range_override_is_config_error(self, tmp_path, argv):
+        assert run([*argv, "--out", tmp_path]) == 2
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["convergence"])
     def test_nonpositive_iterations_rejected_by_argument_type(self, command):
         assert run([command, "--T", "0"]) == 2
 
-    # --seeds 0 once ran every seed on the experiments and wrote a NaN mean row
-    # on convergence; --seeds -1 dropped the last seed; --seeds above the
-    # config's seed count once ran fewer seeds than asked and exited 0
-    @pytest.mark.parametrize("argv", [
-        "train-source --seeds 0", "train-source --seeds -1", "train-flock --seeds 0",
-        "train-flock --seeds -1", "convergence --T 1 --seeds 0", "convergence --T 1 --seeds -1",
-        "train-source --seeds 3 seeds=0", "train-flock --seeds 2 seeds=0",
-    ])
+    # --seeds 0 once wrote a NaN mean row on convergence
+    @pytest.mark.parametrize("argv", ["convergence --T 1 --seeds 0", "convergence --T 1 --seeds -1"])
     def test_nonpositive_seeds_rejected_by_argument_type(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2
 
@@ -226,7 +231,7 @@ class TestExitCodes:
         assert run([*argv.split(), "--out", tmp_path]) == 2
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("command", ["train-source", "convergence"])
+    @pytest.mark.parametrize("command", ["convergence"])
     def test_single_p_rejects_a_grid(self, tmp_path, command):
         assert run([command, "--T", "1", "--p", "0.5", "0.9", "--out", tmp_path]) == 2
 
@@ -236,6 +241,9 @@ class TestExitCodes:
         "moment-check --assert", "variance-sweep --jobs 2", "variance-sweep --T 5",
         "grad-check --jobs 2", "grad-check --T 5", "grad-check --p 0.5", "grad-check --assert",
         "convergence --T 1 --jobs 2", "convergence --T 1 --assert",
+        # the experiments read iterations=, train_p= and seeds= overrides instead
+        "train-source --T 5", "train-source --p 0.5", "train-source --seeds 1",
+        "train-flock --T 5", "train-flock --p 0.5", "train-flock --seeds 1",
     ])
     def test_unread_flag_rejected(self, tmp_path, argv):
         assert run([*argv.split(), "--out", tmp_path]) == 2

@@ -278,6 +278,12 @@ class TestForwardExpected:
         assert np.array_equal(forward_expected(tensor, base8, 0.7, np.ones((1, 8, 1))),
                               np.zeros((1, 8, 1)))
 
+    @pytest.mark.parametrize("p", [-1.0, -1e-9, 1.0 + 1e-9, 1.5])
+    def test_probability_outside_unit_interval_rejected(self, base8, p):
+        tensor = init_tensor(SgnnConfig(layers=1, features=1, order=1), Rng(0), 0.5)
+        with pytest.raises(ConfigError, match=r"outside \[0, 1\]"):
+            forward_expected(tensor, base8, p, np.ones((1, 8, 1)))
+
     def test_single_layer_linear_regime_mean(self, k3):
         # nonnegative taps and signal with adjacency masks keep every
         # activation nonnegative, so abs acts as identity and the Monte-Carlo

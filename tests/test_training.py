@@ -37,7 +37,8 @@ from sgnn_lab import (
 from sgnn_lab import model, training
 from sgnn_lab.filters import diffusion_stages
 from sgnn_lab.model import NONLINEARITIES, READOUTS
-from sgnn_lab.training import _cost_and_grad, _full_cost, _loss_pair, gradient_rel_error
+from sgnn_lab.training import (_cost_and_grad, _full_cost, _loss_pair, central_differences,
+                               gradient_rel_error)
 
 
 @pytest.fixture
@@ -88,20 +89,6 @@ class TestLosses:
             loss_cross_entropy(np.zeros(3), 5)
 
 
-def _central_differences(tensor, reals, x, y, loss, eps=1e-5):
-    """Cost gradient by central differences on each entry of the flat vector."""
-    fd = np.zeros(tensor.cfg.num_params)
-    for i in range(len(fd)):
-        costs = []
-        for step in (eps, -eps):
-            flat = tensor.flatten()
-            flat[i] += step
-            out, _ = forward(FilterTensor(tensor.cfg, flat), reals, x, return_cache=False)
-            costs.append(_loss_pair(loss, out, y)[0])
-        fd[i] = (costs[0] - costs[1]) / (2 * eps)
-    return fd
-
-
 class TestBackward:
     def _setup(self, base, readout, loss, nonlinearity, seed):
         cfg = SgnnConfig(layers=2, features=2, order=2, nonlinearity=nonlinearity,
@@ -132,7 +119,7 @@ class TestBackward:
             assert min(np.abs(u).min() for u in cache.pre_activations) > 1e-4
         cost, dout = _loss_pair(loss, out, y)
         grad = backward(tensor, reals, cache, dout).flatten()
-        assert gradient_rel_error(grad, _central_differences(tensor, reals, x, y, loss)) <= 1e-5
+        assert gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss)) <= 1e-5
 
     def test_zero_input_batch_gives_zero_gradient(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=1, nonlinearity="relu")
@@ -217,7 +204,7 @@ class TestBackward:
         else:
             y = rng.child(3).normal(size=out.shape)
         grad = backward(tensor, reals, cache, _loss_pair(loss, out, y)[1])
-        assert gradient_rel_error(grad, _central_differences(tensor, reals, x, y, loss)) <= 1e-5
+        assert gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss)) <= 1e-5
 
     def test_cacheless_forward_rejected(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -272,7 +259,7 @@ def test_backward_matches_central_differences(net, cross_entropy):
     # skip draws central differences cannot resolve: a gradient near their
     # roundoff (~1e-11 * cost, saturated tanh), or curvature or a kink within
     # the step, where two steps disagree
-    fd, fd2 = (_central_differences(tensor, reals, x, y, loss, eps) for eps in (1e-5, 2e-5))
+    fd, fd2 = (central_differences(tensor, reals, x, y, loss, eps) for eps in (1e-5, 2e-5))
     assume(np.abs(fd).max() >= 1e-2 * cost and gradient_rel_error(fd, fd2) <= 1e-6)
     assert gradient_rel_error(grad, fd) <= 1e-5
 
@@ -553,8 +540,7 @@ class TestSchedules:
         trace = train(tensor0, base8, TrainingSet(inputs, labels),
                       TrainConfig(iterations=25, batch_size=30, lr=123.0,
                                   schedule="horizon", optimizer="sgd", link_p=0.9,
-                                  seed=4, loss="cross_entropy",
-                                  cost_gap_samples=10, grad_bound_samples=4))
+                                  seed=4, loss="cross_entropy"))
         assert np.ptp(trace.lrs) == 0.0
         assert trace.lrs[0] != 123.0 and trace.lrs[0] > 0
 
@@ -646,6 +632,16 @@ class TestEstimators:
         assert a > 0
         assert a == estimate_cost_gap(tensor, base8, data, 0.8, 12, Rng(4))
 
+    @pytest.mark.parametrize("estimate", [estimate_cost_gap, estimate_grad_bound])
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_sample_rejected(self, base8, estimate, n_samples):
+        # 0 draws once divided by zero (cost gap) or gave a zero bound, which
+        # the horizon schedule turned into a step of ~1e11
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)))
+        with pytest.raises(ConfigError, match=f"n_samples must be >= 1, got {n_samples}"):
+            estimate(init_tensor(cfg, Rng(1), 0.4), base8, data, 0.8, n_samples, Rng(4))
+
 
 class TestConvergenceMetric:
     def test_running_minimum(self):
@@ -679,8 +675,6 @@ class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ConfigError):
             TrainConfig(iterations=0, batch_size=1)
-        with pytest.raises(ConfigError):
-            TrainConfig(iterations=1, batch_size=1, beta1=1.0)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=1, batch_size=1, link_p=1.1)
         with pytest.raises(ConfigError):

@@ -12,15 +12,20 @@ from sgnn_lab import (
     NORMALIZED_ADJACENCY,
     Rng,
     SgnnConfig,
+    KINDS,
     SizeGuardError,
+    UnsupportedKindError,
     VarianceReport,
     apply_filter,
     build_sbm,
     check_nonlinearity_variance,
     enumerate_expected_shift_square,
+    estimate_response_bound,
+    estimate_response_lipschitz,
     exact_filter_variance,
     filter_constants,
     filter_variance_bound,
+    freq_response,
     init_tensor,
     make_sgnn_report,
     mc_sgnn_variance,
@@ -186,6 +191,34 @@ class TestFilterVarianceBound:
                     envelope = (filter_variance_bound(h, base, p, x, consts)
                                 + 4 * p**2 * (1 - p) ** 2 * c2)
                     assert exact <= envelope + 1e-12
+
+
+_SBM6 = to_shift(build_sbm(6, 2, 0.8, 0.4, Rng(8).child(0)), ADJACENCY)
+_CONSTS6 = filter_constants([0.2, 0.5, -0.3], _SBM6, rng=Rng(9))
+_NO_TAPS = "filter taps must be a non-empty 1-D sequence"
+_SHORT_SIGNAL = re.escape("signal has shape (4,), expected (6,) for 6 nodes")
+
+
+@pytest.mark.parametrize("call,error,match", [
+    # no taps once gave a negative bound (-123 here) or a raw IndexError
+    (lambda: filter_variance_bound([], _SBM6, 0.5, np.ones(6), _CONSTS6), ValueError, _NO_TAPS),
+    (lambda: exact_filter_variance([], _SBM6, 0.5, np.ones(6)), ValueError, _NO_TAPS),
+    (lambda: estimate_response_bound([], (-1.0, 1.0)), ValueError, _NO_TAPS),
+    (lambda: freq_response([], 0.5), ValueError, _NO_TAPS),
+    (lambda: estimate_response_lipschitz([], (-1.0, 1.0), Rng(0)), ValueError, _NO_TAPS),
+    # a signal shorter than the graph was once accepted
+    (lambda: filter_variance_bound([0.2, 0.5], _SBM6, 0.5, np.ones(4), _CONSTS6),
+     ValueError, _SHORT_SIGNAL),
+    (lambda: sgnn_variance_bound(SgnnConfig(layers=1, features=1, order=2), _SBM6, 0.5,
+                                 np.ones(4), _CONSTS6), ValueError, _SHORT_SIGNAL),
+    (lambda: shift_alpha("bogus"), UnsupportedKindError,
+     re.escape(f"unknown shift kind 'bogus' (supported: {KINDS})")),
+], ids=["filter-bound-no-taps", "exact-variance-no-taps", "response-bound-no-taps",
+        "freq-response-no-taps", "lipschitz-no-taps", "filter-bound-short-signal",
+        "sgnn-bound-short-signal", "unknown-kind"])
+def test_malformed_bound_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestSgnnVarianceBound:
