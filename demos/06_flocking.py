@@ -27,8 +27,9 @@ cfg = dataclasses.replace(FlockingConfig(), train_trajectories=10, iterations=30
 state0 = random_swarm_state(cfg, Rng(123))
 print(f"initial velocity variance: {velocity_variance(state0.v):.3f}")
 expert_cost = simulate_swarm(
-    lambda s, g, p, r: centralized_controller(s, cfg.u_max, cfg.potential_cutoff),
-    state0, cfg.steps, 1.0, Rng(0), comm_radius=cfg.comm_radius, u_max=cfg.u_max)
+    lambda s, g, p, r: centralized_controller(s, u_max=cfg.u_max, cutoff=cfg.potential_cutoff),
+    state0, cfg.steps, 1.0, Rng(0), comm_radius=cfg.comm_radius, u_max=cfg.u_max,
+    velocity_guard=cfg.velocity_guard)
 print(f"centralized expert trajectory cost: {expert_cost:.3f}")
 
 result = run_flock_seed(cfg, seed=0)

@@ -76,10 +76,6 @@ from .training import (
     convergence_step_size,
     estimate_cost_gap,
     estimate_grad_bound,
-    loss_cross_entropy,
-    loss_cross_entropy_grad,
-    loss_mse,
-    loss_mse_grad,
     train,
 )
 from .variance import (

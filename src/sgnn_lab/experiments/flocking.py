@@ -39,22 +39,19 @@ from ..training import TrainConfig, TrainingSet, train
 
 @dataclass
 class SwarmState:
-    """Positions, velocities, and accelerations of the team (meters, m/s,
-    m/s^2), plus the integration step."""
+    """Positions and velocities of the team (meters, m/s), plus the
+    integration step."""
 
     z: np.ndarray
     v: np.ndarray
-    u: np.ndarray
     dt: float
 
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.z.shape != self.v.shape or self.z.shape != self.u.shape or self.z.shape[1] != 2:
-            raise ConfigError("z, v, u must share shape (N, 2)")
-        if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.v))
-                and np.all(np.isfinite(self.u))):
+        if self.z.shape != self.v.shape or self.z.shape[1] != 2:
+            raise ConfigError("z and v must share shape (N, 2)")
+        if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.v))):
             raise ConfigError("swarm state must be finite")
         if self.dt <= 0:
             raise ConfigError("dt must be > 0")
@@ -86,9 +83,13 @@ class FlockingConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        for name in ("train_trajectories", "eval_trajectories"):
+        for name in ("agents", "steps", "train_trajectories", "eval_trajectories",
+                     "feature_variants"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("test_p", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} is empty; give at least one value")
 
     @property
     def init_radius(self) -> float:
@@ -127,7 +128,7 @@ def random_swarm_state(cfg: FlockingConfig, rng: Rng) -> SwarmState:
     else:
         raise ConfigError("could not place agents with the requested separation")
     velocities = rng.uniform(-cfg.max_speed, cfg.max_speed, (n, 2))
-    return SwarmState(z=positions, v=velocities, u=np.zeros((n, 2)), dt=cfg.dt)
+    return SwarmState(z=positions, v=velocities, dt=cfg.dt)
 
 
 def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,8 +137,7 @@ def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diff, dist
 
 
-def centralized_controller(state: SwarmState, u_max: float = 10.0,
-                           cutoff: float = 1.0) -> np.ndarray:
+def centralized_controller(state: SwarmState, *, u_max: float, cutoff: float) -> np.ndarray:
     """Expert accelerations: global velocity consensus plus short-range
     repulsion, clipped per axis to +/- u_max."""
     n = len(state.z)
@@ -181,22 +181,18 @@ def velocity_variance(v: np.ndarray) -> float:
     return float(np.mean((dev**2).sum(axis=1)))
 
 
-def simulate_swarm(policy, init_state: SwarmState, steps: int, p: float, rng: Rng,
-                   comm_radius: float = 3.0, u_max: float = 10.0,
-                   velocity_guard: float = 50.0, record: bool = False):
+def simulate_swarm(policy, init_state: SwarmState, steps: int, p: float, rng: Rng, *,
+                   comm_radius: float, u_max: float, velocity_guard: float) -> float:
     """Closed-loop rollout: rebuild the disc graph each step, let the policy
     act through link failures at probability ``p``, integrate with explicit
-    Euler.  Returns the trajectory cost (mean velocity variance), plus the
-    visited states when ``record`` is true.
+    Euler.  Returns the trajectory cost (mean velocity variance).
 
     ``policy(state, graph, p, rng) -> (N, 2) accelerations``; the plant
     saturates accelerations at +/- u_max per axis.
     """
     if steps < 1:
         raise ConfigError("steps must be >= 1")
-    state = SwarmState(z=init_state.z.copy(), v=init_state.v.copy(),
-                       u=np.zeros_like(init_state.u), dt=init_state.dt)
-    history = [SwarmState(state.z.copy(), state.v.copy(), state.u.copy(), state.dt)]
+    state = SwarmState(z=init_state.z.copy(), v=init_state.v.copy(), dt=init_state.dt)
     total = 0.0
     for step in range(steps):
         graph = build_disc_graph(state.z, comm_radius)
@@ -204,17 +200,11 @@ def simulate_swarm(policy, init_state: SwarmState, steps: int, p: float, rng: Rn
                         -u_max, u_max)
         state.z = state.z + state.dt * state.v
         state.v = state.v + state.dt * accel
-        state.u = accel
         if not np.all(np.isfinite(state.v)) or np.abs(state.v).max() > velocity_guard:
             raise DivergenceError(f"velocity blow-up at step {step}: "
                                   f"max |v| = {np.abs(state.v).max():.3g}")
         total += velocity_variance(state.v)
-        if record:
-            history.append(SwarmState(state.z.copy(), state.v.copy(), state.u.copy(), state.dt))
-    cost = total / steps
-    if record:
-        return cost, history
-    return cost
+    return total / steps
 
 
 def _filter_base(graph: ShiftOperator) -> ShiftOperator:
@@ -242,14 +232,11 @@ def collect_expert_dataset(cfg: FlockingConfig, rng: Rng, feature_p: float = 1.0
         state = random_swarm_state(cfg, rng.child(traj))
         for _ in range(cfg.steps):
             graph = build_disc_graph(state.z, cfg.comm_radius)
-            expert = centralized_controller(state, cfg.u_max, cfg.potential_cutoff)
+            expert = centralized_controller(state, u_max=cfg.u_max, cutoff=cfg.potential_cutoff)
             shift = _filter_base(graph)
-            copies = variants if feature_p < 1.0 else 1
-            for _ in range(copies):
-                if feature_p < 1.0:
-                    feat_graph = sample_realization(graph, feature_p, feat_rng)
-                else:
-                    feat_graph = graph.mat
+            for _ in range(variants if feature_p < 1.0 else 1):
+                # at p = 1 a view of the intact graph, drawing nothing
+                feat_graph = sample_realization(graph, feature_p, feat_rng)
                 inputs.append(swarm_features(state, feat_graph))
                 targets.append(expert.T)
                 bases.append(shift)
@@ -284,7 +271,7 @@ def make_policies(sgnn_tensor, gnn_tensor, scaler, cfg: FlockingConfig,
         return policy
 
     def expert_policy(state, graph, p, rng):
-        return centralized_controller(state, cfg.u_max, cfg.potential_cutoff)
+        return centralized_controller(state, u_max=cfg.u_max, cutoff=cfg.potential_cutoff)
 
     def zero_policy(state, graph, p, rng):
         return np.zeros_like(state.v)

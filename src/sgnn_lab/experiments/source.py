@@ -77,6 +77,12 @@ class SourceLocConfig:
     def __post_init__(self):
         if self.test_size < 1:
             raise ConfigError(f"test_size must be >= 1, got {self.test_size}")
+        for name in ("tau_max", "val_size"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("test_p", "seeds"):
+            if not getattr(self, name):
+                raise ConfigError(f"{name} is empty; give at least one value")
 
     def model_config(self) -> SgnnConfig:
         return SgnnConfig(

@@ -29,14 +29,13 @@ KINDS = (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY)
 class ShiftOperator:
     """Symmetric N x N shift operator tagged with its kind.
 
-    ``edges`` is the undirected support as an (M, 2) int array with i < j in
-    lexicographic order; it always matches the off-diagonal support of
-    ``mat`` exactly.
+    ``edges`` is the off-diagonal support of ``mat`` as an (M, 2) int array
+    with i < j in lexicographic order.
     """
 
     __slots__ = ("n", "kind", "mat", "edges", "_weights")
 
-    def __init__(self, kind: str, mat: np.ndarray, edges: np.ndarray | None = None):
+    def __init__(self, kind: str, mat: np.ndarray):
         if kind not in KINDS:
             raise ConfigError(f"unknown shift kind {kind!r}")
         mat = np.array(mat, dtype=float)
@@ -45,15 +44,7 @@ class ShiftOperator:
         if not np.array_equal(mat, mat.T):
             raise ValueError("shift matrix must be exactly symmetric")
         n = mat.shape[0]
-        iu, ju = np.nonzero(np.triu(mat, 1))
-        support = np.column_stack([iu, ju])
-        if edges is None:
-            edges = support
-        else:
-            edges = np.asarray(edges, dtype=int).reshape(-1, 2)
-            edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-            if not np.array_equal(edges, support):
-                raise ValueError("edge list does not match the matrix support")
+        edges = np.column_stack(np.nonzero(np.triu(mat, 1)))
         diag = np.diag(mat)
         if kind in (ADJACENCY, NORMALIZED_ADJACENCY):
             if np.any(diag != 0):
@@ -68,7 +59,6 @@ class ShiftOperator:
             if np.any(off > 0):
                 raise ValueError("laplacian off-diagonal entries must be <= 0")
         mat.setflags(write=False)
-        edges = np.ascontiguousarray(edges)
         edges.setflags(write=False)
         self.n = n
         self.kind = kind
@@ -138,12 +128,12 @@ def to_shift(adj: ShiftOperator, kind: str) -> ShiftOperator:
         return adj
     if kind == LAPLACIAN:
         mat = np.diag(adj.mat.sum(axis=1)) - adj.mat
-        return ShiftOperator(LAPLACIAN, mat, adj.edges)
+        return ShiftOperator(LAPLACIAN, mat)
     if kind == NORMALIZED_ADJACENCY:
         lam_max = spectral.eig_sym(adj.mat).values[-1]
         if lam_max <= 0:
             raise DegenerateInputError("cannot normalize a graph with no edges")
-        return ShiftOperator(NORMALIZED_ADJACENCY, adj.mat / lam_max, adj.edges)
+        return ShiftOperator(NORMALIZED_ADJACENCY, adj.mat / lam_max)
     raise ConfigError(f"unknown shift kind {kind!r}")
 
 

@@ -54,57 +54,37 @@ HORIZON_GRAD_BOUND_SAMPLES = 16
 
 
 # ---------------------------------------------------------------------------
-# Losses (mean reduction over all entries / over the batch).
+# Losses: each returns (cost, gradient w.r.t. the prediction) from one pass,
+# with the mean reduction over all entries (mse) or over the batch columns
+# (cross-entropy).
 
 
-def loss_mse(pred: np.ndarray, target: np.ndarray) -> float:
+def _mse(pred, target) -> tuple[float, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
     target = np.asarray(target, dtype=float)
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
     diff = pred - target
-    return float(np.mean(diff * diff))
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
-def loss_mse_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    return 2.0 * (pred - target) / pred.size
-
-
-def _logits_2d(logits: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
+    """Cross entropy of (C, B) raw logits against B int labels, through one
+    max-shifted softmax (log-sum-exp for the cost)."""
     logits = np.asarray(logits, dtype=float)
-    if logits.ndim == 1:
-        logits = logits[:, None]
-        labels = np.asarray([labels], dtype=int)
-    else:
-        labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels, dtype=int)
     if logits.ndim != 2 or labels.shape != (logits.shape[1],):
         raise ValueError(f"logits {logits.shape} incompatible with labels {labels.shape}")
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[0]:
         raise ValueError("label outside the class range")
-    return logits, labels
-
-
-def loss_cross_entropy(logits: np.ndarray, labels) -> float:
-    """Cross entropy from raw logits via log-sum-exp; mean over the batch."""
-    logits, labels = _logits_2d(logits, labels)
+    cols = np.arange(logits.shape[1])
     shifted = logits - logits.max(axis=0, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=0))
-    picked = shifted[labels, np.arange(logits.shape[1])]
-    return float(np.mean(log_z - picked))
-
-
-def loss_cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
-    logits2, labels2 = _logits_2d(logits, labels)
-    shifted = logits2 - logits2.max(axis=0, keepdims=True)
     expd = np.exp(shifted)
-    softmax = expd / expd.sum(axis=0, keepdims=True)
-    softmax[labels2, np.arange(logits2.shape[1])] -= 1.0
-    grad = softmax / logits2.shape[1]
-    return grad[:, 0] if np.asarray(logits).ndim == 1 else grad
+    total = expd.sum(axis=0)
+    cost = float(np.mean(np.log(total) - shifted[labels, cols]))
+    grad = expd / total
+    grad[labels, cols] -= 1.0
+    return cost, grad / logits.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +296,19 @@ def convergence_metric(trace) -> np.ndarray:
     return np.minimum.accumulate(sq)
 
 
-def _batch_arrays(train_set: TrainingSet, idx: np.ndarray | slice, loss: str):
+def _batch_arrays(train_set: TrainingSet, idx: np.ndarray | slice):
+    """Inputs (F_in, N, B) and targets with the sample axis last; each loss
+    converts the targets to its own dtype."""
     # transpose, not np.moveaxis: this runs once per sample on per-sample bases
-    x = train_set.inputs[idx].transpose(1, 2, 0)            # (F_in, N, B)
-    if loss == "cross_entropy":
-        y = np.asarray(train_set.targets)[idx]
-    else:
-        y = np.asarray(train_set.targets, dtype=float)[idx]
-        y = y.transpose(*range(1, y.ndim), 0)
-    return x, y
+    x = train_set.inputs[idx].transpose(1, 2, 0)
+    y = np.asarray(train_set.targets)[idx]
+    return x, y.transpose(*range(1, y.ndim), 0)
 
 
-def _loss_pair(loss: str, pred, target):
-    if loss == "mse":
-        return loss_mse(pred, target), loss_mse_grad(pred, target)
-    return loss_cross_entropy(pred, target), loss_cross_entropy_grad(pred, target)
+def _loss_pair(loss: str, pred, target) -> tuple[float, np.ndarray]:
+    """Cost of ``pred`` against ``target`` under ``loss`` and its gradient
+    w.r.t. ``pred``, in ``pred``'s shape."""
+    return _mse(pred, target) if loss == "mse" else _cross_entropy(pred, target)
 
 
 def _groups(base: ShiftOperator | None, train_set: TrainingSet,
@@ -352,7 +330,7 @@ def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
     cost, grad = 0.0, 0.0
     for graph, members in groups:
         reals = sample_architecture(graph, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, members, loss)
+        x, y = _batch_arrays(train_set, members)
         out, cache = forward(tensor, reals, x, cache=cache)
         c, dout = _loss_pair(loss, out, y)
         cost += c
@@ -368,7 +346,7 @@ def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
     total = 0.0
     for graph, members in groups:
         reals = sample_architecture(graph, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, members, loss)
+        x, y = _batch_arrays(train_set, members)
         out, _ = forward(tensor, reals, x, return_cache=False)
         total += _loss_pair(loss, out, y)[0]
     return total / len(groups)

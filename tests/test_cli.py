@@ -179,14 +179,19 @@ class TestExitCodes:
         assert run(["train-source", *TINY_SOURCE, "iterations=0", "--out", tmp_path]) == 2
         assert not any(tmp_path.iterdir())
 
-    # the experiments take these values only as overrides
-    @pytest.mark.parametrize("argv", [
-        ["train-flock", *TINY_FLOCK, "iterations=0"],
-        ["train-source", *TINY_SOURCE, "train_p=1.5"],
-        ["train-flock", *TINY_FLOCK, "train_p=1.5"],
-    ], ids=["train-flock iterations=0", "train-source train_p=1.5", "train-flock train_p=1.5"])
-    def test_out_of_range_override_is_config_error(self, tmp_path, argv):
-        assert run([*argv, "--out", tmp_path]) == 2
+    # the experiments take these values only as overrides; feature_variants=0,
+    # steps=0, agents=0, tau_max=-1 and val_size=-1 once died with a numpy
+    # traceback and exit 1, and an empty test_p wrote a zero-row table and exited 0
+    @pytest.mark.parametrize("override", [
+        "train-flock iterations=0", "train-source train_p=1.5", "train-flock train_p=1.5",
+        "train-flock feature_variants=0", "train-flock steps=0", "train-flock agents=0",
+        "train-flock test_p=", "train-source tau_max=-1", "train-source val_size=-1",
+        "train-source test_p=",
+    ], ids=str)
+    def test_out_of_range_override_is_config_error(self, tmp_path, override):
+        command, item = override.split()
+        tiny = {"train-source": TINY_SOURCE, "train-flock": TINY_FLOCK}[command]
+        assert run([command, *tiny, item, "--out", tmp_path]) == 2
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["convergence"])

@@ -147,23 +147,31 @@ def test_intact_accuracy_equals_a_per_sample_loop(per_community, communities, fe
     assert eval_rng.random(4).tobytes() == rng.child(4).random(4).tobytes()  # nothing drawn
 
 
+# the expert's and the plant's settings at the flocking defaults
+EXPERT = {"u_max": FlockingConfig.u_max, "cutoff": FlockingConfig.potential_cutoff}
+
+
+def _plant(cfg):
+    return {"comm_radius": cfg.comm_radius, "u_max": cfg.u_max,
+            "velocity_guard": cfg.velocity_guard}
+
+
 class TestCentralizedController:
     def test_consensus_at_equal_velocities_far_apart(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]]),
-                           v=np.ones((3, 2)), u=np.zeros((3, 2)), dt=0.05)
-        assert np.array_equal(centralized_controller(state), np.zeros((3, 2)))
+                           v=np.ones((3, 2)), dt=0.05)
+        assert np.array_equal(centralized_controller(state, **EXPERT), np.zeros((3, 2)))
 
     def test_two_agents_velocity_term(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [10.0, 0.0]]),
-                           v=np.array([[1.0, 0.0], [0.0, 0.0]]),
-                           u=np.zeros((2, 2)), dt=0.05)
-        u = centralized_controller(state)
+                           v=np.array([[1.0, 0.0], [0.0, 0.0]]), dt=0.05)
+        u = centralized_controller(state, **EXPERT)
         assert np.allclose(u[0], [-1.0, 0.0])
         assert np.allclose(u[1], [1.0, 0.0])
 
     def test_close_static_agents_repel_symmetrically(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [0.5, 0.0]]),
-                           v=np.zeros((2, 2)), u=np.zeros((2, 2)), dt=0.05)
+                           v=np.zeros((2, 2)), dt=0.05)
         u = centralized_controller(state, u_max=100.0, cutoff=1.0)
         assert u[0][0] < 0 < u[1][0]            # repulsion along the joining line
         assert np.allclose(u[0], -u[1])
@@ -171,21 +179,20 @@ class TestCentralizedController:
 
     def test_clipping(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [0.11, 0.0]]),
-                           v=np.zeros((2, 2)), u=np.zeros((2, 2)), dt=0.05)
-        u = centralized_controller(state, u_max=10.0)
+                           v=np.zeros((2, 2)), dt=0.05)
+        u = centralized_controller(state, **EXPERT)
         assert np.abs(u).max() == 10.0
 
     def test_coincident_agents_rejected(self):
-        state = SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)),
-                           u=np.zeros((2, 2)), dt=0.05)
+        state = SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)), dt=0.05)
         with pytest.raises(DegenerateInputError):
-            centralized_controller(state)
+            centralized_controller(state, **EXPERT)
 
 
 class TestSwarmFeatures:
     def test_isolated_node_has_zero_feature(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0]]),
-                           v=Rng(0).normal(size=(3, 2)), u=np.zeros((3, 2)), dt=0.05)
+                           v=Rng(0).normal(size=(3, 2)), dt=0.05)
         graph = build_disc_graph(state.z, 3.0)
         feats = swarm_features(state, graph.mat)
         assert feats.shape == (6, 3)
@@ -193,7 +200,7 @@ class TestSwarmFeatures:
 
     def test_equal_velocities_zero_velocity_block(self):
         state = SwarmState(z=np.array([[0.0, 0.0], [1.0, 0.0]]),
-                           v=np.ones((2, 2)), u=np.zeros((2, 2)), dt=0.05)
+                           v=np.ones((2, 2)), dt=0.05)
         graph = build_disc_graph(state.z, 3.0)
         feats = swarm_features(state, graph.mat)
         assert np.array_equal(feats[:2], np.zeros((2, 2)))
@@ -203,17 +210,15 @@ class TestSwarmFeatures:
         rng = Rng(5)
         z = rng.uniform(-2, 2, (6, 2))
         v = rng.normal(size=(6, 2))
-        state = SwarmState(z=z, v=v, u=np.zeros((6, 2)), dt=0.05)
-        shifted = SwarmState(z=z + np.array([100.0, -50.0]), v=v,
-                             u=np.zeros((6, 2)), dt=0.05)
+        state = SwarmState(z=z, v=v, dt=0.05)
+        shifted = SwarmState(z=z + np.array([100.0, -50.0]), v=v, dt=0.05)
         graph = build_disc_graph(z, 3.0)
         a = swarm_features(state, graph.mat)
         b = swarm_features(shifted, graph.mat)
         assert np.abs(a - b).max() <= 1e-9
 
     def test_zero_distance_neighbor_rejected(self):
-        state = SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)),
-                           u=np.zeros((2, 2)), dt=0.05)
+        state = SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)), dt=0.05)
         with pytest.raises(DegenerateInputError):
             swarm_features(state, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
@@ -227,7 +232,7 @@ class TestSimulateSwarm:
         def zero_policy(state, graph, p, rng):
             return np.zeros_like(state.v)
 
-        cost = simulate_swarm(zero_policy, state0, 20, 0.7, Rng(1))
+        cost = simulate_swarm(zero_policy, state0, 20, 0.7, Rng(1), **_plant(cfg))
         assert cost == pytest.approx(initial_var, rel=1e-12)
 
     def test_expert_reaches_consensus(self):
@@ -235,16 +240,20 @@ class TestSimulateSwarm:
         state0 = random_swarm_state(cfg, Rng(3))
         initial_var = velocity_variance(state0.v)
 
-        def expert(state, graph, p, rng):
-            return centralized_controller(state, cfg.u_max, cfg.potential_cutoff)
+        seen = []
 
-        cost, history = simulate_swarm(expert, state0, 100, 1.0, Rng(4), record=True)
-        final_var = velocity_variance(history[-1].v)
+        def expert(state, graph, p, rng):
+            seen.append(state.v.copy())
+            return centralized_controller(state, u_max=cfg.u_max, cutoff=cfg.potential_cutoff)
+
+        cost = simulate_swarm(expert, state0, 100, 1.0, Rng(4), **_plant(cfg))
+        assert len(seen) == 100
+        final_var = velocity_variance(seen[-1])
         assert final_var < initial_var
         assert cost < initial_var
         # bounded flight under the expert
         vmax0 = np.abs(state0.v).max()
-        assert max(np.abs(s.v).max() for s in history) < 10 * max(vmax0, 1.0)
+        assert max(np.abs(v).max() for v in seen) < 10 * max(vmax0, 1.0)
 
     def test_paper_baseline_config_constructs(self):
         cfg = FlockingConfig(agents=50, comm_radius=3.0, min_separation=0.1,
@@ -259,7 +268,7 @@ class TestSimulateSwarm:
         def zero_policy(state, graph, p, rng):
             return np.zeros_like(state.v)
 
-        simulate_swarm(zero_policy, state0, 5, 0.7, Rng(8))
+        simulate_swarm(zero_policy, state0, 5, 0.7, Rng(8), **_plant(cfg))
 
     def test_divergence_guard(self):
         cfg = FlockingConfig(agents=4, steps=50)
@@ -270,7 +279,7 @@ class TestSimulateSwarm:
 
         with pytest.raises(DivergenceError):
             simulate_swarm(runaway, state0, 50, 1.0, Rng(2),
-                           u_max=1e9, velocity_guard=50.0)
+                           comm_radius=cfg.comm_radius, u_max=1e9, velocity_guard=50.0)
 
 
 class TestFlockingPipeline:

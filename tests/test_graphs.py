@@ -142,6 +142,10 @@ class TestToShift:
         lap = to_shift(p3, LAPLACIAN)
         assert np.array_equal(np.diag(lap.mat), [1.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_keeps_the_adjacency_edges(self, random8, kind):
+        assert np.array_equal(to_shift(random8, kind).edges, random8.edges)
+
     def test_zero_graph_cannot_normalize(self):
         empty = ShiftOperator(ADJACENCY, np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
@@ -431,10 +435,6 @@ class TestShiftOperatorInvariants:
     def test_rejects_nonzero_diagonal_adjacency(self):
         with pytest.raises(ValueError):
             ShiftOperator(ADJACENCY, np.eye(2))
-
-    def test_rejects_edge_list_mismatch(self):
-        with pytest.raises(ValueError):
-            ShiftOperator(ADJACENCY, np.array([[0.0, 1.0], [1.0, 0.0]]), edges=np.zeros((0, 2)))
 
     def test_edges_sorted_lexicographically(self, random8):
         edges = random8.edges

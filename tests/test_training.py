@@ -26,10 +26,6 @@ from sgnn_lab import (
     forward,
     forward_expected,
     init_tensor,
-    loss_cross_entropy,
-    loss_cross_entropy_grad,
-    loss_mse,
-    loss_mse_grad,
     sample_architecture,
     to_shift,
     train,
@@ -37,8 +33,8 @@ from sgnn_lab import (
 from sgnn_lab import model, training
 from sgnn_lab.filters import diffusion_stages
 from sgnn_lab.model import NONLINEARITIES, READOUTS
-from sgnn_lab.training import (_cost_and_grad, _full_cost, _loss_pair, central_differences,
-                               gradient_rel_error)
+from sgnn_lab.training import (LOSSES, _cost_and_grad, _full_cost, _loss_pair,
+                               central_differences, gradient_rel_error)
 
 
 @pytest.fixture
@@ -49,44 +45,99 @@ def base8(random8):
 class TestLosses:
     def test_mse_zero_on_equal(self):
         x = Rng(0).normal(size=(3, 4))
-        assert loss_mse(x, x) == 0.0
+        cost, grad = _loss_pair("mse", x, x)
+        assert cost == 0.0
+        assert np.array_equal(grad, np.zeros((3, 4)))
 
     def test_mse_mean_reduction(self):
-        assert loss_mse(np.array([1.0, 0.0]), np.zeros(2)) == 0.5
+        cost, grad = _loss_pair("mse", np.array([1.0, 0.0]), np.zeros(2))
+        assert cost == 0.5
+        assert np.array_equal(grad, [1.0, 0.0])
 
     def test_mse_shape_mismatch(self):
         with pytest.raises(ValueError):
-            loss_mse(np.zeros(3), np.zeros(4))
+            _loss_pair("mse", np.zeros(3), np.zeros(4))
 
     def test_mse_grad_is_the_derivative(self):
         pred = Rng(1).normal(size=(2, 3))
         target = Rng(2).normal(size=(2, 3))
-        grad = loss_mse_grad(pred, target)
+        _, grad = _loss_pair("mse", pred, target)
         eps = 1e-7
         probe = np.zeros_like(pred)
         probe[1, 2] = eps
-        fd = (loss_mse(pred + probe, target) - loss_mse(pred - probe, target)) / (2 * eps)
+        fd = (_loss_pair("mse", pred + probe, target)[0]
+              - _loss_pair("mse", pred - probe, target)[0]) / (2 * eps)
         assert grad[1, 2] == pytest.approx(fd, rel=1e-6)
 
     def test_cross_entropy_uniform_logits(self):
         for classes in (2, 4, 7):
-            assert loss_cross_entropy(np.zeros(classes), 0) == pytest.approx(np.log(classes))
+            cost, _ = _loss_pair("cross_entropy", np.zeros((classes, 1)), [0])
+            assert cost == pytest.approx(np.log(classes))
 
     def test_cross_entropy_is_shift_invariant_and_stable(self):
-        logits = np.array([1000.0, 1000.0, 999.0])
-        val = loss_cross_entropy(logits, 0)
-        assert np.isfinite(val)
-        assert val == pytest.approx(loss_cross_entropy(logits - 1000.0, 0))
+        logits = np.array([[1000.0], [1000.0], [999.0]])
+        cost, grad = _loss_pair("cross_entropy", logits, [0])
+        assert np.isfinite(cost) and np.all(np.isfinite(grad))
+        shifted_cost, shifted_grad = _loss_pair("cross_entropy", logits - 1000.0, [0])
+        assert cost == pytest.approx(shifted_cost)
+        assert np.allclose(grad, shifted_grad)
 
     def test_cross_entropy_grad_sums_to_zero(self):
         logits = Rng(3).normal(size=(4, 6))
         labels = Rng(4).integers(0, 4, 6)
-        grad = loss_cross_entropy_grad(logits, labels)
+        _, grad = _loss_pair("cross_entropy", logits, labels)
         assert np.abs(grad.sum(axis=0)).max() <= 1e-12
 
     def test_cross_entropy_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            loss_cross_entropy(np.zeros(3), 5)
+        for label in (3, -1):
+            with pytest.raises(ValueError, match="class range"):
+                _loss_pair("cross_entropy", np.zeros((3, 1)), [label])
+
+
+def _reference_loss_pair(loss, pred, target):
+    """The cost and the gradient as separate formulas: the reference that the
+    single pass must equal bit for bit."""
+    if loss == "mse":
+        diff = pred - target
+        return float(np.mean(diff * diff)), 2.0 * (pred - target) / pred.size
+    cols = np.arange(pred.shape[1])
+    shifted = pred - pred.max(axis=0, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=0))
+    cost = float(np.mean(log_z - shifted[target, cols]))
+    expd = np.exp(pred - pred.max(axis=0, keepdims=True))
+    softmax = expd / expd.sum(axis=0, keepdims=True)
+    softmax[target, cols] -= 1.0
+    return cost, softmax / pred.shape[1]
+
+
+@st.composite
+def _loss_cases(draw):
+    """(loss, pred, target): mse on any shape, cross-entropy on (C, B) logits."""
+    loss = draw(st.sampled_from(LOSSES))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    if loss == "mse":
+        shape = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        return loss, rng.normal(size=shape), rng.child(1).normal(size=shape)
+    classes, batch = draw(st.integers(2, 5)), draw(st.integers(1, 6))
+    return (loss, 3.0 * rng.normal(size=(classes, batch)),
+            rng.child(1).integers(0, classes, batch))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_loss_cases())
+def test_loss_pair_is_the_cost_and_its_derivative(case):
+    loss, pred, target = case
+    cost, grad = _loss_pair(loss, pred, target)
+    want_cost, want_grad = _reference_loss_pair(loss, pred, target)
+    assert cost == want_cost
+    assert grad.shape == pred.shape and grad.tobytes() == want_grad.tobytes()
+    eps = 1e-6
+    fd = np.zeros(pred.size)
+    for i, probe in enumerate(eps * np.eye(pred.size)):
+        probe = probe.reshape(pred.shape)
+        fd[i] = (_loss_pair(loss, pred + probe, target)[0]
+                 - _loss_pair(loss, pred - probe, target)[0]) / (2 * eps)
+    assert np.allclose(grad.ravel(), fd, rtol=1e-5, atol=1e-8)
 
 
 class TestBackward:
@@ -127,7 +178,7 @@ class TestBackward:
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
         x = np.zeros((1, 8, 3))
         out, cache = forward(tensor, reals, x)
-        grad = backward(tensor, reals, cache, loss_mse_grad(out, np.zeros_like(out)))
+        grad = backward(tensor, reals, cache, _loss_pair("mse", out, np.zeros_like(out))[1])
         assert np.array_equal(grad.flatten(), np.zeros(cfg.num_params))
 
     def test_two_node_closed_form(self):
@@ -140,7 +191,7 @@ class TestBackward:
         x = np.array([0.5, 2.0])
         t = np.array([1.0, 2.0])
         out, cache = forward(tensor, reals, x[None, :, None])
-        grad = backward(tensor, reals, cache, loss_mse_grad(out, t[None, :, None])).flatten()
+        grad = backward(tensor, reals, cache, _loss_pair("mse", out, t[None, :, None])[1]).flatten()
         want = np.mean(2.0 * (1.3 * x - t) * x)
         assert grad[0] == pytest.approx(want, rel=1e-12)
 
