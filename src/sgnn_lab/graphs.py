@@ -6,10 +6,12 @@ A :class:`ShiftOperator` couples a symmetric matrix with its kind tag and
 edge list.  A realization, one sample of the random edge-sampling model, is
 its N x N matrix: every edge of the base graph survives independently with
 probability ``p``, realized through a symmetric 0/1 mask applied entrywise
-to the adjacency.  Laplacian realizations are the weighted Laplacian of the
-surviving edges; realizations of a spectrally normalized adjacency are masked
-without re-normalizing (re-normalizing per realization would need global
-knowledge, which a distributed deployment does not have).
+to the adjacency.  One 32-bit Philox lane per edge decides its keep (``p``
+rounded down to a multiple of 2^-32, ``ceil(count * M / 2)`` words per set of
+``count``; nothing at p = 1).  Laplacian realizations are the weighted
+Laplacian of the surviving edges; realizations of a spectrally normalized
+adjacency are masked without re-normalizing (re-normalizing per realization
+would need global knowledge, which a distributed deployment does not have).
 """
 
 from __future__ import annotations
@@ -160,20 +162,25 @@ def _realized_mats(base: ShiftOperator, keep: np.ndarray) -> np.ndarray:
 def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> np.ndarray:
     """Draw ``count`` independent realized shifts as a (count, N, N) array.
 
+    Keeps are ``rng.bernoulli(p, (count, M))``: one 32-bit lane per edge, ``p``
+    rounded down to a multiple of 2^-32, ``ceil(count * M / 2)`` words consumed.
     At p = 1 every realization is the base: the result is a read-only view of
-    ``base.mat`` (stride 0 along ``count``) and no random numbers are consumed.
+    ``base.mat`` (stride 0 along ``count``) and nothing is drawn.
     Callers never write into a realization.
     """
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    if count < 0:
+        raise ValueError(f"realization count must be >= 0, got {count}")
     if p == 1.0:
         return np.broadcast_to(base.mat, (count, base.n, base.n))
-    return _realized_mats(base, rng.random((count, base.num_edges)) < p)
+    return _realized_mats(base, rng.bernoulli(p, (count, base.num_edges)))
 
 
 def sample_realization(base: ShiftOperator, p: float, rng: Rng) -> np.ndarray:
     """Draw one (N, N) realization: each base edge kept independently w.p. ``p``
-    (at p = 1 a read-only view of the base, drawing nothing)."""
+    (rounded down to a multiple of 2^-32; one 32-bit lane per edge, ``ceil(M / 2)``
+    words), or at p = 1 a read-only view of the base, drawing nothing."""
     return sample_realizations(base, p, rng, 1)[0]
 
 

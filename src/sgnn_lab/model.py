@@ -185,8 +185,8 @@ class FilterTensor:
 
 def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     """I.i.d. uniform(-scale, scale) taps (and head weights, if any)."""
-    if scale < 0:
-        raise ConfigError(f"init scale must be >= 0, got {scale}")
+    if not (np.isfinite(scale) and scale >= 0):
+        raise ConfigError(f"init scale must be finite and >= 0, got {scale}")
     return FilterTensor(cfg, rng.uniform(-scale, scale, cfg.num_params))
 
 

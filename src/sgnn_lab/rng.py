@@ -6,10 +6,15 @@ wrapper around numpy's counter-based Philox generator keyed by
 sequence bit for bit; distinct stream ids give independent-quality streams.
 Streams derived with :meth:`Rng.child` are independent of the parent and of
 each other, so concurrent consumers can each own a stream without
-coordination.
+coordination.  Realization keeps come from :meth:`Rng.bernoulli`: one 32-bit
+lane per edge, two per 64-bit word, so ``p`` is rounded down to a multiple of
+2^-32 and a set of ``count`` realizations of M edges consumes
+``ceil(count * M / 2)`` words (at p = 1 the sampler draws nothing).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,6 +34,18 @@ class Rng:
     def child(self, index: int) -> "Rng":
         """Independent stream derived from this one, deterministic in ``index``."""
         return Rng(self.seed, self.stream, _path=self._path + (int(index),))
+
+    def bernoulli(self, p: float, shape) -> np.ndarray:
+        """Boolean ``shape`` array of independent keeps w.p. ``p`` in [0, 1), rounded down
+        to a multiple of 2^-32: entry ``t`` (C order) is ``lane_t < floor(p * 2**32)``,
+        lane ``t`` being the low (even ``t``) or high half of raw word ``t // 2``, so
+        ``ceil(size / 2)`` words are consumed whatever the byte order."""
+        if not 0.0 <= p < 1.0:
+            raise ValueError(f"keep probability p={p} outside [0, 1)")
+        size = math.prod(shape)
+        raw = self.generator.bit_generator.random_raw((size + 1) // 2)
+        lanes = raw.astype("<u8", copy=False).view("<u4")[:size]
+        return (lanes < np.uint32(p * 2**32)).reshape(shape)
 
     # Convenience passthroughs to the underlying generator.
     def random(self, size=None):

@@ -200,16 +200,15 @@ class TrainConfig:
             raise ConfigError("iterations must be >= 1")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.lr < 0:
-            raise ConfigError("lr must be >= 0")
+        if not (np.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 <= self.link_p <= 1.0:
             raise ConfigError(f"link_p={self.link_p} outside [0, 1]")
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
-        if self.loss not in LOSSES:
-            raise ConfigError(f"unknown loss {self.loss!r}")
+        _loss_fn(self.loss)
 
 
 @dataclass
@@ -308,7 +307,14 @@ def _batch_arrays(train_set: TrainingSet, idx: np.ndarray | slice):
 def _loss_pair(loss: str, pred, target) -> tuple[float, np.ndarray]:
     """Cost of ``pred`` against ``target`` under ``loss`` and its gradient
     w.r.t. ``pred``, in ``pred``'s shape."""
-    return _mse(pred, target) if loss == "mse" else _cross_entropy(pred, target)
+    return _loss_fn(loss)(pred, target)
+
+
+def _loss_fn(loss: str):
+    """The loss named ``loss``: the one place loss names are read."""
+    if loss not in LOSSES:
+        raise ConfigError(f"unknown loss {loss!r}; expected one of {LOSSES}")
+    return _mse if loss == "mse" else _cross_entropy
 
 
 def _groups(base: ShiftOperator | None, train_set: TrainingSet,

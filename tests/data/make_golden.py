@@ -11,7 +11,8 @@ Regenerate the fixture after an intended output change with
 
     python tests/data/make_golden.py
 
-and say in the change description why the values moved.
+It prints every file that moved against the old fixture, with its largest
+relative change; say in the change description why the values moved.
 """
 
 from __future__ import annotations
@@ -102,11 +103,51 @@ def differences(want, got, where: str = "") -> list[str]:
     return [] if want == got else [f"{where}: {got!r}, expected {want!r}"]
 
 
+def _numbers(value):
+    """The numeric leaves of ``value``, depth first, dict keys in sorted order."""
+    if isinstance(value, dict):
+        for key in sorted(value):
+            yield from _numbers(value[key])
+    elif isinstance(value, list):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield float(value)
+
+
+def _relative_change(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def moved_files(old: dict, new: dict) -> dict[str, float]:
+    """Files whose values in ``new`` depart from ``old`` by :func:`differences`,
+    each with the largest relative change of its numbers; ``inf`` where a file
+    was added or removed or its count of numbers changed."""
+    moved = {}
+    for name in sorted(old.keys() | new.keys()):
+        if name not in old or name not in new:
+            moved[name] = math.inf
+        elif differences(old[name], new[name], name):
+            a, b = list(_numbers(old[name])), list(_numbers(new[name]))
+            moved[name] = (math.inf if len(a) != len(b) else
+                           max(map(_relative_change, a, b), default=0.0))
+    return moved
+
+
 def main() -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         run_all(Path(tmp))
         outputs = read_outputs(Path(tmp))
+    if FIXTURE.exists():
+        moved = moved_files(json.loads(FIXTURE.read_text(encoding="ascii")), outputs)
+        print(f"{len(moved)} files moved against the old fixture")
+        for name, change in moved.items():
+            print(f"  {name}: largest relative change {change:.3g}")
     # one file per line, so a regenerated fixture diffs file by file
     lines = (f"{json.dumps(name)}: {json.dumps(values, sort_keys=True)}"
              for name, values in outputs.items())

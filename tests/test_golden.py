@@ -8,6 +8,7 @@ everything else exactly.
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -41,3 +42,13 @@ def test_differences_flags_a_moved_float():
     assert golden.differences([1.0, "a", 2], [1.0 + 1e-13, "a", 2]) == []
     assert golden.differences([1.0], [1.0 + 1e-10], "t")
     assert golden.differences([2], [2.0], "t")
+
+
+def test_moved_files_names_each_moved_file_with_its_largest_change():
+    old = {"same.csv": [["a"], [1, 2.0]], "moved.csv": [["a", "b"], [3, 4.0], [5, 8.0]],
+           "label.json": {"x": "a"}, "shape.json": {"x": [1.0]}, "gone.csv": []}
+    new = {"same.csv": [["a"], [1, 2.0 + 1e-13]], "moved.csv": [["a", "b"], [3, 5.0], [5, 6.0]],
+           "label.json": {"x": "b"}, "shape.json": {"x": [1.0, 2.0]}, "added.csv": []}
+    moved = golden.moved_files(old, new)
+    assert moved == {"added.csv": math.inf, "gone.csv": math.inf, "label.json": 0.0,
+                     "moved.csv": 0.25, "shape.json": math.inf}

@@ -245,6 +245,50 @@ class TestIntactRealizations:
             assert np.array_equal(base.mat, before)
 
 
+def _five_edge_star() -> ShiftOperator:
+    mat = np.zeros((6, 6))
+    mat[0, 1:] = mat[1:, 0] = 1.0
+    return ShiftOperator(ADJACENCY, mat)
+
+
+class TestLaneDraw:
+    """The realization draw format, bit for bit: keep t of a set is 32-bit lane t
+    of the raw Philox words (low half of each word first), kept iff it is below
+    ``floor(p * 2**32)``, and a set consumes exactly ``ceil(count * M / 2)`` words."""
+
+    @pytest.mark.parametrize("count", [3, 4])  # count * M odd, then even (M = 5)
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.7, float(np.nextafter(1.0, 0.0))])
+    def test_keeps_are_raw_lanes_below_the_threshold(self, count, p):
+        base = _five_edge_star()
+        m = base.num_edges
+        rng, ref = Rng(21, 3), Rng(21, 3)
+        threshold = int(p * 2**32)
+        for _ in range(2):  # consecutive draws continue the stream
+            mats = sample_realizations(base, p, rng, count)
+            keeps = mats[:, base.edges[:, 0], base.edges[:, 1]] != 0
+            words = ref.generator.bit_generator.random_raw(-(-count * m // 2))
+            lanes = [int(w) >> shift & 0xFFFFFFFF for w in words for shift in (0, 32)]
+            want = np.array([lane < threshold for lane in lanes[:count * m]])
+            assert np.array_equal(keeps, want.reshape(count, m))
+            assert _state(rng) == _state(ref)
+
+    @pytest.mark.parametrize("p", [1.0, -0.1, float("nan")])
+    def test_bernoulli_rejects_p_outside_the_half_open_unit_interval(self, p):
+        with pytest.raises(ValueError, match=r"outside \[0, 1\)"):
+            Rng(0).bernoulli(p, (2, 3))
+
+    def test_an_empty_set_draws_nothing(self, random8):
+        rng = Rng(4)
+        state = _state(rng)
+        assert sample_realizations(random8, 0.5, rng, 0).shape == (0, 8, 8)
+        assert _state(rng) == state
+
+    @pytest.mark.parametrize("p", [0.5, 1.0])
+    def test_negative_count_is_named(self, random8, p):
+        with pytest.raises(ValueError, match="-3"):
+            sample_realizations(random8, p, Rng(0), -3)
+
+
 N_DRAWS = 100_000
 
 
@@ -266,6 +310,52 @@ class TestMonteCarloFrequencies:
     def test_empirical_mean_matches_expected_shift(self, k3_draws):
         base, _, mats = k3_draws
         assert np.abs(mats.mean(axis=0) - expected_shift(base, 0.5)).max() < 0.01
+
+
+ORACLE_SETS = 200_000  # 10^6 keeps of a five-edge star
+ORACLE_CHUNKS = 10
+
+
+def _star_keeps(p: float) -> np.ndarray:
+    """(ORACLE_SETS, 5) keeps of a five-edge star, read off the realized
+    matrices of consecutive draws from one stream."""
+    base = _five_edge_star()
+    rng = Rng(13, 4)
+    return np.concatenate([
+        sample_realizations(base, p, rng, ORACLE_SETS // ORACLE_CHUNKS)[:, 0, 1:] != 0
+        for _ in range(ORACLE_CHUNKS)])
+
+
+@pytest.mark.parametrize("p", [0.1, 0.5, 0.7, 0.99])
+def test_keeps_are_independent_bernoulli_p(p):
+    """Per-edge keep frequencies and pairwise joint keeps within 4 sigma: every
+    pair of edges of one set, and the last edge of a set with the first of the
+    next (with five edges per set, neighbours in draw order cross sets)."""
+    keeps = _star_keeps(p)
+    n = len(keeps)
+    freq = keeps.mean(axis=0)
+    assert np.all(np.abs(freq - p) <= 4.0 * np.sqrt(p * (1.0 - p) / n)), freq
+    pairs = [keeps[:, a] & keeps[:, b] for a, b in itertools.combinations(range(5), 2)]
+    pairs.append(keeps[:-1, 4] & keeps[1:, 0])
+    joint = np.array([pair.mean() for pair in pairs])
+    sigma = np.sqrt(p * p * (1.0 - p * p) / (n - 1))
+    assert np.all(np.abs(joint - p * p) <= 4.0 * sigma), joint
+
+
+@pytest.mark.parametrize("kind", [ADJACENCY, LAPLACIAN])
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_monte_carlo_second_moment_matches_closed_form(random8, kind, p):
+    """Every entry of the sample mean of S^2 over 50,000 realizations of a
+    weighted base lies within 4 standard errors of ``expected_shift_square``."""
+    weights = np.triu(random8.mat * Rng(5).uniform(0.5, 2.0, (8, 8)), 1)
+    base = weighted_shift(weights + weights.T, kind)
+    rng = Rng(17, 2)
+    squares = np.concatenate([np.matmul(mats, mats) for mats in (
+        sample_realizations(base, p, rng, 5_000) for _ in range(ORACLE_CHUNKS))])
+    mean = squares.mean(axis=0)
+    stderr = squares.std(axis=0, ddof=1) / np.sqrt(len(squares))
+    err = np.abs(mean - expected_shift_square(base, p))
+    assert np.all(err <= 4.0 * stderr + 1e-12), (err / np.maximum(stderr, 1e-300)).max()
 
 
 class TestExpectedShift:

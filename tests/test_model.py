@@ -118,6 +118,11 @@ class TestInitTensor:
         with pytest.raises(ConfigError):
             init_tensor(SgnnConfig(layers=1, features=1, order=0), Rng(0), -1.0)
 
+    @pytest.mark.parametrize("scale", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scale_rejected(self, scale):
+        with pytest.raises(ConfigError, match="init scale must be finite"):
+            init_tensor(SgnnConfig(layers=1, features=1, order=0), Rng(0), scale)
+
 
 class TestSampleArchitecture:
     def test_sequence_counts(self, base8):

@@ -693,6 +693,20 @@ class TestEstimators:
         with pytest.raises(ConfigError, match=f"n_samples must be >= 1, got {n_samples}"):
             estimate(init_tensor(cfg, Rng(1), 0.4), base8, data, 0.8, n_samples, Rng(4))
 
+    @pytest.mark.parametrize("estimate", [estimate_cost_gap, estimate_grad_bound])
+    def test_unknown_loss_rejected(self, base8, estimate):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)))
+        with pytest.raises(ConfigError, match=r"'xent'.*'mse', 'cross_entropy'"):
+            estimate(init_tensor(cfg, Rng(1), 0.4), base8, data, 0.8, 2, Rng(4), loss="xent")
+
+    def test_central_differences_rejects_an_unknown_loss(self, base8):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        reals = sample_architecture(base8, 0.8, cfg, Rng(5))
+        x, y = Rng(2).normal(size=(1, 8, 3)), Rng(3).normal(size=(1, 8, 3))
+        with pytest.raises(ConfigError, match=r"'xent'.*'mse', 'cross_entropy'"):
+            central_differences(init_tensor(cfg, Rng(1), 0.4), reals, x, y, "xent")
+
 
 class TestConvergenceMetric:
     def test_running_minimum(self):
@@ -730,6 +744,11 @@ class TestConfigValidation:
             TrainConfig(iterations=1, batch_size=1, link_p=1.1)
         with pytest.raises(ConfigError):
             TrainConfig(iterations=1, batch_size=1, loss="huber")
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_non_finite_or_negative_lr_rejected(self, lr):
+        with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
+            TrainConfig(iterations=1, batch_size=1, lr=lr)
 
     def test_empty_training_set(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
