@@ -87,6 +87,10 @@ class FlockingConfig:
                      "feature_variants"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("comm_radius", "dt", "max_speed", "u_max", "potential_cutoff",
+                     "velocity_guard"):
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         for name in ("test_p", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty; give at least one value")

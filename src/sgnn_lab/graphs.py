@@ -113,8 +113,8 @@ def build_disc_graph(positions: np.ndarray, radius: float) -> ShiftOperator:
         raise ValueError(f"positions must be (N, 2), got {positions.shape}")
     if not np.all(np.isfinite(positions)):
         raise ValueError("positions must be finite")
-    if radius <= 0:
-        raise ConfigError(f"radius must be > 0, got {radius}")
+    if not (np.isfinite(radius) and radius > 0):
+        raise ConfigError(f"radius must be finite and > 0, got {radius}")
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     iu, ju = np.triu_indices(len(positions), 1)

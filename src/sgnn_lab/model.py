@@ -8,6 +8,9 @@ the last layer maps hidden to the output feature count.  Every (layer,
 out-feature, in-feature) filter runs on its own independently drawn sequence
 of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts.
+A set may also carry a trailing column axis, (out, in, K, N, N, B): then batch
+column b diffuses through its own shifts, which is how one pass runs a batch
+whose samples live on different graphs (the intact per-sample graphs at p = 1).
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +54,9 @@ READOUTS = ("none", "pooled", "per_node")
 # All three nonlinearities are 1-Lipschitz with sigma(0) = 0.
 NONLINEARITY_LIPSCHITZ = 1.0
 
-Reals = tuple[np.ndarray, ...]  # a realization set: per layer (out, in, K, N, N) shifts
+# a realization set: per layer (out, in, K, N, N) shifts shared by the batch, or
+# (out, in, K, N, N, B) with column b's own shifts in [..., b]
+Reals = tuple[np.ndarray, ...]
 
 
 def _activate(kind: str, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -190,14 +196,25 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     return FilterTensor(cfg, rng.uniform(-scale, scale, cfg.num_params))
 
 
-def sample_architecture(base: ShiftOperator, p: float, cfg: SgnnConfig, rng: Rng) -> Reals:
+def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
+                        cfg: SgnnConfig, rng: Rng) -> Reals:
     """Draw a fresh realization set for one forward pass.
 
     Each filter's sequence consumes a disjoint, deterministic segment of the
     given counter-based stream, which realizes independent draws per filter.
     At p = 1 each layer is a read-only stride-0 view of ``base.mat`` in the full
     shape and no random numbers are consumed; callers never write into it.
+    At p = 1 ``base`` may also be a sequence of B per-column graphs on N nodes
+    each: each layer is then a read-only stride-0 view (out, in, K, N, N, B) of
+    their stacked matrices, column b on the b-th graph (``ConfigError`` at p < 1).
     """
+    if not isinstance(base, ShiftOperator):
+        if p != 1.0:
+            raise ConfigError(f"per-column graphs need p = 1, got p={p}")
+        # an (N, N, B) view of a (B, N, N) stack, so that each column's shift is contiguous
+        stack = np.stack([graph.mat for graph in base]).transpose(1, 2, 0)
+        return tuple(np.broadcast_to(stack, (o, i, cfg.order) + stack.shape)
+                     for o, i in cfg.layer_shapes())
     n, k = base.n, cfg.order
     return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
                  for o, i in cfg.layer_shapes())
@@ -253,15 +270,17 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
     return out + tensor.head_bias[:, None, None]
 
 
-def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
+def _check_reals(cfg: SgnnConfig, reals: Reals, n: int, b: int) -> None:
     shapes = cfg.layer_shapes()
     if len(reals) != len(shapes):
         raise ValueError(f"realization set has {len(reals)} layers, the architecture {len(shapes)}")
     for layer, (mats, (out_d, in_d)) in enumerate(zip(reals, shapes)):
         want = (out_d, in_d, cfg.order, n, n)
-        if np.shape(mats) != want:
-            raise ValueError(f"layer {layer} realizations have shape {np.shape(mats)}, "
-                             f"expected {want} for {n} nodes")
+        shape = np.shape(mats)
+        if shape != want and shape != want + (b,):
+            raise ValueError(f"layer {layer} realizations have shape {shape}, "
+                             f"expected {want} for {n} nodes, or {want + (b,)} for "
+                             f"{b} batch columns")
 
 
 def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True,
@@ -269,7 +288,9 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
     """Run the network on a fixed realization set.
 
     ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
-    training step; one sample is the batch ``x[..., None]``.  Returns
+    training step; one sample is the batch ``x[..., None]``.  A set with the
+    column axis (out, in, K, N, N, B) runs column b on its own shifts instead;
+    stages, pre-activations and activations keep the same layout.  Returns
     ``(output, cache)``, the output batched along its last axis and the cache
     None when ``return_cache`` is false.
 
@@ -285,7 +306,7 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
     if x.ndim != 3 or x.shape[0] != cfg.in_features:
         raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
                          f"with F_in = {cfg.in_features}")
-    _check_reals(cfg, reals, x.shape[1])
+    _check_reals(cfg, reals, x.shape[1], x.shape[2])
     n, b = x.shape[1], x.shape[2]
     spare = []
     if cache is not None:  # its arrays move to this pass, layer by layer
@@ -300,9 +321,10 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
         mats = reals[layer_idx]
         # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
         mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
-        # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once;
-        # einsum broadcasts a size-1 out axis of the stages itself
-        stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
+        # (out, in, K, N, N[, B]) -> (K, out, in, N, N[, B]): stage k of every filter at
+        # once; einsum broadcasts a size-1 out axis of the stages itself
+        stages = diffusion_stages(mats.transpose((2, 0, 1, 3, 4, 5)[:mats.ndim]), current[None],
+                                  old_stages)
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], stages, out=old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
         if return_cache:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import common
 from .errors import ConfigError, DivergenceError, StaleCacheError
+from .filters import columnwise_product
 from .graphs import ShiftOperator
 from .model import (
     FilterTensor,
@@ -142,12 +143,13 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
-        mats = reals[layer_idx]
+        mats = reals[layer_idx]  # (out, in, K, N, N), or with a column axis (..., B)
+        product = columnwise_product if mats.ndim == 6 else np.matmul
         # delta_x = sum_k h_k (S_1 ... S_k)^T delta_u, accumulated backwards.
         acc = coeffs[:, :, cfg.order, None, None] * delta_u[:, None]
         for k in range(cfg.order - 1, -1, -1):
             # realized shifts are symmetric, but transpose anyway for clarity
-            acc = np.matmul(mats[:, :, k].transpose(0, 1, 3, 2), acc)
+            acc = product(mats[:, :, k].swapaxes(2, 3), acc)
             acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
         d_act = acc.sum(axis=0)                                 # (in, N, B)
     return grad
@@ -179,6 +181,10 @@ class TrainingSet:
             raise ConfigError("inputs and targets disagree on the sample count")
         if self.bases is not None and len(self.bases) != len(self.inputs):
             raise ConfigError("per-sample bases must match the sample count")
+        for i, graph in enumerate(self.bases or ()):
+            if graph.n != self.inputs.shape[2]:
+                raise ConfigError(f"per-sample base {i} has {graph.n} nodes, "
+                                  f"the inputs {self.inputs.shape[2]}")
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -317,12 +323,15 @@ def _loss_fn(loss: str):
     return _mse if loss == "mse" else _cross_entropy
 
 
-def _groups(base: ShiftOperator | None, train_set: TrainingSet,
-            idx: np.ndarray) -> list[tuple[ShiftOperator, np.ndarray | slice]]:
-    """(graph, samples) per draw: the batch on the shared base, or each sample on its
-    own base as a slice (faster to index with than a one-element array)."""
+def _groups(base: ShiftOperator | None, train_set: TrainingSet, idx: np.ndarray,
+            p: float) -> list[tuple[ShiftOperator | list[ShiftOperator], np.ndarray | slice]]:
+    """(graph, samples) per draw: the batch on the shared base; at p = 1 the batch on
+    its per-sample bases, one graph per column; else each sample on its own base as
+    a slice (faster to index with than a one-element array)."""
     if train_set.bases is None:
         return [(base, idx)]
+    if p == 1.0:
+        return [([train_set.bases[i] for i in idx], idx)]
     return [(train_set.bases[i], slice(i, i + 1)) for i in idx]
 
 
@@ -332,7 +341,7 @@ def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
     """Cost and flat gradient of one step: the mean over equal-sized groups, each
     on a fresh realization set.  Every forward pass refills the previous one's
     ``cache``; the last is returned for the next step."""
-    groups = _groups(base, train_set, idx)
+    groups = _groups(base, train_set, idx, p)
     cost, grad = 0.0, 0.0
     for graph, members in groups:
         reals = sample_architecture(graph, p, tensor.cfg, rng)
@@ -348,7 +357,7 @@ def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
 def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
                train_set: TrainingSet, p: float, loss: str, rng: Rng) -> float:
     """Full-set cost on fresh realization draws (forward only)."""
-    groups = _groups(base, train_set, np.arange(len(train_set)))
+    groups = _groups(base, train_set, np.arange(len(train_set)), p)
     total = 0.0
     for graph, members in groups:
         reals = sample_architecture(graph, p, tensor.cfg, rng)

@@ -186,7 +186,7 @@ class TestExitCodes:
         "train-flock iterations=0", "train-source train_p=1.5", "train-flock train_p=1.5",
         "train-flock feature_variants=0", "train-flock steps=0", "train-flock agents=0",
         "train-flock test_p=", "train-source tau_max=-1", "train-source val_size=-1",
-        "train-source test_p=",
+        "train-source test_p=", "train-flock comm_radius=nan", "train-flock dt=inf",
     ], ids=str)
     def test_out_of_range_override_is_config_error(self, tmp_path, override):
         command, item = override.split()

@@ -282,6 +282,16 @@ class TestSimulateSwarm:
                            comm_radius=cfg.comm_radius, u_max=1e9, velocity_guard=50.0)
 
 
+class TestFlockingConfig:
+    # comm_radius=nan once ran a whole experiment on edgeless graphs and exited 0
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("name", ["comm_radius", "dt", "max_speed", "u_max",
+                                      "potential_cutoff", "velocity_guard"])
+    def test_non_finite_or_nonpositive_scale_rejected(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite and > 0"):
+            FlockingConfig(**{name: value})
+
+
 class TestFlockingPipeline:
     def _tiny_cfg(self):
         return FlockingConfig(agents=6, steps=15, train_trajectories=3,

@@ -127,6 +127,12 @@ class TestBuildDiscGraph:
         with pytest.raises(ConfigError):
             build_disc_graph([(0, 0), (1, 1)], 0.0)
 
+    # NaN once passed the `radius <= 0` check and gave an edgeless graph
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ConfigError, match="radius must be finite and > 0"):
+            build_disc_graph([(0, 0), (1, 1)], radius)
+
 
 class TestToShift:
     def test_triangle_laplacian(self, k3):

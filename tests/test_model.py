@@ -149,6 +149,23 @@ class TestSampleArchitecture:
             assert np.shares_memory(mats, base8.mat)
         assert np.array_equal(rng.random(4), Rng(0).random(4))
 
+    def test_per_column_set_is_a_stride0_view_of_the_stacked_graphs(self, base8, random8):
+        cfg = SgnnConfig(layers=2, features=2, order=3, in_features=2)
+        graphs = [base8, random8, base8]
+        rng = Rng(0)
+        reals = sample_architecture(graphs, 1.0, cfg, rng)
+        assert [m.shape for m in reals] == [(o, i, 3, 8, 8, 3) for o, i in cfg.layer_shapes()]
+        for mats in reals:
+            assert mats.strides[:3] == (0, 0, 0) and not mats.flags.writeable
+            for b, graph in enumerate(graphs):
+                assert np.array_equal(mats[-1, -1, 2, ..., b], graph.mat)
+        assert np.array_equal(rng.random(4), Rng(0).random(4))
+
+    def test_per_column_graphs_below_p1_rejected(self, base8):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        with pytest.raises(ConfigError, match="per-column graphs need p = 1"):
+            sample_architecture([base8, base8], 0.7, cfg, Rng(0))
+
     def test_different_streams_differ(self, base8):
         assert base8.num_edges >= 8
         cfg = SgnnConfig(layers=1, features=1, order=2)
@@ -265,6 +282,28 @@ class TestForward:
         # a node-count mismatch in a later layer alone is caught too
         with pytest.raises(ValueError, match="layer 1 .* for 8 nodes"):
             forward(tensor, (reals[0], reals[1][..., :3, :3]), np.ones((1, 8, 1)))
+
+    def test_column_axis_must_match_the_batch(self, base8):
+        cfg = SgnnConfig(layers=2, features=2, order=1)
+        tensor = init_tensor(cfg, Rng(0), 0.5)
+        reals = sample_architecture([base8] * 3, 1.0, cfg, Rng(1))
+        with pytest.raises(ValueError, match=r"layer 0 .* \(2, 1, 1, 8, 8, 2\) for 2 batch"):
+            forward(tensor, reals, np.ones((1, 8, 2)))
+
+    @pytest.mark.parametrize("readout", READOUTS)
+    def test_per_column_set_runs_each_column_on_its_own_graph(self, base8, random8, readout):
+        cfg = SgnnConfig(layers=2, features=3, order=2, in_features=2, out_features=2,
+                         readout=readout, readout_dim=0 if readout == "none" else 2)
+        tensor = init_tensor(cfg, Rng(0), 0.5)
+        graphs = [base8, to_shift(random8, "laplacian"), base8, random8]
+        xs = Rng(2).normal(size=(2, 8, 4))
+        out, cache = forward(tensor, sample_architecture(graphs, 1.0, cfg, Rng(1)), xs)
+        for b, graph in enumerate(graphs):
+            single, one = forward(tensor, sample_architecture(graph, 1.0, cfg, Rng(1)),
+                                  xs[:, :, b, None])
+            assert np.abs(out[..., b] - single[..., 0]).max() <= 1e-12
+            for got, want in zip(cache.stages, one.stages):
+                assert np.abs(got[..., b] - want[..., 0]).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestForwardExpected:

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sgnn_lab import (
+    ADJACENCY,
     KINDS,
     ConfigError,
     DivergenceError,
@@ -13,6 +14,7 @@ from sgnn_lab import (
     NORMALIZED_ADJACENCY,
     Rng,
     SgnnConfig,
+    ShiftOperator,
     StaleCacheError,
     TrainConfig,
     TrainTrace,
@@ -501,8 +503,9 @@ class TestTrain:
                   TrainConfig(iterations=iterations, batch_size=10, lr=lr,
                               optimizer="sgd", link_p=1.0, seed=0))
 
-    @pytest.mark.parametrize("p, per_sample", [(0.7, False), (1.0, False), (0.7, True)],
-                             ids=["drawn", "shared", "per_sample_bases"])
+    @pytest.mark.parametrize("p, per_sample", [(0.7, False), (1.0, False), (0.7, True),
+                                               (1.0, True)],
+                             ids=["drawn", "shared", "per_sample_bases", "intact_per_sample_bases"])
     def test_steps_refill_one_cache(self, monkeypatch, random8, p, per_sample):
         # every forward pass of a run after the first writes into the first one's
         # arrays, and the previous pass's set was released before this one's draw
@@ -524,7 +527,7 @@ class TestTrain:
         train(init_tensor(cfg, Rng(0), 0.5), None if per_sample else graphs[0], data,
               TrainConfig(iterations=5, batch_size=4, lr=1e-2, link_p=p, seed=3,
                           loss="cross_entropy"))
-        assert len(pointers) == 5 * (4 if per_sample else 1)
+        assert len(pointers) == 5 * (4 if per_sample and p < 1 else 1)
         assert all(ptrs == pointers[0] for ptrs in pointers[1:])
 
     def test_input_tensor_not_mutated(self, base8):
@@ -646,6 +649,114 @@ class TestPerSampleBases:
         assert full == want
 
 
+_EDGELESS6 = ShiftOperator(ADJACENCY, np.zeros((6, 6)))
+
+
+@st.composite
+def _per_sample_problems(draw):
+    """(tensor, training set on per-sample 6-node graphs with edgeless snapshots mixed
+    in, batch indices, loss) for a random 1- or 2-layer architecture."""
+    readout = draw(st.sampled_from(READOUTS))
+    cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
+                     order=draw(st.integers(0, 3)),
+                     nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                     in_features=draw(st.integers(1, 2)), out_features=draw(st.integers(1, 3)),
+                     readout=readout,
+                     readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+    rng = Rng(draw(st.integers(0, 2**16)))
+    edgeless = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+    graphs = []
+    for c, empty in enumerate(edgeless):
+        adj = build_sbm(6, 2, 0.9, 0.4, rng.child(10 + c))
+        graphs.append(_EDGELESS6 if empty or adj.num_edges == 0
+                      else to_shift(adj, NORMALIZED_ADJACENCY))
+    loss = ("cross_entropy" if readout == "pooled" and draw(st.booleans()) else "mse")
+    inputs = rng.child(1).normal(size=(len(graphs), cfg.in_features, 6))
+    if loss == "cross_entropy":
+        targets = rng.child(2).integers(0, cfg.readout_dim, len(graphs))
+    else:  # shaped as the output of one sample
+        width = cfg.out_features if readout == "none" else cfg.readout_dim
+        targets = rng.child(2).normal(size=(len(graphs), width, 6)[:2 if readout == "pooled" else 3])
+    idx = np.array(draw(st.permutations(range(len(graphs))))[:draw(st.integers(1, len(graphs)))])
+    return init_tensor(cfg, rng.child(0), 0.6), TrainingSet(inputs, targets, bases=graphs), idx, loss
+
+
+def _per_sample_loop(tensor, data, idx, loss):
+    """Cost and flat gradient of the batch as its samples' own B = 1 passes on their own
+    intact graphs, averaged: the reference for the one-pass p = 1 step."""
+    costs, grads = [], []
+    for i in idx:
+        reals = sample_architecture(data.bases[i], 1.0, tensor.cfg, Rng(0))
+        out, cache = forward(tensor, reals, data.inputs[i][..., None])
+        y = data.targets[i:i + 1] if loss == "cross_entropy" else data.targets[i][..., None]
+        c, dout = _loss_pair(loss, out, y)
+        costs.append(c)
+        grads.append(backward(tensor, reals, cache, dout))
+    return sum(costs) / len(idx), sum(grads) / len(idx)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_per_sample_problems())
+def test_one_pass_intact_step_matches_the_per_sample_loop(problem):
+    # summation order differs (one mean over the batch, one contraction over columns),
+    # so the two agree to roundoff, not bit for bit
+    tensor, data, idx, loss = problem
+    cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 1.0, loss, Rng(1))
+    want_cost, want_grad = _per_sample_loop(tensor, data, idx, loss)
+    assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
+    assert np.abs(grad - want_grad).max(initial=0.0) <= 1e-12 * np.abs(want_grad).max(initial=0.0)
+    full = _full_cost(tensor, None, data, 1.0, loss, Rng(1))
+    want_full, _ = _per_sample_loop(tensor, data, np.arange(len(data)), loss)
+    assert abs(full - want_full) <= 1e-12 * abs(want_full)
+
+
+@pytest.mark.parametrize("readout,loss", [("none", "mse"), ("pooled", "cross_entropy"),
+                                          ("per_node", "mse")])
+def test_per_column_set_backward_matches_central_differences(readout, loss):
+    # two layers, so the Horner adjoint runs on the column axis
+    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(60).child(c)), NORMALIZED_ADJACENCY)
+              for c in range(3)] + [_EDGELESS6]
+    cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2,
+                     out_features=2, readout=readout,
+                     readout_dim=0 if readout == "none" else 3)
+    tensor = init_tensor(cfg, Rng(61), 0.6)
+    reals = sample_architecture(graphs, 1.0, cfg, Rng(62))
+    assert [m.shape for m in reals] == [(3, 2, 3, 6, 6, 4), (2, 3, 3, 6, 6, 4)]
+    x = Rng(63).normal(size=(2, 6, 4))
+    out, cache = forward(tensor, reals, x)
+    y = (Rng(64).integers(0, 3, 4) if loss == "cross_entropy"
+         else Rng(64).normal(size=out.shape))
+    _, dout = _loss_pair(loss, out, y)
+    grad = backward(tensor, reals, cache, dout)
+    assert gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss)) <= 1e-6
+
+
+@pytest.mark.parametrize("p, per_step", [(1.0, True), (0.7, False)], ids=["intact", "drawn"])
+def test_per_sample_bases_run_one_pass_per_step_only_when_intact(monkeypatch, p, per_step):
+    # guards against a silent fallback to the per-sample loop at p = 1, and against
+    # stacking drawn sets at p < 1
+    calls = {"forward": 0, "backward": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(training, "forward", counting("forward", forward))
+    monkeypatch.setattr(training, "backward", counting("backward", backward))
+    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(70).child(c)), NORMALIZED_ADJACENCY)
+              for c in range(10)]
+    cfg = SgnnConfig(layers=1, features=3, order=2, in_features=2, out_features=3,
+                     readout="per_node", readout_dim=2)
+    data = TrainingSet(Rng(71).normal(size=(10, 2, 6)), Rng(72).normal(size=(10, 2, 6)),
+                       bases=graphs)
+    train(init_tensor(cfg, Rng(73), 0.5), None, data,
+          TrainConfig(iterations=3, batch_size=4, link_p=p, seed=0))
+    want = 3 if per_step else 3 * 4
+    assert calls == {"forward": want, "backward": want}
+
+
 class TestEstimators:
     def test_grad_bound_zero_for_zero_problem(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -749,6 +860,11 @@ class TestConfigValidation:
     def test_non_finite_or_negative_lr_rejected(self, lr):
         with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
             TrainConfig(iterations=1, batch_size=1, lr=lr)
+
+    # a base of another size once failed only mid-training, inside forward
+    def test_per_sample_base_of_another_size_rejected(self, random8, k3):
+        with pytest.raises(ConfigError, match="per-sample base 1 has 3 nodes, the inputs 8"):
+            TrainingSet(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), bases=[random8, k3])
 
     def test_empty_training_set(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
