@@ -53,8 +53,8 @@ class SwarmState:
             raise ConfigError("z and v must share shape (N, 2)")
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.v))):
             raise ConfigError("swarm state must be finite")
-        if self.dt <= 0:
-            raise ConfigError("dt must be > 0")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be finite and > 0, got {self.dt}")
 
 
 @dataclass(frozen=True)

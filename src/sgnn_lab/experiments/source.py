@@ -139,24 +139,20 @@ def gen_source_dataset(base: ShiftOperator, communities: int, sizes: tuple[int, 
 def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
                       labels: np.ndarray, p: float, rng: Rng) -> float:
     """Accuracy under link failures: every test sample sees an independent
-    fresh realization set at probability ``p``.  At p = 1 every set is the
-    intact graph, so one batched pass scores the whole test set.
+    fresh realization set at probability ``p``.  One forward pass scores the
+    whole test set: at p = 1 every set is the intact graph, shared by the batch;
+    below it the sets are deferred, sample i's drawn as the i-th of R single-set
+    draws would draw it.
 
     ``inputs`` is (R, F_in, N) with R >= 1 and ``labels`` (R,); ``ValueError``
     otherwise."""
     if len(inputs) == 0 or len(labels) != len(inputs):
         raise ValueError(f"{len(inputs)} test inputs with {len(labels)} labels: "
                          "need one label per input, and at least one input")
-    if p == 1.0:
-        reals = sample_architecture(base, p, tensor.cfg, rng)  # draws nothing
-        logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
-        return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)
-    correct = 0
-    for i in range(len(inputs)):
-        reals = sample_architecture(base, p, tensor.cfg, rng)
-        logits, _ = forward(tensor, reals, inputs[i][..., None], return_cache=False)
-        correct += int(np.argmax(logits) == labels[i])
-    return correct / len(inputs)
+    reals = sample_architecture(base, p, tensor.cfg, rng,
+                                columns=None if p == 1.0 else len(inputs))
+    logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
+    return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)
 
 
 def run_source_seed(cfg: SourceLocConfig, seed: int) -> dict:

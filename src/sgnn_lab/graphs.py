@@ -139,11 +139,15 @@ def to_shift(adj: ShiftOperator, kind: str) -> ShiftOperator:
     raise ConfigError(f"unknown shift kind {kind!r}")
 
 
-def _realized_mats(base: ShiftOperator, keep: np.ndarray) -> np.ndarray:
-    """Dense realized shift matrices for a (B, M) boolean keep array."""
+def _realized_mats(base: ShiftOperator, keep: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """Dense realized shift matrices for a (B, M) boolean keep array, built in ``out``
+    when given: a (B, N, N) array of zeros or of earlier realizations of ``base``.
+    Its entries off the edges and the diagonal are then zero already, so a refill
+    rewrites only the edge entries (dropped ones to 0) and a Laplacian's diagonal."""
     b = keep.shape[0]
     n = base.n
-    mats = np.zeros((b, n, n))
+    mats = np.zeros((b, n, n)) if out is None else out
     if base.num_edges == 0:
         return mats
     iu, ju = base.edges[:, 0], base.edges[:, 1]

@@ -11,6 +11,11 @@ tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shi
 A set may also carry a trailing column axis, (out, in, K, N, N, B): then batch
 column b diffuses through its own shifts, which is how one pass runs a batch
 whose samples live on different graphs (the intact per-sample graphs at p = 1).
+A Monte-Carlo pass, in which every sample sees its own fresh set on one graph,
+takes a deferred set instead (``sample_architecture(..., columns=B)``): ``forward``
+draws column b's set as the b-th of B single-set draws would, builds it in one
+buffer per layer that every column refills, runs the column through the layers
+with the arithmetic of a B = 1 pass, and runs the head once over the batch.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -27,7 +32,8 @@ the trailing block of the vector and train jointly:
 
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
 diffusion stage and pre-activation because the training module backpropagates
-through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache.
+through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache
+(a deferred set is forward-only and requires it).
 A training loop hands each ``forward`` the previous step's cache, whose arrays
 the new pass refills in place when their shapes match, so steady-state steps
 allocate no stage, pre-activation or activation arrays.  ``forward`` computes
@@ -39,13 +45,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .filters import diffusion_stages
-from .graphs import KINDS, ShiftOperator, expected_shift, sample_realizations
+from .graphs import KINDS, ShiftOperator, _realized_mats, expected_shift, sample_realizations
 from .rng import Rng
 
 NONLINEARITIES = ("relu", "abs", "tanh")
@@ -57,6 +63,18 @@ NONLINEARITY_LIPSCHITZ = 1.0
 # a realization set: per layer (out, in, K, N, N) shifts shared by the batch, or
 # (out, in, K, N, N, B) with column b's own shifts in [..., b]
 Reals = tuple[np.ndarray, ...]
+
+
+class DeferredSets(NamedTuple):
+    """``columns`` fresh realization sets on ``base`` at probability ``p``, not yet
+    drawn: :func:`forward` draws them from ``rng`` as it runs the columns, column b's
+    set exactly as the b-th of ``columns`` :func:`sample_architecture` calls would
+    (a second pass on the same object draws the next ``columns`` sets)."""
+
+    base: ShiftOperator
+    p: float
+    rng: Rng
+    columns: int
 
 
 def _activate(kind: str, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -197,7 +215,8 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
 
 
 def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
-                        cfg: SgnnConfig, rng: Rng) -> Reals:
+                        cfg: SgnnConfig, rng: Rng,
+                        columns: int | None = None) -> Reals | DeferredSets:
     """Draw a fresh realization set for one forward pass.
 
     Each filter's sequence consumes a disjoint, deterministic segment of the
@@ -207,7 +226,22 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     At p = 1 ``base`` may also be a sequence of B per-column graphs on N nodes
     each: each layer is then a read-only stride-0 view (out, in, K, N, N, B) of
     their stacked matrices, column b on the b-th graph (``ConfigError`` at p < 1).
+
+    With ``columns=B`` the result is a :class:`DeferredSets`, one fresh set per
+    batch column on the one graph ``base``, and nothing is drawn here: the
+    forward-only pass of :func:`forward` draws column b's set from ``rng`` as the
+    b-th of B calls without ``columns`` would (at p = 1 every set is the base view
+    and nothing is drawn), so it leaves ``rng`` where those calls would.  A bad
+    ``p`` raises ``ConfigError`` and a column count below 1 ``ValueError``.
     """
+    if columns is not None:
+        if not isinstance(base, ShiftOperator):
+            raise ConfigError("a deferred set lives on one base graph")
+        if not 0.0 <= p <= 1.0:
+            raise ConfigError(f"edge probability p={p} outside [0, 1]")
+        if not (isinstance(columns, (int, np.integer)) and columns >= 1):
+            raise ValueError(f"a deferred set needs an integer column count >= 1, got {columns!r}")
+        return DeferredSets(base, p, rng, int(columns))
     if not isinstance(base, ShiftOperator):
         if p != 1.0:
             raise ConfigError(f"per-column graphs need p = 1, got p={p}")
@@ -242,6 +276,13 @@ class ForwardCache:
         """Drop all but the arrays a later pass refills (``backward`` then
         rejects the cache), so that a loop holding it keeps no more alive."""
         self.reals = self.x = self.pooled_std = self.pooled_floored = self.pooled_hat = None
+
+    def _take(self) -> list:
+        """Hand the stage, pre-activation and activation arrays over to a new pass,
+        as one (stages, u, act) triple per layer, and empty the lists."""
+        spare = list(zip(self.stages, self.pre_activations, self.activations))
+        self.stages, self.pre_activations, self.activations = [], [], []
+        return spare
 
 
 _STD_FLOOR = 1e-12
@@ -283,36 +324,14 @@ def _check_reals(cfg: SgnnConfig, reals: Reals, n: int, b: int) -> None:
                              f"{b} batch columns")
 
 
-def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: bool = True,
-            cache: ForwardCache | None = None):
-    """Run the network on a fixed realization set.
-
-    ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
-    training step; one sample is the batch ``x[..., None]``.  A set with the
-    column axis (out, in, K, N, N, B) runs column b on its own shifts instead;
-    stages, pre-activations and activations keep the same layout.  Returns
-    ``(output, cache)``, the output batched along its last axis and the cache
-    None when ``return_cache`` is false.
-
-    ``cache`` is the previous pass's cache, given to reuse its memory: every
-    stage, pre-activation and activation array of the right shape is refilled
-    in place (the results are the same as on new arrays), and ``cache`` is
-    left empty, so that ``backward`` rejects it.  The output of a network
-    without a readout head is then the cache's last activation array, which
-    the next pass on that cache overwrites.
-    """
+def _layers(tensor: FilterTensor, reals: Reals, x: np.ndarray, spare: list,
+            cache: ForwardCache | None) -> np.ndarray:
+    """Run the layers of ``tensor`` on the realization set ``reals`` from the input
+    batch ``x`` and return the last activation.  Each array of ``spare`` (per layer a
+    (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
+    place; each layer's arrays are appended to ``cache`` when one is given."""
     cfg = tensor.cfg
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 3 or x.shape[0] != cfg.in_features:
-        raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
-                         f"with F_in = {cfg.in_features}")
-    _check_reals(cfg, reals, x.shape[1], x.shape[2])
     n, b = x.shape[1], x.shape[2]
-    spare = []
-    if cache is not None:  # its arrays move to this pass, layer by layer
-        spare = list(zip(cache.stages, cache.pre_activations, cache.activations))
-        cache.stages, cache.pre_activations, cache.activations = [], [], []
-    cache = ForwardCache(tensor=tensor, reals=reals, x=x) if return_cache else None
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
@@ -327,12 +346,81 @@ def forward(tensor: FilterTensor, reals: Reals, x: np.ndarray, return_cache: boo
                                   old_stages)
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], stages, out=old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
-        if return_cache:
+        if cache is not None:
             cache.stages.append(stages)
             cache.pre_activations.append(u)
             cache.activations.append(act)
         current = act
-    return _apply_head(tensor, current, cache), cache
+    return current
+
+
+def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray) -> np.ndarray:
+    """The layers on a deferred set, one column at a time; returns the last
+    activation (out, N, B).  One buffer per layer holds the current column's set
+    (below p = 1 every column refills it, which on one base graph rewrites only
+    the edge and diagonal entries), and one column's stage, pre-activation and
+    activation arrays are refilled by the next column."""
+    cfg, base, p, rng = tensor.cfg, sets.base, sets.p, sets.rng
+    n, b = x.shape[1], x.shape[2]
+    if n != base.n or b != sets.columns:
+        raise ValueError(f"input has shape {x.shape}, the deferred set {sets.columns} "
+                         f"columns on {base.n} nodes")
+    shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
+    if p == 1.0:
+        bufs, reals = [], tuple(np.broadcast_to(base.mat, shape) for shape in shapes)
+    else:
+        bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
+        reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
+    column = np.empty(x.shape[:2] + (1,))
+    carry = ForwardCache(tensor=tensor, reals=None, x=None)
+    core = np.empty((cfg.out_features, n, b))
+    for col in range(b):
+        for buf in bufs:
+            _realized_mats(base, rng.bernoulli(p, (len(buf), base.num_edges)), out=buf)
+        column[..., 0] = x[..., col]
+        core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
+    return core
+
+
+def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
+            return_cache: bool = True, cache: ForwardCache | None = None):
+    """Run the network on a fixed realization set.
+
+    ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
+    training step; one sample is the batch ``x[..., None]``.  A set with the
+    column axis (out, in, K, N, N, B) runs column b on its own shifts instead;
+    stages, pre-activations and activations keep the same layout.  Returns
+    ``(output, cache)``, the output batched along its last axis and the cache
+    None when ``return_cache`` is false.
+
+    A :class:`DeferredSets` of B columns (``sample_architecture(..., columns=B)``)
+    is drawn here, one column at a time, and column b runs on its own set with the
+    arithmetic of a B = 1 pass: its output up to the head is bit for bit that of
+    B separate draws and passes.  Such a pass is forward-only, so it needs
+    ``return_cache=False`` and no ``cache`` (``ValueError`` otherwise, and for an
+    input whose node or column count does not match the set, before any draw).
+
+    ``cache`` is the previous pass's cache, given to reuse its memory: every
+    stage, pre-activation and activation array of the right shape is refilled
+    in place (the results are the same as on new arrays), and ``cache`` is
+    left empty, so that ``backward`` rejects it.  The output of a network
+    without a readout head is then the cache's last activation array, which
+    the next pass on that cache overwrites.
+    """
+    cfg = tensor.cfg
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 3 or x.shape[0] != cfg.in_features:
+        raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
+                         f"with F_in = {cfg.in_features}")
+    if isinstance(reals, DeferredSets):
+        if return_cache or cache is not None:
+            raise ValueError("a deferred realization set runs forward only: "
+                             "pass return_cache=False and no cache")
+        return _apply_head(tensor, _deferred_layers(tensor, reals, x)), None
+    _check_reals(cfg, reals, x.shape[1], x.shape[2])
+    spare = [] if cache is None else cache._take()  # its arrays move to this pass
+    cache = ForwardCache(tensor=tensor, reals=reals, x=x) if return_cache else None
+    return _apply_head(tensor, _layers(tensor, reals, x, spare, cache), cache), cache
 
 
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:

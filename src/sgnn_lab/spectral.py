@@ -63,8 +63,8 @@ class FilterConstants:
         if not (lo <= hi):
             raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
         for name in ("response_bound", "response_lipschitz", "nonlinearity_lipschitz"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 def _as_matrix(s) -> np.ndarray:

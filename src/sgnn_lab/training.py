@@ -281,8 +281,8 @@ def convergence_step_size(cost_gap: float, iterations: int, smoothness: float,
     ``sqrt(2 * cost_gap / (iterations * smoothness * grad_bound**2))``."""
     for name, val in (("cost_gap", cost_gap), ("iterations", iterations),
                       ("smoothness", smoothness), ("grad_bound", grad_bound)):
-        if val <= 0:
-            raise ConfigError(f"{name} must be > 0, got {val}")
+        if not (np.isfinite(val) and val > 0):
+            raise ConfigError(f"{name} must be finite and > 0, got {val}")
     return float(np.sqrt(2.0 * cost_gap / (iterations * smoothness * grad_bound**2)))
 
 

@@ -18,6 +18,13 @@ constant, and ``alpha`` a factor set by the shift kind (1 for adjacency,
 bound is only asserted in the link-stable regime p >= 0.9, where the
 first-order term dominates, plus the exact endpoint checks at p in {0, 1}.
 
+The network's Monte-Carlo estimate runs every sample in one forward pass on a
+deferred realization set (``sample_architecture(..., columns=n_samples)``):
+sample b sees its own fresh set, drawn as the b-th of ``n_samples`` single-set
+draws would draw it, and runs with the arithmetic of a one-sample pass.  Both
+Monte-Carlo entry points stack their samples C-contiguous, (n_samples, outputs),
+and share one estimator, so they sum in the same order.
+
 The enumeration oracles are deliberately dumb: they walk every mask (or mask
 sequence) with its probability.  They exist to certify the closed forms and
 bounds on small instances, so they stay independent of the fast paths.
@@ -71,6 +78,18 @@ def _signal(x, base: ShiftOperator) -> np.ndarray:
     return x
 
 
+def _variance_estimate(samples: np.ndarray) -> tuple[float, float]:
+    """Per-output variance summed over outputs, and its standard error, from a
+    C-contiguous (n_samples, outputs) array (the layout fixes the summation order)."""
+    n_samples = len(samples)
+    mean = samples.mean(axis=0)
+    sq_dev = ((samples - mean) ** 2).sum(axis=1)            # per-sample scalar
+    variance = float(sq_dev.sum() / (n_samples - 1))
+    scale = n_samples / (n_samples - 1)
+    std_error = float(scale * sq_dev.std(ddof=1) / np.sqrt(n_samples))
+    return variance, std_error
+
+
 def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
                 rng: Rng) -> tuple[float, float]:
     """Monte-Carlo estimate of the per-node variance summed over nodes.
@@ -82,14 +101,8 @@ def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
     """
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")
-    samples = np.stack([np.ravel(np.asarray(evaluate(rng), dtype=float))
-                        for _ in range(n_samples)])
-    mean = samples.mean(axis=0)
-    sq_dev = ((samples - mean) ** 2).sum(axis=1)            # per-sample scalar
-    variance = float(sq_dev.sum() / (n_samples - 1))
-    scale = n_samples / (n_samples - 1)
-    std_error = float(scale * sq_dev.std(ddof=1) / np.sqrt(n_samples))
-    return variance, std_error
+    return _variance_estimate(np.stack([np.ravel(np.asarray(evaluate(rng), dtype=float))
+                                        for _ in range(n_samples)]))
 
 
 def variance_std_error(samples: np.ndarray) -> float:
@@ -247,15 +260,17 @@ def tensor_constants(tensor: FilterTensor, base: ShiftOperator,
 def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng) -> tuple[float, float]:
     """Monte-Carlo output variance of the network over fresh realization
-    sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise)."""
-    xs = _signal(x, base)[None, :, None]
-
-    def evaluate(r: Rng) -> np.ndarray:
-        reals = sample_architecture(base, p, tensor.cfg, r)
-        out, _ = forward(tensor, reals, xs, return_cache=False)
-        return np.ravel(out)
-
-    return mc_variance(evaluate, n_samples, rng)
+    sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise), as
+    :func:`mc_variance` estimates it.  One forward pass runs all the samples on a
+    deferred set, sample b on its own set drawn as the b-th of ``n_samples``
+    single-set draws would draw it, with the arithmetic of a one-sample pass."""
+    x = _signal(x, base)
+    if n_samples < 2:
+        raise ConfigError("n_samples must be >= 2")
+    reals = sample_architecture(base, p, tensor.cfg, rng, columns=n_samples)
+    out, _ = forward(tensor, reals, np.broadcast_to(x[None, :, None], (1, base.n, n_samples)),
+                     return_cache=False)
+    return _variance_estimate(np.ascontiguousarray(out.reshape(-1, n_samples).T))
 
 
 REPORT_COLUMNS = (

@@ -125,6 +125,24 @@ class TestSourcePipeline:
             evaluate_accuracy(tensor, norm20, inputs, np.zeros(labels, dtype=int), 0.7, Rng(2))
 
 
+@pytest.mark.parametrize("p", [0.7, 1.0])
+def test_accuracy_is_one_forward_call_over_the_test_set(monkeypatch, norm20, p):
+    # the per-sample loop must not come back: one pass carries every test sample
+    from sgnn_lab.experiments import source
+
+    columns = []
+
+    def counting(tensor, reals, x, *args, **kwargs):
+        columns.append(x.shape[2])
+        return forward(tensor, reals, x, *args, **kwargs)
+
+    monkeypatch.setattr(source, "forward", counting)
+    tensor = init_tensor(SourceLocConfig(features=4).model_config(), Rng(0), 0.5)
+    test = gen_source_dataset(norm20, 4, (1, 1, 30), 3, 0.01, Rng(1)).test
+    evaluate_accuracy(tensor, norm20, test.inputs, test.labels, p, Rng(2))
+    assert columns == [30]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(2, 4), st.integers(1, 6), st.integers(0, 3),
        st.sampled_from(["relu", "abs", "tanh"]), st.integers(1, 40), st.integers(0, 2**16))
@@ -280,6 +298,12 @@ class TestSimulateSwarm:
         with pytest.raises(DivergenceError):
             simulate_swarm(runaway, state0, 50, 1.0, Rng(2),
                            comm_radius=cfg.comm_radius, u_max=1e9, velocity_guard=50.0)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.05])
+def test_swarm_state_rejects_a_non_finite_or_nonpositive_step(dt):
+    with pytest.raises(ConfigError, match="dt must be finite and > 0"):
+        SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)), dt=dt)
 
 
 class TestFlockingConfig:

@@ -213,6 +213,19 @@ class TestSampleRealization:
         mean = np.einsum("b,bnm->nm", probs, _realized_mats(base, masks))
         assert np.abs(mean - expected_shift(base, 0.3)).max() <= 1e-15
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_refill_in_place_equals_fresh_builds(self, random8, kind):
+        # weighted, so that an entry left over from an earlier keep cannot pass for a fresh one
+        weights = np.triu(random8.mat * Rng(5).uniform(0.5, 2.0, (8, 8)), 1)
+        base = weighted_shift(weights + weights.T, kind)
+        rng, m = Rng(7), base.num_edges
+        keeps = [rng.bernoulli(p, (3, m)) for p in (0.7, 0.3, 0.0, 0.9, 0.5)]
+        keeps[2:2] = [np.ones((3, m), dtype=bool), np.zeros((3, m), dtype=bool)]
+        buf = np.zeros((3, 8, 8))
+        for keep in keeps:  # each refill drops edges that the one before kept
+            assert _realized_mats(base, keep, out=buf) is buf
+            assert buf.tobytes() == _realized_mats(base, keep).tobytes()
+
 
 def _state(rng: Rng) -> str:
     return repr(rng.generator.bit_generator.state)

@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +27,7 @@ from sgnn_lab import (
     save_checkpoint,
     to_shift,
 )
-from sgnn_lab.model import NONLINEARITIES, READOUTS, split_params
+from sgnn_lab.model import NONLINEARITIES, READOUTS, DeferredSets, split_params
 
 
 @pytest.fixture
@@ -304,6 +307,113 @@ class TestForward:
             assert np.abs(out[..., b] - single[..., 0]).max() <= 1e-12
             for got, want in zip(cache.stages, one.stages):
                 assert np.abs(got[..., b] - want[..., 0]).max() <= 1e-12 * np.abs(want).max()
+
+
+def _state(rng: Rng) -> str:
+    return repr(rng.generator.bit_generator.state)
+
+
+class TestDeferredSets:
+    def test_nothing_is_drawn_until_forward_runs_the_set(self, base8):
+        cfg = SgnnConfig(layers=2, features=2, order=2)
+        rng = Rng(0)
+        sets = sample_architecture(base8, 0.7, cfg, rng, columns=3)
+        assert sets == DeferredSets(base8, 0.7, rng, 3)
+        assert _state(rng) == _state(Rng(0))
+        out, cache = forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones((1, 8, 3)),
+                             return_cache=False)
+        assert out.shape == (1, 8, 3) and cache is None
+        assert _state(rng) != _state(Rng(0))
+
+    def test_forward_only(self, base8):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        tensor = init_tensor(cfg, Rng(0), 0.5)
+        rng = Rng(1)
+        sets = sample_architecture(base8, 0.7, cfg, rng, columns=2)
+        _, cache = forward(tensor, sample_architecture(base8, 0.7, cfg, Rng(2)), np.ones((1, 8, 2)))
+        for kwargs in ({}, {"return_cache": True}, {"return_cache": False, "cache": cache}):
+            with pytest.raises(ValueError, match="runs forward only"):
+                forward(tensor, sets, np.ones((1, 8, 2)), **kwargs)
+        assert _state(rng) == _state(Rng(1))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+    def test_bad_probability_rejected(self, base8, p):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        with pytest.raises(ConfigError, match="outside"):
+            sample_architecture(base8, p, cfg, Rng(0), columns=2)
+
+    @pytest.mark.parametrize("columns", [0, -1, 2.5, "2"])
+    def test_bad_column_count_rejected(self, base8, columns):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        with pytest.raises(ValueError, match="column count"):
+            sample_architecture(base8, 0.5, cfg, Rng(0), columns=columns)
+
+    def test_per_column_graphs_rejected(self, base8):
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        with pytest.raises(ConfigError, match="one base graph"):
+            sample_architecture([base8, base8], 1.0, cfg, Rng(0), columns=2)
+
+    @pytest.mark.parametrize("shape", [(1, 8, 2), (1, 8, 4), (1, 7, 3)])
+    def test_mismatched_input_rejected_before_any_draw(self, base8, shape):
+        cfg = SgnnConfig(layers=2, features=2, order=2)
+        rng = Rng(0)
+        sets = sample_architecture(base8, 0.5, cfg, rng, columns=3)
+        with pytest.raises(ValueError, match="the deferred set 3 columns on 8 nodes"):
+            forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones(shape), return_cache=False)
+        assert _state(rng) == _state(Rng(0))
+
+
+@st.composite
+def _small_bases(draw):
+    """A small graph, possibly edgeless and possibly weighted, as any shift kind
+    (an edgeless graph, which cannot be normalized, as an adjacency)."""
+    n = draw(st.integers(2, 6))
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                          max_size=8, unique=True))
+    weights = np.zeros((n, n))
+    for i, j in pairs:
+        weights[i, j] = weights[j, i] = draw(st.sampled_from([1.0, 0.5, 2.25]))
+    kind = draw(st.sampled_from(KINDS)) if pairs else ADJACENCY
+    if kind == "laplacian":
+        return ShiftOperator(kind, np.diag(weights.sum(axis=1)) - weights)
+    if kind == NORMALIZED_ADJACENCY:
+        return ShiftOperator(kind, weights / np.abs(np.linalg.eigvalsh(weights)).max())
+    return ShiftOperator(kind, weights)
+
+
+@st.composite
+def _small_nets(draw):
+    readout = draw(st.sampled_from(READOUTS))
+    return SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
+                      order=draw(st.integers(0, 3)),
+                      nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                      in_features=draw(st.integers(1, 2)), out_features=draw(st.integers(1, 3)),
+                      readout=readout,
+                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_bases(), _small_nets(), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       st.integers(1, 5), st.integers(0, 2**16))
+def test_deferred_set_equals_a_loop_of_single_sets(base, cfg, p, columns, seed):
+    # the loop the deferred pass replaces: one draw and one B = 1 pass per column
+    tensor = init_tensor(cfg, Rng(seed), 1.0)
+    body_cfg = replace(cfg, readout="none", readout_dim=0)
+    body = FilterTensor(body_cfg, tensor.flat[:body_cfg.num_params])  # the layers, no head
+    x = Rng(seed, 1).normal(size=(cfg.in_features, base.n, columns))
+    for net in (body, tensor):
+        loop_rng, rng = Rng(seed, 2), Rng(seed, 2)
+        want = np.concatenate([forward(net, sample_architecture(base, p, cfg, loop_rng),
+                                       x[..., b, None], return_cache=False)[0]
+                               for b in range(columns)], axis=-1)
+        got, _ = forward(net, sample_architecture(base, p, cfg, rng, columns=columns), x,
+                         return_cache=False)
+        assert got.shape == want.shape
+        if net is body:  # up to the head, every column is a B = 1 pass bit for bit
+            assert got.tobytes() == want.tobytes()
+        else:  # the head runs once over the batch: its reductions may round differently
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        assert _state(rng) == _state(loop_rng)
 
 
 class TestForwardExpected:

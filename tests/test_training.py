@@ -573,6 +573,14 @@ class TestSchedules:
         with pytest.raises(ConfigError):
             convergence_step_size(1.0, 10, 1.0, -2.0)
 
+    @pytest.mark.parametrize("position", range(4))
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_inputs_rejected(self, position, value):
+        args = [1.0, 10, 1.0, 1.0]
+        args[position] = value
+        with pytest.raises(ConfigError, match="must be finite and > 0"):
+            convergence_step_size(*args)
+
     def test_invsqrt_schedule_decays(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor0 = init_tensor(cfg, Rng(0), 0.5)

@@ -25,11 +25,13 @@ from sgnn_lab import (
     exact_filter_variance,
     filter_constants,
     filter_variance_bound,
+    forward,
     freq_response,
     init_tensor,
     make_sgnn_report,
     mc_sgnn_variance,
     mc_variance,
+    sample_architecture,
     sample_realization,
     sample_realizations,
     sgnn_variance_bound,
@@ -249,6 +251,16 @@ class TestSgnnVarianceBound:
         got = sgnn_variance_bound(cfg, k3, 0.9, x, consts)
         assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name", ["response_bound", "response_lipschitz",
+                                      "nonlinearity_lipschitz"])
+    def test_non_finite_or_negative_constant_rejected(self, name, value):
+        from sgnn_lab.spectral import FilterConstants
+
+        fields = dict(response_bound=1.5, response_lipschitz=0.8, nonlinearity_lipschitz=1.0)
+        with pytest.raises(ConfigError, match=f"{name} must be finite and >= 0"):
+            FilterConstants(**{**fields, name: value}, domain=(-1, 1))
+
     def test_monte_carlo_stays_under_bound(self):
         rng = Rng(23)
         adj = build_sbm(10, 2, 0.8, 0.2, rng.child(0))
@@ -260,6 +272,45 @@ class TestSgnnVarianceBound:
         var, se = mc_sgnn_variance(tensor, base, 0.95, x, 3000, rng.child(4))
         bound = sgnn_variance_bound(cfg, base, 0.95, x, consts)
         assert var <= bound + 3 * se
+
+    @pytest.mark.parametrize("p", [0.0, 0.9, 1.0])
+    def test_one_forward_call_carries_every_sample(self, monkeypatch, p):
+        # the per-sample loop must not come back, at p = 1 either
+        from sgnn_lab import model, variance
+
+        columns = []
+
+        def counting(tensor, reals, x, *args, **kwargs):
+            columns.append(x.shape[2])
+            return model.forward(tensor, reals, x, *args, **kwargs)
+
+        monkeypatch.setattr(variance, "forward", counting)
+        base = to_shift(build_sbm(10, 2, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
+        tensor = init_tensor(SgnnConfig(layers=2, features=2, order=2), Rng(4), 0.5)
+        mc_sgnn_variance(tensor, base, p, np.ones(10), 40, Rng(5))
+        assert columns == [40]
+
+    @pytest.mark.parametrize("p", [0.0, 0.7, 1.0])
+    def test_equals_the_per_sample_loop_bit_for_bit(self, p):
+        # the loop the one pass replaced: a draw and a one-sample pass per sample
+        base = to_shift(build_sbm(10, 2, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
+        cfg = SgnnConfig(layers=2, features=2, order=2)
+        tensor = init_tensor(cfg, Rng(4), 0.5)
+        x = Rng(6).normal(size=10)
+
+        def evaluate(r):
+            reals = sample_architecture(base, p, cfg, r)
+            return forward(tensor, reals, x[None, :, None], return_cache=False)[0]
+
+        assert mc_sgnn_variance(tensor, base, p, x, 50, Rng(7)) == mc_variance(evaluate, 50, Rng(7))
+
+    def test_sample_count_checked_before_any_draw(self):
+        base = to_shift(build_sbm(10, 2, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
+        tensor = init_tensor(SgnnConfig(layers=1, features=2, order=2), Rng(4), 0.5)
+        rng = Rng(5)
+        with pytest.raises(ConfigError, match="n_samples must be >= 2"):
+            mc_sgnn_variance(tensor, base, 0.9, np.ones(10), 1, rng)
+        assert rng.random(4).tobytes() == Rng(5).random(4).tobytes()  # nothing drawn
 
     @pytest.mark.parametrize("shape", [(19,), (20, 1), ()])
     def test_signal_of_the_wrong_shape_rejected(self, shape):
