@@ -11,11 +11,12 @@ tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shi
 A set may also carry a trailing column axis, (out, in, K, N, N, B): then batch
 column b diffuses through its own shifts, which is how one pass runs a batch
 whose samples live on different graphs (the intact per-sample graphs at p = 1).
-A Monte-Carlo pass, in which every sample sees its own fresh set on one graph,
-takes a deferred set instead (``sample_architecture(..., columns=B)``): ``forward``
-draws column b's set as the b-th of B single-set draws would, builds it in one
-buffer per layer that every column refills, runs the column through the layers
-with the arithmetic of a B = 1 pass, and runs the head once over the batch.
+A pass in which every sample sees its own fresh set, on one graph or on its own,
+takes a deferred set (``sample_architecture(..., columns=B)``): ``forward`` draws
+column b's set as the b-th of B single-set draws would and builds it in one buffer
+per layer that every column refills.  Forward only, each column runs the layers
+as a B = 1 pass; with a cache (training) the pass runs layer by layer, column b
+diffusing into column b of the batch's stages.  The head runs once over the batch.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -32,8 +33,7 @@ the trailing block of the vector and train jointly:
 
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
 diffusion stage and pre-activation because the training module backpropagates
-through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache
-(a deferred set is forward-only and requires it).
+through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache.
 A training loop hands each ``forward`` the previous step's cache, whose arrays
 the new pass refills in place when their shapes match, so steady-state steps
 allocate no stage, pre-activation or activation arrays.  ``forward`` computes
@@ -66,15 +66,14 @@ Reals = tuple[np.ndarray, ...]
 
 
 class DeferredSets(NamedTuple):
-    """``columns`` fresh realization sets on ``base`` at probability ``p``, not yet
-    drawn: :func:`forward` draws them from ``rng`` as it runs the columns, column b's
-    set exactly as the b-th of ``columns`` :func:`sample_architecture` calls would
-    (a second pass on the same object draws the next ``columns`` sets)."""
+    """Fresh realization sets at probability ``p``, not yet drawn, one per batch
+    column, column b's on ``graphs[b]``: :func:`forward` draws them from ``rng``,
+    column b's set exactly as the b-th of B :func:`sample_architecture` calls on its
+    graph would (a second pass on the same object draws the next B sets)."""
 
-    base: ShiftOperator
+    graphs: tuple[ShiftOperator, ...]
     p: float
     rng: Rng
-    columns: int
 
 
 def _activate(kind: str, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -223,30 +222,35 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     given counter-based stream, which realizes independent draws per filter.
     At p = 1 each layer is a read-only stride-0 view of ``base.mat`` in the full
     shape and no random numbers are consumed; callers never write into it.
-    At p = 1 ``base`` may also be a sequence of B per-column graphs on N nodes
-    each: each layer is then a read-only stride-0 view (out, in, K, N, N, B) of
-    their stacked matrices, column b on the b-th graph (``ConfigError`` at p < 1).
+    ``base`` may also be a sequence of B per-column graphs on N nodes each, column
+    b on the b-th: at p = 1 each layer is then a read-only stride-0 view
+    (out, in, K, N, N, B) of their stacked matrices; below p = 1 they need ``columns``.
 
     With ``columns=B`` the result is a :class:`DeferredSets`, one fresh set per
-    batch column on the one graph ``base``, and nothing is drawn here: the
-    forward-only pass of :func:`forward` draws column b's set from ``rng`` as the
-    b-th of B calls without ``columns`` would (at p = 1 every set is the base view
-    and nothing is drawn), so it leaves ``rng`` where those calls would.  A bad
-    ``p`` raises ``ConfigError`` and a column count below 1 ``ValueError``.
+    batch column on ``base`` (one graph, or column b's), and nothing is drawn here:
+    :func:`forward` draws column b's set from ``rng`` as the b-th of B calls without
+    ``columns`` on its graph would (at p = 1 every set is its graph's view and
+    nothing is drawn), so it leaves ``rng`` where those calls would.  A bad ``p``
+    raises ``ConfigError``; a column count below 1, and graphs that are none, of
+    mixed node counts or not one per column, ``ValueError``.
     """
+    graphs = None if isinstance(base, ShiftOperator) else tuple(base)
     if columns is not None:
-        if not isinstance(base, ShiftOperator):
-            raise ConfigError("a deferred set lives on one base graph")
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"edge probability p={p} outside [0, 1]")
         if not (isinstance(columns, (int, np.integer)) and columns >= 1):
             raise ValueError(f"a deferred set needs an integer column count >= 1, got {columns!r}")
-        return DeferredSets(base, p, rng, int(columns))
-    if not isinstance(base, ShiftOperator):
+    if graphs is not None and not (len({g.n for g in graphs}) == 1
+                                   and len(graphs) == (columns or len(graphs))):
+        raise ValueError(f"per-column graphs need one node count and one graph per column, got "
+                         f"{len(graphs)} on {[g.n for g in graphs]} nodes for {columns} columns")
+    if columns is not None:
+        return DeferredSets(graphs or (base,) * int(columns), p, rng)
+    if graphs is not None:
         if p != 1.0:
-            raise ConfigError(f"per-column graphs need p = 1, got p={p}")
+            raise ConfigError(f"per-column graphs below p = 1 need columns={len(graphs)}")
         # an (N, N, B) view of a (B, N, N) stack, so that each column's shift is contiguous
-        stack = np.stack([graph.mat for graph in base]).transpose(1, 2, 0)
+        stack = np.stack([graph.mat for graph in graphs]).transpose(1, 2, 0)
         return tuple(np.broadcast_to(stack, (o, i, cfg.order) + stack.shape)
                      for o, i in cfg.layer_shapes())
     n, k = base.n, cfg.order
@@ -263,8 +267,9 @@ class ForwardCache:
     """
 
     tensor: FilterTensor
-    reals: Reals | None                 # None once released
+    reals: Reals | DeferredSets | None  # None once released
     x: np.ndarray | None                # (F_in, N, B)
+    keeps: list | None = None           # a DeferredSets' keeps, per column and layer
     stages: list[np.ndarray] = field(default_factory=list)       # (K+1, out or 1, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
@@ -275,7 +280,8 @@ class ForwardCache:
     def release(self) -> None:
         """Drop all but the arrays a later pass refills (``backward`` then
         rejects the cache), so that a loop holding it keeps no more alive."""
-        self.reals = self.x = self.pooled_std = self.pooled_floored = self.pooled_hat = None
+        self.reals = self.x = self.keeps = None
+        self.pooled_std = self.pooled_floored = self.pooled_hat = None
 
     def _take(self) -> list:
         """Hand the stage, pre-activation and activation arrays over to a new pass,
@@ -324,26 +330,72 @@ def _check_reals(cfg: SgnnConfig, reals: Reals, n: int, b: int) -> None:
                              f"{b} batch columns")
 
 
-def _layers(tensor: FilterTensor, reals: Reals, x: np.ndarray, spare: list,
-            cache: ForwardCache | None) -> np.ndarray:
+def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
+    """Column ``col``'s keeps, per layer of ``shapes`` (out, in, K, N, N) an
+    (out * in * K, M) array drawn as :func:`sample_architecture` on its graph draws
+    it (None at p = 1, where nothing is drawn)."""
+    m = sets.graphs[col].num_edges
+    return [None if sets.p == 1.0 else sets.rng.bernoulli(sets.p, (o * i * k, m))
+            for o, i, k, _, _ in shapes]
+
+
+def _build_column(sets: DeferredSets, col: int, keeps: list, bufs: list) -> None:
+    """Build column ``col``'s shifts from ``keeps`` in ``bufs``, per layer an
+    (out * in * K, N, N) array of zeros or of column col - 1's build.  A refill on
+    column col - 1's graph rewrites only edge and diagonal entries; on another graph
+    it zeroes the buffer first."""
+    graph = sets.graphs[col]
+    zero = col and sets.graphs[col - 1] is not graph
+    for keep, buf in zip(keeps, bufs):
+        if zero:
+            buf.fill(0.0)
+        _realized_mats(graph, keep, out=buf)
+
+
+def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: list) -> Reals:
+    """Column ``col``'s shifts, per layer of ``shapes``: read-only views of its graph at
+    p = 1, else built from ``keeps`` (:func:`_build_column`) and viewed in ``bufs``."""
+    if sets.p == 1.0:
+        return tuple(np.broadcast_to(sets.graphs[col].mat, shape) for shape in shapes)
+    _build_column(sets, col, keeps, bufs)
+    return tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
+
+
+def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
+            cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
-    batch ``x`` and return the last activation.  Each array of ``spare`` (per layer a
+    batch ``x`` and return the last activation.  On a :class:`DeferredSets`, whose
+    ``keeps`` are drawn, each layer builds column b's shifts in one buffer that every
+    column refills and diffuses column b.  Each array of ``spare`` (per layer a
     (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
     place; each layer's arrays are appended to ``cache`` when one is given."""
-    cfg = tensor.cfg
+    cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
         if old_u is not None and old_u.shape != (out_d, n, b):
             old_u = old_act = None
-        mats = reals[layer_idx]
-        # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
-        mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
-        # (out, in, K, N, N[, B]) -> (K, out, in, N, N[, B]): stage k of every filter at
-        # once; einsum broadcasts a size-1 out axis of the stages itself
-        stages = diffusion_stages(mats.transpose((2, 0, 1, 3, 4, 5)[:mats.ndim]), current[None],
-                                  old_stages)
+        if keeps is not None:  # at order 0 the stages are the input, shared by every out
+            shape = (k + 1, out_d if k else 1, in_d, n, b)
+            # laid out (..., B, N) in memory, so that each column's products write
+            # contiguous N-vectors
+            stages = (old_stages if getattr(old_stages, "shape", None) == shape else
+                      np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
+            bufs = [np.zeros((out_d * in_d * k, n, n))]
+            for col in range(b):
+                mats = _column_set(reals, col, [keeps[col][layer_idx]], bufs,
+                                   [(out_d, in_d, k, n, n)])[0]
+                diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None, :, :, col:col + 1],
+                                 stages[..., col:col + 1])
+        else:
+            mats = reals[layer_idx]
+            # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
+            mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
+            # (out, in, K, N, N[, B]) -> (K, out, in, N, N[, B]): stage k of every filter
+            # at once; einsum broadcasts a size-1 out axis of the stages itself
+            stages = diffusion_stages(mats.transpose((2, 0, 1, 3, 4, 5)[:mats.ndim]),
+                                      current[None], old_stages)
         u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], stages, out=old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
         if cache is not None:
@@ -354,29 +406,23 @@ def _layers(tensor: FilterTensor, reals: Reals, x: np.ndarray, spare: list,
     return current
 
 
-def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray) -> np.ndarray:
+def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray,
+                     shapes: list) -> np.ndarray:
     """The layers on a deferred set, one column at a time; returns the last
     activation (out, N, B).  One buffer per layer holds the current column's set
-    (below p = 1 every column refills it, which on one base graph rewrites only
-    the edge and diagonal entries), and one column's stage, pre-activation and
-    activation arrays are refilled by the next column."""
-    cfg, base, p, rng = tensor.cfg, sets.base, sets.p, sets.rng
-    n, b = x.shape[1], x.shape[2]
-    if n != base.n or b != sets.columns:
-        raise ValueError(f"input has shape {x.shape}, the deferred set {sets.columns} "
-                         f"columns on {base.n} nodes")
-    shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
-    if p == 1.0:
-        bufs, reals = [], tuple(np.broadcast_to(base.mat, shape) for shape in shapes)
-    else:
-        bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
-        reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
+    (:func:`_column_set`), and one column's stage, pre-activation and activation
+    arrays are refilled by the next column."""
+    cfg, n, b = tensor.cfg, x.shape[1], x.shape[2]
+    bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
     column = np.empty(x.shape[:2] + (1,))
     carry = ForwardCache(tensor=tensor, reals=None, x=None)
     core = np.empty((cfg.out_features, n, b))
-    for col in range(b):
-        for buf in bufs:
-            _realized_mats(base, rng.bernoulli(p, (len(buf), base.num_edges)), out=buf)
+    p, graphs = sets.p, sets.graphs
+    for col in range(b):  # the views change only with the graph at p = 1
+        if col == 0 or (p == 1.0 and graphs[col] is not graphs[col - 1]):
+            reals = _column_set(sets, col, _draw_column(sets, shapes, col), bufs, shapes)
+        elif p < 1.0:  # refill the buffers under the views
+            _build_column(sets, col, _draw_column(sets, shapes, col), bufs)
         column[..., 0] = x[..., col]
         core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
     return core
@@ -394,11 +440,14 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     None when ``return_cache`` is false.
 
     A :class:`DeferredSets` of B columns (``sample_architecture(..., columns=B)``)
-    is drawn here, one column at a time, and column b runs on its own set with the
-    arithmetic of a B = 1 pass: its output up to the head is bit for bit that of
-    B separate draws and passes.  Such a pass is forward-only, so it needs
-    ``return_cache=False`` and no ``cache`` (``ValueError`` otherwise, and for an
-    input whose node or column count does not match the set, before any draw).
+    is drawn here, column b's set as the b-th of B single-set draws on its graph
+    would draw it.  Without a cache to return or refill, column b runs on its own
+    set with the arithmetic of a B = 1 pass: its output up to the head is bit for
+    bit that of B separate draws and passes.  Otherwise every column's keeps are
+    drawn first and kept in the cache (``backward`` rebuilds the shifts from them),
+    and the pass runs layer by layer over the batch, which rounds differently.  An
+    input whose node or column count does not match the set raises ``ValueError``
+    before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -412,15 +461,21 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     if x.ndim != 3 or x.shape[0] != cfg.in_features:
         raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
                          f"with F_in = {cfg.in_features}")
+    keeps = None
     if isinstance(reals, DeferredSets):
-        if return_cache or cache is not None:
-            raise ValueError("a deferred realization set runs forward only: "
-                             "pass return_cache=False and no cache")
-        return _apply_head(tensor, _deferred_layers(tensor, reals, x)), None
-    _check_reals(cfg, reals, x.shape[1], x.shape[2])
+        n, b = reals.graphs[0].n, len(reals.graphs)
+        if x.shape[1:] != (n, b):
+            raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
+                             f"on {n} nodes")
+        shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
+        if not return_cache and cache is None:
+            return _apply_head(tensor, _deferred_layers(tensor, reals, x, shapes)), None
+        keeps = [_draw_column(reals, shapes, col) for col in range(b)]
+    else:
+        _check_reals(cfg, reals, x.shape[1], x.shape[2])
     spare = [] if cache is None else cache._take()  # its arrays move to this pass
-    cache = ForwardCache(tensor=tensor, reals=reals, x=x) if return_cache else None
-    return _apply_head(tensor, _layers(tensor, reals, x, spare, cache), cache), cache
+    cache = ForwardCache(tensor=tensor, reals=reals, x=x, keeps=keeps) if return_cache else None
+    return _apply_head(tensor, _layers(tensor, reals, x, spare, cache, keeps), cache), cache
 
 
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:

@@ -32,9 +32,11 @@ from .errors import ConfigError, DivergenceError, StaleCacheError
 from .filters import columnwise_product
 from .graphs import ShiftOperator
 from .model import (
+    DeferredSets,
     FilterTensor,
     ForwardCache,
     Reals,
+    _column_set,
     _slope,
     forward,
     sample_architecture,
@@ -92,11 +94,24 @@ def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
 # Reverse mode through the fixed realization set.
 
 
-def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
+def _adjoint(coeffs: np.ndarray, mats: np.ndarray, delta_u: np.ndarray) -> np.ndarray:
+    """The layer input's gradient ``sum_k h_k (S_1 ... S_k)^T delta_u`` summed over the
+    out features, accumulated backwards, for shifts (out, in, K, N, N[, B])."""
+    product = columnwise_product if mats.ndim == 6 else np.matmul
+    acc = coeffs[:, :, -1, None, None] * delta_u[:, None]
+    for k in range(coeffs.shape[2] - 2, -1, -1):
+        # realized shifts are symmetric, but transpose anyway for clarity
+        acc = product(mats[:, :, k].swapaxes(2, 3), acc)
+        acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
+    return acc.sum(axis=0)                                      # (in, N, B)
+
+
+def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCache,
              out_grad: np.ndarray) -> np.ndarray:
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
     treating the sampled shifts as constants, as one flat vector in the
-    order of ``tensor.flatten()`` (laid out by :func:`split_params`).
+    order of ``tensor.flatten()`` (laid out by :func:`split_params`).  On a
+    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.
 
     ``out_grad`` is the cost gradient w.r.t. the forward output, in its
     shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
@@ -143,15 +158,15 @@ def backward(tensor: FilterTensor, reals: Reals, cache: ForwardCache,
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
-        mats = reals[layer_idx]  # (out, in, K, N, N), or with a column axis (..., B)
-        product = columnwise_product if mats.ndim == 6 else np.matmul
-        # delta_x = sum_k h_k (S_1 ... S_k)^T delta_u, accumulated backwards.
-        acc = coeffs[:, :, cfg.order, None, None] * delta_u[:, None]
-        for k in range(cfg.order - 1, -1, -1):
-            # realized shifts are symmetric, but transpose anyway for clarity
-            acc = product(mats[:, :, k].swapaxes(2, 3), acc)
-            acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
-        d_act = acc.sum(axis=0)                                 # (in, N, B)
+        if not isinstance(reals, DeferredSets):
+            d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
+            continue
+        out_d, in_d = coeffs.shape[:2]
+        bufs, d_act = [np.zeros((out_d * in_d * cfg.order, n, n))], np.empty((in_d, n, act[2]))
+        for col in range(act[2]):
+            mats = _column_set(reals, col, [cache.keeps[col][layer_idx]], bufs,
+                               [(out_d, in_d, cfg.order, n, n)])[0]
+            d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
     return grad
 
 
@@ -304,7 +319,6 @@ def convergence_metric(trace) -> np.ndarray:
 def _batch_arrays(train_set: TrainingSet, idx: np.ndarray | slice):
     """Inputs (F_in, N, B) and targets with the sample axis last; each loss
     converts the targets to its own dtype."""
-    # transpose, not np.moveaxis: this runs once per sample on per-sample bases
     x = train_set.inputs[idx].transpose(1, 2, 0)
     y = np.asarray(train_set.targets)[idx]
     return x, y.transpose(*range(1, y.ndim), 0)
@@ -323,48 +337,40 @@ def _loss_fn(loss: str):
     return _mse if loss == "mse" else _cross_entropy
 
 
-def _groups(base: ShiftOperator | None, train_set: TrainingSet, idx: np.ndarray,
-            p: float) -> list[tuple[ShiftOperator | list[ShiftOperator], np.ndarray | slice]]:
-    """(graph, samples) per draw: the batch on the shared base; at p = 1 the batch on
-    its per-sample bases, one graph per column; else each sample on its own base as
-    a slice (faster to index with than a one-element array)."""
+def _pass_set(tensor: FilterTensor, base: ShiftOperator | None, train_set: TrainingSet,
+              idx: np.ndarray, p: float, rng: Rng) -> Reals | DeferredSets:
+    """The fresh realization set of one pass over the samples ``idx``: one draw on the
+    shared base; on per-sample bases column b on its own graph, intact at p = 1 and
+    else deferred (drawn in batch order, as a per-sample loop would draw it)."""
     if train_set.bases is None:
-        return [(base, idx)]
-    if p == 1.0:
-        return [([train_set.bases[i] for i in idx], idx)]
-    return [(train_set.bases[i], slice(i, i + 1)) for i in idx]
+        return sample_architecture(base, p, tensor.cfg, rng)
+    return sample_architecture([train_set.bases[i] for i in idx], p, tensor.cfg, rng,
+                               columns=None if p == 1.0 else len(idx))
 
 
 def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
                    train_set: TrainingSet, idx: np.ndarray, p: float, loss: str, rng: Rng,
                    cache: ForwardCache | None = None) -> tuple[float, np.ndarray, ForwardCache]:
-    """Cost and flat gradient of one step: the mean over equal-sized groups, each
-    on a fresh realization set.  Every forward pass refills the previous one's
-    ``cache``; the last is returned for the next step."""
-    groups = _groups(base, train_set, idx, p)
-    cost, grad = 0.0, 0.0
-    for graph, members in groups:
-        reals = sample_architecture(graph, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, members)
-        out, cache = forward(tensor, reals, x, cache=cache)
-        c, dout = _loss_pair(loss, out, y)
-        cost += c
-        grad = grad + backward(tensor, reals, cache, dout)
-        cache.release()  # free the set before the next draw
-    return cost / len(groups), grad / len(groups), cache
+    """Cost and flat gradient of one step: one forward pass on a fresh realization
+    set, refilling the previous step's ``cache``, and one backward pass; the cache
+    is returned for the next step."""
+    reals = _pass_set(tensor, base, train_set, idx, p, rng)
+    x, y = _batch_arrays(train_set, idx)
+    out, cache = forward(tensor, reals, x, cache=cache)
+    cost, dout = _loss_pair(loss, out, y)
+    grad = backward(tensor, reals, cache, dout)
+    cache.release()  # free the set and its keeps before the next draw
+    return cost, grad, cache
 
 
 def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
                train_set: TrainingSet, p: float, loss: str, rng: Rng) -> float:
-    """Full-set cost on fresh realization draws (forward only)."""
-    groups = _groups(base, train_set, np.arange(len(train_set)), p)
-    total = 0.0
-    for graph, members in groups:
-        reals = sample_architecture(graph, p, tensor.cfg, rng)
-        x, y = _batch_arrays(train_set, members)
-        out, _ = forward(tensor, reals, x, return_cache=False)
-        total += _loss_pair(loss, out, y)[0]
-    return total / len(groups)
+    """Full-set cost on fresh realization draws (one forward-only pass)."""
+    idx = np.arange(len(train_set))
+    x, y = _batch_arrays(train_set, idx)
+    out, _ = forward(tensor, _pass_set(tensor, base, train_set, idx, p, rng), x,
+                     return_cache=False)
+    return _loss_pair(loss, out, y)[0]
 
 
 def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,

@@ -27,6 +27,7 @@ from sgnn_lab import (
     save_checkpoint,
     to_shift,
 )
+from sgnn_lab import model
 from sgnn_lab.model import NONLINEARITIES, READOUTS, DeferredSets, split_params
 
 
@@ -164,10 +165,15 @@ class TestSampleArchitecture:
                 assert np.array_equal(mats[-1, -1, 2, ..., b], graph.mat)
         assert np.array_equal(rng.random(4), Rng(0).random(4))
 
-    def test_per_column_graphs_below_p1_rejected(self, base8):
+    def test_per_column_graphs_below_p1_rejected(self, base8, random8):
+        # below p = 1 per-column graphs take a deferred set, never B sets drawn at once
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        with pytest.raises(ConfigError, match="per-column graphs need p = 1"):
-            sample_architecture([base8, base8], 0.7, cfg, Rng(0))
+        rng = Rng(0)
+        with pytest.raises(ConfigError, match="per-column graphs below p = 1 need columns=2"):
+            sample_architecture([base8, random8], 0.7, cfg, rng)
+        sets = sample_architecture([base8, random8], 0.7, cfg, rng, columns=2)
+        assert sets == DeferredSets((base8, random8), 0.7, rng)
+        assert _state(rng) == _state(Rng(0))
 
     def test_different_streams_differ(self, base8):
         assert base8.num_edges >= 8
@@ -318,23 +324,33 @@ class TestDeferredSets:
         cfg = SgnnConfig(layers=2, features=2, order=2)
         rng = Rng(0)
         sets = sample_architecture(base8, 0.7, cfg, rng, columns=3)
-        assert sets == DeferredSets(base8, 0.7, rng, 3)
+        assert sets == DeferredSets((base8,) * 3, 0.7, rng)
         assert _state(rng) == _state(Rng(0))
         out, cache = forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones((1, 8, 3)),
                              return_cache=False)
         assert out.shape == (1, 8, 3) and cache is None
         assert _state(rng) != _state(Rng(0))
 
-    def test_forward_only(self, base8):
-        cfg = SgnnConfig(layers=1, features=1, order=1)
+    @pytest.mark.parametrize("p", [0.7, 1.0])
+    def test_cached_pass_draws_as_the_forward_only_pass(self, base8, random8, p):
+        # with a cache every column is drawn first and the layers run over the batch;
+        # the stream ends where the forward-only pass leaves it, the outputs agree to
+        # roundoff, and the cache holds every column's keeps until it is released
+        cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2)
         tensor = init_tensor(cfg, Rng(0), 0.5)
-        rng = Rng(1)
-        sets = sample_architecture(base8, 0.7, cfg, rng, columns=2)
-        _, cache = forward(tensor, sample_architecture(base8, 0.7, cfg, Rng(2)), np.ones((1, 8, 2)))
-        for kwargs in ({}, {"return_cache": True}, {"return_cache": False, "cache": cache}):
-            with pytest.raises(ValueError, match="runs forward only"):
-                forward(tensor, sets, np.ones((1, 8, 2)), **kwargs)
-        assert _state(rng) == _state(Rng(1))
+        x = Rng(2).normal(size=(2, 8, 3))
+        for base in (base8, [base8, random8, to_shift(random8, "laplacian")]):
+            rng, cached_rng = Rng(1), Rng(1)
+            want, none = forward(tensor, sample_architecture(base, p, cfg, rng, columns=3), x,
+                                 return_cache=False)
+            sets = sample_architecture(base, p, cfg, cached_rng, columns=3)
+            out, cache = forward(tensor, sets, x)
+            assert none is None and cache.reals is sets and cache.x is x
+            assert _state(cached_rng) == _state(rng)
+            np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+            assert [len(keeps) for keeps in cache.keeps] == [2, 2, 2]
+            cache.release()
+            assert cache.keeps is None
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
     def test_bad_probability_rejected(self, base8, p):
@@ -348,26 +364,54 @@ class TestDeferredSets:
         with pytest.raises(ValueError, match="column count"):
             sample_architecture(base8, 0.5, cfg, Rng(0), columns=columns)
 
-    def test_per_column_graphs_rejected(self, base8):
+    def test_per_column_graphs_carried_one_per_column(self, base8, random8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        with pytest.raises(ConfigError, match="one base graph"):
-            sample_architecture([base8, base8], 1.0, cfg, Rng(0), columns=2)
+        graphs = [base8, random8, base8]
+        rng = Rng(0)
+        for p in (0.7, 1.0):
+            assert sample_architecture(graphs, p, cfg, rng, columns=3) == DeferredSets(
+                tuple(graphs), p, rng)
+        assert _state(rng) == _state(Rng(0))
 
+    @pytest.mark.parametrize("graphs, p, columns, match", [
+        ("empty", 0.7, 2, r"got 0 on \[\] nodes for 2 columns"),
+        ("empty", 1.0, None, r"got 0 on \[\] nodes for None columns"),
+        ("mixed", 0.7, 2, r"got 2 on \[8, 3\] nodes for 2 columns"),
+        ("mixed", 1.0, 2, r"got 2 on \[8, 3\] nodes for 2 columns"),
+        ("mixed", 1.0, None, r"got 2 on \[8, 3\] nodes for None columns"),
+        ("three", 0.7, 2, r"got 3 on \[8, 8, 8\] nodes for 2 columns"),
+        ("three", 1.0, 4, r"got 3 on \[8, 8, 8\] nodes for 4 columns"),
+    ])
+    def test_bad_per_column_graphs_rejected_before_any_draw(self, base8, p3, graphs, p,
+                                                            columns, match):
+        graphs = {"empty": [], "mixed": [base8, p3], "three": [base8] * 3}[graphs]
+        cfg = SgnnConfig(layers=1, features=1, order=1)
+        rng = Rng(0)
+        with pytest.raises(ValueError, match=match):
+            sample_architecture(graphs, p, cfg, rng, columns=columns)
+        assert _state(rng) == _state(Rng(0))
+
+    @pytest.mark.parametrize("per_column", [False, True])
+    @pytest.mark.parametrize("return_cache", [False, True])
     @pytest.mark.parametrize("shape", [(1, 8, 2), (1, 8, 4), (1, 7, 3)])
-    def test_mismatched_input_rejected_before_any_draw(self, base8, shape):
+    def test_mismatched_input_rejected_before_any_draw(self, base8, random8, shape,
+                                                       return_cache, per_column):
         cfg = SgnnConfig(layers=2, features=2, order=2)
         rng = Rng(0)
-        sets = sample_architecture(base8, 0.5, cfg, rng, columns=3)
+        sets = sample_architecture([base8, random8, base8] if per_column else base8, 0.5, cfg,
+                                   rng, columns=3)
         with pytest.raises(ValueError, match="the deferred set 3 columns on 8 nodes"):
-            forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones(shape), return_cache=False)
+            forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones(shape),
+                    return_cache=return_cache)
         assert _state(rng) == _state(Rng(0))
 
 
 @st.composite
-def _small_bases(draw):
-    """A small graph, possibly edgeless and possibly weighted, as any shift kind
-    (an edgeless graph, which cannot be normalized, as an adjacency)."""
-    n = draw(st.integers(2, 6))
+def _small_bases(draw, n=None):
+    """A small graph (on ``n`` nodes when given), possibly edgeless and possibly
+    weighted, as any shift kind (an edgeless graph, which cannot be normalized, as
+    an adjacency)."""
+    n = draw(st.integers(2, 6)) if n is None else n
     pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
                           max_size=8, unique=True))
     weights = np.zeros((n, n))
@@ -393,19 +437,23 @@ def _small_nets(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(_small_bases(), _small_nets(), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(_small_bases(n), min_size=5, max_size=5)),
+       st.booleans(), _small_nets(), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
        st.integers(1, 5), st.integers(0, 2**16))
-def test_deferred_set_equals_a_loop_of_single_sets(base, cfg, p, columns, seed):
-    # the loop the deferred pass replaces: one draw and one B = 1 pass per column
+def test_deferred_set_equals_a_loop_of_single_sets(graphs, per_column, cfg, p, columns, seed):
+    # the loop the deferred pass replaces: one draw and one B = 1 pass per column, on
+    # one shared graph or on each column's own graph
+    graphs = graphs[:columns] if per_column else graphs[:1] * columns
+    base = graphs if per_column else graphs[0]
     tensor = init_tensor(cfg, Rng(seed), 1.0)
     body_cfg = replace(cfg, readout="none", readout_dim=0)
     body = FilterTensor(body_cfg, tensor.flat[:body_cfg.num_params])  # the layers, no head
-    x = Rng(seed, 1).normal(size=(cfg.in_features, base.n, columns))
+    x = Rng(seed, 1).normal(size=(cfg.in_features, graphs[0].n, columns))
     for net in (body, tensor):
-        loop_rng, rng = Rng(seed, 2), Rng(seed, 2)
-        want = np.concatenate([forward(net, sample_architecture(base, p, cfg, loop_rng),
+        loop_rng, rng, cached_rng = Rng(seed, 2), Rng(seed, 2), Rng(seed, 2)
+        want = np.concatenate([forward(net, sample_architecture(graph, p, cfg, loop_rng),
                                        x[..., b, None], return_cache=False)[0]
-                               for b in range(columns)], axis=-1)
+                               for b, graph in enumerate(graphs)], axis=-1)
         got, _ = forward(net, sample_architecture(base, p, cfg, rng, columns=columns), x,
                          return_cache=False)
         assert got.shape == want.shape
@@ -414,6 +462,30 @@ def test_deferred_set_equals_a_loop_of_single_sets(base, cfg, p, columns, seed):
         else:  # the head runs once over the batch: its reductions may round differently
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert _state(rng) == _state(loop_rng)
+        # the cached pass runs layer by layer over the batch: roundoff apart, the same
+        cached, _ = forward(net, sample_architecture(base, p, cfg, cached_rng, columns=columns), x)
+        np.testing.assert_allclose(cached, want, rtol=1e-12, atol=1e-12)
+        assert _state(cached_rng) == _state(loop_rng)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_refill_after_a_denser_graph_equals_a_fresh_set(random8, kind):
+    # column 1's build refills the buffers that column 0 built on a denser graph
+    dense, sparse = (to_shift(build_sbm(8, 2, 1.0, 1.0, Rng(7).child(0)), kind),
+                     to_shift(random8, kind))
+    assert {tuple(e) for e in dense.edges} > {tuple(e) for e in sparse.edges}
+    cfg = SgnnConfig(layers=2, features=2, order=2)
+    sets = sample_architecture([dense, sparse], 0.7, cfg, Rng(0), columns=2)
+    shapes = [(o, i, 2, 8, 8) for o, i in cfg.layer_shapes()]
+    bufs = [np.zeros((o * i * k, 8, 8)) for o, i, k, _, _ in shapes]
+    loop_rng = Rng(0)
+    for col, graph in enumerate([dense, sparse]):
+        want = sample_architecture(graph, 0.7, cfg, loop_rng)
+        got = model._column_set(sets, col, model._draw_column(sets, shapes, col), bufs, shapes)
+        for layer, buf in enumerate(bufs):
+            assert np.shares_memory(got[layer], buf)
+            assert got[layer].tobytes() == want[layer].tobytes()
+    assert _state(sets.rng) == _state(loop_rng)
 
 
 class TestForwardExpected:

@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -42,6 +43,10 @@ from sgnn_lab.training import (LOSSES, _cost_and_grad, _full_cost, _loss_pair,
 @pytest.fixture
 def base8(random8):
     return to_shift(random8, NORMALIZED_ADJACENCY)
+
+
+def _state(rng: Rng) -> str:
+    return repr(rng.generator.bit_generator.state)
 
 
 class TestLosses:
@@ -527,7 +532,7 @@ class TestTrain:
         train(init_tensor(cfg, Rng(0), 0.5), None if per_sample else graphs[0], data,
               TrainConfig(iterations=5, batch_size=4, lr=1e-2, link_p=p, seed=3,
                           loss="cross_entropy"))
-        assert len(pointers) == 5 * (4 if per_sample and p < 1 else 1)
+        assert len(pointers) == 5  # one pass per step
         assert all(ptrs == pointers[0] for ptrs in pointers[1:])
 
     def test_input_tensor_not_mutated(self, base8):
@@ -610,7 +615,9 @@ class TestSchedules:
 class TestPerSampleBases:
     """One step on per-sample bases against a loop over the samples written
     out here: each sample draws its own realization set on its own graph, in
-    batch order from the step's stream, and the step averages over them."""
+    batch order from the step's stream, and the step averages over them.  The
+    step runs as one pass over the batch, so it sums in another order: the two
+    agree to roundoff and leave the stream at the same position."""
 
     @pytest.mark.parametrize("readout,loss", [
         ("none", "mse"), ("pooled", "cross_entropy"), ("per_node", "mse"),
@@ -633,7 +640,8 @@ class TestPerSampleBases:
         data = TrainingSet(inputs, targets, bases=graphs)
         idx = np.array([2, 0, 1])
 
-        cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 0.7, loss, Rng(44))
+        step_rng = Rng(44)
+        cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 0.7, loss, step_rng)
         rng = Rng(44)
         costs, grads = [], []
         def target(i):  # the target of sample i run as a batch of one
@@ -645,25 +653,47 @@ class TestPerSampleBases:
             c, dout = _loss_pair(loss, out, target(i))
             costs.append(c)
             grads.append(backward(tensor, reals, cache, dout).flatten())
-        assert cost == sum(costs) / 3
-        assert np.array_equal(grad, sum(grads) / 3)
+        assert _state(step_rng) == _state(rng)
+        want_cost, want_grad = sum(costs) / 3, sum(grads) / 3
+        assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
-        full = _full_cost(tensor, None, data, 0.7, loss, Rng(45))
+        full_rng = Rng(45)
+        full = _full_cost(tensor, None, data, 0.7, loss, full_rng)
         rng = Rng(45)
         want = sum(_loss_pair(loss, forward(tensor, sample_architecture(graphs[i], 0.7, cfg, rng),
                                             inputs[i][..., None], return_cache=False)[0],
                               target(i))[0]
                    for i in range(3)) / 3
-        assert full == want
+        assert _state(full_rng) == _state(rng)
+        assert abs(full - want) <= 1e-12 * abs(want)
 
 
 _EDGELESS6 = ShiftOperator(ADJACENCY, np.zeros((6, 6)))
 
 
 @st.composite
-def _per_sample_problems(draw):
-    """(tensor, training set on per-sample 6-node graphs with edgeless snapshots mixed
-    in, batch indices, loss) for a random 1- or 2-layer architecture."""
+def _snapshots(draw):
+    """A 6-node snapshot, possibly edgeless and possibly weighted, as any shift kind
+    (an edgeless one, which cannot be normalized, as an adjacency or a Laplacian)."""
+    pairs = draw(st.lists(st.sampled_from(list(itertools.combinations(range(6), 2))),
+                          max_size=10, unique=True))
+    weights = np.zeros((6, 6))
+    for i, j in pairs:
+        weights[i, j] = weights[j, i] = draw(st.sampled_from([1.0, 0.5, 2.25]))
+    kind = draw(st.sampled_from(KINDS if pairs else (ADJACENCY, "laplacian")))
+    if kind == "laplacian":
+        return ShiftOperator(kind, np.diag(weights.sum(axis=1)) - weights)
+    if kind == NORMALIZED_ADJACENCY:
+        return ShiftOperator(kind, weights / np.abs(np.linalg.eigvalsh(weights)).max())
+    return ShiftOperator(kind, weights)
+
+
+@st.composite
+def _per_sample_problems(draw, snapshots=None):
+    """(tensor, training set on per-sample 6-node graphs, batch indices, loss) for a
+    random 1- or 2-layer architecture.  The graphs are normalized block-model graphs
+    with edgeless snapshots mixed in, or 1-5 draws of ``snapshots`` when given."""
     readout = draw(st.sampled_from(READOUTS))
     cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
                      order=draw(st.integers(0, 3)),
@@ -672,12 +702,15 @@ def _per_sample_problems(draw):
                      readout=readout,
                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
     rng = Rng(draw(st.integers(0, 2**16)))
-    edgeless = draw(st.lists(st.booleans(), min_size=1, max_size=6))
-    graphs = []
-    for c, empty in enumerate(edgeless):
-        adj = build_sbm(6, 2, 0.9, 0.4, rng.child(10 + c))
-        graphs.append(_EDGELESS6 if empty or adj.num_edges == 0
-                      else to_shift(adj, NORMALIZED_ADJACENCY))
+    if snapshots is None:
+        edgeless = draw(st.lists(st.booleans(), min_size=1, max_size=6))
+        graphs = []
+        for c, empty in enumerate(edgeless):
+            adj = build_sbm(6, 2, 0.9, 0.4, rng.child(10 + c))
+            graphs.append(_EDGELESS6 if empty or adj.num_edges == 0
+                          else to_shift(adj, NORMALIZED_ADJACENCY))
+    else:
+        graphs = draw(st.lists(snapshots, min_size=1, max_size=5))
     loss = ("cross_entropy" if readout == "pooled" and draw(st.booleans()) else "mse")
     inputs = rng.child(1).normal(size=(len(graphs), cfg.in_features, 6))
     if loss == "cross_entropy":
@@ -689,12 +722,15 @@ def _per_sample_problems(draw):
     return init_tensor(cfg, rng.child(0), 0.6), TrainingSet(inputs, targets, bases=graphs), idx, loss
 
 
-def _per_sample_loop(tensor, data, idx, loss):
-    """Cost and flat gradient of the batch as its samples' own B = 1 passes on their own
-    intact graphs, averaged: the reference for the one-pass p = 1 step."""
+def _per_sample_loop(tensor, data, idx, loss, p=1.0, rng=None):
+    """Cost and flat gradient of the batch as its samples' own B = 1 passes, averaged:
+    sample by sample in batch order, a realization set at ``p`` drawn from ``rng`` on
+    the sample's own graph (its intact graph at p = 1), one forward pass, the loss and
+    one backward pass.  The reference for the one-pass step."""
+    rng = Rng(0) if rng is None else rng
     costs, grads = [], []
     for i in idx:
-        reals = sample_architecture(data.bases[i], 1.0, tensor.cfg, Rng(0))
+        reals = sample_architecture(data.bases[i], p, tensor.cfg, rng)
         out, cache = forward(tensor, reals, data.inputs[i][..., None])
         y = data.targets[i:i + 1] if loss == "cross_entropy" else data.targets[i][..., None]
         c, dout = _loss_pair(loss, out, y)
@@ -715,6 +751,26 @@ def test_one_pass_intact_step_matches_the_per_sample_loop(problem):
     assert np.abs(grad - want_grad).max(initial=0.0) <= 1e-12 * np.abs(want_grad).max(initial=0.0)
     full = _full_cost(tensor, None, data, 1.0, loss, Rng(1))
     want_full, _ = _per_sample_loop(tensor, data, np.arange(len(data)), loss)
+    assert abs(full - want_full) <= 1e-12 * abs(want_full)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_per_sample_problems(_snapshots()), st.sampled_from([0.3, 0.7]))
+def test_fresh_set_step_matches_the_per_sample_loop(problem, p):
+    # below p = 1 every sample draws its own set on its own graph; one pass over the
+    # batch sums in another order than the loop, so the two agree to roundoff, and
+    # both leave the stream at the same position
+    tensor, data, idx, loss = problem
+    rng, loop_rng = Rng(3), Rng(3)
+    cost, grad, _ = _cost_and_grad(tensor, None, data, idx, p, loss, rng)
+    want_cost, want_grad = _per_sample_loop(tensor, data, idx, loss, p, loop_rng)
+    assert _state(rng) == _state(loop_rng)
+    assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
+    assert np.abs(grad - want_grad).max(initial=0.0) <= 1e-12 * np.abs(want_grad).max(initial=0.0)
+    rng, loop_rng = Rng(4), Rng(4)
+    full = _full_cost(tensor, None, data, p, loss, rng)
+    want_full, _ = _per_sample_loop(tensor, data, np.arange(len(data)), loss, p, loop_rng)
+    assert _state(rng) == _state(loop_rng)
     assert abs(full - want_full) <= 1e-12 * abs(want_full)
 
 
@@ -739,10 +795,41 @@ def test_per_column_set_backward_matches_central_differences(readout, loss):
     assert gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss)) <= 1e-6
 
 
-@pytest.mark.parametrize("p, per_step", [(1.0, True), (0.7, False)], ids=["intact", "drawn"])
-def test_per_sample_bases_run_one_pass_per_step_only_when_intact(monkeypatch, p, per_step):
-    # guards against a silent fallback to the per-sample loop at p = 1, and against
-    # stacking drawn sets at p < 1
+@pytest.mark.parametrize("readout,loss", [("none", "mse"), ("pooled", "cross_entropy"),
+                                          ("per_node", "mse")])
+def test_fresh_per_column_set_backward_matches_central_differences(readout, loss):
+    # two layers on per-column graphs below p = 1, so backward rebuilds each column's
+    # second-layer shifts from the cached keeps for the Horner adjoint; the central
+    # differences run on the same sets, drawn column by column and stacked
+    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(60).child(c)), kind)
+              for c, kind in enumerate(KINDS)] + [_EDGELESS6]
+    cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2,
+                     out_features=3, readout=readout,
+                     readout_dim=0 if readout == "none" else 3)
+    tensor = init_tensor(cfg, Rng(61), 0.3)
+    sets = sample_architecture(graphs, 0.7, cfg, Rng(62), columns=4)
+    loop_rng = Rng(62)
+    drawn = [sample_architecture(graph, 0.7, cfg, loop_rng) for graph in graphs]
+    stacked = tuple(np.stack(layer, axis=-1) for layer in zip(*drawn))
+    x = Rng(63).normal(size=(2, 6, 4))
+    out, cache = forward(tensor, sets, x)
+    want_out, want_cache = forward(tensor, stacked, x)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    y = (Rng(64).integers(0, 3, 4) if loss == "cross_entropy"
+         else Rng(64).normal(size=out.shape))
+    _, dout = _loss_pair(loss, out, y)
+    grad = backward(tensor, sets, cache, dout)
+    want = backward(tensor, stacked, want_cache, _loss_pair(loss, want_out, y)[1])
+    assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+    # the Laplacian's large entries curve the cost: small taps and a smaller step keep
+    # the central differences' truncation error (~eps^2) below the tolerance
+    fd = central_differences(tensor, stacked, x, y, loss, eps=3e-6)
+    assert gradient_rel_error(grad, fd) <= 1e-6
+
+
+@pytest.mark.parametrize("p", [1.0, 0.7], ids=["intact", "drawn"])
+def test_per_sample_bases_run_one_pass_per_step(monkeypatch, p):
+    # guards against a silent fallback to a per-sample loop, at p = 1 and below it
     calls = {"forward": 0, "backward": 0}
 
     def counting(name, fn):
@@ -761,8 +848,7 @@ def test_per_sample_bases_run_one_pass_per_step_only_when_intact(monkeypatch, p,
                        bases=graphs)
     train(init_tensor(cfg, Rng(73), 0.5), None, data,
           TrainConfig(iterations=3, batch_size=4, link_p=p, seed=0))
-    want = 3 if per_step else 3 * 4
-    assert calls == {"forward": want, "backward": want}
+    assert calls == {"forward": 3, "backward": 3}
 
 
 class TestEstimators:
