@@ -181,8 +181,9 @@ def swarm_features(state: SwarmState, adjacency: np.ndarray) -> np.ndarray:
 
 def velocity_variance(v: np.ndarray) -> float:
     """Across-agent variance of the velocity vectors (consensus metric)."""
-    dev = v - v.mean(axis=0)
-    return float(np.mean((dev**2).sum(axis=1)))
+    # np.add.reduce / count is what ndarray.mean computes, without its wrappers
+    dev = v - np.add.reduce(v, axis=0) / len(v)
+    return float(np.add.reduce(np.add.reduce(dev**2, axis=1)) / len(v))
 
 
 def simulate_swarm(policy, init_state: SwarmState, steps: int, p: float, rng: Rng, *,

@@ -3,7 +3,12 @@
 Everything is dense float64: the graphs this package targets have at most a
 couple hundred nodes, where exactness and simplicity beat sparse storage.
 A :class:`ShiftOperator` couples a symmetric matrix with its kind tag and
-edge list.  A realization, one sample of the random edge-sampling model, is
+edge list.  Its one constructor checks every matrix, whoever builds it: a
+known kind, a square shape, finite entries, exact symmetry, then a zero
+diagonal and entries >= 0 (adjacency kinds) or zero row sums and
+off-diagonal entries <= 0 (Laplacian).  It reads the strict upper triangle
+through index arrays cached per node count, which the graph builders share.
+A realization, one sample of the random edge-sampling model, is
 its N x N matrix: every edge of the base graph survives independently with
 probability ``p``, realized through a symmetric 0/1 mask applied entrywise
 to the adjacency.  One 32-bit Philox lane per edge decides its keep (``p``
@@ -15,6 +20,8 @@ would need global knowledge, which a distributed deployment does not have).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -28,8 +35,27 @@ NORMALIZED_ADJACENCY = "normalized_adjacency"
 KINDS = (ADJACENCY, LAPLACIAN, NORMALIZED_ADJACENCY)
 
 
+@functools.lru_cache(maxsize=16)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices ``iu``, ``ju`` of the strict upper triangle of an
+    n x n matrix in row-major order, and the same pairs as (n(n-1)/2, 2) rows:
+    read-only, built once per node count and shared by every caller."""
+    iu, ju = np.triu_indices(n, 1)
+    pairs = np.column_stack((iu, ju))
+    for arr in (iu, ju, pairs):
+        arr.setflags(write=False)
+    return iu, ju, pairs
+
+
 class ShiftOperator:
     """Symmetric N x N shift operator tagged with its kind.
+
+    The constructor copies ``mat`` to float and checks, in this order: a known
+    kind (``ConfigError``); then, each failure a ``ValueError``, a square 2-D
+    shape, finite entries (no NaN or inf), exact symmetry, and for the
+    adjacency kinds a zero diagonal and entries >= 0, for a Laplacian row
+    sums within 1e-12 of 0 and off-diagonal entries <= 0.  Past the symmetry
+    check it reads the strict upper triangle only.
 
     ``edges`` is the off-diagonal support of ``mat`` as an (M, 2) int array
     with i < j in lexicographic order.
@@ -43,30 +69,30 @@ class ShiftOperator:
         mat = np.array(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"shift matrix must be square, got {mat.shape}")
-        if not np.array_equal(mat, mat.T):
+        if not np.isfinite(mat).all():
+            raise ValueError("shift matrix entries must be finite, got NaN or inf")
+        iu, ju, pairs = _upper_pairs(len(mat))
+        upper = mat[iu, ju]
+        if not (upper == mat[ju, iu]).all():
             raise ValueError("shift matrix must be exactly symmetric")
-        n = mat.shape[0]
-        edges = np.column_stack(np.nonzero(np.triu(mat, 1)))
-        diag = np.diag(mat)
-        if kind in (ADJACENCY, NORMALIZED_ADJACENCY):
-            if np.any(diag != 0):
-                raise ValueError(f"{kind} must have a zero diagonal")
-            if np.any(mat < 0):
-                raise ValueError(f"{kind} entries must be >= 0")
-        else:  # laplacian
-            row_sums = mat.sum(axis=1)
-            if np.abs(row_sums).max(initial=0.0) > 1e-12:
+        if kind == LAPLACIAN:
+            if np.abs(mat.sum(axis=1)).max(initial=0.0) > 1e-12:
                 raise ValueError("laplacian rows must sum to 0")
-            off = mat - np.diag(diag)
-            if np.any(off > 0):
+            if (upper > 0).any():
                 raise ValueError("laplacian off-diagonal entries must be <= 0")
+        elif mat.diagonal().any():
+            raise ValueError(f"{kind} must have a zero diagonal")
+        elif (upper < 0).any():
+            raise ValueError(f"{kind} entries must be >= 0")
+        nz = upper.nonzero()[0]
+        edges = pairs[nz]
         mat.setflags(write=False)
         edges.setflags(write=False)
-        self.n = n
+        self.n = len(mat)
         self.kind = kind
         self.mat = mat
         self.edges = edges
-        self._weights = np.abs(mat[edges[:, 0], edges[:, 1]]) if len(edges) else np.empty(0)
+        self._weights = np.abs(upper[nz])
 
     @property
     def num_edges(self) -> int:
@@ -100,10 +126,10 @@ def build_sbm(n: int, c: int, p_in: float, p_out: float, rng: Rng) -> ShiftOpera
         if not 0.0 <= p <= 1.0:
             raise ConfigError(f"{name}={p} outside [0, 1]")
     labels = np.repeat(np.arange(c), n // c)
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju, pairs = _upper_pairs(n)
     edge_p = np.where(labels[iu] == labels[ju], p_in, p_out)
     keep = rng.random(len(iu)) < edge_p
-    return _adjacency_from_pairs(n, np.column_stack([iu[keep], ju[keep]]))
+    return _adjacency_from_pairs(n, pairs[keep])
 
 
 def build_disc_graph(positions: np.ndarray, radius: float) -> ShiftOperator:
@@ -111,15 +137,14 @@ def build_disc_graph(positions: np.ndarray, radius: float) -> ShiftOperator:
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must be (N, 2), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
+    if not np.isfinite(positions).all():
         raise ValueError("positions must be finite")
     if not (np.isfinite(radius) and radius > 0):
         raise ConfigError(f"radius must be finite and > 0, got {radius}")
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    iu, ju = np.triu_indices(len(positions), 1)
-    keep = dist[iu, ju] <= radius
-    return _adjacency_from_pairs(len(positions), np.column_stack([iu[keep], ju[keep]]))
+    iu, ju, pairs = _upper_pairs(len(positions))
+    diff = positions[iu] - positions[ju]
+    keep = np.sqrt((diff**2).sum(axis=1)) <= radius
+    return _adjacency_from_pairs(len(positions), pairs[keep])
 
 
 def to_shift(adj: ShiftOperator, kind: str) -> ShiftOperator:

@@ -269,7 +269,7 @@ class ForwardCache:
     tensor: FilterTensor
     reals: Reals | DeferredSets | None  # None once released
     x: np.ndarray | None                # (F_in, N, B)
-    keeps: list | None = None           # a DeferredSets' keeps, per column and layer
+    keeps: list | None = None           # a DeferredSets' keeps, per column and layer (None at 0)
     stages: list[np.ndarray] = field(default_factory=list)       # (K+1, out or 1, in, N, B)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
@@ -339,38 +339,35 @@ def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
             for o, i, k, _, _ in shapes]
 
 
-def _build_column(sets: DeferredSets, col: int, keeps: list, bufs: list) -> None:
-    """Build column ``col``'s shifts from ``keeps`` in ``bufs``, per layer an
-    (out * in * K, N, N) array of zeros or of column col - 1's build.  A refill on
+def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: list) -> Reals:
+    """Column ``col``'s shifts, per layer of ``shapes``: read-only views of its graph at
+    p = 1, else built from ``keeps`` in ``bufs`` and viewed there.  Per layer a buffer
+    is an (out * in * K, N, N) array of zeros or of column col - 1's build: a refill on
     column col - 1's graph rewrites only edge and diagonal entries; on another graph
     it zeroes the buffer first."""
     graph = sets.graphs[col]
-    zero = col and sets.graphs[col - 1] is not graph
+    if sets.p == 1.0:
+        return tuple(np.broadcast_to(graph.mat, shape) for shape in shapes)
     for keep, buf in zip(keeps, bufs):
-        if zero:
+        if col and sets.graphs[col - 1] is not graph:
             buf.fill(0.0)
         _realized_mats(graph, keep, out=buf)
-
-
-def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: list) -> Reals:
-    """Column ``col``'s shifts, per layer of ``shapes``: read-only views of its graph at
-    p = 1, else built from ``keeps`` (:func:`_build_column`) and viewed in ``bufs``."""
-    if sets.p == 1.0:
-        return tuple(np.broadcast_to(sets.graphs[col].mat, shape) for shape in shapes)
-    _build_column(sets, col, keeps, bufs)
     return tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
 
 
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
             cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
-    batch ``x`` and return the last activation.  On a :class:`DeferredSets`, whose
-    ``keeps`` are drawn, each layer builds column b's shifts in one buffer that every
-    column refills and diffuses column b.  Each array of ``spare`` (per layer a
+    batch ``x`` and return the last activation.  On a :class:`DeferredSets` each layer
+    builds column b's shifts in one buffer that every column refills and diffuses
+    column b; layer 0 draws column b's keeps for every layer when it reaches column b
+    (the order of B single-set draws) and appends them to the empty list ``keeps``,
+    its own replaced by None once built.  Each array of ``spare`` (per layer a
     (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
     place; each layer's arrays are appended to ``cache`` when one is given."""
     cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
+    shapes = [(o, i, k, n, n) for o, i in cfg.layer_shapes()]
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
@@ -384,8 +381,12 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
             bufs = [np.zeros((out_d * in_d * k, n, n))]
             for col in range(b):
-                mats = _column_set(reals, col, [keeps[col][layer_idx]], bufs,
-                                   [(out_d, in_d, k, n, n)])[0]
+                if layer_idx == 0:  # backward rebuilds the later layers only
+                    keeps.append(_draw_column(reals, shapes, col))
+                    keep, keeps[col][0] = keeps[col][0], None
+                else:
+                    keep = keeps[col][layer_idx]
+                mats = _column_set(reals, col, [keep], bufs, [shapes[layer_idx]])[0]
                 diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None, :, :, col:col + 1],
                                  stages[..., col:col + 1])
         else:
@@ -409,20 +410,28 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
 def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray,
                      shapes: list) -> np.ndarray:
     """The layers on a deferred set, one column at a time; returns the last
-    activation (out, N, B).  One buffer per layer holds the current column's set
-    (:func:`_column_set`), and one column's stage, pre-activation and activation
-    arrays are refilled by the next column."""
+    activation (out, N, B).  One buffer per layer holds the current column's set,
+    drawn and built as :func:`_draw_column` and :func:`_column_set` would (inlined:
+    the loop runs once per evaluated sample), and one column's stage, pre-activation
+    and activation arrays are refilled by the next column."""
     cfg, n, b = tensor.cfg, x.shape[1], x.shape[2]
+    p, rng, graphs = sets.p, sets.rng, sets.graphs
     bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
+    if p < 1.0:
+        reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
     column = np.empty(x.shape[:2] + (1,))
     carry = ForwardCache(tensor=tensor, reals=None, x=None)
     core = np.empty((cfg.out_features, n, b))
-    p, graphs = sets.p, sets.graphs
-    for col in range(b):  # the views change only with the graph at p = 1
-        if col == 0 or (p == 1.0 and graphs[col] is not graphs[col - 1]):
-            reals = _column_set(sets, col, _draw_column(sets, shapes, col), bufs, shapes)
-        elif p < 1.0:  # refill the buffers under the views
-            _build_column(sets, col, _draw_column(sets, shapes, col), bufs)
+    graph = None
+    for col in range(b):
+        fresh, graph = graphs[col] is not graph, graphs[col]
+        if p < 1.0:  # refill the buffers under the views, zeroed first on a new graph
+            for buf in bufs:
+                if fresh and col:
+                    buf.fill(0.0)
+                _realized_mats(graph, rng.bernoulli(p, (len(buf), graph.num_edges)), out=buf)
+        elif fresh:  # at p = 1 the views change only with the graph
+            reals = tuple(np.broadcast_to(graph.mat, shape) for shape in shapes)
         column[..., 0] = x[..., col]
         core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
     return core
@@ -443,9 +452,10 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     is drawn here, column b's set as the b-th of B single-set draws on its graph
     would draw it.  Without a cache to return or refill, column b runs on its own
     set with the arithmetic of a B = 1 pass: its output up to the head is bit for
-    bit that of B separate draws and passes.  Otherwise every column's keeps are
-    drawn first and kept in the cache (``backward`` rebuilds the shifts from them),
-    and the pass runs layer by layer over the batch, which rounds differently.  An
+    bit that of B separate draws and passes.  Otherwise the pass runs layer by layer
+    over the batch, which rounds differently: layer 0 draws column b's keeps for
+    every layer when it reaches column b (the same stream order), and the cache keeps
+    those of the later layers (``backward`` rebuilds their shifts from them).  An
     input whose node or column count does not match the set raises ``ValueError``
     before any draw.
 
@@ -470,7 +480,7 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
         shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
         if not return_cache and cache is None:
             return _apply_head(tensor, _deferred_layers(tensor, reals, x, shapes)), None
-        keeps = [_draw_column(reals, shapes, col) for col in range(b)]
+        keeps = []
     else:
         _check_reals(cfg, reals, x.shape[1], x.shape[2])
     spare = [] if cache is None else cache._take()  # its arrays move to this pass

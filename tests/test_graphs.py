@@ -1,4 +1,6 @@
 import itertools
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from sgnn_lab import (
     save_edge_list,
     to_shift,
 )
-from sgnn_lab.graphs import _realized_mats
+from sgnn_lab.graphs import _realized_mats, _upper_pairs
 
 # weighted path 0 - 1 - 2 with edge weights 2 and 0.5
 WEIGHTED_PATH = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
@@ -550,3 +552,188 @@ class TestShiftOperatorInvariants:
         assert np.all(edges[:, 0] < edges[:, 1])
         order = np.lexsort((edges[:, 1], edges[:, 0]))
         assert np.array_equal(order, np.arange(len(edges)))
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the one-pass ShiftOperator constructor and the disc-graph builder.
+
+
+def oracle_shift(kind: str, mat) -> SimpleNamespace:
+    """The ShiftOperator constructor as it was before its one-pass rewrite, on finite
+    input: full-matrix symmetry, sign, diagonal and row-sum checks, and edges read off
+    ``np.nonzero(np.triu(mat, 1))``."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown shift kind {kind!r}")
+    mat = np.array(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"shift matrix must be square, got {mat.shape}")
+    if not np.array_equal(mat, mat.T):
+        raise ValueError("shift matrix must be exactly symmetric")
+    n = mat.shape[0]
+    edges = np.column_stack(np.nonzero(np.triu(mat, 1)))
+    diag = np.diag(mat)
+    if kind in (ADJACENCY, NORMALIZED_ADJACENCY):
+        if np.any(diag != 0):
+            raise ValueError(f"{kind} must have a zero diagonal")
+        if np.any(mat < 0):
+            raise ValueError(f"{kind} entries must be >= 0")
+    else:  # laplacian
+        row_sums = mat.sum(axis=1)
+        if np.abs(row_sums).max(initial=0.0) > 1e-12:
+            raise ValueError("laplacian rows must sum to 0")
+        off = mat - np.diag(diag)
+        if np.any(off > 0):
+            raise ValueError("laplacian off-diagonal entries must be <= 0")
+    weights = np.abs(mat[edges[:, 0], edges[:, 1]]) if len(edges) else np.empty(0)
+    return SimpleNamespace(n=n, kind=kind, mat=mat, edges=edges, _weights=weights)
+
+
+# exact hits (signed zeros, row sums just inside and outside 1e-12) and plain values
+_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.0, -0.25, 4e-13, -4e-13, 2e-12, 1e-11]),
+    st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False))
+_WEIGHT = st.one_of(st.sampled_from([0.0, 1.0, 0.5, 3.0]),
+                    st.floats(0.0, 4.0, allow_nan=False, allow_infinity=False))
+_FAMILIES = ("weighted", "laplacian", "perturbed", "symmetric", "asymmetric", "empty",
+             "off_shape")
+
+
+@st.composite
+def _shift_inputs(draw):
+    """A kind and a finite matrix: symmetric weights, their Laplacian (exact or with
+    one entry perturbed), symmetric or asymmetric signed entries, all zeros, or the
+    wrong shape; N from 0 to 6, sometimes as nested lists."""
+    kind = draw(st.sampled_from(KINDS + ("incidence",)))
+    n = draw(st.integers(0, 6))
+    family = draw(st.sampled_from(_FAMILIES))
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    mat = np.zeros((n, n))
+    if family in ("weighted", "laplacian", "perturbed"):
+        for (i, j), w in zip(upper, draw(st.lists(_WEIGHT, min_size=len(upper),
+                                                  max_size=len(upper)))):
+            mat[i, j] = mat[j, i] = w
+        if family != "weighted":
+            mat = np.diag(mat.sum(axis=1)) - mat
+        if family == "perturbed" and n:
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            mat[i, j] += draw(_ENTRY)
+            mat[j, i] = mat[i, j] if draw(st.booleans()) else mat[j, i]
+    elif family == "symmetric":
+        for i, j in upper + [(i, i) for i in range(n)]:
+            mat[i, j] = mat[j, i] = draw(_ENTRY)
+    elif family == "asymmetric":
+        mat = np.array(draw(st.lists(_ENTRY, min_size=n * n, max_size=n * n))).reshape(n, n)
+    elif family == "off_shape":
+        mat = np.zeros(draw(st.sampled_from([(n, n + 1), (n,), (1, n, n), ()])))
+    return kind, mat.tolist() if draw(st.booleans()) else mat
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shift_inputs())
+@example((ADJACENCY, np.zeros((0, 0))))
+@example((LAPLACIAN, np.zeros((1, 1))))
+@example((NORMALIZED_ADJACENCY, [[0.0]]))
+@example((LAPLACIAN, [[1.0, -1.0], [-1.0, 1.0 + 2e-12]]))
+@example((ADJACENCY, [[0.0, -0.0], [-0.0, 0.0]]))
+def test_constructor_matches_the_oracle(case):
+    """``mat``, ``edges`` (values and dtype), ``_weights`` and the accept/reject
+    outcome, with its error type and message, equal the oracle's."""
+    kind, mat = case
+    before = np.array(mat, dtype=float)
+    try:
+        want = oracle_shift(kind, mat)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            ShiftOperator(kind, mat)
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    got = ShiftOperator(kind, mat)
+    assert (got.n, got.kind) == (want.n, want.kind)
+    for name in ("mat", "edges", "_weights"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g.shape, g.dtype) == (w.shape, w.dtype), name
+        assert np.array_equal(g, w), name
+    assert not (got.mat.flags.writeable or got.edges.flags.writeable)
+    # the constructor copies: the caller's matrix is neither aliased nor changed
+    assert not np.shares_memory(got.mat, mat)
+    assert np.array_equal(np.array(mat, dtype=float), before)
+
+
+def _valid_shift_mat(kind: str) -> np.ndarray:
+    """A 4-node weighted shift of ``kind``: a path with a chord."""
+    weights = np.zeros((4, 4))
+    for (i, j), w in zip([(0, 1), (1, 2), (2, 3), (0, 2)], [1.0, 0.5, 2.0, 1.5]):
+        weights[i, j] = weights[j, i] = w
+    if kind == LAPLACIAN:
+        return np.diag(weights.sum(axis=1)) - weights
+    return weights / 3.0 if kind == NORMALIZED_ADJACENCY else weights
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["edge", "both_sides", "non_edge", "diagonal"])
+def test_non_finite_entries_rejected(kind, value, where):
+    """NaN once failed as 'must be exactly symmetric', and +-inf weights were accepted
+    for the adjacency kinds; every non-finite entry now fails as such."""
+    mat = _valid_shift_mat(kind)
+    ShiftOperator(kind, mat)  # valid as given
+    if where == "edge":
+        mat[0, 1] = value
+    elif where == "both_sides":
+        mat[1, 2] = mat[2, 1] = value
+    elif where == "non_edge":
+        mat[0, 3] = mat[3, 0] = value
+    else:
+        mat[2, 2] = value
+    with pytest.raises(ValueError, match="shift matrix entries must be finite"):
+        ShiftOperator(kind, mat)
+
+
+def brute_disc_adjacency(positions, radius: float) -> np.ndarray:
+    """O(N^2) pair loop: an edge iff the Euclidean distance is <= radius."""
+    n = len(positions)
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            dx = float(positions[i][0]) - float(positions[j][0])
+            dy = float(positions[i][1]) - float(positions[j][1])
+            if i != j and math.sqrt(dx * dx + dy * dy) <= radius:
+                mat[i, j] = 1.0
+    return mat
+
+
+_COORD = st.one_of(st.integers(-8, 8).map(float),
+                   st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=1, max_size=14),
+       st.one_of(st.sampled_from([1.0, 3.0, 5.0]), st.floats(0.05, 12.0)))
+@example([(0.0, 0.0), (3.0, 4.0), (6.0, 8.0), (0.0, 5.0), (0.0, 5.0000000001)], 5.0)
+def test_disc_graph_matches_a_pair_loop(positions, radius):
+    adj = build_disc_graph(positions, radius)
+    want = brute_disc_adjacency(positions, radius)
+    assert np.array_equal(adj.mat, want)
+    assert [tuple(e) for e in adj.edges] == [
+        (i, j) for i in range(len(want)) for j in range(i + 1, len(want)) if want[i, j]]
+
+
+def test_disc_graph_keeps_a_distance_equal_to_the_radius():
+    adj = build_disc_graph([(0.0, 0.0), (3.0, 4.0), (0.0, -5.0000000001)], 5.0)
+    assert [tuple(e) for e in adj.edges] == [(0, 1)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7])
+def test_cached_upper_pairs_are_read_only(n):
+    iu, ju, pairs = _upper_pairs(n)
+    want_iu, want_ju = np.triu_indices(n, 1)
+    assert np.array_equal(iu, want_iu) and np.array_equal(ju, want_ju)
+    assert np.array_equal(pairs, np.column_stack((want_iu, want_ju)))
+    assert _upper_pairs(n)[2] is pairs  # built once per node count
+    for arr in (iu, ju, pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    if n > 1:  # a shift's edges are its own array, not a view of the shared pairs
+        shift = ShiftOperator(ADJACENCY, np.ones((n, n)) - np.eye(n))
+        assert np.array_equal(shift.edges, pairs)
+        assert not np.shares_memory(shift.edges, pairs)

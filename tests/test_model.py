@@ -333,9 +333,11 @@ class TestDeferredSets:
 
     @pytest.mark.parametrize("p", [0.7, 1.0])
     def test_cached_pass_draws_as_the_forward_only_pass(self, base8, random8, p):
-        # with a cache every column is drawn first and the layers run over the batch;
-        # the stream ends where the forward-only pass leaves it, the outputs agree to
-        # roundoff, and the cache holds every column's keeps until it is released
+        # with a cache the layers run over the batch, layer 0 drawing column b's keeps
+        # for every layer; the stream ends where the forward-only pass leaves it, the
+        # outputs agree to roundoff, and the cache holds every column's keeps of the
+        # layers after the first (none of layer 0, which backward never reads) until
+        # it is released
         cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         x = Rng(2).normal(size=(2, 8, 3))
@@ -349,6 +351,8 @@ class TestDeferredSets:
             assert _state(cached_rng) == _state(rng)
             np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
             assert [len(keeps) for keeps in cache.keeps] == [2, 2, 2]
+            assert all(keeps[0] is None for keeps in cache.keeps)
+            assert all((keeps[1] is None) == (p == 1.0) for keeps in cache.keeps)
             cache.release()
             assert cache.keeps is None
 
