@@ -4,8 +4,8 @@ Everything is dense float64: the graphs this package targets have at most a
 couple hundred nodes, where exactness and simplicity beat sparse storage.
 A :class:`ShiftOperator` couples a symmetric matrix with its kind tag and
 edge list.  Its one constructor checks every matrix, whoever builds it: a
-known kind, a square shape, finite entries, exact symmetry, then a zero
-diagonal and entries >= 0 (adjacency kinds) or zero row sums and
+known kind, real entries, a square shape, finite entries, exact symmetry,
+then a zero diagonal and entries >= 0 (adjacency kinds) or zero row sums and
 off-diagonal entries <= 0 (Laplacian).  It reads the strict upper triangle
 through index arrays cached per node count, which the graph builders share.
 A realization, one sample of the random edge-sampling model, is
@@ -51,11 +51,12 @@ class ShiftOperator:
     """Symmetric N x N shift operator tagged with its kind.
 
     The constructor copies ``mat`` to float and checks, in this order: a known
-    kind (``ConfigError``); then, each failure a ``ValueError``, a square 2-D
-    shape, finite entries (no NaN or inf), exact symmetry, and for the
-    adjacency kinds a zero diagonal and entries >= 0, for a Laplacian row
-    sums within 1e-12 of 0 and off-diagonal entries <= 0.  Past the symmetry
-    check it reads the strict upper triangle only.
+    kind (``ConfigError``); then, each failure a ``ValueError``, a real dtype
+    (complex input is rejected before the copy, which would drop its imaginary
+    part), a square 2-D shape, finite entries (no NaN or inf), exact symmetry,
+    and for the adjacency kinds a zero diagonal and entries >= 0, for a
+    Laplacian row sums within 1e-12 of 0 and off-diagonal entries <= 0.  Past
+    the symmetry check it reads the strict upper triangle only.
 
     ``edges`` is the off-diagonal support of ``mat`` as an (M, 2) int array
     with i < j in lexicographic order.
@@ -66,6 +67,8 @@ class ShiftOperator:
     def __init__(self, kind: str, mat: np.ndarray):
         if kind not in KINDS:
             raise ConfigError(f"unknown shift kind {kind!r}")
+        if np.iscomplexobj(mat):
+            raise ValueError("shift matrix entries must be real, got a complex dtype")
         mat = np.array(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"shift matrix must be square, got {mat.shape}")

@@ -15,8 +15,11 @@ A pass in which every sample sees its own fresh set, on one graph or on its own,
 takes a deferred set (``sample_architecture(..., columns=B)``): ``forward`` draws
 column b's set as the b-th of B single-set draws would and builds it in one buffer
 per layer that every column refills.  Forward only, each column runs the layers
-as a B = 1 pass; with a cache (training) the pass runs layer by layer, column b
-diffusing into column b of the batch's stages.  The head runs once over the batch.
+as a B = 1 pass (at p = 1 a column on the previous column's graph with the same
+input copies its output); with a cache (training) the pass runs layer by layer, column
+b diffusing into column b of the batch's stages.  The head runs once over the batch.
+Each layer contracts its taps with its stages: when every out filter shares the stages
+(an intact set, or order 0) in one matrix product over a view of them, else in einsum.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -355,6 +358,46 @@ def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: l
     return tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
 
 
+def _stage_matrix(stages: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Stages (K+1, 1, in, N, B) shared by every out filter as a ((K+1) * in, N * B)
+    matrix view, its rows in (k, i) order and its columns in the memory order of the
+    (N, B) plane, which is (B, N) in a deferred cached pass (then the flag is True)."""
+    flip = stages.strides[3] < stages.strides[4]
+    plane = stages.swapaxes(3, 4) if flip else stages
+    return plane.reshape(-1, plane.shape[3] * plane.shape[4]), flip
+
+
+def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pre-activations ``u[o] = sum_k,i taps[o, i, k] * stages[k, o, i]`` (out, N, B) of
+    taps (out, in, K+1) and stages (K+1, out or 1, in, N, B), into ``out`` when given.
+    Per-filter stages take einsum; stages shared by every out filter (an intact set, or
+    order 0) one (out, (K+1) * in) @ ((K+1) * in, N * B) product on a view of them."""
+    if stages.shape[1] > 1:
+        return np.einsum("oik,koinb->onb", taps, stages, out=out)
+    mat, flip = _stage_matrix(stages)
+    weights = taps.transpose(0, 2, 1).reshape(len(taps), -1)  # (k, i) order, as the rows
+    if out is None:
+        out = np.empty((len(taps),) + stages.shape[3:])
+    if flip or not out.flags.c_contiguous:  # the product, copied into out's layout
+        prod = (weights @ mat).reshape(len(taps), *stages.shape[3:][::-1 if flip else 1])
+        out[...] = prod.swapaxes(1, 2) if flip else prod
+    else:
+        np.matmul(weights, mat, out=out.reshape(len(taps), -1))
+    return out
+
+
+def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
+    """The taps' gradient ``sum_n,b delta_u[o] * stages[k, o, i]`` (out, in, K+1) of the
+    pre-activations' gradient ``delta_u`` (out, N, B) and stages as in
+    :func:`_contract_taps`, through the transposed product on shared stages."""
+    if stages.shape[1] > 1:
+        return np.einsum("onb,koinb->oik", delta_u, stages)
+    mat, flip = _stage_matrix(stages)
+    rows = (delta_u.swapaxes(1, 2) if flip else delta_u).reshape(len(delta_u), -1)
+    grad = rows @ mat.T                                        # (out, (K+1) * in)
+    return grad.reshape(len(delta_u), len(stages), -1).transpose(0, 2, 1)
+
+
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
             cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
@@ -394,10 +437,10 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
             mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
             # (out, in, K, N, N[, B]) -> (K, out, in, N, N[, B]): stage k of every filter
-            # at once; einsum broadcasts a size-1 out axis of the stages itself
+            # at once; stages with a size-1 out axis are contracted in one matrix product
             stages = diffusion_stages(mats.transpose((2, 0, 1, 3, 4, 5)[:mats.ndim]),
                                       current[None], old_stages)
-        u = np.einsum("oik,koinb->onb", tensor.layers[layer_idx], stages, out=old_u)
+        u = _contract_taps(tensor.layers[layer_idx], stages, old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
         if cache is not None:
             cache.stages.append(stages)
@@ -413,7 +456,9 @@ def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray,
     activation (out, N, B).  One buffer per layer holds the current column's set,
     drawn and built as :func:`_draw_column` and :func:`_column_set` would (inlined:
     the loop runs once per evaluated sample), and one column's stage, pre-activation
-    and activation arrays are refilled by the next column."""
+    and activation arrays are refilled by the next column.  At p = 1 a column on the
+    previous column's graph whose input has the same bytes copies that column's output
+    (the same arithmetic on the same operands)."""
     cfg, n, b = tensor.cfg, x.shape[1], x.shape[2]
     p, rng, graphs = sets.p, sets.rng, sets.graphs
     bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
@@ -432,6 +477,9 @@ def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray,
                 _realized_mats(graph, rng.bernoulli(p, (len(buf), graph.num_edges)), out=buf)
         elif fresh:  # at p = 1 the views change only with the graph
             reals = tuple(np.broadcast_to(graph.mat, shape) for shape in shapes)
+        elif x[..., col].tobytes() == column.tobytes():  # column holds column col - 1's input
+            core[..., col] = core[..., col - 1]
+            continue
         column[..., 0] = x[..., col]
         core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
     return core

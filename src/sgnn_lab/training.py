@@ -38,6 +38,7 @@ from .model import (
     Reals,
     _column_set,
     _slope,
+    _tap_gradient,
     forward,
     sample_architecture,
     split_params,
@@ -153,8 +154,9 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
 
     for layer_idx in range(cfg.layers - 1, -1, -1):
         delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
-        # stages are (K+1, out or 1, in, N, B); einsum broadcasts a size-1 out axis
-        layer_grads[layer_idx][...] = np.einsum("onb,koinb->oik", delta_u, cache.stages[layer_idx])
+        # stages are (K+1, out or 1, in, N, B); a size-1 out axis takes the transposed
+        # matrix product of the forward contraction
+        layer_grads[layer_idx][...] = _tap_gradient(delta_u, cache.stages[layer_idx])
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -687,6 +688,24 @@ def test_non_finite_entries_rejected(kind, value, where):
         mat[2, 2] = value
     with pytest.raises(ValueError, match="shift matrix entries must be finite"):
         ShiftOperator(kind, mat)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("case", ["hermitian", "real_valued", "nested_list"])
+def test_complex_entries_rejected(kind, case):
+    """The float copy once dropped the imaginary part with only a warning, so a
+    Hermitian, non-symmetric matrix passed as its symmetric real part."""
+    mat = _valid_shift_mat(kind).astype(complex)
+    if case == "hermitian":
+        mat[0, 1] += 2j
+        mat[1, 0] -= 2j
+        assert np.array_equal(mat, mat.conj().T) and not np.array_equal(mat, mat.T)
+    given = mat.tolist() if case == "nested_list" else mat
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="shift matrix entries must be real"):
+            ShiftOperator(kind, given)
+    ShiftOperator(kind, mat.real)  # its real part is a valid shift
 
 
 def brute_disc_adjacency(positions, radius: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -470,6 +471,26 @@ def test_deferred_set_equals_a_loop_of_single_sets(graphs, per_column, cfg, p, c
         cached, _ = forward(net, sample_architecture(base, p, cfg, cached_rng, columns=columns), x)
         np.testing.assert_allclose(cached, want, rtol=1e-12, atol=1e-12)
         assert _state(cached_rng) == _state(loop_rng)
+
+
+def test_intact_column_repeating_its_neighbour_copies_its_output(base8, random8):
+    # at p = 1 a column on the previous column's graph whose input has the same bytes
+    # copies that column's output; a new graph or other bytes (-0.0 included) recompute
+    lap = to_shift(random8, "laplacian")
+    a, b = Rng(3).normal(size=(2, 8)), Rng(4).normal(size=(2, 8))
+    columns = [(base8, a), (base8, a), (lap, a), (lap, b), (lap, b), (base8, b),
+               (base8, np.zeros((2, 8))), (base8, -np.zeros((2, 8))), (base8, -np.zeros((2, 8)))]
+    graphs, x = [g for g, _ in columns], np.stack([c for _, c in columns], axis=-1)
+    cfg = SgnnConfig(layers=2, features=3, order=2, nonlinearity="abs", in_features=2)
+    tensor = init_tensor(cfg, Rng(5), 0.6)
+    want = np.concatenate([forward(tensor, sample_architecture(g, 1.0, cfg, Rng(0)),
+                                   x[..., c, None], return_cache=False)[0]
+                           for c, g in enumerate(graphs)], axis=-1)
+    with mock.patch.object(model, "_layers", wraps=model._layers) as layers:
+        got, _ = forward(tensor, sample_architecture(graphs, 1.0, cfg, Rng(0), columns=9), x,
+                         return_cache=False)
+    assert layers.call_count == 6
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -328,25 +328,61 @@ def _diffusions(cache):
             for stages, taps in zip(cache.stages, cache.tensor.layers)]
 
 
+def _close(got, want):
+    """Equal to 1e-12 relative to the largest entry of ``want``."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0)
+
+
+def _assume_conditioned(cfg, cache):
+    """Skip pooled heads that amplify roundoff past 1e-12: over two features the
+    standardization maps them to +-1 whatever their values, so the layers' gradient is
+    zero and roundoff is all that is left of it, and a small feature std divides it."""
+    if cfg.readout == "pooled" and cfg.out_features > 1:
+        assume(cfg.out_features > 2 and cache.pooled_std.min() > 1e-3)
+
+
+def _einsum_taps(taps, stages, out=None):
+    """The tap contraction as einsum on a contiguous copy of every filter's stages."""
+    full = np.broadcast_to(stages, (len(stages), *taps.shape[:2], *stages.shape[3:]))
+    return np.einsum("oik,koinb->onb", taps, np.ascontiguousarray(full), out=out)
+
+
+def _einsum_tap_gradient(delta_u, stages):
+    full = np.broadcast_to(stages, (len(stages), len(delta_u), *stages.shape[2:]))
+    return np.einsum("onb,koinb->oik", delta_u, np.ascontiguousarray(full))
+
+
 def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
-    """Forward output, cached stages and backward gradient on ``reals`` equal, bit for
-    bit, those on C-contiguous copies (the layout of every drawn realization set), and
-    each filter's cached stages equal its own diffusion of its layer input."""
+    """With the taps contracted by einsum on both sides, forward output, cached stages,
+    pre-activations and backward gradient on ``reals`` equal, bit for bit, those on
+    C-contiguous copies (the layout of every drawn realization set), and each filter's
+    cached stages equal its own diffusion of its layer input.  With the library's
+    contraction (one matrix product where every out filter shares the stages) the
+    first layer's stages stay bit for bit and its pre-activations agree to 1e-12
+    relative; later layers inherit that roundoff, grown by each layer's gain, which
+    ``test_shared_stage_pass_matches_einsum_on_contiguous_copies`` bounds."""
+    copies = tuple(np.ascontiguousarray(m) for m in reals)
     out_grad = None
     passes = []
-    for rs in (reals, tuple(np.ascontiguousarray(m) for m in reals)):
-        out, cache = forward(tensor, rs, x)
-        for layer, (mats, stages) in enumerate(zip(rs, _diffusions(cache))):
-            inputs = cache.activations[layer - 1] if layer else x
-            for o, i in np.ndindex(*mats.shape[:2]):
-                want = diffusion_stages(mats[o, i], inputs[i])
-                assert stages[:, o, i].tobytes() == want.tobytes()
-        if out_grad is None:
-            out_grad = rng.child(2).normal(size=out.shape)
-        grad = backward(tensor, rs, cache, out_grad).flatten()
-        passes.append([out, *_diffusions(cache), *cache.pre_activations, grad])
+    with mock.patch.object(model, "_contract_taps", _einsum_taps), \
+         mock.patch.object(training, "_tap_gradient", _einsum_tap_gradient):
+        for rs in (reals, copies):
+            out, cache = forward(tensor, rs, x)
+            for layer, (mats, stages) in enumerate(zip(rs, _diffusions(cache))):
+                inputs = cache.activations[layer - 1] if layer else x
+                for o, i in np.ndindex(*mats.shape[:2]):
+                    want = diffusion_stages(mats[o, i], inputs[i])
+                    assert stages[:, o, i].tobytes() == want.tobytes()
+            if out_grad is None:
+                out_grad = rng.child(2).normal(size=out.shape)
+            grad = backward(tensor, rs, cache, out_grad).flatten()
+            passes.append([out, *_diffusions(cache), *cache.pre_activations, grad])
     for got, want in zip(*passes):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    (_, cache), (_, want) = (forward(tensor, rs, x) for rs in (reals, copies))
+    assert _diffusions(cache)[0].tobytes() == _diffusions(want)[0].tobytes()
+    _close(cache.pre_activations[0], want.pre_activations[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -367,6 +403,71 @@ def test_partly_shared_set_matches_its_copy(net, shared):
                   for m, (s_out, s_in) in zip(sample_architecture(base, 0.6, tensor.cfg,
                                                                   rng.child(3)), shared))
     _assert_pass_matches_contiguous_copy(tensor, reals, x, rng)
+
+
+_GRAPHS8 = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2025).child(c)), kind)
+            for c, kind in enumerate(KINDS)]
+
+
+@st.composite
+def _intact_passes(draw):
+    """(tensor, intact set, input batch, seed, base): a 1- or 2-layer net of any readout
+    and nonlinearity at K = 0-3 on 8 nodes, B = 1-5 columns, and a p = 1 set on one
+    graph (a stride-0 view), on one graph per column (a column-axis view) or deferred
+    on either; every out filter of a layer shares its stages, but in a deferred cached
+    pass at K >= 1 with more than one out feature."""
+    readout = draw(st.sampled_from(READOUTS))
+    cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
+                     order=draw(st.integers(0, 3)),
+                     nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                     in_features=draw(st.integers(1, 2)), out_features=draw(st.integers(1, 3)),
+                     readout=readout,
+                     readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+    b, rng = draw(st.integers(1, 5)), Rng(draw(st.integers(0, 2**16)))
+    graphs = draw(st.lists(st.sampled_from([_GRAPH8] + _GRAPHS8), min_size=b, max_size=b))
+    base = graphs if draw(st.booleans()) else graphs[0]
+    deferred = draw(st.booleans())
+    reals = sample_architecture(base, 1.0, cfg, rng.child(3), columns=b if deferred else None)
+    x = rng.child(1).normal(size=(cfg.in_features, 8, b))
+    return init_tensor(cfg, rng.child(0), 0.6), reals, x, rng, base
+
+
+def _intact_pass(tensor, reals, x, warm, out_grad):
+    """A cached pass on ``x`` refilling the arrays of the pass ``warm`` (set, input),
+    its cache and gradient, and a cacheless pass on ``x``."""
+    _, cache = forward(tensor, *warm)
+    out, cache = forward(tensor, reals, x, cache=cache)
+    grad = backward(tensor, reals, cache, out_grad)
+    return out, cache, grad, forward(tensor, reals, x, return_cache=False)[0]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_intact_passes())
+def test_shared_stage_pass_matches_einsum_on_contiguous_copies(case):
+    # the checked pass refills the arrays of a deferred cached pass on another input at
+    # p < 1, whose einsum leaves its pre-activations in the stages' (B, N) layout
+    tensor, reals, x, rng, base = case
+    warm = rng.child(4).normal(size=x.shape)
+    out_grad = rng.child(2).normal(size=forward(tensor, reals, x, return_cache=False)[0].shape)
+    passes = []
+    for contract, tap_gradient in ((model._contract_taps, training._tap_gradient),
+                                   (_einsum_taps, _einsum_tap_gradient)):
+        warm_set = sample_architecture(base, 0.7, tensor.cfg, rng.child(5), columns=x.shape[2])
+        with mock.patch.object(model, "_contract_taps", contract), \
+             mock.patch.object(training, "_tap_gradient", tap_gradient):
+            passes.append(_intact_pass(tensor, reals, x, (warm_set, warm), out_grad))
+    (out, cache, grad, cacheless), (want_out, want_cache, want_grad, want_cacheless) = passes
+    _assume_conditioned(tensor.cfg, cache)
+    for stages in cache.stages:  # the product reads shared stages in place, in either layout
+        assert stages.shape[1] > 1 or np.shares_memory(model._stage_matrix(stages)[0], stages)
+    # the diffusion is unchanged: bit for bit from the same input, to roundoff later
+    assert cache.stages[0].tobytes() == want_cache.stages[0].tobytes()
+    for got, want in zip(cache.stages + cache.pre_activations,
+                         want_cache.stages + want_cache.pre_activations):
+        _close(got, want)
+    _close(out, want_out)
+    _close(grad, want_grad)
+    _close(cacheless, want_cacheless)
 
 
 @settings(max_examples=60, deadline=None)
