@@ -8,8 +8,7 @@ operators and combines the stages with scalar taps:
 When every ``S_k`` is an independent edge-sampling realization this is a
 stochastic graph filter; with ``S_k = S`` fixed it reduces to the ordinary
 polynomial filter ``sum_k h_k S^k x``.  A shift sequence is K realized N x N
-matrices (or N x N x B stacks, one matrix per batch column); every evaluation,
-the network's included, runs :func:`diffusion_stages`.
+matrices; every evaluation, the network's included, runs :func:`diffusion_stages`.
 
 ``apply_distributed`` evaluates the same filter by per-node message passing
 over the surviving links only, which certifies that the computation is local:
@@ -45,40 +44,24 @@ def _check_inputs(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     return x
 
 
-def columnwise_product(mats: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``mats[..., b] @ x[..., b]`` for shifts ``(..., N, N, B)`` and signals ``(..., N, B)``:
-    column b of the signals through its own shift, written into ``out`` when given.
-    One stacked matmul with the column axis moved ahead of the matrix axes."""
-    nd = mats.ndim
-    prod = np.matmul(mats.transpose(*range(nd - 3), nd - 1, nd - 3, nd - 2),
-                     x.swapaxes(-1, -2)[..., None],
-                     out=None if out is None else out.swapaxes(-1, -2)[..., None])
-    return prod[..., 0].swapaxes(-1, -2)
-
-
 def diffusion_stages(mats: Sequence[np.ndarray], x: np.ndarray,
                      reuse: np.ndarray | None = None) -> np.ndarray:
     """Stages ``x, S_1 x, S_2 S_1 x, ...`` (``S_k = mats[k - 1]``) written into one
     ``(K+1, ...)`` array: ``reuse`` when it has that shape, else a new one.  The
     matmul broadcasts, so a stack of shifts ``(..., N, N)`` diffuses a stack of
     signals ``(..., N, B)``, and each stage has the broadcast shape of the shift
-    stack and the signal stack.  A shift stack with one axis more than a signal
-    stack of two or more axes is the column-axis form: shifts ``(..., N, N, B)``
-    diffuse signals ``(..., N, B)`` column by column (:func:`columnwise_product`),
-    and the stages keep the signal layout."""
+    stack and the signal stack."""
     first = np.shape(mats[0]) if len(mats) else ()
-    columns = x.ndim >= 2 and len(first) == x.ndim + 1
-    product = columnwise_product if columns else np.matmul
     # the broadcast shape of the leading axes, without np.broadcast_shapes' call cost:
     # a size-1 axis takes the other's size; any other mismatch raises in the copy below
-    lead_m, lead_x = first[:-3 if columns else -2], x.shape[:-2]
+    lead_m, lead_x = first[:-2], x.shape[:-2]
     pad = len(lead_x) - len(lead_m)
     lead = tuple(b if a == 1 else a for a, b in zip((1,) * pad + lead_m, (1,) * -pad + lead_x))
     shape = (len(mats) + 1,) + lead + x.shape[-2:]
     stages = reuse if reuse is not None and reuse.shape == shape else np.empty(shape)
     stages[0] = x
     for k in range(1, len(stages)):
-        product(mats[k - 1], stages[k - 1], out=stages[k])
+        np.matmul(mats[k - 1], stages[k - 1], out=stages[k])
     return stages
 
 

@@ -253,7 +253,8 @@ def save_edge_list(shift: ShiftOperator, path) -> None:
 
 def load_edge_list(path) -> ShiftOperator:
     """Load a graph saved by :func:`save_edge_list`; non-adjacency kinds are
-    rebuilt from the edge set (the normalization factor is recomputed)."""
+    rebuilt from the edge set (the normalization factor is recomputed).  An oracle
+    that no library code calls: the round trip through it gates :func:`save_edge_list`."""
     # a non-ASCII byte decodes to U+FFFD, which no header or edge field accepts
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         header = fh.readline().split()

@@ -7,19 +7,18 @@ input feature are summed to keep the bank from growing exponentially), and
 the last layer maps hidden to the output feature count.  Every (layer,
 out-feature, in-feature) filter runs on its own independently drawn sequence
 of shift realizations, so one forward pass is fixed by a realization set: a
-tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts.
-A set may also carry a trailing column axis, (out, in, K, N, N, B): then batch
-column b diffuses through its own shifts, which is how one pass runs a batch
-whose samples live on different graphs (the intact per-sample graphs at p = 1).
-A pass in which every sample sees its own fresh set, on one graph or on its own,
-takes a deferred set (``sample_architecture(..., columns=B)``): ``forward`` draws
-column b's set as the b-th of B single-set draws would and builds it in one buffer
-per layer that every column refills.  Forward only, each column runs the layers
-as a B = 1 pass (at p = 1 a column on the previous column's graph with the same
-input copies its output); with a cache (training) the pass runs layer by layer, column
-b diffusing into column b of the batch's stages.  The head runs once over the batch.
-Each layer contracts its taps with its stages: when every out filter shares the stages
-(an intact set, or order 0) in one matrix product over a view of them, else in einsum.
+tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts,
+shared by every column of a batch.  A pass in which every column has its own set
+(a fresh set per sample on one graph, or each sample on its own graph) takes a
+deferred set, :class:`DeferredSets`, and ``forward`` chooses how to run it.
+Forward only, each column runs the layers as a B = 1 pass on its set, drawn and
+built in one buffer per layer that every column refills (at p = 1 a column on the
+previous column's graph with the same input copies its output).  With a cache
+(training) the pass runs layer by layer: at p = 1 each stage is one stacked product
+of the columns' graphs with their signals, below it column b's set diffuses column b
+into the batch's stages.  The head runs once over the batch.  Each layer contracts
+its taps with its stages: when every out filter shares the stages (an intact set, or
+order 0) in one matrix product over a view of them, else in einsum.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -63,16 +62,17 @@ READOUTS = ("none", "pooled", "per_node")
 # All three nonlinearities are 1-Lipschitz with sigma(0) = 0.
 NONLINEARITY_LIPSCHITZ = 1.0
 
-# a realization set: per layer (out, in, K, N, N) shifts shared by the batch, or
-# (out, in, K, N, N, B) with column b's own shifts in [..., b]
+# a realization set: per layer (out, in, K, N, N) shifts shared by the batch
+# (per-column sets are a DeferredSets)
 Reals = tuple[np.ndarray, ...]
 
 
 class DeferredSets(NamedTuple):
-    """Fresh realization sets at probability ``p``, not yet drawn, one per batch
-    column, column b's on ``graphs[b]``: :func:`forward` draws them from ``rng``,
-    column b's set exactly as the b-th of B :func:`sample_architecture` calls on its
-    graph would (a second pass on the same object draws the next B sets)."""
+    """Realization sets at probability ``p``, not yet drawn, one per batch column,
+    column b's on ``graphs[b]``: :func:`forward` draws them from ``rng``, column b's
+    set exactly as the b-th of B :func:`sample_architecture` calls on its graph would
+    (a second pass on the same object draws the next B sets; at p = 1 every set is
+    its graph and nothing is drawn)."""
 
     graphs: tuple[ShiftOperator, ...]
     p: float
@@ -104,7 +104,9 @@ def _slope(kind: str, u: np.ndarray) -> np.ndarray:
 
 
 def apply_nonlinearity(kind: str, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise nonlinearity and its derivative (subgradient 0 at kinks)."""
+    """Entrywise nonlinearity and its derivative (subgradient 0 at kinks).  An oracle
+    that no library code calls: it gates :func:`_activate` and :func:`_slope`, the
+    nonlinearity of ``forward`` and the slope of ``backward``."""
     u = np.asarray(u, dtype=float)
     return _activate(kind, u), _slope(kind, u)
 
@@ -225,37 +227,26 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     given counter-based stream, which realizes independent draws per filter.
     At p = 1 each layer is a read-only stride-0 view of ``base.mat`` in the full
     shape and no random numbers are consumed; callers never write into it.
-    ``base`` may also be a sequence of B per-column graphs on N nodes each, column
-    b on the b-th: at p = 1 each layer is then a read-only stride-0 view
-    (out, in, K, N, N, B) of their stacked matrices; below p = 1 they need ``columns``.
 
-    With ``columns=B`` the result is a :class:`DeferredSets`, one fresh set per
-    batch column on ``base`` (one graph, or column b's), and nothing is drawn here:
-    :func:`forward` draws column b's set from ``rng`` as the b-th of B calls without
-    ``columns`` on its graph would (at p = 1 every set is its graph's view and
-    nothing is drawn), so it leaves ``rng`` where those calls would.  A bad ``p``
-    raises ``ConfigError``; a column count below 1, and graphs that are none, of
-    mixed node counts or not one per column, ``ValueError``.
+    A sequence of B graphs on N nodes each as ``base`` (column b on the b-th), or
+    ``columns=B``, gives a :class:`DeferredSets` instead, one set per batch column on
+    its graph (``base`` itself when one graph is given), and nothing is drawn here:
+    :func:`forward` draws column b's set from ``rng`` as the b-th of B calls on its
+    graph would (at p = 1 nothing), so it leaves ``rng`` where those calls would.  A
+    bad ``p`` raises ``ConfigError``; a column count below 1, and graphs that are
+    none, of mixed node counts or not one per column, ``ValueError``.
     """
     graphs = None if isinstance(base, ShiftOperator) else tuple(base)
-    if columns is not None:
-        if not 0.0 <= p <= 1.0:
-            raise ConfigError(f"edge probability p={p} outside [0, 1]")
-        if not (isinstance(columns, (int, np.integer)) and columns >= 1):
-            raise ValueError(f"a deferred set needs an integer column count >= 1, got {columns!r}")
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    if columns is not None and not (isinstance(columns, (int, np.integer)) and columns >= 1):
+        raise ValueError(f"a deferred set needs an integer column count >= 1, got {columns!r}")
     if graphs is not None and not (len({g.n for g in graphs}) == 1
                                    and len(graphs) == (columns or len(graphs))):
         raise ValueError(f"per-column graphs need one node count and one graph per column, got "
                          f"{len(graphs)} on {[g.n for g in graphs]} nodes for {columns} columns")
-    if columns is not None:
+    if graphs is not None or columns is not None:
         return DeferredSets(graphs or (base,) * int(columns), p, rng)
-    if graphs is not None:
-        if p != 1.0:
-            raise ConfigError(f"per-column graphs below p = 1 need columns={len(graphs)}")
-        # an (N, N, B) view of a (B, N, N) stack, so that each column's shift is contiguous
-        stack = np.stack([graph.mat for graph in graphs]).transpose(1, 2, 0)
-        return tuple(np.broadcast_to(stack, (o, i, cfg.order) + stack.shape)
-                     for o, i in cfg.layer_shapes())
     n, k = base.n, cfg.order
     return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
                  for o, i in cfg.layer_shapes())
@@ -320,17 +311,15 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
     return out + tensor.head_bias[:, None, None]
 
 
-def _check_reals(cfg: SgnnConfig, reals: Reals, n: int, b: int) -> None:
+def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
     shapes = cfg.layer_shapes()
     if len(reals) != len(shapes):
         raise ValueError(f"realization set has {len(reals)} layers, the architecture {len(shapes)}")
     for layer, (mats, (out_d, in_d)) in enumerate(zip(reals, shapes)):
         want = (out_d, in_d, cfg.order, n, n)
-        shape = np.shape(mats)
-        if shape != want and shape != want + (b,):
-            raise ValueError(f"layer {layer} realizations have shape {shape}, "
-                             f"expected {want} for {n} nodes, or {want + (b,)} for "
-                             f"{b} batch columns")
+        if np.shape(mats) != want:
+            raise ValueError(f"layer {layer} realizations have shape {np.shape(mats)}, "
+                             f"expected {want} for {n} nodes")
 
 
 def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
@@ -358,29 +347,20 @@ def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: l
     return tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
 
 
-def _stage_matrix(stages: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Stages (K+1, 1, in, N, B) shared by every out filter as a ((K+1) * in, N * B)
-    matrix view, its rows in (k, i) order and its columns in the memory order of the
-    (N, B) plane, which is (B, N) in a deferred cached pass (then the flag is True)."""
-    flip = stages.strides[3] < stages.strides[4]
-    plane = stages.swapaxes(3, 4) if flip else stages
-    return plane.reshape(-1, plane.shape[3] * plane.shape[4]), flip
-
-
 def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pre-activations ``u[o] = sum_k,i taps[o, i, k] * stages[k, o, i]`` (out, N, B) of
     taps (out, in, K+1) and stages (K+1, out or 1, in, N, B), into ``out`` when given.
     Per-filter stages take einsum; stages shared by every out filter (an intact set, or
-    order 0) one (out, (K+1) * in) @ ((K+1) * in, N * B) product on a view of them."""
+    order 0) one (out, (K+1) * in) @ ((K+1) * in, N * B) product, on a view of them
+    when they are C-contiguous (else on a copy)."""
     if stages.shape[1] > 1:
         return np.einsum("oik,koinb->onb", taps, stages, out=out)
-    mat, flip = _stage_matrix(stages)
+    mat = stages.reshape(-1, stages.shape[3] * stages.shape[4])
     weights = taps.transpose(0, 2, 1).reshape(len(taps), -1)  # (k, i) order, as the rows
     if out is None:
         out = np.empty((len(taps),) + stages.shape[3:])
-    if flip or not out.flags.c_contiguous:  # the product, copied into out's layout
-        prod = (weights @ mat).reshape(len(taps), *stages.shape[3:][::-1 if flip else 1])
-        out[...] = prod.swapaxes(1, 2) if flip else prod
+    if not out.flags.c_contiguous:  # the product, copied into out's layout
+        out[...] = (weights @ mat).reshape(out.shape)
     else:
         np.matmul(weights, mat, out=out.reshape(len(taps), -1))
     return out
@@ -392,31 +372,43 @@ def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
     :func:`_contract_taps`, through the transposed product on shared stages."""
     if stages.shape[1] > 1:
         return np.einsum("onb,koinb->oik", delta_u, stages)
-    mat, flip = _stage_matrix(stages)
-    rows = (delta_u.swapaxes(1, 2) if flip else delta_u).reshape(len(delta_u), -1)
-    grad = rows @ mat.T                                        # (out, (K+1) * in)
+    mat = stages.reshape(-1, stages.shape[3] * stages.shape[4])
+    grad = delta_u.reshape(len(delta_u), -1) @ mat.T            # (out, (K+1) * in)
     return grad.reshape(len(delta_u), len(stages), -1).transpose(0, 2, 1)
 
 
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
             cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
-    batch ``x`` and return the last activation.  On a :class:`DeferredSets` each layer
-    builds column b's shifts in one buffer that every column refills and diffuses
-    column b; layer 0 draws column b's keeps for every layer when it reaches column b
-    (the order of B single-set draws) and appends them to the empty list ``keeps``,
-    its own replaced by None once built.  Each array of ``spare`` (per layer a
+    batch ``x`` and return the last activation.  On a :class:`DeferredSets` at p = 1
+    each stage is one stacked product of the columns' graphs (B, N, N) with the
+    signals viewed as (in, B, N, 1); below p = 1 each layer builds column b's shifts in
+    one buffer that every column refills and diffuses column b.  Layer 0 draws column
+    b's keeps for every layer when it reaches column b (the order of B single-set
+    draws; None at p = 1) and appends them to the empty list ``keeps``, its own
+    replaced by None once built.  Each array of ``spare`` (per layer a
     (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
     place; each layer's arrays are appended to ``cache`` when one is given."""
     cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
     shapes = [(o, i, k, n, n) for o, i in cfg.layer_shapes()]
+    stack = (np.stack([graph.mat for graph in reals.graphs])
+             if keeps is not None and reals.p == 1.0 else None)
     current = x
     for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
         if old_u is not None and old_u.shape != (out_d, n, b):
             old_u = old_act = None
-        if keeps is not None:  # at order 0 the stages are the input, shared by every out
+        if stack is not None:  # every out filter shares the stages of the intact graphs
+            if layer_idx == 0:
+                keeps.extend([None] * len(shapes) for _ in range(b))
+            shape = (k + 1, 1, in_d, n, b)
+            stages = old_stages if getattr(old_stages, "shape", None) == shape else np.empty(shape)
+            # the signals and stages (..., N, B) viewed as (..., B, N, 1): column b's
+            # product is graph b's
+            diffusion_stages([stack] * k, current[None].swapaxes(2, 3)[..., None],
+                             stages.swapaxes(3, 4)[..., None])
+        elif keeps is not None:  # at order 0 the stages are the input, shared by every out
             shape = (k + 1, out_d if k else 1, in_d, n, b)
             # laid out (..., B, N) in memory, so that each column's products write
             # contiguous N-vectors
@@ -436,10 +428,9 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             mats = reals[layer_idx]
             # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
             mats = mats[tuple(slice(None, 1 if s == 0 else None) for s in mats.strides[:2])]
-            # (out, in, K, N, N[, B]) -> (K, out, in, N, N[, B]): stage k of every filter
-            # at once; stages with a size-1 out axis are contracted in one matrix product
-            stages = diffusion_stages(mats.transpose((2, 0, 1, 3, 4, 5)[:mats.ndim]),
-                                      current[None], old_stages)
+            # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once;
+            # stages with a size-1 out axis are contracted in one matrix product
+            stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
         u = _contract_taps(tensor.layers[layer_idx], stages, old_u)
         act = _activate(cfg.nonlinearity, u, old_act)
         if cache is not None:
@@ -490,22 +481,21 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     """Run the network on a fixed realization set.
 
     ``x`` is a batch (F_in, N, B) sharing the realization set, as in one
-    training step; one sample is the batch ``x[..., None]``.  A set with the
-    column axis (out, in, K, N, N, B) runs column b on its own shifts instead;
-    stages, pre-activations and activations keep the same layout.  Returns
+    training step; one sample is the batch ``x[..., None]``.  Returns
     ``(output, cache)``, the output batched along its last axis and the cache
-    None when ``return_cache`` is false.
+    None when ``return_cache`` is false.  A realization array of any other shape
+    than (out, in, K, N, N) raises ``ValueError``.
 
-    A :class:`DeferredSets` of B columns (``sample_architecture(..., columns=B)``)
-    is drawn here, column b's set as the b-th of B single-set draws on its graph
-    would draw it.  Without a cache to return or refill, column b runs on its own
-    set with the arithmetic of a B = 1 pass: its output up to the head is bit for
-    bit that of B separate draws and passes.  Otherwise the pass runs layer by layer
-    over the batch, which rounds differently: layer 0 draws column b's keeps for
-    every layer when it reaches column b (the same stream order), and the cache keeps
-    those of the later layers (``backward`` rebuilds their shifts from them).  An
-    input whose node or column count does not match the set raises ``ValueError``
-    before any draw.
+    A :class:`DeferredSets` of B columns, column b on its own set, is drawn here,
+    column b's set as the b-th of B single-set draws on its graph would draw it.
+    Without a cache to return or refill, column b runs on its own set with the
+    arithmetic of a B = 1 pass: its output up to the head is bit for bit that of B
+    separate draws and passes.  Otherwise the pass runs layer by layer over the
+    batch, which rounds differently: at p = 1 each stage is one stacked product of
+    the columns' graphs; below it layer 0 draws column b's keeps for every layer when
+    it reaches column b (the same stream order), and the cache keeps those of the
+    later layers (``backward`` rebuilds their shifts from them).  An input whose node
+    or column count does not match the set raises ``ValueError`` before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -530,7 +520,7 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
             return _apply_head(tensor, _deferred_layers(tensor, reals, x, shapes)), None
         keeps = []
     else:
-        _check_reals(cfg, reals, x.shape[1], x.shape[2])
+        _check_reals(cfg, reals, x.shape[1])
     spare = [] if cache is None else cache._take()  # its arrays move to this pass
     cache = ForwardCache(tensor=tensor, reals=reals, x=x, keeps=keeps) if return_cache else None
     return _apply_head(tensor, _layers(tensor, reals, x, spare, cache, keeps), cache), cache
@@ -542,7 +532,8 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
 
     With p = 1 this is the conventional deterministic network on ``S``.  The
     nonlinearity makes this the mean output per filter, not end to end.
-    ``ConfigError`` for p outside [0, 1].
+    ``ConfigError`` for p outside [0, 1].  An oracle that no library code calls: it
+    gates :func:`forward` at p = 1 and the Monte-Carlo mean of stochastic passes.
     """
     cfg = tensor.cfg
     sbar = expected_shift(base, p)

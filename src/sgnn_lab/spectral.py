@@ -104,7 +104,8 @@ def gft(v, x: np.ndarray) -> np.ndarray:
 
 
 def igft(v, xhat: np.ndarray) -> np.ndarray:
-    """Inverse graph Fourier transform."""
+    """Inverse graph Fourier transform.  An oracle that no library code calls: the
+    round trip through it gates :func:`gft`."""
     basis = _basis(v)
     xhat = np.asarray(xhat, dtype=float)
     if xhat.shape[0] != basis.shape[1]:
@@ -131,7 +132,8 @@ def freq_response(h, lam):
 
 
 def generalized_freq_response(h, lamvec) -> float:
-    """Evaluate ``sum_k h_k * prod_{j<=k} lam_j`` with the empty product = 1."""
+    """Evaluate ``sum_k h_k * prod_{j<=k} lam_j`` with the empty product = 1.  An
+    oracle that no library code calls: its central differences gate :func:`gfr_partial`."""
     h = np.asarray(h, dtype=float)
     lamvec = np.asarray(lamvec, dtype=float)
     k_order = len(h) - 1
@@ -144,7 +146,9 @@ def generalized_freq_response(h, lamvec) -> float:
 def gfr_partial(h, lamvec, r: int) -> float:
     """Partial derivative of the generalized frequency response w.r.t. the
     ``r``-th frequency (1-based), i.e.
-    ``sum_{k>=r} h_k * prod_{j<r} lam_j * prod_{r<j<=k} lam_j``."""
+    ``sum_{k>=r} h_k * prod_{j<r} lam_j * prod_{r<j<=k} lam_j``.  An oracle that no
+    library code calls: per candidate, it gates the one-pass gradient of
+    :func:`estimate_response_lipschitz`."""
     h = np.asarray(h, dtype=float)
     lamvec = np.asarray(lamvec, dtype=float)
     k_order = len(h) - 1
@@ -218,7 +222,8 @@ def estimate_response_lipschitz(h, domain, rng: Rng) -> float:
 
 def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[float, float]:
     """Operator norm of the filter matrix ``sum_k h_k S^k`` together with the
-    response bound on ``domain``; callers assert ``norm <= bound``.
+    response bound on ``domain``; callers assert ``norm <= bound``.  An oracle that
+    no library code calls: the exact norm gates :func:`estimate_response_bound`.
 
     With ``domain=None`` the domain is derived from the spectrum of ``s``
     itself.  An explicit domain that does not cover the spectrum raises

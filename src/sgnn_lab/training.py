@@ -29,7 +29,6 @@ import numpy as np
 
 from . import common
 from .errors import ConfigError, DivergenceError, StaleCacheError
-from .filters import columnwise_product
 from .graphs import ShiftOperator
 from .model import (
     DeferredSets,
@@ -97,12 +96,11 @@ def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
 
 def _adjoint(coeffs: np.ndarray, mats: np.ndarray, delta_u: np.ndarray) -> np.ndarray:
     """The layer input's gradient ``sum_k h_k (S_1 ... S_k)^T delta_u`` summed over the
-    out features, accumulated backwards, for shifts (out, in, K, N, N[, B])."""
-    product = columnwise_product if mats.ndim == 6 else np.matmul
+    out features, accumulated backwards, for shifts (out, in, K, N, N)."""
     acc = coeffs[:, :, -1, None, None] * delta_u[:, None]
     for k in range(coeffs.shape[2] - 2, -1, -1):
         # realized shifts are symmetric, but transpose anyway for clarity
-        acc = product(mats[:, :, k].swapaxes(2, 3), acc)
+        acc = mats[:, :, k].swapaxes(2, 3) @ acc
         acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
     return acc.sum(axis=0)                                      # (in, N, B)
 
@@ -275,10 +273,11 @@ def gradient_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def central_differences(tensor: FilterTensor, reals: Reals, x: np.ndarray, y, loss: str,
-                        eps: float = 1e-5) -> np.ndarray:
-    """Cost gradient on the fixed ``reals`` by central differences on each entry
-    of the flat vector: ``(cost(+eps) - cost(-eps)) / (2 eps)``."""
+def central_differences(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, y,
+                        loss: str, eps: float = 1e-5) -> np.ndarray:
+    """Cost gradient on the fixed ``reals`` (a deferred set only at p = 1, where it
+    draws nothing) by central differences on each entry of the flat vector:
+    ``(cost(+eps) - cost(-eps)) / (2 eps)``."""
     def cost(flat):
         out, _ = forward(FilterTensor(tensor.cfg, flat), reals, x, return_cache=False)
         return _loss_pair(loss, out, y)[0]
@@ -342,12 +341,11 @@ def _loss_fn(loss: str):
 def _pass_set(tensor: FilterTensor, base: ShiftOperator | None, train_set: TrainingSet,
               idx: np.ndarray, p: float, rng: Rng) -> Reals | DeferredSets:
     """The fresh realization set of one pass over the samples ``idx``: one draw on the
-    shared base; on per-sample bases column b on its own graph, intact at p = 1 and
-    else deferred (drawn in batch order, as a per-sample loop would draw it)."""
+    shared base; on per-sample bases a deferred set, column b on its own graph (drawn
+    in batch order, as a per-sample loop would draw it; at p = 1 nothing is drawn)."""
     if train_set.bases is None:
         return sample_architecture(base, p, tensor.cfg, rng)
-    return sample_architecture([train_set.bases[i] for i in idx], p, tensor.cfg, rng,
-                               columns=None if p == 1.0 else len(idx))
+    return sample_architecture([train_set.bases[i] for i in idx], p, tensor.cfg, rng)
 
 
 def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,

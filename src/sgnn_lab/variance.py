@@ -46,7 +46,7 @@ from .model import (
     NONLINEARITY_LIPSCHITZ,
     FilterTensor,
     SgnnConfig,
-    apply_nonlinearity,
+    _activate,
     forward,
     sample_architecture,
 )
@@ -220,7 +220,7 @@ def check_nonlinearity_variance(kind: str, sampler: Callable[[int], np.ndarray],
     x = np.asarray(sampler(n), dtype=float)
     if x.shape != (n,):
         raise ValueError(f"sampler returned shape {x.shape}, expected ({n},)")
-    y, _ = apply_nonlinearity(kind, x)
+    y = _activate(kind, x)
     return float(x.var(ddof=1)), float(y.var(ddof=1))
 
 

@@ -74,17 +74,6 @@ class TestDiffuse:
             assert np.array_equal(stages[2, f, g], mats[1, 0, g] @ (mats[0, 0, g] @ x[f, 0]))
         assert diffusion_stages(mats[:0], x).shape == (1, 2, 1, 8, 5)
 
-    def test_column_axis_diffuses_each_column_through_its_own_shifts(self, random8):
-        # shifts (K, out, in, N, N, B) against signals (out or 1, in, N, B)
-        mats = sample_realizations(random8, 0.7, Rng(1), 3 * 2 * 5).reshape(3, 2, 5, 8, 8)
-        mats = mats.transpose(0, 1, 3, 4, 2)[:, None]   # (3, 1, 2, 8, 8, 5), no copy
-        x = Rng(0).normal(size=(1, 2, 8, 5))
-        stages = diffusion_stages(mats, x)
-        assert stages.shape == (4, 1, 2, 8, 5)
-        for g, b in np.ndindex(2, 5):
-            want = diffusion_stages(mats[:, 0, g, ..., b], x[0, g, :, b])
-            assert np.abs(stages[:, 0, g, :, b] - want).max() <= 1e-12 * np.abs(want).max()
-
     def test_mismatched_sizes_rejected(self, k3, p4):
         r1 = sample_realization(k3, 1.0, Rng(0))
         r2 = sample_realization(p4, 1.0, Rng(0))

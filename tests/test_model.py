@@ -18,6 +18,7 @@ from sgnn_lab import (
     KINDS,
     apply_filter,
     apply_nonlinearity,
+    backward,
     build_sbm,
     forward,
     forward_expected,
@@ -154,28 +155,6 @@ class TestSampleArchitecture:
             assert np.shares_memory(mats, base8.mat)
         assert np.array_equal(rng.random(4), Rng(0).random(4))
 
-    def test_per_column_set_is_a_stride0_view_of_the_stacked_graphs(self, base8, random8):
-        cfg = SgnnConfig(layers=2, features=2, order=3, in_features=2)
-        graphs = [base8, random8, base8]
-        rng = Rng(0)
-        reals = sample_architecture(graphs, 1.0, cfg, rng)
-        assert [m.shape for m in reals] == [(o, i, 3, 8, 8, 3) for o, i in cfg.layer_shapes()]
-        for mats in reals:
-            assert mats.strides[:3] == (0, 0, 0) and not mats.flags.writeable
-            for b, graph in enumerate(graphs):
-                assert np.array_equal(mats[-1, -1, 2, ..., b], graph.mat)
-        assert np.array_equal(rng.random(4), Rng(0).random(4))
-
-    def test_per_column_graphs_below_p1_rejected(self, base8, random8):
-        # below p = 1 per-column graphs take a deferred set, never B sets drawn at once
-        cfg = SgnnConfig(layers=1, features=1, order=1)
-        rng = Rng(0)
-        with pytest.raises(ConfigError, match="per-column graphs below p = 1 need columns=2"):
-            sample_architecture([base8, random8], 0.7, cfg, rng)
-        sets = sample_architecture([base8, random8], 0.7, cfg, rng, columns=2)
-        assert sets == DeferredSets((base8, random8), 0.7, rng)
-        assert _state(rng) == _state(Rng(0))
-
     def test_different_streams_differ(self, base8):
         assert base8.num_edges >= 8
         cfg = SgnnConfig(layers=1, features=1, order=2)
@@ -293,12 +272,16 @@ class TestForward:
         with pytest.raises(ValueError, match="layer 1 .* for 8 nodes"):
             forward(tensor, (reals[0], reals[1][..., :3, :3]), np.ones((1, 8, 1)))
 
-    def test_column_axis_must_match_the_batch(self, base8):
+    @pytest.mark.parametrize("columns", [2, 3])
+    def test_trailing_column_axis_rejected(self, base8, columns):
+        # per-column shifts are a DeferredSets; a stacked realization array is not a set
         cfg = SgnnConfig(layers=2, features=2, order=1)
         tensor = init_tensor(cfg, Rng(0), 0.5)
-        reals = sample_architecture([base8] * 3, 1.0, cfg, Rng(1))
-        with pytest.raises(ValueError, match=r"layer 0 .* \(2, 1, 1, 8, 8, 2\) for 2 batch"):
-            forward(tensor, reals, np.ones((1, 8, 2)))
+        reals = tuple(np.stack([m] * columns, axis=-1)
+                      for m in sample_architecture(base8, 0.5, cfg, Rng(1)))
+        for return_cache in (False, True):
+            with pytest.raises(ValueError, match=r"layer 0 .* expected \(2, 1, 1, 8, 8\)"):
+                forward(tensor, reals, np.ones((1, 8, columns)), return_cache=return_cache)
 
     @pytest.mark.parametrize("readout", READOUTS)
     def test_per_column_set_runs_each_column_on_its_own_graph(self, base8, random8, readout):
@@ -358,10 +341,15 @@ class TestDeferredSets:
             assert cache.keeps is None
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
-    def test_bad_probability_rejected(self, base8, p):
+    def test_bad_probability_rejected(self, base8, random8, p):
+        # one graph or a graph list, with or without a column count: the same error,
+        # before any draw
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        with pytest.raises(ConfigError, match="outside"):
-            sample_architecture(base8, p, cfg, Rng(0), columns=2)
+        rng = Rng(0)
+        for base, columns in itertools.product((base8, [base8, random8]), (None, 2)):
+            with pytest.raises(ConfigError, match=r"edge probability p=.* outside \[0, 1\]"):
+                sample_architecture(base, p, cfg, rng, columns=columns)
+        assert _state(rng) == _state(Rng(0))
 
     @pytest.mark.parametrize("columns", [0, -1, 2.5, "2"])
     def test_bad_column_count_rejected(self, base8, columns):
@@ -370,11 +358,13 @@ class TestDeferredSets:
             sample_architecture(base8, 0.5, cfg, Rng(0), columns=columns)
 
     def test_per_column_graphs_carried_one_per_column(self, base8, random8):
+        # per-column graphs are a deferred set at every p, with or without ``columns``:
+        # never B sets drawn at once, nor a stack of the graphs
         cfg = SgnnConfig(layers=1, features=1, order=1)
         graphs = [base8, random8, base8]
         rng = Rng(0)
-        for p in (0.7, 1.0):
-            assert sample_architecture(graphs, p, cfg, rng, columns=3) == DeferredSets(
+        for p, columns in itertools.product((0.0, 0.7, 1.0), (None, 3)):
+            assert sample_architecture(graphs, p, cfg, rng, columns=columns) == DeferredSets(
                 tuple(graphs), p, rng)
         assert _state(rng) == _state(Rng(0))
 
@@ -431,9 +421,9 @@ def _small_bases(draw, n=None):
 
 
 @st.composite
-def _small_nets(draw):
+def _small_nets(draw, layers=st.integers(1, 2)):
     readout = draw(st.sampled_from(READOUTS))
-    return SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
+    return SgnnConfig(layers=draw(layers), features=draw(st.integers(1, 3)),
                       order=draw(st.integers(0, 3)),
                       nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
                       in_features=draw(st.integers(1, 2)), out_features=draw(st.integers(1, 3)),
@@ -441,13 +431,23 @@ def _small_nets(draw):
                       readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
 
 
-@settings(max_examples=80, deadline=None)
+def _signs_match(cache, col: int, one) -> bool:
+    """Whether column ``col`` of ``cache`` has the pre-activation signs of the B = 1
+    cache ``one``: relu's and abs' slopes flip where roundoff moves one across 0."""
+    return all(np.array_equal(np.sign(u[..., col]), np.sign(v[..., 0]))
+               for u, v in zip(cache.pre_activations, one.pre_activations))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.7, 1.0])
+@settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6).flatmap(lambda n: st.lists(_small_bases(n), min_size=5, max_size=5)),
-       st.booleans(), _small_nets(), st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-       st.integers(1, 5), st.integers(0, 2**16))
-def test_deferred_set_equals_a_loop_of_single_sets(graphs, per_column, cfg, p, columns, seed):
+       st.booleans(), _small_nets(layers=st.sampled_from([1, 2, 2])), st.integers(1, 5),
+       st.integers(0, 2**16))
+def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, columns, seed):
     # the loop the deferred pass replaces: one draw and one B = 1 pass per column, on
-    # one shared graph or on each column's own graph
+    # one shared graph or on each column's own graph; the cached pass's gradient is the
+    # sum of the columns' B = 1 gradients, each given its column of the output gradient
+    # (two layers, so backward rebuilds each column's second-layer shifts)
     graphs = graphs[:columns] if per_column else graphs[:1] * columns
     base = graphs if per_column else graphs[0]
     tensor = init_tensor(cfg, Rng(seed), 1.0)
@@ -468,9 +468,20 @@ def test_deferred_set_equals_a_loop_of_single_sets(graphs, per_column, cfg, p, c
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert _state(rng) == _state(loop_rng)
         # the cached pass runs layer by layer over the batch: roundoff apart, the same
-        cached, _ = forward(net, sample_architecture(base, p, cfg, cached_rng, columns=columns), x)
+        sets = sample_architecture(base, p, cfg, cached_rng, columns=columns)
+        cached, cache = forward(net, sets, x)
         np.testing.assert_allclose(cached, want, rtol=1e-12, atol=1e-12)
         assert _state(cached_rng) == _state(loop_rng)
+        dout = Rng(seed, 3).normal(size=cached.shape)
+        grad = backward(net, sets, cache, dout)
+        want_grad, grad_rng, signs = np.zeros(net.cfg.num_params), Rng(seed, 2), True
+        for b, graph in enumerate(graphs):
+            reals = sample_architecture(graph, p, cfg, grad_rng)
+            _, one = forward(net, reals, x[..., b, None])
+            want_grad += backward(net, reals, one, dout[..., b, None])
+            signs = signs and _signs_match(cache, b, one)
+        if signs or cfg.nonlinearity == "tanh":
+            assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)
 
 
 def test_intact_column_repeating_its_neighbour_copies_its_output(base8, random8):

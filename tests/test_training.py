@@ -35,7 +35,7 @@ from sgnn_lab import (
 )
 from sgnn_lab import model, training
 from sgnn_lab.filters import diffusion_stages
-from sgnn_lab.model import NONLINEARITIES, READOUTS, split_params
+from sgnn_lab.model import NONLINEARITIES, READOUTS, DeferredSets, split_params
 from sgnn_lab.training import (LOSSES, _cost_and_grad, _full_cost, _loss_pair,
                                central_differences, gradient_rel_error)
 
@@ -507,9 +507,8 @@ _GRAPHS8 = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2025).child(c)), kind)
 def _intact_passes(draw):
     """(tensor, intact set, input batch, seed, base): a 1- or 2-layer net of any readout
     and nonlinearity at K = 0-3 on 8 nodes, B = 1-5 columns, and a p = 1 set on one
-    graph (a stride-0 view), on one graph per column (a column-axis view) or deferred
-    on either; every out filter of a layer shares its stages, but in a deferred cached
-    pass at K >= 1 with more than one out feature."""
+    graph (a stride-0 view) or deferred on it or on one graph per column; every out
+    filter of a layer shares its stages."""
     readout = draw(st.sampled_from(READOUTS))
     cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
                      order=draw(st.integers(0, 3)),
@@ -539,7 +538,8 @@ def _intact_pass(tensor, reals, x, warm, out_grad):
 @given(_intact_passes())
 def test_shared_stage_pass_matches_einsum_on_contiguous_copies(case):
     # the checked pass refills the arrays of a deferred cached pass on another input at
-    # p < 1, whose einsum leaves its pre-activations in the stages' (B, N) layout
+    # p < 1, whose einsum leaves its pre-activations in the stages' (B, N) layout (and
+    # whose order-0 or single-out stages the product then reads through a copy)
     tensor, reals, x, rng, base = case
     warm = rng.child(4).normal(size=x.shape)
     out_grad = rng.child(2).normal(size=forward(tensor, reals, x, return_cache=False)[0].shape)
@@ -552,8 +552,6 @@ def test_shared_stage_pass_matches_einsum_on_contiguous_copies(case):
             passes.append(_intact_pass(tensor, reals, x, (warm_set, warm), out_grad))
     (out, cache, grad, cacheless), (want_out, want_cache, want_grad, want_cacheless) = passes
     _assume_conditioned(tensor.cfg, cache)
-    for stages in cache.stages:  # the product reads shared stages in place, in either layout
-        assert stages.shape[1] > 1 or np.shares_memory(model._stage_matrix(stages)[0], stages)
     # the diffusion is unchanged: bit for bit from the same input, to roundoff later
     assert cache.stages[0].tobytes() == want_cache.stages[0].tobytes()
     for got, want in zip(cache.stages + cache.pre_activations,
@@ -969,56 +967,77 @@ def test_fresh_set_step_matches_the_per_sample_loop(problem, p):
     assert abs(full - want_full) <= 1e-12 * abs(want_full)
 
 
+def _column_loop(tensor, drawn, x, dout):
+    """Output and gradient of a batch pass as its columns' own B = 1 passes on the sets
+    ``drawn``: the outputs side by side, and the gradients summed, column b's pass
+    given column b of the output gradient ``dout``."""
+    outs, grad = [], np.zeros(tensor.cfg.num_params)
+    for b, reals in enumerate(drawn):
+        out, cache = forward(tensor, reals, x[..., b, None])
+        outs.append(out)
+        grad += backward(tensor, reals, cache, dout[..., b, None])
+    return np.concatenate(outs, axis=-1), grad
+
+
+def _per_column_case(readout, loss, kinds, p, scale):
+    """A 2-layer net on one 6-node graph per column (the last edgeless), a deferred
+    set at ``p`` on them, the same sets drawn column by column, an input batch and
+    targets."""
+    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(60).child(c)), kind)
+              for c, kind in enumerate(kinds)] + [_EDGELESS6]
+    cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2,
+                     out_features=3, readout=readout,
+                     readout_dim=0 if readout == "none" else 3)
+    tensor = init_tensor(cfg, Rng(61), scale)
+    sets = sample_architecture(graphs, p, cfg, Rng(62))
+    loop_rng = Rng(62)
+    drawn = [sample_architecture(graph, p, cfg, loop_rng) for graph in graphs]
+    x = Rng(63).normal(size=(2, 6, 4))
+    width = cfg.out_features if readout == "none" else cfg.readout_dim
+    y = (Rng(64).integers(0, 3, 4) if loss == "cross_entropy"
+         else Rng(64).normal(size=(width, 6, 4)[:2 if readout == "pooled" else 3]))
+    return tensor, sets, drawn, x, y
+
+
 @pytest.mark.parametrize("readout,loss", [("none", "mse"), ("pooled", "cross_entropy"),
                                           ("per_node", "mse")])
 def test_per_column_set_backward_matches_central_differences(readout, loss):
-    # two layers, so the Horner adjoint runs on the column axis
-    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(60).child(c)), NORMALIZED_ADJACENCY)
-              for c in range(3)] + [_EDGELESS6]
-    cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2,
-                     out_features=2, readout=readout,
-                     readout_dim=0 if readout == "none" else 3)
-    tensor = init_tensor(cfg, Rng(61), 0.6)
-    reals = sample_architecture(graphs, 1.0, cfg, Rng(62))
-    assert [m.shape for m in reals] == [(3, 2, 3, 6, 6, 4), (2, 3, 3, 6, 6, 4)]
-    x = Rng(63).normal(size=(2, 6, 4))
-    out, cache = forward(tensor, reals, x)
-    y = (Rng(64).integers(0, 3, 4) if loss == "cross_entropy"
-         else Rng(64).normal(size=out.shape))
+    # two layers on per-column intact graphs: the cached pass diffuses each layer in one
+    # stacked product per stage, and backward rebuilds each column's second-layer
+    # shifts for the Horner adjoint; at p = 1 the deferred set draws nothing, so the
+    # central differences run on the set itself
+    tensor, sets, drawn, x, y = _per_column_case(readout, loss, [NORMALIZED_ADJACENCY] * 3,
+                                                 1.0, 0.6)
+    assert isinstance(sets, DeferredSets)
+    out, cache = forward(tensor, sets, x)
     _, dout = _loss_pair(loss, out, y)
-    grad = backward(tensor, reals, cache, dout)
-    assert gradient_rel_error(grad, central_differences(tensor, reals, x, y, loss)) <= 1e-6
+    grad = backward(tensor, sets, cache, dout)
+    want_out, want = _column_loop(tensor, drawn, x, dout)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
+    assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
+    assert gradient_rel_error(grad, central_differences(tensor, sets, x, y, loss)) <= 1e-6
 
 
 @pytest.mark.parametrize("readout,loss", [("none", "mse"), ("pooled", "cross_entropy"),
                                           ("per_node", "mse")])
 def test_fresh_per_column_set_backward_matches_central_differences(readout, loss):
     # two layers on per-column graphs below p = 1, so backward rebuilds each column's
-    # second-layer shifts from the cached keeps for the Horner adjoint; the central
-    # differences run on the same sets, drawn column by column and stacked
-    graphs = [to_shift(build_sbm(6, 2, 0.9, 0.4, Rng(60).child(c)), kind)
-              for c, kind in enumerate(KINDS)] + [_EDGELESS6]
-    cfg = SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh", in_features=2,
-                     out_features=3, readout=readout,
-                     readout_dim=0 if readout == "none" else 3)
-    tensor = init_tensor(cfg, Rng(61), 0.3)
-    sets = sample_architecture(graphs, 0.7, cfg, Rng(62), columns=4)
-    loop_rng = Rng(62)
-    drawn = [sample_architecture(graph, 0.7, cfg, loop_rng) for graph in graphs]
-    stacked = tuple(np.stack(layer, axis=-1) for layer in zip(*drawn))
-    x = Rng(63).normal(size=(2, 6, 4))
+    # second-layer shifts from the cached keeps for the Horner adjoint; the reference
+    # and the central differences run column by column on the same sets, drawn one
+    # graph at a time (the batch cost is the mean of the columns' B = 1 costs)
+    tensor, sets, drawn, x, y = _per_column_case(readout, loss, KINDS, 0.7, 0.3)
     out, cache = forward(tensor, sets, x)
-    want_out, want_cache = forward(tensor, stacked, x)
-    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
-    y = (Rng(64).integers(0, 3, 4) if loss == "cross_entropy"
-         else Rng(64).normal(size=out.shape))
     _, dout = _loss_pair(loss, out, y)
     grad = backward(tensor, sets, cache, dout)
-    want = backward(tensor, stacked, want_cache, _loss_pair(loss, want_out, y)[1])
+    want_out, want = _column_loop(tensor, drawn, x, dout)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12, atol=1e-12)
     assert np.abs(grad - want).max() <= 1e-12 * np.abs(want).max()
     # the Laplacian's large entries curve the cost: small taps and a smaller step keep
     # the central differences' truncation error (~eps^2) below the tolerance
-    fd = central_differences(tensor, stacked, x, y, loss, eps=3e-6)
+    fd = sum(central_differences(tensor, reals, x[..., b, None],
+                                 y[b:b + 1] if loss == "cross_entropy" else y[..., b, None],
+                                 loss, eps=3e-6)
+             for b, reals in enumerate(drawn)) / len(drawn)
     assert gradient_rel_error(grad, fd) <= 1e-6
 
 
