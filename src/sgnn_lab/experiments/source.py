@@ -140,17 +140,16 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
                       labels: np.ndarray, p: float, rng: Rng) -> float:
     """Accuracy under link failures: every test sample sees an independent
     fresh realization set at probability ``p``.  One forward pass scores the
-    whole test set: at p = 1 every set is the intact graph, shared by the batch;
-    below it the sets are deferred, sample i's drawn as the i-th of R single-set
-    draws would draw it.
+    whole test set on ``sample_architecture(..., columns=R)``: below p = 1 the sets
+    are deferred, sample i's drawn as the i-th of R single-set draws would draw it;
+    at p = 1 that call gives the intact graph, shared by the batch.
 
     ``inputs`` is (R, F_in, N) with R >= 1 and ``labels`` (R,); ``ValueError``
     otherwise."""
     if len(inputs) == 0 or len(labels) != len(inputs):
         raise ValueError(f"{len(inputs)} test inputs with {len(labels)} labels: "
                          "need one label per input, and at least one input")
-    reals = sample_architecture(base, p, tensor.cfg, rng,
-                                columns=None if p == 1.0 else len(inputs))
+    reals = sample_architecture(base, p, tensor.cfg, rng, columns=len(inputs))
     logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
     return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)
 

@@ -9,16 +9,16 @@ out-feature, in-feature) filter runs on its own independently drawn sequence
 of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts,
 shared by every column of a batch.  A pass in which every column has its own set
-(a fresh set per sample on one graph, or each sample on its own graph) takes a
-deferred set, :class:`DeferredSets`, and ``forward`` chooses how to run it.
-Forward only, each column runs the layers as a B = 1 pass on its set, drawn and
-built in one buffer per layer that every column refills (at p = 1 a column on the
-previous column's graph with the same input copies its output).  With a cache
-(training) the pass runs layer by layer: at p = 1 each stage is one stacked product
-of the columns' graphs with their signals, below it column b's set diffuses column b
-into the batch's stages.  The head runs once over the batch.  Each layer contracts
-its taps with its stages: when every out filter shares the stages (an intact set, or
-order 0) in one matrix product over a view of them, else in einsum.
+(a fresh set per sample on one graph below p = 1, or each sample on its own graph)
+takes a deferred set, :class:`DeferredSets`, and ``forward`` chooses how to run it.
+At p = 1 every set is its graph: each stage is one stacked product of the columns'
+graphs with their signals.  Below p = 1, forward only, each column runs the layers
+as a B = 1 pass on its set, drawn and built in one buffer per layer that every column
+refills; with a cache (training) the pass runs layer by layer, column b's set
+diffusing column b into the batch's stages.  The head runs once over the batch.
+Each layer contracts its taps with its stages: when every out filter shares the
+stages (an intact set, or order 0) in one matrix product over a view of them, else
+in einsum.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -71,8 +71,9 @@ class DeferredSets(NamedTuple):
     """Realization sets at probability ``p``, not yet drawn, one per batch column,
     column b's on ``graphs[b]``: :func:`forward` draws them from ``rng``, column b's
     set exactly as the b-th of B :func:`sample_architecture` calls on its graph would
-    (a second pass on the same object draws the next B sets; at p = 1 every set is
-    its graph and nothing is drawn)."""
+    (a second pass on the same object draws the next B sets).  At p = 1 every set is
+    its graph and nothing is drawn: :func:`sample_architecture` makes one only for
+    per-column graphs, one graph giving the shared set."""
 
     graphs: tuple[ShiftOperator, ...]
     p: float
@@ -229,12 +230,14 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     shape and no random numbers are consumed; callers never write into it.
 
     A sequence of B graphs on N nodes each as ``base`` (column b on the b-th), or
-    ``columns=B``, gives a :class:`DeferredSets` instead, one set per batch column on
-    its graph (``base`` itself when one graph is given), and nothing is drawn here:
-    :func:`forward` draws column b's set from ``rng`` as the b-th of B calls on its
-    graph would (at p = 1 nothing), so it leaves ``rng`` where those calls would.  A
-    bad ``p`` raises ``ConfigError``; a column count below 1, and graphs that are
-    none, of mixed node counts or not one per column, ``ValueError``.
+    ``columns=B`` below p = 1, gives a :class:`DeferredSets` instead, one set per batch
+    column on its graph (``base`` itself when one graph is given), and nothing is
+    drawn here: :func:`forward` draws column b's set from ``rng`` as the b-th of B
+    calls on its graph would (at p = 1 nothing), so it leaves ``rng`` where those calls
+    would.  One graph at p = 1 with ``columns`` gives the shared set above: every
+    column's set is that graph.  A bad ``p`` raises ``ConfigError``; a column count
+    below 1, and graphs that are none, of mixed node counts or not one per column,
+    ``ValueError``.
     """
     graphs = None if isinstance(base, ShiftOperator) else tuple(base)
     if not 0.0 <= p <= 1.0:
@@ -245,7 +248,7 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
                                    and len(graphs) == (columns or len(graphs))):
         raise ValueError(f"per-column graphs need one node count and one graph per column, got "
                          f"{len(graphs)} on {[g.n for g in graphs]} nodes for {columns} columns")
-    if graphs is not None or columns is not None:
+    if graphs is not None or (columns is not None and p < 1.0):
         return DeferredSets(graphs or (base,) * int(columns), p, rng)
     n, k = base.n, cfg.order
     return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
@@ -323,12 +326,10 @@ def _check_reals(cfg: SgnnConfig, reals: Reals, n: int) -> None:
 
 
 def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
-    """Column ``col``'s keeps, per layer of ``shapes`` (out, in, K, N, N) an
-    (out * in * K, M) array drawn as :func:`sample_architecture` on its graph draws
-    it (None at p = 1, where nothing is drawn)."""
+    """Column ``col``'s keeps below p = 1, per layer of ``shapes`` (out, in, K, N, N) an
+    (out * in * K, M) array drawn as :func:`sample_architecture` on its graph draws it."""
     m = sets.graphs[col].num_edges
-    return [None if sets.p == 1.0 else sets.rng.bernoulli(sets.p, (o * i * k, m))
-            for o, i, k, _, _ in shapes]
+    return [sets.rng.bernoulli(sets.p, (o * i * k, m)) for o, i, k, _, _ in shapes]
 
 
 def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: list) -> Reals:
@@ -382,11 +383,11 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
     batch ``x`` and return the last activation.  On a :class:`DeferredSets` at p = 1
     each stage is one stacked product of the columns' graphs (B, N, N) with the
-    signals viewed as (in, B, N, 1); below p = 1 each layer builds column b's shifts in
-    one buffer that every column refills and diffuses column b.  Layer 0 draws column
-    b's keeps for every layer when it reaches column b (the order of B single-set
-    draws; None at p = 1) and appends them to the empty list ``keeps``, its own
-    replaced by None once built.  Each array of ``spare`` (per layer a
+    signals viewed as (in, B, N, 1); below p = 1 (a cached pass) each layer builds
+    column b's shifts in one buffer that every column refills and diffuses column b.
+    Layer 0 draws column b's keeps for every layer when it reaches column b (the order
+    of B single-set draws; None at p = 1) and appends them to the empty list ``keeps``,
+    its own replaced by None once built.  Each array of ``spare`` (per layer a
     (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
     place; each layer's arrays are appended to ``cache`` when one is given."""
     cfg, k = tensor.cfg, tensor.cfg.order
@@ -441,36 +442,25 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     return current
 
 
-def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray,
-                     shapes: list) -> np.ndarray:
-    """The layers on a deferred set, one column at a time; returns the last
+def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray) -> np.ndarray:
+    """The layers on a deferred set below p = 1, one column at a time; returns the last
     activation (out, N, B).  One buffer per layer holds the current column's set,
     drawn and built as :func:`_draw_column` and :func:`_column_set` would (inlined:
     the loop runs once per evaluated sample), and one column's stage, pre-activation
-    and activation arrays are refilled by the next column.  At p = 1 a column on the
-    previous column's graph whose input has the same bytes copies that column's output
-    (the same arithmetic on the same operands)."""
+    and activation arrays are refilled by the next column."""
     cfg, n, b = tensor.cfg, x.shape[1], x.shape[2]
-    p, rng, graphs = sets.p, sets.rng, sets.graphs
+    shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
     bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
-    if p < 1.0:
-        reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
+    reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
     column = np.empty(x.shape[:2] + (1,))
     carry = ForwardCache(tensor=tensor, reals=None, x=None)
     core = np.empty((cfg.out_features, n, b))
-    graph = None
-    for col in range(b):
-        fresh, graph = graphs[col] is not graph, graphs[col]
-        if p < 1.0:  # refill the buffers under the views, zeroed first on a new graph
-            for buf in bufs:
-                if fresh and col:
-                    buf.fill(0.0)
-                _realized_mats(graph, rng.bernoulli(p, (len(buf), graph.num_edges)), out=buf)
-        elif fresh:  # at p = 1 the views change only with the graph
-            reals = tuple(np.broadcast_to(graph.mat, shape) for shape in shapes)
-        elif x[..., col].tobytes() == column.tobytes():  # column holds column col - 1's input
-            core[..., col] = core[..., col - 1]
-            continue
+    for col, graph in enumerate(sets.graphs):
+        for buf in bufs:  # refill the buffers under the views, zeroed first on a new graph
+            if col and sets.graphs[col - 1] is not graph:
+                buf.fill(0.0)
+            _realized_mats(graph, sets.rng.bernoulli(sets.p, (len(buf), graph.num_edges)),
+                           out=buf)
         column[..., 0] = x[..., col]
         core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
     return core
@@ -487,13 +477,13 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     than (out, in, K, N, N) raises ``ValueError``.
 
     A :class:`DeferredSets` of B columns, column b on its own set, is drawn here,
-    column b's set as the b-th of B single-set draws on its graph would draw it.
-    Without a cache to return or refill, column b runs on its own set with the
-    arithmetic of a B = 1 pass: its output up to the head is bit for bit that of B
-    separate draws and passes.  Otherwise the pass runs layer by layer over the
-    batch, which rounds differently: at p = 1 each stage is one stacked product of
-    the columns' graphs; below it layer 0 draws column b's keeps for every layer when
-    it reaches column b (the same stream order), and the cache keeps those of the
+    column b's set as the b-th of B single-set draws on its graph would draw it.  At
+    p = 1 each stage is one stacked product of the columns' graphs, cached or not.
+    Below p = 1 without a cache to return or refill, column b runs on its own set with
+    the arithmetic of a B = 1 pass: its output up to the head is bit for bit that of B
+    separate draws and passes.  With a cache the pass runs layer by layer over the
+    batch, which rounds differently: layer 0 draws column b's keeps for every layer
+    when it reaches column b (the same stream order), and the cache keeps those of the
     later layers (``backward`` rebuilds their shifts from them).  An input whose node
     or column count does not match the set raises ``ValueError`` before any draw.
 
@@ -515,9 +505,8 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
         if x.shape[1:] != (n, b):
             raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
                              f"on {n} nodes")
-        shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
-        if not return_cache and cache is None:
-            return _apply_head(tensor, _deferred_layers(tensor, reals, x, shapes)), None
+        if reals.p < 1.0 and not return_cache and cache is None:
+            return _apply_head(tensor, _deferred_layers(tensor, reals, x)), None
         keeps = []
     else:
         _check_reals(cfg, reals, x.shape[1])
@@ -544,6 +533,7 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
 
 
 _CKPT_MAGIC = "sgnn-checkpoint-v1"
+_CKPT_KEYS = set(SgnnConfig.__dataclass_fields__) | {"kind"}  # each once in a header
 
 
 def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None:
@@ -571,7 +561,11 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
         if not header or header[0] != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
         try:
-            fields = dict(item.split("=", 1) for item in header[1:])
+            items = [item.split("=", 1) for item in header[1:]]
+            fields = dict(items)
+            if len(fields) != len(items) or fields.keys() != _CKPT_KEYS:
+                raise ValueError(f"header keys {[item[0] for item in items]}, "
+                                 f"expected each of {sorted(_CKPT_KEYS)} once")
             cfg = SgnnConfig(
                 layers=int(fields["layers"]),
                 features=int(fields["features"]),
@@ -583,7 +577,9 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
                 readout_dim=int(fields["readout_dim"]),
             )
             kind = fields["kind"]
-        except (KeyError, ValueError) as exc:
+            if kind not in KINDS:
+                raise ValueError(f"unknown shift kind {kind!r}")
+        except ValueError as exc:
             raise ValueError(f"checkpoint header in {path} is malformed: {exc!r}") from exc
         head, taps = fh.read(8), fh.read(cfg.num_params * 8)
         if (len(head) != 8 or struct.unpack("<q", head)[0] != cfg.num_params

@@ -18,12 +18,12 @@ constant, and ``alpha`` a factor set by the shift kind (1 for adjacency,
 bound is only asserted in the link-stable regime p >= 0.9, where the
 first-order term dominates, plus the exact endpoint checks at p in {0, 1}.
 
-The network's Monte-Carlo estimate runs every sample in one forward pass on a
-deferred realization set (``sample_architecture(..., columns=n_samples)``):
-sample b sees its own fresh set, drawn as the b-th of ``n_samples`` single-set
-draws would draw it, and runs with the arithmetic of a one-sample pass.  Both
-Monte-Carlo entry points stack their samples C-contiguous, (n_samples, outputs),
-and share one estimator, so they sum in the same order.
+The network's Monte-Carlo estimate runs every sample in one forward pass on
+``sample_architecture(..., columns=n_samples)``: below p = 1 a deferred set, sample b
+on its own fresh set drawn as the b-th of ``n_samples`` single-set draws would draw
+it, with the arithmetic of a one-sample pass; at p = 1 the intact graph's shared
+set.  Both Monte-Carlo entry points stack their samples C-contiguous, (n_samples,
+outputs), and share one estimator, so they sum in the same order.
 
 The enumeration oracles are deliberately dumb: they walk every mask (or mask
 sequence) with its probability.  They exist to certify the closed forms and
@@ -107,9 +107,14 @@ def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
 
 def variance_std_error(samples: np.ndarray) -> float:
     """Standard error of the sample variance of a scalar sample, from the
-    fourth central moment."""
+    fourth central moment.  ``samples`` is 1-D (``ValueError`` otherwise) with at least
+    two entries (``ConfigError`` otherwise)."""
     samples = np.asarray(samples, dtype=float)
+    if samples.ndim != 1:
+        raise ValueError(f"samples have shape {samples.shape}, expected a 1-D array")
     n = len(samples)
+    if n < 2:
+        raise ConfigError("n_samples must be >= 2")
     centered = samples - samples.mean()
     m4 = np.mean(centered**4)
     s2 = samples.var(ddof=1)
@@ -261,9 +266,8 @@ def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
                      x: np.ndarray, n_samples: int, rng: Rng) -> tuple[float, float]:
     """Monte-Carlo output variance of the network over fresh realization
     sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise), as
-    :func:`mc_variance` estimates it.  One forward pass runs all the samples on a
-    deferred set, sample b on its own set drawn as the b-th of ``n_samples``
-    single-set draws would draw it, with the arithmetic of a one-sample pass."""
+    :func:`mc_variance` estimates it, in the one forward pass that the module
+    docstring describes."""
     x = _signal(x, base)
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")

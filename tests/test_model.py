@@ -145,10 +145,14 @@ class TestSampleArchitecture:
             for r in reals[0][f, 0]:
                 assert np.array_equal(r, base8.mat)
 
-    def test_intact_set_is_a_full_shape_view_that_draws_nothing(self, base8):
+    @pytest.mark.parametrize("columns", [None, 1, 5])
+    def test_intact_set_is_a_full_shape_view_that_draws_nothing(self, base8, columns):
+        # with ``columns`` too: at p = 1 on one graph every column's set is that graph,
+        # so the batch shares it and nothing is deferred
         cfg = SgnnConfig(layers=3, features=2, order=3, in_features=2)
         rng = Rng(0)
-        reals = sample_architecture(base8, 1.0, cfg, rng)
+        reals = sample_architecture(base8, 1.0, cfg, rng, columns=columns)
+        assert isinstance(reals, tuple) and not isinstance(reals, DeferredSets)
         assert [m.shape for m in reals] == [(o, i, 3, 8, 8) for o, i in cfg.layer_shapes()]
         for mats in reals:
             assert mats.strides[:3] == (0, 0, 0) and not mats.flags.writeable
@@ -334,6 +338,9 @@ class TestDeferredSets:
             assert none is None and cache.reals is sets and cache.x is x
             assert _state(cached_rng) == _state(rng)
             np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+            if p == 1.0 and base is base8:  # one graph at p = 1: the shared set, no keeps
+                assert not isinstance(sets, DeferredSets) and cache.keeps is None
+                continue
             assert [len(keeps) for keeps in cache.keeps] == [2, 2, 2]
             assert all(keeps[0] is None for keeps in cache.keeps)
             assert all((keeps[1] is None) == (p == 1.0) for keeps in cache.keeps)
@@ -351,11 +358,13 @@ class TestDeferredSets:
                 sample_architecture(base, p, cfg, rng, columns=columns)
         assert _state(rng) == _state(Rng(0))
 
+    @pytest.mark.parametrize("p", [0.5, 1.0])
     @pytest.mark.parametrize("columns", [0, -1, 2.5, "2"])
-    def test_bad_column_count_rejected(self, base8, columns):
+    def test_bad_column_count_rejected(self, base8, columns, p):
+        # at p = 1 too, where a good count gives the shared set
         cfg = SgnnConfig(layers=1, features=1, order=1)
         with pytest.raises(ValueError, match="column count"):
-            sample_architecture(base8, 0.5, cfg, Rng(0), columns=columns)
+            sample_architecture(base8, p, cfg, Rng(0), columns=columns)
 
     def test_per_column_graphs_carried_one_per_column(self, base8, random8):
         # per-column graphs are a deferred set at every p, with or without ``columns``:
@@ -447,7 +456,8 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
     # the loop the deferred pass replaces: one draw and one B = 1 pass per column, on
     # one shared graph or on each column's own graph; the cached pass's gradient is the
     # sum of the columns' B = 1 gradients, each given its column of the output gradient
-    # (two layers, so backward rebuilds each column's second-layer shifts)
+    # (two layers, so backward rebuilds each column's second-layer shifts).  At p = 1
+    # one graph gives the shared set, per-column graphs one stacked product per stage
     graphs = graphs[:columns] if per_column else graphs[:1] * columns
     base = graphs if per_column else graphs[0]
     tensor = init_tensor(cfg, Rng(seed), 1.0)
@@ -462,14 +472,15 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
         got, _ = forward(net, sample_architecture(base, p, cfg, rng, columns=columns), x,
                          return_cache=False)
         assert got.shape == want.shape
-        if net is body:  # up to the head, every column is a B = 1 pass bit for bit
+        if net is body and p < 1.0:  # up to the head, every column is a B = 1 pass bit for bit
             assert got.tobytes() == want.tobytes()
-        else:  # the head runs once over the batch: its reductions may round differently
+        else:  # the head, and at p = 1 each stage, runs once over the batch: roundoff apart
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert _state(rng) == _state(loop_rng)
         # the cached pass runs layer by layer over the batch: roundoff apart, the same
         sets = sample_architecture(base, p, cfg, cached_rng, columns=columns)
         cached, cache = forward(net, sets, x)
+        assert (cache.keeps is None) == (p == 1.0 and not per_column)
         np.testing.assert_allclose(cached, want, rtol=1e-12, atol=1e-12)
         assert _state(cached_rng) == _state(loop_rng)
         dout = Rng(seed, 3).normal(size=cached.shape)
@@ -484,24 +495,23 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
             assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)
 
 
-def test_intact_column_repeating_its_neighbour_copies_its_output(base8, random8):
-    # at p = 1 a column on the previous column's graph whose input has the same bytes
-    # copies that column's output; a new graph or other bytes (-0.0 included) recompute
+def test_forward_only_pass_on_intact_graph_list_is_one_stacked_pass(base8, random8):
+    # at p = 1 the columns' graphs stack: one pass over the batch, not a B = 1 loop
     lap = to_shift(random8, "laplacian")
-    a, b = Rng(3).normal(size=(2, 8)), Rng(4).normal(size=(2, 8))
-    columns = [(base8, a), (base8, a), (lap, a), (lap, b), (lap, b), (base8, b),
-               (base8, np.zeros((2, 8))), (base8, -np.zeros((2, 8))), (base8, -np.zeros((2, 8)))]
-    graphs, x = [g for g, _ in columns], np.stack([c for _, c in columns], axis=-1)
+    graphs = [base8, base8, lap, random8, lap, base8]
+    x = Rng(3).normal(size=(2, 8, len(graphs)))
     cfg = SgnnConfig(layers=2, features=3, order=2, nonlinearity="abs", in_features=2)
     tensor = init_tensor(cfg, Rng(5), 0.6)
     want = np.concatenate([forward(tensor, sample_architecture(g, 1.0, cfg, Rng(0)),
                                    x[..., c, None], return_cache=False)[0]
                            for c, g in enumerate(graphs)], axis=-1)
+    rng = Rng(0)
     with mock.patch.object(model, "_layers", wraps=model._layers) as layers:
-        got, _ = forward(tensor, sample_architecture(graphs, 1.0, cfg, Rng(0), columns=9), x,
+        got, _ = forward(tensor, sample_architecture(graphs, 1.0, cfg, rng), x,
                          return_cache=False)
-    assert layers.call_count == 6
-    assert got.tobytes() == want.tobytes()
+    assert layers.call_count == 1
+    assert np.abs(got - want).max() <= 1e-12
+    assert _state(rng) == _state(Rng(0))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -615,6 +625,18 @@ class TestCheckpoint:
         path = self._saved(tmp_path)
         self._with_header(path, lambda h: h + b" stray")
         with pytest.raises(ValueError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [lambda h: h.replace(b"kind=adjacency", b"kind=bogus"),
+                                      lambda h: h + b" order=1",
+                                      lambda h: h + b" order=2",
+                                      lambda h: h + b" colour=blue"],
+                             ids=["unknown_kind", "repeated_key", "conflicting_key",
+                                  "unknown_key"])
+    def test_header_that_save_would_refuse_is_value_error(self, tmp_path, edit):
+        path = self._saved(tmp_path)
+        self._with_header(path, edit)
+        with pytest.raises(ValueError, match=r"header in .*m\.ckpt is malformed"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [lambda data: data + b"\0",

@@ -507,8 +507,8 @@ _GRAPHS8 = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2025).child(c)), kind)
 def _intact_passes(draw):
     """(tensor, intact set, input batch, seed, base): a 1- or 2-layer net of any readout
     and nonlinearity at K = 0-3 on 8 nodes, B = 1-5 columns, and a p = 1 set on one
-    graph (a stride-0 view) or deferred on it or on one graph per column; every out
-    filter of a layer shares its stages."""
+    graph (a stride-0 view, with ``columns`` or without) or deferred on one graph per
+    column; every out filter of a layer shares its stages."""
     readout = draw(st.sampled_from(READOUTS))
     cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
                      order=draw(st.integers(0, 3)),

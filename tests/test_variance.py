@@ -72,6 +72,21 @@ class TestMcVariance:
             mc_variance(lambda r: np.zeros(2), 1, Rng(0))
 
 
+class TestVarianceStdError:
+    @pytest.mark.parametrize("samples", [[], [1.5]])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ConfigError, match="n_samples must be >= 2"):
+            variance_std_error(samples)
+
+    @pytest.mark.parametrize("samples", [1.5, [[1.0, 2.0], [3.0, 4.0]], np.ones((4, 1))])
+    def test_samples_that_are_not_1d_rejected(self, samples):
+        with pytest.raises(ValueError, match="expected a 1-D array"):
+            variance_std_error(samples)
+
+    def test_two_samples_give_a_finite_error(self):
+        assert np.isfinite(variance_std_error([1.0, 2.0]))
+
+
 class TestExactFilterVariance:
     def test_deterministic_endpoints(self, k3):
         h = [0.3, 1.0, -0.5]
@@ -291,25 +306,43 @@ class TestSgnnVarianceBound:
         assert columns == [40]
 
     @pytest.mark.parametrize("p", [0.0, 0.7, 1.0])
-    def test_equals_the_per_sample_loop_bit_for_bit(self, p):
-        # the loop the one pass replaced: a draw and a one-sample pass per sample
+    def test_equals_the_per_sample_loop_bit_for_bit(self, monkeypatch, p):
+        # the loop the one pass replaced: a draw and a one-sample pass per sample; at
+        # p = 1 the samples share the intact graph's set and run as one batch, which
+        # rounds differently, so the outputs agree to roundoff and the variance is ~0
+        from sgnn_lab import model, variance
+
         base = to_shift(build_sbm(10, 2, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
         cfg = SgnnConfig(layers=2, features=2, order=2)
         tensor = init_tensor(cfg, Rng(4), 0.5)
         x = Rng(6).normal(size=10)
+        outs, loop_outs = [], []
+
+        def recording(*args, **kwargs):
+            outs.append(model.forward(*args, **kwargs)[0])
+            return outs[-1], None
 
         def evaluate(r):
             reals = sample_architecture(base, p, cfg, r)
-            return forward(tensor, reals, x[None, :, None], return_cache=False)[0]
+            loop_outs.append(forward(tensor, reals, x[None, :, None], return_cache=False)[0])
+            return loop_outs[-1]
 
-        assert mc_sgnn_variance(tensor, base, p, x, 50, Rng(7)) == mc_variance(evaluate, 50, Rng(7))
+        want = mc_variance(evaluate, 50, Rng(7))
+        monkeypatch.setattr(variance, "forward", recording)
+        got = mc_sgnn_variance(tensor, base, p, x, 50, Rng(7))
+        if p < 1.0:
+            assert got == want
+        else:
+            assert max(got) <= 1e-25 and max(want) <= 1e-25
+            assert np.abs(outs[0] - np.concatenate(loop_outs, axis=-1)).max() <= 1e-12
 
-    def test_sample_count_checked_before_any_draw(self):
+    @pytest.mark.parametrize("p", [0.9, 1.0])
+    def test_sample_count_checked_before_any_draw(self, p):
         base = to_shift(build_sbm(10, 2, 0.8, 0.2, Rng(3).child(0)), NORMALIZED_ADJACENCY)
         tensor = init_tensor(SgnnConfig(layers=1, features=2, order=2), Rng(4), 0.5)
         rng = Rng(5)
         with pytest.raises(ConfigError, match="n_samples must be >= 2"):
-            mc_sgnn_variance(tensor, base, 0.9, np.ones(10), 1, rng)
+            mc_sgnn_variance(tensor, base, p, np.ones(10), 1, rng)
         assert rng.random(4).tobytes() == Rng(5).random(4).tobytes()  # nothing drawn
 
     @pytest.mark.parametrize("shape", [(19,), (20, 1), ()])
