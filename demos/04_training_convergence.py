@@ -39,4 +39,4 @@ trace = sl.train(tensor0, base, train_set, tcfg)
 for t in range(0, 300, 60):
     print(f"  iteration {t:3d}: cost {trace.costs[t]:.4f}")
 trace.to_csv("runs_demo_trace.csv")
-print("per-iteration trace written to runs_demo_trace.csv")
+print("per-iteration trace written to runs_demo_trace.csv (wall_ms written as 0)")

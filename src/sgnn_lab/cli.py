@@ -330,7 +330,7 @@ def cmd_train(args) -> int:
     for res, seed in zip(results, cfg.seeds):
         for model in ("sgnn", "gnn"):
             trace = res[f"{model}_trace"]
-            trace.to_csv(out / f"{prefix}_{model}_trace_seed{seed}.csv", include_timing=False)
+            trace.to_csv(out / f"{prefix}_{model}_trace_seed{seed}.csv")
             save_checkpoint(trace.tensor, out / f"{prefix}_{model}_seed{seed}.ckpt",
                             kind=NORMALIZED_ADJACENCY)
     print(f"{args.command}: {len(rows)} rows -> {out}")

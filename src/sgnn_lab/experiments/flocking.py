@@ -94,6 +94,9 @@ class FlockingConfig:
         for name in ("test_p", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty; give at least one value")
+        for p in (self.train_p, *self.test_p):
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"edge probability p={p} outside [0, 1]")
 
     @property
     def init_radius(self) -> float:

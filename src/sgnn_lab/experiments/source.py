@@ -83,6 +83,9 @@ class SourceLocConfig:
         for name in ("test_p", "seeds"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty; give at least one value")
+        for p in (self.train_p, *self.test_p):
+            if not 0.0 <= p <= 1.0:
+                raise ConfigError(f"edge probability p={p} outside [0, 1]")
 
     def model_config(self) -> SgnnConfig:
         return SgnnConfig(
@@ -141,8 +144,9 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     """Accuracy under link failures: every test sample sees an independent
     fresh realization set at probability ``p``.  One forward pass scores the
     whole test set on ``sample_architecture(..., columns=R)``: below p = 1 the sets
-    are deferred, sample i's drawn as the i-th of R single-set draws would draw it;
-    at p = 1 that call gives the intact graph, shared by the batch.
+    are deferred, sample i's drawn as the i-th of R single-set draws would draw it,
+    and the layers run over chunks of samples; at p = 1 that call gives the intact
+    graph, shared by the batch.
 
     ``inputs`` is (R, F_in, N) with R >= 1 and ``labels`` (R,); ``ValueError``
     otherwise."""

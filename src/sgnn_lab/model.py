@@ -12,10 +12,10 @@ shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
 takes a deferred set, :class:`DeferredSets`, and ``forward`` chooses how to run it.
 At p = 1 every set is its graph: each stage is one stacked product of the columns'
-graphs with their signals.  Below p = 1, forward only, each column runs the layers
-as a B = 1 pass on its set, drawn and built in one buffer per layer that every column
-refills; with a cache (training) the pass runs layer by layer, column b's set
-diffusing column b into the batch's stages.  The head runs once over the batch.
+graphs with their signals.  Below p = 1 the pass runs layer by layer: column b's set
+is drawn and built in one buffer per layer that every column refills, and diffuses
+column b into the batch's stages; a forward-only pass does so on chunks of columns,
+which bounds its stage arrays.  The head runs once over the batch.
 Each layer contracts its taps with its stages: when every out filter shares the
 stages (an intact set, or order 0) in one matrix product over a view of them, else
 in einsum.
@@ -289,6 +289,8 @@ class ForwardCache:
 
 
 _STD_FLOOR = 1e-12
+# columns per layer-major pass of a forward-only deferred set below p = 1
+_CHUNK_COLUMNS = 32
 
 
 def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | None" = None) -> np.ndarray:
@@ -332,20 +334,20 @@ def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
     return [sets.rng.bernoulli(sets.p, (o * i * k, m)) for o, i, k, _, _ in shapes]
 
 
-def _column_set(sets: DeferredSets, col: int, keeps: list, bufs: list, shapes: list) -> Reals:
-    """Column ``col``'s shifts, per layer of ``shapes``: read-only views of its graph at
-    p = 1, else built from ``keeps`` in ``bufs`` and viewed there.  Per layer a buffer
-    is an (out * in * K, N, N) array of zeros or of column col - 1's build: a refill on
-    column col - 1's graph rewrites only edge and diagonal entries; on another graph
-    it zeroes the buffer first."""
+def _column_set(sets: DeferredSets, col: int, keep: np.ndarray | None, buf: np.ndarray,
+                shape: tuple) -> np.ndarray:
+    """Column ``col``'s shifts of one layer of ``shape`` (out, in, K, N, N): a read-only
+    view of its graph at p = 1, else built from ``keep`` in ``buf`` and viewed there.
+    The buffer is an (out * in * K, N, N) array of zeros or of column col - 1's build: a
+    refill on column col - 1's graph rewrites only edge and diagonal entries; on another
+    graph it zeroes the buffer first."""
     graph = sets.graphs[col]
     if sets.p == 1.0:
-        return tuple(np.broadcast_to(graph.mat, shape) for shape in shapes)
-    for keep, buf in zip(keeps, bufs):
-        if col and sets.graphs[col - 1] is not graph:
-            buf.fill(0.0)
-        _realized_mats(graph, keep, out=buf)
-    return tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
+        return np.broadcast_to(graph.mat, shape)
+    if col and sets.graphs[col - 1] is not graph:
+        buf.fill(0.0)
+    _realized_mats(graph, keep, out=buf)
+    return buf.reshape(shape)
 
 
 def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -383,8 +385,8 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
     batch ``x`` and return the last activation.  On a :class:`DeferredSets` at p = 1
     each stage is one stacked product of the columns' graphs (B, N, N) with the
-    signals viewed as (in, B, N, 1); below p = 1 (a cached pass) each layer builds
-    column b's shifts in one buffer that every column refills and diffuses column b.
+    signals viewed as (in, B, N, 1); below p = 1 each layer builds column b's shifts in
+    one buffer that every column refills and diffuses column b.
     Layer 0 draws column b's keeps for every layer when it reaches column b (the order
     of B single-set draws; None at p = 1) and appends them to the empty list ``keeps``,
     its own replaced by None once built.  Each array of ``spare`` (per layer a
@@ -415,14 +417,14 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            bufs = [np.zeros((out_d * in_d * k, n, n))]
+            buf = np.zeros((out_d * in_d * k, n, n))
             for col in range(b):
                 if layer_idx == 0:  # backward rebuilds the later layers only
                     keeps.append(_draw_column(reals, shapes, col))
                     keep, keeps[col][0] = keeps[col][0], None
                 else:
                     keep = keeps[col][layer_idx]
-                mats = _column_set(reals, col, [keep], bufs, [shapes[layer_idx]])[0]
+                mats = _column_set(reals, col, keep, buf, shapes[layer_idx])
                 diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None, :, :, col:col + 1],
                                  stages[..., col:col + 1])
         else:
@@ -442,30 +444,6 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     return current
 
 
-def _deferred_layers(tensor: FilterTensor, sets: DeferredSets, x: np.ndarray) -> np.ndarray:
-    """The layers on a deferred set below p = 1, one column at a time; returns the last
-    activation (out, N, B).  One buffer per layer holds the current column's set,
-    drawn and built as :func:`_draw_column` and :func:`_column_set` would (inlined:
-    the loop runs once per evaluated sample), and one column's stage, pre-activation
-    and activation arrays are refilled by the next column."""
-    cfg, n, b = tensor.cfg, x.shape[1], x.shape[2]
-    shapes = [(o, i, cfg.order, n, n) for o, i in cfg.layer_shapes()]
-    bufs = [np.zeros((o * i * k, n, n)) for o, i, k, _, _ in shapes]
-    reals = tuple(buf.reshape(shape) for buf, shape in zip(bufs, shapes))
-    column = np.empty(x.shape[:2] + (1,))
-    carry = ForwardCache(tensor=tensor, reals=None, x=None)
-    core = np.empty((cfg.out_features, n, b))
-    for col, graph in enumerate(sets.graphs):
-        for buf in bufs:  # refill the buffers under the views, zeroed first on a new graph
-            if col and sets.graphs[col - 1] is not graph:
-                buf.fill(0.0)
-            _realized_mats(graph, sets.rng.bernoulli(sets.p, (len(buf), graph.num_edges)),
-                           out=buf)
-        column[..., 0] = x[..., col]
-        core[..., col] = _layers(tensor, reals, column, carry._take(), carry)[..., 0]
-    return core
-
-
 def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
             return_cache: bool = True, cache: ForwardCache | None = None):
     """Run the network on a fixed realization set.
@@ -479,13 +457,13 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     A :class:`DeferredSets` of B columns, column b on its own set, is drawn here,
     column b's set as the b-th of B single-set draws on its graph would draw it.  At
     p = 1 each stage is one stacked product of the columns' graphs, cached or not.
-    Below p = 1 without a cache to return or refill, column b runs on its own set with
-    the arithmetic of a B = 1 pass: its output up to the head is bit for bit that of B
-    separate draws and passes.  With a cache the pass runs layer by layer over the
-    batch, which rounds differently: layer 0 draws column b's keeps for every layer
-    when it reaches column b (the same stream order), and the cache keeps those of the
-    later layers (``backward`` rebuilds their shifts from them).  An input whose node
-    or column count does not match the set raises ``ValueError`` before any draw.
+    Below p = 1 the pass runs layer by layer over the batch: layer 0 draws column b's
+    keeps for every layer when it reaches column b (the order of B single-set draws),
+    and a cache keeps those of the later layers (``backward`` rebuilds their shifts
+    from them).  Without a cache to return or refill, the pass runs on chunks of
+    ``_CHUNK_COLUMNS`` columns one after the other, so that its stage arrays do not
+    grow with B; its output is the cached pass's bit for bit.  An input whose node or
+    column count does not match the set raises ``ValueError`` before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -506,7 +484,15 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
             raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
                              f"on {n} nodes")
         if reals.p < 1.0 and not return_cache and cache is None:
-            return _apply_head(tensor, _deferred_layers(tensor, reals, x)), None
+            core = None
+            for lo in range(0, b, _CHUNK_COLUMNS):
+                cols = slice(lo, lo + _CHUNK_COLUMNS)
+                act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols],
+                              [], None, [])
+                if core is None:  # act's layout: the head sums in memory order, as on a cached pass
+                    core = np.empty_like(act, shape=act.shape[:2] + (b,))
+                core[..., cols] = act
+            return _apply_head(tensor, core), None
         keeps = []
     else:
         _check_reals(cfg, reals, x.shape[1])
@@ -557,7 +543,7 @@ def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None
 
 def load_checkpoint(path) -> tuple[FilterTensor, str]:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip().split()
+        header = fh.readline().decode("ascii", errors="replace").strip().split()
         if not header or header[0] != _CKPT_MAGIC:
             raise ValueError(f"{path} is not a model checkpoint")
         try:

@@ -162,10 +162,10 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
             d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
             continue
         out_d, in_d = coeffs.shape[:2]
-        bufs, d_act = [np.zeros((out_d * in_d * cfg.order, n, n))], np.empty((in_d, n, act[2]))
+        buf, d_act = np.zeros((out_d * in_d * cfg.order, n, n)), np.empty((in_d, n, act[2]))
         for col in range(act[2]):
-            mats = _column_set(reals, col, [cache.keeps[col][layer_idx]], bufs,
-                               [(out_d, in_d, cfg.order, n, n)])[0]
+            mats = _column_set(reals, col, cache.keeps[col][layer_idx], buf,
+                               (out_d, in_d, cfg.order, n, n))
             d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
     return grad
 
@@ -243,15 +243,13 @@ class TrainTrace:
     wall_ms: np.ndarray
     tensor: FilterTensor
 
-    def to_csv(self, path, include_timing: bool = True) -> None:
+    def to_csv(self, path) -> None:
         """Columns iter, cost, grad_norm_sq, lr, wall_ms, through ``write_results``.
-        With ``include_timing=False`` the wall column is written as 0 so output
-        files are bit-reproducible under a fixed seed."""
+        The wall column is written as 0, so that the file is bit-reproducible under a
+        fixed seed; the times stay in ``wall_ms``."""
         columns = ("iter", "cost", "grad_norm_sq", "lr", "wall_ms")
-        wall = self.wall_ms if include_timing else np.zeros_like(self.wall_ms)
-        rows = [dict(zip(columns, (t, float(cost), float(norm) ** 2, float(lr), float(ms))))
-                for t, (cost, norm, lr, ms)
-                in enumerate(zip(self.costs, self.grad_norms, self.lrs, wall))]
+        rows = [dict(zip(columns, (t, float(cost), float(norm) ** 2, float(lr), 0.0)))
+                for t, (cost, norm, lr) in enumerate(zip(self.costs, self.grad_norms, self.lrs))]
         common.write_results(rows, path, columns=columns)
 
 

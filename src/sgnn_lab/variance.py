@@ -21,8 +21,8 @@ first-order term dominates, plus the exact endpoint checks at p in {0, 1}.
 The network's Monte-Carlo estimate runs every sample in one forward pass on
 ``sample_architecture(..., columns=n_samples)``: below p = 1 a deferred set, sample b
 on its own fresh set drawn as the b-th of ``n_samples`` single-set draws would draw
-it, with the arithmetic of a one-sample pass; at p = 1 the intact graph's shared
-set.  Both Monte-Carlo entry points stack their samples C-contiguous, (n_samples,
+it, the layers run over chunks of samples; at p = 1 the intact graph's shared set.
+Both Monte-Carlo entry points stack their samples C-contiguous, (n_samples,
 outputs), and share one estimator, so they sum in the same order.
 
 The enumeration oracles are deliberately dumb: they walk every mask (or mask

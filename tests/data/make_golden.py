@@ -12,7 +12,9 @@ Regenerate the fixture after an intended output change with
     python tests/data/make_golden.py
 
 It prints every file that moved against the old fixture, with its largest
-relative change; say in the change description why the values moved.
+relative change, and rewrites only those: a file within the tolerance keeps its
+old values, so a run that moves nothing leaves the fixture byte for byte.  Say in
+the change description why the values moved.
 """
 
 from __future__ import annotations
@@ -138,16 +140,24 @@ def moved_files(old: dict, new: dict) -> dict[str, float]:
     return moved
 
 
+def keep_unmoved(old: dict, new: dict, moved: dict) -> dict:
+    """``new`` with the ``old`` values of every file that ``moved`` (as
+    :func:`moved_files` returns it) does not name."""
+    return {name: values if name in moved else old[name] for name, values in new.items()}
+
+
 def main() -> None:
     sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         run_all(Path(tmp))
         outputs = read_outputs(Path(tmp))
     if FIXTURE.exists():
-        moved = moved_files(json.loads(FIXTURE.read_text(encoding="ascii")), outputs)
+        old = json.loads(FIXTURE.read_text(encoding="ascii"))
+        moved = moved_files(old, outputs)
         print(f"{len(moved)} files moved against the old fixture")
         for name, change in moved.items():
             print(f"  {name}: largest relative change {change:.3g}")
+        outputs = keep_unmoved(old, outputs, moved)
     # one file per line, so a regenerated fixture diffs file by file
     lines = (f"{json.dumps(name)}: {json.dumps(values, sort_keys=True)}"
              for name, values in outputs.items())

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -193,6 +194,18 @@ class TestExitCodes:
         tiny = {"train-source": TINY_SOURCE, "train-flock": TINY_FLOCK}[command]
         assert run([command, *tiny, item, "--out", tmp_path]) == 2
         assert not any(tmp_path.iterdir())
+
+    # test_p=1.5 once trained both models (1.4 s on the desk config) before exit 2
+    @pytest.mark.parametrize("command", ["train-source", "train-flock"])
+    @pytest.mark.parametrize("item", ["test_p=1.5", "test_p=1.0;-0.5", "test_p=nan",
+                                      "train_p=nan", "train_p=-0.1"])
+    def test_edge_probability_rejected_before_any_seed_runs(self, tmp_path, monkeypatch,
+                                                            command, item):
+        from sgnn_lab import cli
+        seeds = mock.Mock(side_effect=AssertionError("a seed ran"))
+        monkeypatch.setattr(cli.common, "run_seeds", seeds)
+        assert run([command, item, "--out", tmp_path]) == 2
+        assert not seeds.called and not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command", ["convergence"])
     def test_nonpositive_iterations_rejected_by_argument_type(self, command):

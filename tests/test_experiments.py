@@ -306,6 +306,23 @@ def test_swarm_state_rejects_a_non_finite_or_nonpositive_step(dt):
         SwarmState(z=np.zeros((2, 2)), v=np.zeros((2, 2)), dt=dt)
 
 
+@pytest.mark.parametrize("config", [SourceLocConfig, FlockingConfig])
+@pytest.mark.parametrize("field, value", [
+    ("train_p", 1.5), ("train_p", -0.1), ("train_p", np.nan),
+    ("test_p", (1.0, 1.5)), ("test_p", (-1e-9,)), ("test_p", (0.7, np.nan)),
+])
+def test_edge_probability_outside_unit_interval_rejected(config, field, value):
+    # test_p=1.5 once trained both models before the evaluation rejected it
+    with pytest.raises(ConfigError, match=r"edge probability p=.* outside \[0, 1\]"):
+        config(**{field: value})
+
+
+@pytest.mark.parametrize("config", [SourceLocConfig, FlockingConfig])
+def test_edge_probabilities_at_the_ends_accepted(config):
+    cfg = config(train_p=0.0, test_p=(1.0, 0.0))
+    assert cfg.train_p == 0.0 and cfg.test_p == (1.0, 0.0)
+
+
 class TestFlockingConfig:
     # comm_radius=nan once ran a whole experiment on edgeless graphs and exited 0
     @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])

@@ -52,3 +52,11 @@ def test_moved_files_names_each_moved_file_with_its_largest_change():
     moved = golden.moved_files(old, new)
     assert moved == {"added.csv": math.inf, "gone.csv": math.inf, "label.json": 0.0,
                      "moved.csv": 0.25, "shape.json": math.inf}
+
+
+def test_regeneration_keeps_the_old_values_of_unmoved_files():
+    # roundoff within the tolerance (another host's BLAS) rewrites nothing
+    old = {"same.csv": [["a"], [1, 2.0]], "moved.csv": [["a"], [3.0]], "gone.csv": []}
+    new = {"same.csv": [["a"], [1, 2.0 + 1e-13]], "moved.csv": [["a"], [4.0]], "added.csv": []}
+    kept = golden.keep_unmoved(old, new, golden.moved_files(old, new))
+    assert kept == {"same.csv": [["a"], [1, 2.0]], "moved.csv": [["a"], [4.0]], "added.csv": []}

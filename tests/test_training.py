@@ -748,7 +748,7 @@ class TestTrain:
                       TrainConfig(iterations=5, batch_size=4, lr=0.01,
                                   optimizer="sgd", link_p=1.0, seed=0))
         path = tmp_path / "trace.csv"
-        trace.to_csv(path, include_timing=False)
+        trace.to_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "iter,cost,grad_norm_sq,lr,wall_ms"
         assert len(lines) == 6
