@@ -248,16 +248,16 @@ def _rate_task(seed: int):
     cfg = SgnnConfig(layers=1, features=8, order=4, nonlinearity="relu",
                      in_features=1, out_features=8, readout="pooled", readout_dim=2)
     tensor = init_tensor(cfg, rng.child(2), 1.0)
-    return tensor, base, TrainingSet(ds.train.inputs, ds.train.labels)
+    return tensor, TrainingSet(ds.train.inputs, ds.train.labels, base)
 
 
 def _convergence_worker(payload) -> dict:
     seed, iterations, p, schedule = payload
-    tensor, base, train_set = _rate_task(seed)
+    tensor, train_set = _rate_task(seed)
     cfg = TrainConfig(iterations=iterations, batch_size=len(train_set), lr=0.05,
                       schedule=schedule, optimizer="sgd", link_p=p, seed=seed,
                       loss="cross_entropy")
-    trace = train(tensor, base, train_set, cfg)
+    trace = train(tensor, train_set, cfg)
     running = convergence_metric(trace)
     return {"seed": seed, "iterations": iterations, "min_grad_sq": float(running[-1]),
             "final_cost": float(trace.costs[-1])}

@@ -49,8 +49,8 @@ class SwarmState:
     def __post_init__(self):
         self.z = np.asarray(self.z, dtype=float)
         self.v = np.asarray(self.v, dtype=float)
-        if self.z.shape != self.v.shape or self.z.shape[1] != 2:
-            raise ConfigError("z and v must share shape (N, 2)")
+        if self.z.shape != self.v.shape or self.z.shape[1:] != (2,):
+            raise ConfigError(f"z and v must share shape (N, 2), not {self.z.shape}, {self.v.shape}")
         if not (np.all(np.isfinite(self.z)) and np.all(np.isfinite(self.v))):
             raise ConfigError("swarm state must be finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -234,7 +234,7 @@ def collect_expert_dataset(cfg: FlockingConfig, rng: Rng, feature_p: float = 1.0
     degraded neighborhood sums it will face in deployment.  The expert
     itself always acts on full state, so the rollout is unaffected.
     """
-    inputs, targets, bases = [], [], []
+    inputs, targets, graphs = [], [], []
     feat_rng = rng.child(10**6)
     for traj in range(cfg.train_trajectories):
         state = random_swarm_state(cfg, rng.child(traj))
@@ -247,14 +247,14 @@ def collect_expert_dataset(cfg: FlockingConfig, rng: Rng, feature_p: float = 1.0
                 feat_graph = sample_realization(graph, feature_p, feat_rng)
                 inputs.append(swarm_features(state, feat_graph))
                 targets.append(expert.T)
-                bases.append(shift)
+                graphs.append(shift)
             state.z = state.z + state.dt * state.v
             state.v = state.v + state.dt * expert
     inputs = np.stack(inputs)                               # (R, 6, N)
     targets = np.stack(targets)                             # (R, 2, N)
     mean = inputs.mean(axis=(0, 2))
     std = np.maximum(inputs.std(axis=(0, 2)), 1e-6)
-    return inputs, targets, bases, (mean, std)
+    return inputs, targets, graphs, (mean, std)
 
 
 def _standardize(feats: np.ndarray, scaler) -> np.ndarray:
@@ -298,18 +298,17 @@ def run_flock_seed(cfg: FlockingConfig, seed: int) -> dict:
     on the intact graph end to end.
     """
     rng = Rng(seed, stream=202)
-    inputs, targets, bases, scaler = collect_expert_dataset(
+    inputs, targets, graphs, scaler = collect_expert_dataset(
         cfg, rng.child(0), cfg.train_p, cfg.feature_variants)
-    clean_in, clean_tg, clean_bases, clean_scaler = collect_expert_dataset(
+    clean_in, clean_tg, clean_graphs, clean_scaler = collect_expert_dataset(
         cfg, rng.child(0), 1.0, 1)
-    train_set = TrainingSet(_standardize(inputs, scaler), targets, bases=bases)
-    clean_set = TrainingSet(_standardize(clean_in, clean_scaler), clean_tg,
-                            bases=clean_bases)
+    train_set = TrainingSet(_standardize(inputs, scaler), targets, graphs)
+    clean_set = TrainingSet(_standardize(clean_in, clean_scaler), clean_tg, clean_graphs)
 
     model_cfg = cfg.model_config()
     tensor0 = init_tensor(model_cfg, rng.child(1), cfg.init_scale)
-    sgnn_trace = train(tensor0, None, train_set, cfg.train_config(cfg.train_p, seed))
-    gnn_trace = train(tensor0, None, clean_set, cfg.train_config(1.0, seed))
+    sgnn_trace = train(tensor0, train_set, cfg.train_config(cfg.train_p, seed))
+    gnn_trace = train(tensor0, clean_set, cfg.train_config(1.0, seed))
 
     policies = make_policies(sgnn_trace.tensor, gnn_trace.tensor, scaler, cfg,
                              gnn_scaler=clean_scaler)

@@ -115,13 +115,16 @@ def gen_source_dataset(base: ShiftOperator, communities: int, sizes: tuple[int, 
 
     Each sample is ``S^tau delta_c + noise`` with tau uniform in
     ``0..tau_max`` and the source of community c its lowest-index node.
-    Labels are balanced within +/-1 sample per split.
+    Labels are balanced within +/-1 sample per split.  A community count that does
+    not divide N, or a negative ``tau_max`` or split size, raises ``ConfigError``
+    before any draw.
     """
     if base.kind != NORMALIZED_ADJACENCY:
         raise ConfigError("source localization diffuses over a normalized adjacency")
     n = base.n
-    if n % communities != 0:
-        raise ConfigError(f"{communities} communities must divide {n} nodes")
+    if communities < 1 or n % communities or tau_max < 0 or min(sizes) < 0:
+        raise ConfigError(f"need communities that divide the {n} nodes, tau_max >= 0 and split "
+                          f"sizes >= 0, got {communities}, {tau_max} and {tuple(sizes)}")
     sources = [c * (n // communities) for c in range(communities)]
     diffused = np.stack([diffusion_stages([base.mat] * tau_max, delta)
                          for delta in np.eye(n)[sources]])
@@ -143,7 +146,7 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
                       labels: np.ndarray, p: float, rng: Rng) -> float:
     """Accuracy under link failures: every test sample sees an independent
     fresh realization set at probability ``p``.  One forward pass scores the
-    whole test set on ``sample_architecture(..., columns=R)``: below p = 1 the sets
+    whole test set on ``sample_architecture([base] * R, ...)``: below p = 1 the sets
     are deferred, sample i's drawn as the i-th of R single-set draws would draw it,
     and the layers run over chunks of samples; at p = 1 that call gives the intact
     graph, shared by the batch.
@@ -153,7 +156,7 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     if len(inputs) == 0 or len(labels) != len(inputs):
         raise ValueError(f"{len(inputs)} test inputs with {len(labels)} labels: "
                          "need one label per input, and at least one input")
-    reals = sample_architecture(base, p, tensor.cfg, rng, columns=len(inputs))
+    reals = sample_architecture([base] * len(inputs), p, tensor.cfg, rng)
     logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
     return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)
 
@@ -170,9 +173,9 @@ def run_source_seed(cfg: SourceLocConfig, seed: int) -> dict:
 
     model_cfg = cfg.model_config()
     tensor0 = init_tensor(model_cfg, rng.child(2), cfg.init_scale)
-    train_set = TrainingSet(dataset.train.inputs, dataset.train.labels)
-    sgnn_trace = train(tensor0, base, train_set, cfg.train_config(cfg.train_p, seed))
-    gnn_trace = train(tensor0, base, train_set, cfg.train_config(1.0, seed))
+    train_set = TrainingSet(dataset.train.inputs, dataset.train.labels, base)
+    sgnn_trace = train(tensor0, train_set, cfg.train_config(cfg.train_p, seed))
+    gnn_trace = train(tensor0, train_set, cfg.train_config(1.0, seed))
 
     rows = []
     models = {"sgnn": sgnn_trace.tensor, "gnn": gnn_trace.tensor}

@@ -160,10 +160,9 @@ def to_shift(adj: ShiftOperator, kind: str) -> ShiftOperator:
         mat = np.diag(adj.mat.sum(axis=1)) - adj.mat
         return ShiftOperator(LAPLACIAN, mat)
     if kind == NORMALIZED_ADJACENCY:
-        lam_max = spectral.eig_sym(adj.mat).values[-1]
-        if lam_max <= 0:
+        if adj.num_edges == 0:
             raise DegenerateInputError("cannot normalize a graph with no edges")
-        return ShiftOperator(NORMALIZED_ADJACENCY, adj.mat / lam_max)
+        return ShiftOperator(NORMALIZED_ADJACENCY, adj.mat / spectral.eig_sym(adj.mat).values[-1])
     raise ConfigError(f"unknown shift kind {kind!r}")
 
 

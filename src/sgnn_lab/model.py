@@ -73,7 +73,7 @@ class DeferredSets(NamedTuple):
     set exactly as the b-th of B :func:`sample_architecture` calls on its graph would
     (a second pass on the same object draws the next B sets).  At p = 1 every set is
     its graph and nothing is drawn: :func:`sample_architecture` makes one only for
-    per-column graphs, one graph giving the shared set."""
+    graphs that are not all one object, one graph giving the shared set."""
 
     graphs: tuple[ShiftOperator, ...]
     p: float
@@ -220,8 +220,7 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
 
 
 def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
-                        cfg: SgnnConfig, rng: Rng,
-                        columns: int | None = None) -> Reals | DeferredSets:
+                        cfg: SgnnConfig, rng: Rng) -> Reals | DeferredSets:
     """Draw a fresh realization set for one forward pass.
 
     Each filter's sequence consumes a disjoint, deterministic segment of the
@@ -229,27 +228,23 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     At p = 1 each layer is a read-only stride-0 view of ``base.mat`` in the full
     shape and no random numbers are consumed; callers never write into it.
 
-    A sequence of B graphs on N nodes each as ``base`` (column b on the b-th), or
-    ``columns=B`` below p = 1, gives a :class:`DeferredSets` instead, one set per batch
-    column on its graph (``base`` itself when one graph is given), and nothing is
+    A sequence of B graphs on N nodes each as ``base`` gives a :class:`DeferredSets`
+    instead, one set per batch column, column b on the b-th graph, and nothing is
     drawn here: :func:`forward` draws column b's set from ``rng`` as the b-th of B
     calls on its graph would (at p = 1 nothing), so it leaves ``rng`` where those calls
-    would.  One graph at p = 1 with ``columns`` gives the shared set above: every
-    column's set is that graph.  A bad ``p`` raises ``ConfigError``; a column count
-    below 1, and graphs that are none, of mixed node counts or not one per column,
-    ``ValueError``.
+    would.  At p = 1 a sequence whose graphs are all one object gives that graph's
+    shared set above: every column's set is that graph.  A bad ``p`` raises
+    ``ConfigError``; graphs that are none or of mixed node counts, ``ValueError``.
     """
-    graphs = None if isinstance(base, ShiftOperator) else tuple(base)
     if not 0.0 <= p <= 1.0:
         raise ConfigError(f"edge probability p={p} outside [0, 1]")
-    if columns is not None and not (isinstance(columns, (int, np.integer)) and columns >= 1):
-        raise ValueError(f"a deferred set needs an integer column count >= 1, got {columns!r}")
-    if graphs is not None and not (len({g.n for g in graphs}) == 1
-                                   and len(graphs) == (columns or len(graphs))):
-        raise ValueError(f"per-column graphs need one node count and one graph per column, got "
-                         f"{len(graphs)} on {[g.n for g in graphs]} nodes for {columns} columns")
-    if graphs is not None or (columns is not None and p < 1.0):
-        return DeferredSets(graphs or (base,) * int(columns), p, rng)
+    if not isinstance(base, ShiftOperator):
+        graphs = tuple(base)
+        if len({g.n for g in graphs}) != 1:
+            raise ValueError(f"per-column graphs need one node count, got {[g.n for g in graphs]}")
+        if p < 1.0 or any(g is not graphs[0] for g in graphs):
+            return DeferredSets(graphs, p, rng)
+        base = graphs[0]
     n, k = base.n, cfg.order
     return tuple(sample_realizations(base, p, rng, o * i * k).reshape(o, i, k, n, n)
                  for o, i in cfg.layer_shapes())
@@ -520,11 +515,13 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
 
 _CKPT_MAGIC = "sgnn-checkpoint-v1"
 _CKPT_KEYS = set(SgnnConfig.__dataclass_fields__) | {"kind"}  # each once in a header
+# header bytes, newline included: the longest names and six 20-digit integers take 265
+_CKPT_HEADER_MAX = 288
 
 
 def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None:
     """Self-describing header line plus the flat tap array as little-endian
-    64-bit floats."""
+    64-bit floats; a header over ``_CKPT_HEADER_MAX`` bytes raises ``ConfigError``."""
     if kind not in KINDS:
         raise ConfigError(f"unknown shift kind {kind!r}")
     cfg = tensor.cfg
@@ -534,6 +531,8 @@ def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None
         f"nonlinearity={cfg.nonlinearity} readout={cfg.readout} readout_dim={cfg.readout_dim} "
         f"kind={kind}\n"
     )
+    if len(header) > _CKPT_HEADER_MAX:
+        raise ConfigError(f"checkpoint header of {len(header)} bytes, over {_CKPT_HEADER_MAX}")
     flat = np.ascontiguousarray(tensor.flat, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
@@ -543,8 +542,9 @@ def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None
 
 def load_checkpoint(path) -> tuple[FilterTensor, str]:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip().split()
-        if not header or header[0] != _CKPT_MAGIC:
+        line = fh.readline(_CKPT_HEADER_MAX)  # a longer first line is no header
+        header = line.decode("ascii", errors="replace").strip().split()
+        if not (header and header[0] == _CKPT_MAGIC and line.endswith(b"\n")):
             raise ValueError(f"{path} is not a model checkpoint")
         try:
             items = [item.split("=", 1) for item in header[1:]]

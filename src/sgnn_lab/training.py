@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -178,13 +179,13 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
 class TrainingSet:
     """Inputs of shape (R, F_in, N); targets are int labels (R,) for
     cross-entropy or arrays (R, ...) matching the network output for mse.
-    ``bases`` optionally gives a per-sample graph (for data gathered over a
-    moving topology); otherwise all samples share the graph passed to
-    :func:`train`."""
+    ``graphs`` is one graph shared by every sample (one realization set per
+    step) or a sequence of one graph per sample (for data gathered over a
+    moving topology), each on the inputs' N nodes."""
 
     inputs: np.ndarray
     targets: np.ndarray
-    bases: list[ShiftOperator] | None = None
+    graphs: ShiftOperator | Sequence[ShiftOperator]
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
@@ -194,12 +195,13 @@ class TrainingSet:
             raise ConfigError("empty training set")
         if len(self.targets) != len(self.inputs):
             raise ConfigError("inputs and targets disagree on the sample count")
-        if self.bases is not None and len(self.bases) != len(self.inputs):
-            raise ConfigError("per-sample bases must match the sample count")
-        for i, graph in enumerate(self.bases or ()):
+        shared = isinstance(self.graphs, ShiftOperator)
+        if not shared and len(self.graphs) != len(self.inputs):
+            raise ConfigError("per-sample graphs must match the sample count")
+        for i, graph in enumerate([self.graphs] if shared else self.graphs):
             if graph.n != self.inputs.shape[2]:
-                raise ConfigError(f"per-sample base {i} has {graph.n} nodes, "
-                                  f"the inputs {self.inputs.shape[2]}")
+                raise ConfigError(f"{'shared graph' if shared else f'graph {i}'} has {graph.n} "
+                                  f"nodes, the inputs {self.inputs.shape[2]}")
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -336,23 +338,24 @@ def _loss_fn(loss: str):
     return _mse if loss == "mse" else _cross_entropy
 
 
-def _pass_set(tensor: FilterTensor, base: ShiftOperator | None, train_set: TrainingSet,
-              idx: np.ndarray, p: float, rng: Rng) -> Reals | DeferredSets:
+def _pass_set(tensor: FilterTensor, train_set: TrainingSet, idx: np.ndarray, p: float,
+              rng: Rng) -> Reals | DeferredSets:
     """The fresh realization set of one pass over the samples ``idx``: one draw on the
-    shared base; on per-sample bases a deferred set, column b on its own graph (drawn
+    shared graph; on per-sample graphs a deferred set, column b on its own graph (drawn
     in batch order, as a per-sample loop would draw it; at p = 1 nothing is drawn)."""
-    if train_set.bases is None:
-        return sample_architecture(base, p, tensor.cfg, rng)
-    return sample_architecture([train_set.bases[i] for i in idx], p, tensor.cfg, rng)
+    graphs = train_set.graphs
+    if not isinstance(graphs, ShiftOperator):
+        graphs = [graphs[i] for i in idx]
+    return sample_architecture(graphs, p, tensor.cfg, rng)
 
 
-def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
-                   train_set: TrainingSet, idx: np.ndarray, p: float, loss: str, rng: Rng,
-                   cache: ForwardCache | None = None) -> tuple[float, np.ndarray, ForwardCache]:
+def _cost_and_grad(tensor: FilterTensor, train_set: TrainingSet, idx: np.ndarray, p: float,
+                   loss: str, rng: Rng, cache: ForwardCache | None = None
+                   ) -> tuple[float, np.ndarray, ForwardCache]:
     """Cost and flat gradient of one step: one forward pass on a fresh realization
     set, refilling the previous step's ``cache``, and one backward pass; the cache
     is returned for the next step."""
-    reals = _pass_set(tensor, base, train_set, idx, p, rng)
+    reals = _pass_set(tensor, train_set, idx, p, rng)
     x, y = _batch_arrays(train_set, idx)
     out, cache = forward(tensor, reals, x, cache=cache)
     cost, dout = _loss_pair(loss, out, y)
@@ -361,19 +364,17 @@ def _cost_and_grad(tensor: FilterTensor, base: ShiftOperator | None,
     return cost, grad, cache
 
 
-def _full_cost(tensor: FilterTensor, base: ShiftOperator | None,
-               train_set: TrainingSet, p: float, loss: str, rng: Rng) -> float:
+def _full_cost(tensor: FilterTensor, train_set: TrainingSet, p: float, loss: str,
+               rng: Rng) -> float:
     """Full-set cost on fresh realization draws (one forward-only pass)."""
     idx = np.arange(len(train_set))
     x, y = _batch_arrays(train_set, idx)
-    out, _ = forward(tensor, _pass_set(tensor, base, train_set, idx, p, rng), x,
-                     return_cache=False)
+    out, _ = forward(tensor, _pass_set(tensor, train_set, idx, p, rng), x, return_cache=False)
     return _loss_pair(loss, out, y)[0]
 
 
-def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,
-                        train_set: TrainingSet, p: float, n_samples: int,
-                        rng: Rng, loss: str = "mse") -> float:
+def estimate_grad_bound(model: FilterTensor, train_set: TrainingSet, p: float,
+                        n_samples: int, rng: Rng, loss: str = "mse") -> float:
     """Empirical bound on the full-set gradient norm: the max over
     ``n_samples >= 1`` independent realization sets at the current tensor,
     times a safety factor of 1.5."""
@@ -382,14 +383,13 @@ def estimate_grad_bound(model: FilterTensor, base: ShiftOperator | None,
     idx = np.arange(len(train_set))
     best = 0.0
     for _ in range(n_samples):
-        _, grad, _ = _cost_and_grad(model, base, train_set, idx, p, loss, rng)
+        _, grad, _ = _cost_and_grad(model, train_set, idx, p, loss, rng)
         best = max(best, float(np.linalg.norm(grad)))
     return 1.5 * best
 
 
-def estimate_cost_gap(model: FilterTensor, base: ShiftOperator | None,
-                      train_set: TrainingSet, p: float, n_samples: int,
-                      rng: Rng, loss: str = "mse") -> float:
+def estimate_cost_gap(model: FilterTensor, train_set: TrainingSet, p: float,
+                      n_samples: int, rng: Rng, loss: str = "mse") -> float:
     """Upper bound on the optimality gap of the expected cost: Monte-Carlo
     average of the initial cost over ``n_samples >= 1`` draws (the optimum of
     a nonnegative loss is taken as 0)."""
@@ -397,19 +397,16 @@ def estimate_cost_gap(model: FilterTensor, base: ShiftOperator | None,
         raise ConfigError(f"n_samples must be >= 1, got {n_samples}")
     total = 0.0
     for _ in range(n_samples):
-        total += _full_cost(model, base, train_set, p, loss, rng)
+        total += _full_cost(model, train_set, p, loss, rng)
     return total / n_samples
 
 
-def train(model: FilterTensor, base: ShiftOperator | None,
-          train_set: TrainingSet, cfg: TrainConfig) -> TrainTrace:
+def train(model: FilterTensor, train_set: TrainingSet, cfg: TrainConfig) -> TrainTrace:
     """Stochastic-gradient training; returns the trace and final tensor.
 
     The input tensor is not mutated.  All randomness derives from
     ``cfg.seed``: equal configs produce bit-identical traces.
     """
-    if train_set.bases is None and base is None:
-        raise ConfigError("either a shared base graph or per-sample bases are required")
     root = Rng(cfg.seed)
     r_real, r_batch, r_est = root.child(0), root.child(1), root.child(2)
 
@@ -417,10 +414,10 @@ def train(model: FilterTensor, base: ShiftOperator | None,
     batch_size = min(cfg.batch_size, num_samples)
 
     if cfg.schedule == "horizon":
-        gap = estimate_cost_gap(model, base, train_set, cfg.link_p,
-                                HORIZON_COST_GAP_SAMPLES, r_est.child(0), cfg.loss)
-        bound = estimate_grad_bound(model, base, train_set, cfg.link_p,
-                                    HORIZON_GRAD_BOUND_SAMPLES, r_est.child(1), cfg.loss)
+        gap = estimate_cost_gap(model, train_set, cfg.link_p, HORIZON_COST_GAP_SAMPLES,
+                                r_est.child(0), cfg.loss)
+        bound = estimate_grad_bound(model, train_set, cfg.link_p, HORIZON_GRAD_BOUND_SAMPLES,
+                                    r_est.child(1), cfg.loss)
         alpha0 = convergence_step_size(max(gap, 1e-12), cfg.iterations,
                                        HORIZON_SMOOTHNESS, max(bound, 1e-12))
     else:
@@ -444,7 +441,7 @@ def train(model: FilterTensor, base: ShiftOperator | None,
         idx = perm[pos : pos + batch_size]
         pos += batch_size
 
-        cost, grad, cache = _cost_and_grad(FilterTensor(model.cfg, flat), base, train_set, idx,
+        cost, grad, cache = _cost_and_grad(FilterTensor(model.cfg, flat), train_set, idx,
                                            cfg.link_p, cfg.loss, r_real, cache)
 
         lr_t = alpha0 / np.sqrt(t + 1.0) if cfg.schedule == "invsqrt" else alpha0

@@ -19,7 +19,7 @@ bound is only asserted in the link-stable regime p >= 0.9, where the
 first-order term dominates, plus the exact endpoint checks at p in {0, 1}.
 
 The network's Monte-Carlo estimate runs every sample in one forward pass on
-``sample_architecture(..., columns=n_samples)``: below p = 1 a deferred set, sample b
+``sample_architecture([base] * n_samples, ...)``: below p = 1 a deferred set, sample b
 on its own fresh set drawn as the b-th of ``n_samples`` single-set draws would draw
 it, the layers run over chunks of samples; at p = 1 the intact graph's shared set.
 Both Monte-Carlo entry points stack their samples C-contiguous, (n_samples,
@@ -271,7 +271,7 @@ def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
     x = _signal(x, base)
     if n_samples < 2:
         raise ConfigError("n_samples must be >= 2")
-    reals = sample_architecture(base, p, tensor.cfg, rng, columns=n_samples)
+    reals = sample_architecture([base] * n_samples, p, tensor.cfg, rng)
     out, _ = forward(tensor, reals, np.broadcast_to(x[None, :, None], (1, base.n, n_samples)),
                      return_cache=False)
     return _variance_estimate(np.ascontiguousarray(out.reshape(-1, n_samples).T))

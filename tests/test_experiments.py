@@ -85,6 +85,18 @@ class TestSourceDataset:
         with pytest.raises(ConfigError):
             gen_source_dataset(adj, 4, (10, 5, 5), 5, 0.0, Rng(1))
 
+    # these once raised ZeroDivisionError, numpy's "high <= 0" and "repeats may not
+    # contain negative values"
+    @pytest.mark.parametrize("communities, sizes, tau_max", [
+        (0, (10, 5, 5), 5), (-4, (10, 5, 5), 5), (3, (10, 5, 5), 5), (4, (10, 5, 5), -1),
+        (4, (-1, 5, 5), 5), (4, (10, 5, -2), 5),
+    ])
+    def test_bad_counts_rejected_before_any_draw(self, norm20, communities, sizes, tau_max):
+        rng = Rng(1)
+        with pytest.raises(ConfigError, match="need communities that divide the 20 nodes"):
+            gen_source_dataset(norm20, communities, sizes, tau_max, 0.0, rng)
+        assert np.array_equal(rng.random(4), Rng(1).random(4))
+
 
 class TestSourcePipeline:
     def _tiny_cfg(self):
@@ -298,6 +310,13 @@ class TestSimulateSwarm:
         with pytest.raises(DivergenceError):
             simulate_swarm(runaway, state0, 50, 1.0, Rng(2),
                            comm_radius=cfg.comm_radius, u_max=1e9, velocity_guard=50.0)
+
+
+# 1-D positions and velocities once raised a bare IndexError
+@pytest.mark.parametrize("shape", [(2,), (), (2, 3), (2, 2, 1)])
+def test_swarm_state_rejects_arrays_that_are_not_n_by_2(shape):
+    with pytest.raises(ConfigError, match=r"z and v must share shape \(N, 2\)"):
+        SwarmState(z=np.zeros(shape), v=np.zeros(shape), dt=0.05)
 
 
 @pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.05])

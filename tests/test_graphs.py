@@ -29,6 +29,7 @@ from sgnn_lab import (
     save_edge_list,
     to_shift,
 )
+from sgnn_lab import spectral
 from sgnn_lab.graphs import _realized_mats, _upper_pairs
 
 # weighted path 0 - 1 - 2 with edge weights 2 and 0.5
@@ -159,6 +160,17 @@ class TestToShift:
         empty = ShiftOperator(ADJACENCY, np.zeros((3, 3)))
         with pytest.raises(DegenerateInputError):
             to_shift(empty, NORMALIZED_ADJACENCY)
+
+    # a graph with no nodes once raised a bare IndexError from the empty spectrum; an
+    # edgeless graph is refused before the eigensolve, whose only outcome was that error
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless_graph_refused_before_any_eigensolve(self, monkeypatch, n):
+        def no_eigensolve(mat):
+            raise AssertionError("eigensolve of an edgeless graph")
+
+        monkeypatch.setattr(spectral, "eig_sym", no_eigensolve)
+        with pytest.raises(DegenerateInputError, match="no edges"):
+            to_shift(ShiftOperator(ADJACENCY, np.zeros((n, n))), NORMALIZED_ADJACENCY)
 
     def test_requires_adjacency_input(self, k3):
         lap = to_shift(k3, LAPLACIAN)

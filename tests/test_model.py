@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -147,11 +148,12 @@ class TestSampleArchitecture:
 
     @pytest.mark.parametrize("columns", [None, 1, 5])
     def test_intact_set_is_a_full_shape_view_that_draws_nothing(self, base8, columns):
-        # with ``columns`` too: at p = 1 on one graph every column's set is that graph,
-        # so the batch shares it and nothing is deferred
+        # per-column graphs that are all one object too: at p = 1 every column's set is
+        # that graph, so the batch shares it and nothing is deferred
         cfg = SgnnConfig(layers=3, features=2, order=3, in_features=2)
         rng = Rng(0)
-        reals = sample_architecture(base8, 1.0, cfg, rng, columns=columns)
+        reals = sample_architecture(base8 if columns is None else [base8] * columns, 1.0, cfg,
+                                    rng)
         assert isinstance(reals, tuple) and not isinstance(reals, DeferredSets)
         assert [m.shape for m in reals] == [(o, i, 3, 8, 8) for o, i in cfg.layer_shapes()]
         for mats in reals:
@@ -311,7 +313,7 @@ class TestDeferredSets:
     def test_nothing_is_drawn_until_forward_runs_the_set(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=2)
         rng = Rng(0)
-        sets = sample_architecture(base8, 0.7, cfg, rng, columns=3)
+        sets = sample_architecture([base8] * 3, 0.7, cfg, rng)
         assert sets == DeferredSets((base8,) * 3, 0.7, rng)
         assert _state(rng) == _state(Rng(0))
         out, cache = forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones((1, 8, 3)),
@@ -329,16 +331,16 @@ class TestDeferredSets:
         cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         x = Rng(2).normal(size=(2, 8, 3))
-        for base in (base8, [base8, random8, to_shift(random8, "laplacian")]):
+        for graphs in ([base8] * 3, [base8, random8, to_shift(random8, "laplacian")]):
             rng, cached_rng = Rng(1), Rng(1)
-            want, none = forward(tensor, sample_architecture(base, p, cfg, rng, columns=3), x,
+            want, none = forward(tensor, sample_architecture(graphs, p, cfg, rng), x,
                                  return_cache=False)
-            sets = sample_architecture(base, p, cfg, cached_rng, columns=3)
+            sets = sample_architecture(graphs, p, cfg, cached_rng)
             out, cache = forward(tensor, sets, x)
             assert none is None and cache.reals is sets and cache.x is x
             assert _state(cached_rng) == _state(rng)
             np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
-            if p == 1.0 and base is base8:  # one graph at p = 1: the shared set, no keeps
+            if p == 1.0 and graphs[1] is base8:  # one graph at p = 1: the shared set, no keeps
                 assert not isinstance(sets, DeferredSets) and cache.keeps is None
                 continue
             assert [len(keeps) for keeps in cache.keeps] == [2, 2, 2]
@@ -349,50 +351,38 @@ class TestDeferredSets:
 
     @pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
     def test_bad_probability_rejected(self, base8, random8, p):
-        # one graph or a graph list, with or without a column count: the same error,
-        # before any draw
+        # one graph or a graph list: the same error, before any draw
         cfg = SgnnConfig(layers=1, features=1, order=1)
         rng = Rng(0)
-        for base, columns in itertools.product((base8, [base8, random8]), (None, 2)):
+        for base in (base8, [base8] * 2, [base8, random8]):
             with pytest.raises(ConfigError, match=r"edge probability p=.* outside \[0, 1\]"):
-                sample_architecture(base, p, cfg, rng, columns=columns)
+                sample_architecture(base, p, cfg, rng)
         assert _state(rng) == _state(Rng(0))
 
-    @pytest.mark.parametrize("p", [0.5, 1.0])
-    @pytest.mark.parametrize("columns", [0, -1, 2.5, "2"])
-    def test_bad_column_count_rejected(self, base8, columns, p):
-        # at p = 1 too, where a good count gives the shared set
-        cfg = SgnnConfig(layers=1, features=1, order=1)
-        with pytest.raises(ValueError, match="column count"):
-            sample_architecture(base8, p, cfg, Rng(0), columns=columns)
-
     def test_per_column_graphs_carried_one_per_column(self, base8, random8):
-        # per-column graphs are a deferred set at every p, with or without ``columns``:
-        # never B sets drawn at once, nor a stack of the graphs
+        # per-column graphs that are not all one object are a deferred set at every p:
+        # never B sets drawn at once, nor a stack of the graphs; graphs that are all one
+        # object, below p = 1
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        graphs = [base8, random8, base8]
         rng = Rng(0)
-        for p, columns in itertools.product((0.0, 0.7, 1.0), (None, 3)):
-            assert sample_architecture(graphs, p, cfg, rng, columns=columns) == DeferredSets(
+        for graphs, p in [*itertools.product(([base8, random8, base8],), (0.0, 0.7, 1.0)),
+                          ([base8] * 3, 0.0), ([base8] * 3, 0.7), ([base8], 0.7)]:
+            assert sample_architecture(graphs, p, cfg, rng) == DeferredSets(
                 tuple(graphs), p, rng)
         assert _state(rng) == _state(Rng(0))
 
-    @pytest.mark.parametrize("graphs, p, columns, match", [
-        ("empty", 0.7, 2, r"got 0 on \[\] nodes for 2 columns"),
-        ("empty", 1.0, None, r"got 0 on \[\] nodes for None columns"),
-        ("mixed", 0.7, 2, r"got 2 on \[8, 3\] nodes for 2 columns"),
-        ("mixed", 1.0, 2, r"got 2 on \[8, 3\] nodes for 2 columns"),
-        ("mixed", 1.0, None, r"got 2 on \[8, 3\] nodes for None columns"),
-        ("three", 0.7, 2, r"got 3 on \[8, 8, 8\] nodes for 2 columns"),
-        ("three", 1.0, 4, r"got 3 on \[8, 8, 8\] nodes for 4 columns"),
+    @pytest.mark.parametrize("graphs, p, match", [
+        ("empty", 0.7, r"one node count, got \[\]"),
+        ("empty", 1.0, r"one node count, got \[\]"),
+        ("mixed", 0.7, r"one node count, got \[8, 3\]"),
+        ("mixed", 1.0, r"one node count, got \[8, 3\]"),
     ])
-    def test_bad_per_column_graphs_rejected_before_any_draw(self, base8, p3, graphs, p,
-                                                            columns, match):
-        graphs = {"empty": [], "mixed": [base8, p3], "three": [base8] * 3}[graphs]
+    def test_bad_per_column_graphs_rejected_before_any_draw(self, base8, p3, graphs, p, match):
+        graphs = {"empty": [], "mixed": [base8, p3]}[graphs]
         cfg = SgnnConfig(layers=1, features=1, order=1)
         rng = Rng(0)
         with pytest.raises(ValueError, match=match):
-            sample_architecture(graphs, p, cfg, rng, columns=columns)
+            sample_architecture(graphs, p, cfg, rng)
         assert _state(rng) == _state(Rng(0))
 
     @pytest.mark.parametrize("per_column", [False, True])
@@ -402,8 +392,8 @@ class TestDeferredSets:
                                                        return_cache, per_column):
         cfg = SgnnConfig(layers=2, features=2, order=2)
         rng = Rng(0)
-        sets = sample_architecture([base8, random8, base8] if per_column else base8, 0.5, cfg,
-                                   rng, columns=3)
+        sets = sample_architecture([base8, random8, base8] if per_column else [base8] * 3, 0.5,
+                                   cfg, rng)
         with pytest.raises(ValueError, match="the deferred set 3 columns on 8 nodes"):
             forward(init_tensor(cfg, Rng(1), 0.5), sets, np.ones(shape),
                     return_cache=return_cache)
@@ -470,11 +460,11 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
     # one shared graph or on each column's own graph; the cached pass's gradient is the
     # sum of the columns' B = 1 gradients, each given its column of the output gradient
     # (two layers, so backward rebuilds each column's second-layer shifts).  At p = 1
-    # one graph gives the shared set, per-column graphs one stacked product per stage;
-    # below it the layers run over the batch, so every case agrees to roundoff, and the
-    # forward-only pass is the cached pass bit for bit
+    # graphs that are all one object give the shared set, others one stacked product
+    # per stage; below it the layers run over the batch, so every case agrees to
+    # roundoff, and the forward-only pass is the cached pass bit for bit
     graphs = graphs[:columns] if per_column else graphs[:1] * columns
-    base = graphs if per_column else graphs[0]
+    one_graph = all(graph is graphs[0] for graph in graphs)
     tensor = init_tensor(cfg, Rng(seed), 1.0)
     body_cfg = replace(cfg, readout="none", readout_dim=0)
     body = FilterTensor(body_cfg, tensor.flat[:body_cfg.num_params])  # the layers, no head
@@ -484,14 +474,13 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
         want = np.concatenate([forward(net, sample_architecture(graph, p, cfg, loop_rng),
                                        x[..., b, None], return_cache=False)[0]
                                for b, graph in enumerate(graphs)], axis=-1)
-        got, _ = forward(net, sample_architecture(base, p, cfg, rng, columns=columns), x,
-                         return_cache=False)
+        got, _ = forward(net, sample_architecture(graphs, p, cfg, rng), x, return_cache=False)
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         assert _state(rng) == _state(loop_rng)
-        sets = sample_architecture(base, p, cfg, cached_rng, columns=columns)
+        sets = sample_architecture(graphs, p, cfg, cached_rng)
         cached, cache = forward(net, sets, x)
-        assert (cache.keeps is None) == (p == 1.0 and not per_column)
+        assert (cache.keeps is None) == (p == 1.0 and one_graph)
         assert cached.tobytes() == got.tobytes()
         assert _state(cached_rng) == _state(loop_rng)
         dout = Rng(seed, 3).normal(size=cached.shape)
@@ -535,7 +524,7 @@ def test_refill_after_a_denser_graph_equals_a_fresh_set(random8, kind):
                      to_shift(random8, kind))
     assert {tuple(e) for e in dense.edges} > {tuple(e) for e in sparse.edges}
     cfg = SgnnConfig(layers=2, features=2, order=2)
-    sets = sample_architecture([dense, sparse], 0.7, cfg, Rng(0), columns=2)
+    sets = sample_architecture([dense, sparse], 0.7, cfg, Rng(0))
     shapes = [(o, i, 2, 8, 8) for o, i in cfg.layer_shapes()]
     bufs = [np.zeros((o * i * k, 8, 8)) for o, i, k, _, _ in shapes]
     loop_rng = Rng(0)
@@ -559,19 +548,18 @@ def test_forward_only_pass_runs_in_chunks_of_columns(base8, random8, columns):
     tensor = init_tensor(cfg, Rng(5), 0.6)
     x = Rng(3).normal(size=(2, 8, columns))
     graphs = [(base8, random8, to_shift(random8, "laplacian"))[c % 3] for c in range(columns)]
-    for base in (base8, graphs):
+    for base in ([base8] * columns, graphs):
         rng, cached_rng, loop_rng = Rng(0), Rng(0), Rng(0)
         with mock.patch.object(model, "_layers", wraps=model._layers) as layers:
-            got, _ = forward(tensor, sample_architecture(base, 0.7, cfg, rng, columns=columns),
-                             x, return_cache=False)
+            got, _ = forward(tensor, sample_architecture(base, 0.7, cfg, rng), x,
+                             return_cache=False)
         chunk = model._CHUNK_COLUMNS
         assert layers.call_count == -(-columns // chunk)
         assert [call.args[2].shape[2] for call in layers.call_args_list] == (
             [chunk] * (columns // chunk) + [columns % chunk])
-        want, _ = forward(tensor, sample_architecture(base, 0.7, cfg, cached_rng,
-                                                      columns=columns), x)
+        want, _ = forward(tensor, sample_architecture(base, 0.7, cfg, cached_rng), x)
         assert got.tobytes() == want.tobytes()
-        for graph in (graphs if base is graphs else [base8] * columns):
+        for graph in base:
             sample_architecture(graph, 0.7, cfg, loop_rng)
         assert _state(rng) == _state(cached_rng) == _state(loop_rng)
 
@@ -656,6 +644,41 @@ class TestCheckpoint:
         path.write_bytes(head + b"\x00" * 16)
         with pytest.raises(ValueError, match=r"binary\.ckpt is not a model checkpoint"):
             load_checkpoint(path)
+
+    # a 200 MB file without a newline was once read whole before it was rejected
+    @pytest.mark.parametrize("magic", [b"sgnn-checkpoint-v1 ", b""])
+    def test_header_read_is_bounded(self, tmp_path, magic):
+        path = tmp_path / "big.ckpt"
+        with open(path, "wb") as fh:
+            fh.write(magic)
+            for _ in range(32):
+                fh.write(b"x" * 2**20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"big\.ckpt is not a model checkpoint"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_large_integer_fields_round_trip(self, tmp_path):
+        # the hidden width of a one-layer network sizes nothing, so it can be 20 digits
+        cfg = SgnnConfig(layers=1, features=10**19, order=2, readout="per_node",
+                         readout_dim=3)
+        tensor = init_tensor(cfg, Rng(4), 0.5)
+        path = tmp_path / "wide.ckpt"
+        save_checkpoint(tensor, path, kind="normalized_adjacency")
+        loaded, kind = load_checkpoint(path)
+        assert (loaded.cfg, kind) == (cfg, "normalized_adjacency")
+        assert loaded.flat.tobytes() == tensor.flat.tobytes()
+
+    def test_header_longer_than_the_read_bound_is_not_saved(self, tmp_path):
+        tensor = init_tensor(SgnnConfig(layers=1, features=10**300, order=1), Rng(0), 0.1)
+        path = tmp_path / "m.ckpt"
+        with pytest.raises(ConfigError, match="checkpoint header of .* bytes, over 288"):
+            save_checkpoint(tensor, path)
+        assert not path.exists()
 
     def _saved(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -505,10 +505,11 @@ _GRAPHS8 = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2025).child(c)), kind)
 
 @st.composite
 def _intact_passes(draw):
-    """(tensor, intact set, input batch, seed, base): a 1- or 2-layer net of any readout
-    and nonlinearity at K = 0-3 on 8 nodes, B = 1-5 columns, and a p = 1 set on one
-    graph (a stride-0 view, with ``columns`` or without) or deferred on one graph per
-    column; every out filter of a layer shares its stages."""
+    """(tensor, intact set, input batch, seed, graphs): a 1- or 2-layer net of any readout
+    and nonlinearity at K = 0-3 on 8 nodes, B = 1-5 columns, the columns' graphs, and a
+    p = 1 set on them: on one graph (a stride-0 view, given the graph or B copies of
+    it) or deferred, one graph per column; every out filter of a layer shares its
+    stages."""
     readout = draw(st.sampled_from(READOUTS))
     cfg = SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
                      order=draw(st.integers(0, 3)),
@@ -518,11 +519,12 @@ def _intact_passes(draw):
                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
     b, rng = draw(st.integers(1, 5)), Rng(draw(st.integers(0, 2**16)))
     graphs = draw(st.lists(st.sampled_from([_GRAPH8] + _GRAPHS8), min_size=b, max_size=b))
-    base = graphs if draw(st.booleans()) else graphs[0]
-    deferred = draw(st.booleans())
-    reals = sample_architecture(base, 1.0, cfg, rng.child(3), columns=b if deferred else None)
+    if draw(st.booleans()):
+        graphs = graphs[:1] * b
+    reals = sample_architecture(graphs[0] if draw(st.booleans()) else graphs, 1.0, cfg,
+                                rng.child(3))
     x = rng.child(1).normal(size=(cfg.in_features, 8, b))
-    return init_tensor(cfg, rng.child(0), 0.6), reals, x, rng, base
+    return init_tensor(cfg, rng.child(0), 0.6), reals, x, rng, graphs
 
 
 def _intact_pass(tensor, reals, x, warm, out_grad):
@@ -540,13 +542,13 @@ def test_shared_stage_pass_matches_einsum_on_contiguous_copies(case):
     # the checked pass refills the arrays of a deferred cached pass on another input at
     # p < 1, whose einsum leaves its pre-activations in the stages' (B, N) layout (and
     # whose order-0 or single-out stages the product then reads through a copy)
-    tensor, reals, x, rng, base = case
+    tensor, reals, x, rng, graphs = case
     warm = rng.child(4).normal(size=x.shape)
     out_grad = rng.child(2).normal(size=forward(tensor, reals, x, return_cache=False)[0].shape)
     passes = []
     for contract, tap_gradient in ((model._contract_taps, training._tap_gradient),
                                    (_einsum_taps, _einsum_tap_gradient)):
-        warm_set = sample_architecture(base, 0.7, tensor.cfg, rng.child(5), columns=x.shape[2])
+        warm_set = sample_architecture(graphs, 0.7, tensor.cfg, rng.child(5))
         with mock.patch.object(model, "_contract_taps", contract), \
              mock.patch.object(training, "_tap_gradient", tap_gradient):
             passes.append(_intact_pass(tensor, reals, x, (warm_set, warm), out_grad))
@@ -637,12 +639,12 @@ class TestTrain:
         reals = sample_architecture(base, 1.0, cfg, rng.child(2))
         targets = np.stack([forward(generator, reals, inputs[i][..., None],
                                     return_cache=False)[0][..., 0] for i in range(64)])
-        return base, cfg, TrainingSet(inputs, targets)
+        return cfg, TrainingSet(inputs, targets, base)
 
     def test_recovers_generating_filter(self):
-        base, cfg, train_set = self._reachable_task()
+        cfg, train_set = self._reachable_task()
         tensor0 = init_tensor(cfg, Rng(7), 0.5)
-        trace = train(tensor0, base, train_set,
+        trace = train(tensor0, train_set,
                       TrainConfig(iterations=300, batch_size=32, lr=0.1,
                                   optimizer="sgd", link_p=1.0, seed=3, loss="mse"))
         assert trace.costs[-1] <= 1e-6
@@ -656,8 +658,8 @@ class TestTrain:
         labels = Rng(2).integers(0, 2, 40)
         tcfg = TrainConfig(iterations=60, batch_size=16, lr=1e-3, optimizer="adam",
                            link_p=0.7, seed=11, loss="cross_entropy")
-        a = train(tensor0, base8, TrainingSet(inputs, labels), tcfg)
-        b = train(tensor0, base8, TrainingSet(inputs, labels), tcfg)
+        a = train(tensor0, TrainingSet(inputs, labels, base8), tcfg)
+        b = train(tensor0, TrainingSet(inputs, labels, base8), tcfg)
         assert np.array_equal(a.costs, b.costs)
         assert np.array_equal(a.grad_norms, b.grad_norms)
         assert np.array_equal(a.tensor.flatten(), b.tensor.flatten())
@@ -667,7 +669,7 @@ class TestTrain:
         tensor0 = init_tensor(cfg, Rng(0), 0.5)
         inputs = Rng(1).normal(size=(10, 1, 8))
         targets = Rng(2).normal(size=(10, 1, 8))
-        trace = train(tensor0, base8, TrainingSet(inputs, targets),
+        trace = train(tensor0, TrainingSet(inputs, targets, base8),
                       TrainConfig(iterations=20, batch_size=10, lr=0.0,
                                   optimizer="sgd", link_p=1.0, seed=0))
         assert np.array_equal(trace.tensor.flatten(), tensor0.flatten())
@@ -681,7 +683,7 @@ class TestTrain:
         inputs = 10.0 * np.abs(Rng(1).normal(size=(10, 1, 8)))
         targets = Rng(2).normal(size=(10, 1, 8))
         with pytest.raises(DivergenceError):
-            train(tensor0, base8, TrainingSet(inputs, targets),
+            train(tensor0, TrainingSet(inputs, targets, base8),
                   TrainConfig(iterations=400, batch_size=10, lr=1e4,
                               optimizer="sgd", link_p=1.0, seed=0))
 
@@ -697,7 +699,7 @@ class TestTrain:
         inputs = input_scale * np.abs(Rng(1).normal(size=(10, 1, 8)))
         targets = Rng(2).normal(size=(10, 1, 8))
         with pytest.raises(DivergenceError, match="at iteration"):
-            train(init_tensor(cfg, Rng(0), 2.0), base, TrainingSet(inputs, targets),
+            train(init_tensor(cfg, Rng(0), 2.0), TrainingSet(inputs, targets, base),
                   TrainConfig(iterations=iterations, batch_size=10, lr=lr,
                               optimizer="sgd", link_p=1.0, seed=0))
 
@@ -721,8 +723,8 @@ class TestTrain:
         graphs = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(50).child(c)), NORMALIZED_ADJACENCY)
                   for c in range(12)]
         data = TrainingSet(Rng(1).normal(size=(12, 1, 8)), Rng(2).integers(0, 2, 12),
-                           bases=graphs if per_sample else None)
-        train(init_tensor(cfg, Rng(0), 0.5), None if per_sample else graphs[0], data,
+                           graphs if per_sample else graphs[0])
+        train(init_tensor(cfg, Rng(0), 0.5), data,
               TrainConfig(iterations=5, batch_size=4, lr=1e-2, link_p=p, seed=3,
                           loss="cross_entropy"))
         assert len(pointers) == 5  # one pass per step
@@ -734,7 +736,7 @@ class TestTrain:
         before = tensor0.flatten().copy()
         inputs = Rng(1).normal(size=(10, 1, 8))
         targets = Rng(2).normal(size=(10, 1, 8))
-        train(tensor0, base8, TrainingSet(inputs, targets),
+        train(tensor0, TrainingSet(inputs, targets, base8),
               TrainConfig(iterations=10, batch_size=5, lr=0.1, optimizer="sgd",
                           link_p=0.9, seed=1))
         assert np.array_equal(tensor0.flatten(), before)
@@ -744,7 +746,7 @@ class TestTrain:
         tensor0 = init_tensor(cfg, Rng(0), 0.5)
         inputs = Rng(1).normal(size=(8, 1, 8))
         targets = Rng(2).normal(size=(8, 1, 8))
-        trace = train(tensor0, base8, TrainingSet(inputs, targets),
+        trace = train(tensor0, TrainingSet(inputs, targets, base8),
                       TrainConfig(iterations=5, batch_size=4, lr=0.01,
                                   optimizer="sgd", link_p=1.0, seed=0))
         path = tmp_path / "trace.csv"
@@ -784,7 +786,7 @@ class TestSchedules:
         tensor0 = init_tensor(cfg, Rng(0), 0.5)
         inputs = Rng(1).normal(size=(8, 1, 8))
         targets = Rng(2).normal(size=(8, 1, 8))
-        trace = train(tensor0, base8, TrainingSet(inputs, targets),
+        trace = train(tensor0, TrainingSet(inputs, targets, base8),
                       TrainConfig(iterations=9, batch_size=8, lr=0.3,
                                   schedule="invsqrt", optimizer="sgd", link_p=1.0, seed=0))
         assert trace.lrs[0] == pytest.approx(0.3)
@@ -797,7 +799,7 @@ class TestSchedules:
         tensor0 = init_tensor(cfg, Rng(0), 0.5)
         inputs = Rng(1).normal(size=(30, 1, 8))
         labels = Rng(2).integers(0, 2, 30)
-        trace = train(tensor0, base8, TrainingSet(inputs, labels),
+        trace = train(tensor0, TrainingSet(inputs, labels, base8),
                       TrainConfig(iterations=25, batch_size=30, lr=123.0,
                                   schedule="horizon", optimizer="sgd", link_p=0.9,
                                   seed=4, loss="cross_entropy"))
@@ -830,11 +832,11 @@ class TestPerSampleBases:
         else:
             width = 2 if readout == "none" else 3
             targets = Rng(43).normal(size=(3, width, 6))
-        data = TrainingSet(inputs, targets, bases=graphs)
+        data = TrainingSet(inputs, targets, graphs)
         idx = np.array([2, 0, 1])
 
         step_rng = Rng(44)
-        cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 0.7, loss, step_rng)
+        cost, grad, _ = _cost_and_grad(tensor, data, idx, 0.7, loss, step_rng)
         rng = Rng(44)
         costs, grads = [], []
         def target(i):  # the target of sample i run as a batch of one
@@ -852,7 +854,7 @@ class TestPerSampleBases:
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max()
 
         full_rng = Rng(45)
-        full = _full_cost(tensor, None, data, 0.7, loss, full_rng)
+        full = _full_cost(tensor, data, 0.7, loss, full_rng)
         rng = Rng(45)
         want = sum(_loss_pair(loss, forward(tensor, sample_architecture(graphs[i], 0.7, cfg, rng),
                                             inputs[i][..., None], return_cache=False)[0],
@@ -912,7 +914,7 @@ def _per_sample_problems(draw, snapshots=None):
         width = cfg.out_features if readout == "none" else cfg.readout_dim
         targets = rng.child(2).normal(size=(len(graphs), width, 6)[:2 if readout == "pooled" else 3])
     idx = np.array(draw(st.permutations(range(len(graphs))))[:draw(st.integers(1, len(graphs)))])
-    return init_tensor(cfg, rng.child(0), 0.6), TrainingSet(inputs, targets, bases=graphs), idx, loss
+    return init_tensor(cfg, rng.child(0), 0.6), TrainingSet(inputs, targets, graphs), idx, loss
 
 
 def _per_sample_loop(tensor, data, idx, loss, p=1.0, rng=None):
@@ -923,7 +925,7 @@ def _per_sample_loop(tensor, data, idx, loss, p=1.0, rng=None):
     rng = Rng(0) if rng is None else rng
     costs, grads = [], []
     for i in idx:
-        reals = sample_architecture(data.bases[i], p, tensor.cfg, rng)
+        reals = sample_architecture(data.graphs[i], p, tensor.cfg, rng)
         out, cache = forward(tensor, reals, data.inputs[i][..., None])
         y = data.targets[i:i + 1] if loss == "cross_entropy" else data.targets[i][..., None]
         c, dout = _loss_pair(loss, out, y)
@@ -938,11 +940,11 @@ def test_one_pass_intact_step_matches_the_per_sample_loop(problem):
     # summation order differs (one mean over the batch, one contraction over columns),
     # so the two agree to roundoff, not bit for bit
     tensor, data, idx, loss = problem
-    cost, grad, _ = _cost_and_grad(tensor, None, data, idx, 1.0, loss, Rng(1))
+    cost, grad, _ = _cost_and_grad(tensor, data, idx, 1.0, loss, Rng(1))
     want_cost, want_grad = _per_sample_loop(tensor, data, idx, loss)
     assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
     assert np.abs(grad - want_grad).max(initial=0.0) <= 1e-12 * np.abs(want_grad).max(initial=0.0)
-    full = _full_cost(tensor, None, data, 1.0, loss, Rng(1))
+    full = _full_cost(tensor, data, 1.0, loss, Rng(1))
     want_full, _ = _per_sample_loop(tensor, data, np.arange(len(data)), loss)
     assert abs(full - want_full) <= 1e-12 * abs(want_full)
 
@@ -955,13 +957,13 @@ def test_fresh_set_step_matches_the_per_sample_loop(problem, p):
     # both leave the stream at the same position
     tensor, data, idx, loss = problem
     rng, loop_rng = Rng(3), Rng(3)
-    cost, grad, _ = _cost_and_grad(tensor, None, data, idx, p, loss, rng)
+    cost, grad, _ = _cost_and_grad(tensor, data, idx, p, loss, rng)
     want_cost, want_grad = _per_sample_loop(tensor, data, idx, loss, p, loop_rng)
     assert _state(rng) == _state(loop_rng)
     assert abs(cost - want_cost) <= 1e-12 * abs(want_cost)
     assert np.abs(grad - want_grad).max(initial=0.0) <= 1e-12 * np.abs(want_grad).max(initial=0.0)
     rng, loop_rng = Rng(4), Rng(4)
-    full = _full_cost(tensor, None, data, p, loss, rng)
+    full = _full_cost(tensor, data, p, loss, rng)
     want_full, _ = _per_sample_loop(tensor, data, np.arange(len(data)), loss, p, loop_rng)
     assert _state(rng) == _state(loop_rng)
     assert abs(full - want_full) <= 1e-12 * abs(want_full)
@@ -1059,8 +1061,8 @@ def test_per_sample_bases_run_one_pass_per_step(monkeypatch, p):
     cfg = SgnnConfig(layers=1, features=3, order=2, in_features=2, out_features=3,
                      readout="per_node", readout_dim=2)
     data = TrainingSet(Rng(71).normal(size=(10, 2, 6)), Rng(72).normal(size=(10, 2, 6)),
-                       bases=graphs)
-    train(init_tensor(cfg, Rng(73), 0.5), None, data,
+                       graphs)
+    train(init_tensor(cfg, Rng(73), 0.5), data,
           TrainConfig(iterations=3, batch_size=4, link_p=p, seed=0))
     assert calls == {"forward": 3, "backward": 3}
 
@@ -1069,38 +1071,38 @@ class TestEstimators:
     def test_grad_bound_zero_for_zero_problem(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor = FilterTensor.from_flat(cfg, np.zeros(cfg.num_params))
-        data = TrainingSet(np.zeros((6, 1, 8)), np.zeros((6, 1, 8)))
-        assert estimate_grad_bound(tensor, base8, data, 0.5, 4, Rng(0)) == 0.0
+        data = TrainingSet(np.zeros((6, 1, 8)), np.zeros((6, 1, 8)), base8)
+        assert estimate_grad_bound(tensor, data, 0.5, 4, Rng(0)) == 0.0
 
     def test_grad_bound_reproducible(self, base8):
         cfg = SgnnConfig(layers=1, features=2, order=2, out_features=2)
         tensor = init_tensor(cfg, Rng(1), 0.4)
-        data = TrainingSet(Rng(2).normal(size=(12, 1, 8)), Rng(3).normal(size=(12, 2, 8)))
-        a = estimate_grad_bound(tensor, base8, data, 0.6, 6, Rng(9))
-        b = estimate_grad_bound(tensor, base8, data, 0.6, 6, Rng(9))
+        data = TrainingSet(Rng(2).normal(size=(12, 1, 8)), Rng(3).normal(size=(12, 2, 8)), base8)
+        a = estimate_grad_bound(tensor, data, 0.6, 6, Rng(9))
+        b = estimate_grad_bound(tensor, data, 0.6, 6, Rng(9))
         assert a == b
 
     def test_grad_bound_dominates_fresh_draws(self, base8):
         cfg = SgnnConfig(layers=1, features=2, order=2, out_features=2)
         tensor = init_tensor(cfg, Rng(1), 0.4)
-        data = TrainingSet(Rng(2).normal(size=(12, 1, 8)), Rng(3).normal(size=(12, 2, 8)))
-        bound = estimate_grad_bound(tensor, base8, data, 0.6, 20, Rng(10))
+        data = TrainingSet(Rng(2).normal(size=(12, 1, 8)), Rng(3).normal(size=(12, 2, 8)), base8)
+        bound = estimate_grad_bound(tensor, data, 0.6, 20, Rng(10))
         rng = Rng(11)
         idx = np.arange(len(data))
         exceed = 0
         trials = 1000
         for _ in range(trials):
-            _, grad, _ = _cost_and_grad(tensor, base8, data, idx, 0.6, "mse", rng)
+            _, grad, _ = _cost_and_grad(tensor, data, idx, 0.6, "mse", rng)
             exceed += float(np.linalg.norm(grad)) > bound
         assert exceed / trials <= 0.05
 
     def test_cost_gap_positive_and_reproducible(self, base8):
         cfg = SgnnConfig(layers=1, features=2, order=1, out_features=2)
         tensor = init_tensor(cfg, Rng(1), 0.4)
-        data = TrainingSet(Rng(2).normal(size=(10, 1, 8)), Rng(3).normal(size=(10, 2, 8)))
-        a = estimate_cost_gap(tensor, base8, data, 0.8, 12, Rng(4))
+        data = TrainingSet(Rng(2).normal(size=(10, 1, 8)), Rng(3).normal(size=(10, 2, 8)), base8)
+        a = estimate_cost_gap(tensor, data, 0.8, 12, Rng(4))
         assert a > 0
-        assert a == estimate_cost_gap(tensor, base8, data, 0.8, 12, Rng(4))
+        assert a == estimate_cost_gap(tensor, data, 0.8, 12, Rng(4))
 
     @pytest.mark.parametrize("estimate", [estimate_cost_gap, estimate_grad_bound])
     @pytest.mark.parametrize("n_samples", [0, -1])
@@ -1108,16 +1110,16 @@ class TestEstimators:
         # 0 draws once divided by zero (cost gap) or gave a zero bound, which
         # the horizon schedule turned into a step of ~1e11
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)))
+        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)), base8)
         with pytest.raises(ConfigError, match=f"n_samples must be >= 1, got {n_samples}"):
-            estimate(init_tensor(cfg, Rng(1), 0.4), base8, data, 0.8, n_samples, Rng(4))
+            estimate(init_tensor(cfg, Rng(1), 0.4), data, 0.8, n_samples, Rng(4))
 
     @pytest.mark.parametrize("estimate", [estimate_cost_gap, estimate_grad_bound])
     def test_unknown_loss_rejected(self, base8, estimate):
         cfg = SgnnConfig(layers=1, features=1, order=1)
-        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)))
+        data = TrainingSet(Rng(2).normal(size=(4, 1, 8)), Rng(3).normal(size=(4, 1, 8)), base8)
         with pytest.raises(ConfigError, match=r"'xent'.*'mse', 'cross_entropy'"):
-            estimate(init_tensor(cfg, Rng(1), 0.4), base8, data, 0.8, 2, Rng(4), loss="xent")
+            estimate(init_tensor(cfg, Rng(1), 0.4), data, 0.8, 2, Rng(4), loss="xent")
 
     def test_central_differences_rejects_an_unknown_loss(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
@@ -1142,8 +1144,8 @@ class TestConvergenceMetric:
     def test_accepts_train_trace(self, base8):
         cfg = SgnnConfig(layers=1, features=1, order=1)
         tensor0 = init_tensor(cfg, Rng(0), 0.5)
-        data = TrainingSet(Rng(1).normal(size=(8, 1, 8)), Rng(2).normal(size=(8, 1, 8)))
-        trace = train(tensor0, base8, data,
+        data = TrainingSet(Rng(1).normal(size=(8, 1, 8)), Rng(2).normal(size=(8, 1, 8)), base8)
+        trace = train(tensor0, data,
                       TrainConfig(iterations=30, batch_size=8, lr=0.05,
                                   optimizer="sgd", link_p=0.8, seed=2))
         running = convergence_metric(trace)
@@ -1169,12 +1171,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="lr must be finite and >= 0"):
             TrainConfig(iterations=1, batch_size=1, lr=lr)
 
-    # a base of another size once failed only mid-training, inside forward
-    def test_per_sample_base_of_another_size_rejected(self, random8, k3):
-        with pytest.raises(ConfigError, match="per-sample base 1 has 3 nodes, the inputs 8"):
-            TrainingSet(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), bases=[random8, k3])
+    # a graph of another size once failed only mid-training, inside forward
+    def test_per_sample_graph_of_another_size_rejected(self, random8, k3):
+        with pytest.raises(ConfigError, match="graph 1 has 3 nodes, the inputs 8"):
+            TrainingSet(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), [random8, k3])
+
+    # a shared graph of another size was once not checked against the inputs at all
+    def test_shared_graph_of_another_size_rejected(self, k3):
+        with pytest.raises(ConfigError, match="shared graph has 3 nodes, the inputs 8"):
+            TrainingSet(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), k3)
+
+    def test_per_sample_graph_count_must_match_the_samples(self, random8):
+        with pytest.raises(ConfigError, match="per-sample graphs must match the sample count"):
+            TrainingSet(np.zeros((2, 1, 8)), np.zeros((2, 1, 8)), [random8] * 3)
 
     def test_empty_training_set(self, base8):
-        cfg = SgnnConfig(layers=1, features=1, order=1)
         with pytest.raises(ConfigError):
-            TrainingSet(np.zeros((0, 1, 8)), np.zeros((0, 1, 8)))
+            TrainingSet(np.zeros((0, 1, 8)), np.zeros((0, 1, 8)), base8)
