@@ -25,6 +25,7 @@ from .graphs import (
     ShiftOperator,
     build_disc_graph,
     build_sbm,
+    check_edge_probability,
     expected_shift,
     expected_shift_square,
     load_edge_list,
@@ -60,6 +61,7 @@ from .model import (
     FilterTensor,
     SgnnConfig,
     apply_nonlinearity,
+    backward,
     forward,
     forward_expected,
     init_tensor,
@@ -71,7 +73,6 @@ from .training import (
     TrainConfig,
     TrainingSet,
     TrainTrace,
-    backward,
     convergence_metric,
     convergence_step_size,
     estimate_cost_gap,

@@ -49,9 +49,10 @@ from .graphs import (
     expected_shift_square,
     to_shift,
 )
-from .model import SgnnConfig, forward, init_tensor, sample_architecture, save_checkpoint
+from .model import (SgnnConfig, backward, forward, init_tensor, sample_architecture,
+                    save_checkpoint)
 from .rng import Rng
-from .training import (TrainConfig, TrainingSet, _loss_pair, backward, central_differences,
+from .training import (TrainConfig, TrainingSet, _loss_pair, central_differences,
                        convergence_metric, gradient_rel_error, train)
 
 EXIT_OK = 0

@@ -29,6 +29,7 @@ from ..graphs import (
     NORMALIZED_ADJACENCY,
     ShiftOperator,
     build_disc_graph,
+    check_edge_probability,
     sample_realization,
     to_shift,
 )
@@ -95,8 +96,7 @@ class FlockingConfig:
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty; give at least one value")
         for p in (self.train_p, *self.test_p):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"edge probability p={p} outside [0, 1]")
+            check_edge_probability(p)
 
     @property
     def init_radius(self) -> float:

@@ -22,7 +22,8 @@ import numpy as np
 from .. import common
 from ..errors import ConfigError
 from ..filters import diffusion_stages
-from ..graphs import NORMALIZED_ADJACENCY, ShiftOperator, build_sbm, to_shift
+from ..graphs import (NORMALIZED_ADJACENCY, ShiftOperator, build_sbm, check_edge_probability,
+                      to_shift)
 from ..model import SgnnConfig, forward, init_tensor, sample_architecture
 from ..rng import Rng
 from ..training import TrainConfig, TrainingSet, train
@@ -84,8 +85,7 @@ class SourceLocConfig:
             if not getattr(self, name):
                 raise ConfigError(f"{name} is empty; give at least one value")
         for p in (self.train_p, *self.test_p):
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"edge probability p={p} outside [0, 1]")
+            check_edge_probability(p)
 
     def model_config(self) -> SgnnConfig:
         return SgnnConfig(

@@ -190,6 +190,12 @@ def _realized_mats(base: ShiftOperator, keep: np.ndarray,
     return mats
 
 
+def check_edge_probability(p: float) -> None:
+    """Raise ``ConfigError`` unless the edge probability ``p`` lies in [0, 1] (NaN does not)."""
+    if not 0.0 <= p <= 1.0:
+        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+
+
 def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> np.ndarray:
     """Draw ``count`` independent realized shifts as a (count, N, N) array.
 
@@ -199,8 +205,7 @@ def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> 
     ``base.mat`` (stride 0 along ``count``) and nothing is drawn.
     Callers never write into a realization.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     if count < 0:
         raise ValueError(f"realization count must be >= 0, got {count}")
     if p == 1.0:
@@ -219,8 +224,7 @@ def expected_shift(base: ShiftOperator, p: float) -> np.ndarray:
     """Mean realized shift, ``p * S`` for every supported kind (both the
     masked adjacency and the Laplacian of the surviving edges are linear in
     the mask)."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     return p * base.mat
 
 
@@ -231,8 +235,7 @@ def expected_shift_square(base: ShiftOperator, p: float) -> np.ndarray:
     Adjacency: ``(p S)^2 + p (1-p) diag(W2 1)``.
     Laplacian: ``(p S)^2 + 2 p (1-p) L(W2)``, ``L(W2)`` the Laplacian of ``W2``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     sbar = p * base.mat
     w2 = (base.mat - np.diag(np.diag(base.mat))) ** 2
     if base.kind == ADJACENCY:

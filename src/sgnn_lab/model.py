@@ -1,4 +1,5 @@
-"""Layered stochastic graph neural network.
+"""Layered stochastic graph neural network: the forward pass, its cache, and the
+exact gradient through it.
 
 The network is a stack of stochastic graph filter banks with a pointwise
 nonlinearity after every layer.  Layer 1 maps the input features to the
@@ -10,15 +11,8 @@ of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts,
 shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
-takes a deferred set, :class:`DeferredSets`, and ``forward`` chooses how to run it.
-At p = 1 every set is its graph: each stage is one stacked product of the columns'
-graphs with their signals.  Below p = 1 the pass runs layer by layer: column b's set
-is drawn and built in one buffer per layer that every column refills, and diffuses
-column b into the batch's stages; a forward-only pass does so on chunks of columns,
-which bounds its stage arrays.  The head runs once over the batch.
-Each layer contracts its taps with its stages: when every out filter shares the
-stages (an intact set, or order 0) in one matrix product over a view of them, else
-in einsum.
+takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one,
+and :func:`_contract_taps` how a layer contracts its taps with its stages.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -34,8 +28,9 @@ the trailing block of the vector and train jointly:
   regression of per-node quantities such as accelerations).
 
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
-diffusion stage and pre-activation because the training module backpropagates
-through them; Monte-Carlo sweeps pass ``return_cache=False``, which builds no cache.
+diffusion stage and pre-activation, through which ``backward`` propagates the
+cost gradient with the sampled shifts held constant; Monte-Carlo sweeps pass
+``return_cache=False``, which builds no cache.
 A training loop hands each ``forward`` the previous step's cache, whose arrays
 the new pass refills in place when their shapes match, so steady-state steps
 allocate no stage, pre-activation or activation arrays.  ``forward`` computes
@@ -45,15 +40,17 @@ cached pre-activations.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, StaleCacheError
 from .filters import diffusion_stages
-from .graphs import KINDS, ShiftOperator, _realized_mats, expected_shift, sample_realizations
+from .graphs import (KINDS, ShiftOperator, _realized_mats, check_edge_probability, expected_shift,
+                     sample_realizations)
 from .rng import Rng
 
 NONLINEARITIES = ("relu", "abs", "tanh")
@@ -72,8 +69,7 @@ class DeferredSets(NamedTuple):
     column b's on ``graphs[b]``: :func:`forward` draws them from ``rng``, column b's
     set exactly as the b-th of B :func:`sample_architecture` calls on its graph would
     (a second pass on the same object draws the next B sets).  At p = 1 every set is
-    its graph and nothing is drawn: :func:`sample_architecture` makes one only for
-    graphs that are not all one object, one graph giving the shared set."""
+    its graph and nothing is drawn."""
 
     graphs: tuple[ShiftOperator, ...]
     p: float
@@ -146,21 +142,25 @@ class SgnnConfig:
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         """(out, in) feature counts per layer."""
-        shapes = []
-        for layer in range(1, self.layers + 1):
-            in_d = self.in_features if layer == 1 else self.features
-            out_d = self.out_features if layer == self.layers else self.features
-            shapes.append((out_d, in_d))
-        return shapes
+        widths = [self.in_features] + [self.features] * (self.layers - 1) + [self.out_features]
+        return list(zip(widths[1:], widths[:-1]))
+
+    def _filter_count(self) -> int:
+        """``sum(out * in)`` over :meth:`layer_shapes` in closed form: checking a
+        checkpoint header's layer count costs nothing."""
+        if self.layers == 1:
+            return self.out_features * self.in_features
+        return self.features * (self.in_features + (self.layers - 2) * self.features
+                                + self.out_features)
 
     @property
     def num_shift_samples(self) -> int:
         """P, the number of sampled shifts fixing one forward pass."""
-        return self.order * sum(o * i for o, i in self.layer_shapes())
+        return self.order * self._filter_count()
 
     @property
     def num_params(self) -> int:
-        taps = (self.order + 1) * sum(o * i for o, i in self.layer_shapes())
+        taps = (self.order + 1) * self._filter_count()
         if self.readout != "none":
             taps += self.readout_dim * (self.out_features + 1)
         return taps
@@ -236,8 +236,7 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     shared set above: every column's set is that graph.  A bad ``p`` raises
     ``ConfigError``; graphs that are none or of mixed node counts, ``ValueError``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     if not isinstance(base, ShiftOperator):
         graphs = tuple(base)
         if len({g.n for g in graphs}) != 1:
@@ -266,14 +265,13 @@ class ForwardCache:
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
-    pooled_floored: np.ndarray | None = None    # (B,) True where the floor replaced the std
     pooled_hat: np.ndarray | None = None    # standardized pooled features
 
     def release(self) -> None:
         """Drop all but the arrays a later pass refills (``backward`` then
         rejects the cache), so that a loop holding it keeps no more alive."""
         self.reals = self.x = self.keeps = None
-        self.pooled_std = self.pooled_floored = self.pooled_hat = None
+        self.pooled_std = self.pooled_hat = None
 
     def _take(self) -> list:
         """Hand the stage, pre-activation and activation arrays over to a new pass,
@@ -305,7 +303,6 @@ def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | N
         hat = centered / std
         if cache is not None:
             cache.pooled_std, cache.pooled_hat = std, hat
-            cache.pooled_floored = raw_std <= _STD_FLOOR
         return tensor.head_weight @ hat + tensor.head_bias[:, None]
     out = np.einsum("df,fnb->dnb", tensor.head_weight, core)
     return out + tensor.head_bias[:, None, None]
@@ -378,15 +375,12 @@ def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
             cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
-    batch ``x`` and return the last activation.  On a :class:`DeferredSets` at p = 1
-    each stage is one stacked product of the columns' graphs (B, N, N) with the
-    signals viewed as (in, B, N, 1); below p = 1 each layer builds column b's shifts in
-    one buffer that every column refills and diffuses column b.
-    Layer 0 draws column b's keeps for every layer when it reaches column b (the order
-    of B single-set draws; None at p = 1) and appends them to the empty list ``keeps``,
-    its own replaced by None once built.  Each array of ``spare`` (per layer a
-    (stages, u, act) triple of an earlier pass) whose shape matches is refilled in
-    place; each layer's arrays are appended to ``cache`` when one is given."""
+    batch ``x`` and return the last activation, a :class:`DeferredSets` as
+    :func:`forward` runs one.  Layer 0 appends column b's keeps for every layer to
+    the empty list ``keeps`` (None at p = 1), its own replaced by None once built.
+    Each array of ``spare`` (per layer a (stages, u, act) triple of an earlier pass)
+    whose shape matches is refilled in place; each layer's arrays are appended to
+    ``cache`` when one is given."""
     cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
     shapes = [(o, i, k, n, n) for o, i in cfg.layer_shapes()]
@@ -496,6 +490,80 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     return _apply_head(tensor, _layers(tensor, reals, x, spare, cache, keeps), cache), cache
 
 
+def _adjoint(coeffs: np.ndarray, mats: np.ndarray, delta_u: np.ndarray) -> np.ndarray:
+    """The layer input's gradient ``sum_k h_k (S_1 ... S_k)^T delta_u`` summed over the
+    out features, accumulated backwards, for shifts (out, in, K, N, N)."""
+    acc = coeffs[:, :, -1, None, None] * delta_u[:, None]
+    for k in range(coeffs.shape[2] - 2, -1, -1):
+        # realized shifts are symmetric, but transpose anyway for clarity
+        acc = mats[:, :, k].swapaxes(2, 3) @ acc
+        acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
+    return acc.sum(axis=0)                                      # (in, N, B)
+
+
+def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCache,
+             out_grad: np.ndarray) -> np.ndarray:
+    """Exact gradient of the cached forward pass w.r.t. every coefficient,
+    treating the sampled shifts as constants, as one flat vector in the
+    order of ``tensor.flatten()`` (laid out by :func:`split_params`).  On a
+    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.
+
+    ``out_grad`` is the cost gradient w.r.t. the forward output, in its
+    shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
+    the cache does not belong to ``(tensor, reals)``.
+    """
+    cfg = tensor.cfg
+    if cache.tensor is not tensor or cache.reals is not reals:
+        raise StaleCacheError("cache was produced by a different tensor or realization set")
+    if len(cache.stages) != cfg.layers:
+        raise StaleCacheError("cache holds no forward pass (return_cache=False, or a later "
+                              "forward took it over)")
+    g = np.asarray(out_grad, dtype=float)
+    act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
+    want = act if cfg.readout == "none" else (cfg.readout_dim, *act[1 + (cfg.readout == "pooled"):])
+    if g.shape != want:
+        raise ValueError(f"out_grad has shape {g.shape}, the forward output {want}")
+    n = act[1]
+
+    grad = np.zeros(cfg.num_params)
+    layer_grads, head_w_grad, head_b_grad = split_params(cfg, grad)
+    if cfg.readout == "none":
+        d_act = g
+    elif cfg.readout == "pooled":
+        head_w_grad[...] = g @ cache.pooled_hat.T
+        head_b_grad[...] = g.sum(axis=1)
+        d_hat = tensor.head_weight.T @ g
+        # through the feature standardization:
+        # d pooled = (d_hat - mean(d_hat) - hat * mean(d_hat * hat)) / std,
+        # without the last term where the std is floored, hence constant
+        hat, std = cache.pooled_hat, cache.pooled_std
+        d_pooled = (d_hat - d_hat.mean(axis=0)
+                    - np.where(std == _STD_FLOOR, 0.0, hat * (d_hat * hat).mean(axis=0))) / std
+        d_act = np.broadcast_to(d_pooled[:, None, :] / n, cache.activations[-1].shape)
+    else:  # per_node
+        head_w_grad[...] = np.einsum("dnb,fnb->df", g, cache.activations[-1])
+        head_b_grad[...] = g.sum(axis=(1, 2))
+        d_act = np.einsum("df,dnb->fnb", tensor.head_weight, g)
+
+    for layer_idx in range(cfg.layers - 1, -1, -1):
+        delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
+        # stages are (K+1, out or 1, in, N, B); a size-1 out axis takes the transposed
+        # matrix product of the forward contraction
+        layer_grads[layer_idx][...] = _tap_gradient(delta_u, cache.stages[layer_idx])
+        if layer_idx == 0:
+            break
+        coeffs = tensor.layers[layer_idx]
+        if not isinstance(reals, DeferredSets):
+            d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
+            continue
+        shape = (*coeffs.shape[:2], cfg.order, n, n)
+        buf, d_act = np.zeros((np.prod(shape[:3]), n, n)), np.empty((shape[1], n, act[2]))
+        for col in range(act[2]):
+            mats = _column_set(reals, col, cache.keeps[col][layer_idx], buf, shape)
+            d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
+    return grad
+
+
 def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.ndarray) -> np.ndarray:
     """Forward pass with every stochastic filter replaced by its
     deterministic counterpart on the mean shift ``p * S`` (batched as :func:`forward`).
@@ -567,10 +635,12 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
                 raise ValueError(f"unknown shift kind {kind!r}")
         except ValueError as exc:
             raise ValueError(f"checkpoint header in {path} is malformed: {exc!r}") from exc
-        head, taps = fh.read(8), fh.read(cfg.num_params * 8)
+        head = fh.read(8)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()  # checked before a read the header sizes
         if (len(head) != 8 or struct.unpack("<q", head)[0] != cfg.num_params
-                or len(taps) != cfg.num_params * 8):
+                or left < cfg.num_params * 8):
             raise ValueError(f"checkpoint in {path} is truncated or inconsistent")
+        taps = fh.read(cfg.num_params * 8)
         if fh.read(1):
             raise ValueError(f"checkpoint in {path} has trailing bytes after the tap array")
     flat = np.frombuffer(taps, dtype="<f8")

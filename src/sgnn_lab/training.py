@@ -1,13 +1,14 @@
-"""Losses, exact gradients through a fixed realization set, and the
-stochastic-gradient training loop.
+"""Losses, the stochastic-gradient training loop, and the estimators of its
+step size.
 
 Each training iteration fixes a fresh architecture realization (one sampled
 shift per diffusion step of every filter), computes the batch cost on that
-fixed realization, backpropagates treating the sampled shifts as constants,
-and updates the filter tensor with SGD or Adam.  Fixing the realization and
-then differentiating the cost is the same thing as sampling a random cost
-function and differentiating it, so the loop is plain SGD on the expected
-cost; there is deliberately a single implementation of the step.
+fixed realization, backpropagates treating the sampled shifts as constants
+(:func:`sgnn_lab.model.backward`, bound here too), and updates the filter
+tensor with SGD or Adam.  Fixing the realization and then differentiating the
+cost is the same thing as sampling a random cost function and differentiating
+it, so the loop is plain SGD on the expected cost; there is deliberately a
+single implementation of the step.
 
 Step-size schedules: a constant rate, an inverse-square-root decay, and a
 constant rate matched to the training horizon,
@@ -29,20 +30,10 @@ from typing import Sequence
 import numpy as np
 
 from . import common
-from .errors import ConfigError, DivergenceError, StaleCacheError
+from .errors import ConfigError, DivergenceError
 from .graphs import ShiftOperator
-from .model import (
-    DeferredSets,
-    FilterTensor,
-    ForwardCache,
-    Reals,
-    _column_set,
-    _slope,
-    _tap_gradient,
-    forward,
-    sample_architecture,
-    split_params,
-)
+from .model import (DeferredSets, FilterTensor, ForwardCache, Reals, backward, forward,
+                    sample_architecture)
 from .rng import Rng
 
 LOSSES = ("mse", "cross_entropy")
@@ -89,86 +80,6 @@ def _cross_entropy(logits, labels) -> tuple[float, np.ndarray]:
     grad = expd / total
     grad[labels, cols] -= 1.0
     return cost, grad / logits.shape[1]
-
-
-# ---------------------------------------------------------------------------
-# Reverse mode through the fixed realization set.
-
-
-def _adjoint(coeffs: np.ndarray, mats: np.ndarray, delta_u: np.ndarray) -> np.ndarray:
-    """The layer input's gradient ``sum_k h_k (S_1 ... S_k)^T delta_u`` summed over the
-    out features, accumulated backwards, for shifts (out, in, K, N, N)."""
-    acc = coeffs[:, :, -1, None, None] * delta_u[:, None]
-    for k in range(coeffs.shape[2] - 2, -1, -1):
-        # realized shifts are symmetric, but transpose anyway for clarity
-        acc = mats[:, :, k].swapaxes(2, 3) @ acc
-        acc = acc + coeffs[:, :, k, None, None] * delta_u[:, None]
-    return acc.sum(axis=0)                                      # (in, N, B)
-
-
-def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCache,
-             out_grad: np.ndarray) -> np.ndarray:
-    """Exact gradient of the cached forward pass w.r.t. every coefficient,
-    treating the sampled shifts as constants, as one flat vector in the
-    order of ``tensor.flatten()`` (laid out by :func:`split_params`).  On a
-    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.
-
-    ``out_grad`` is the cost gradient w.r.t. the forward output, in its
-    shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
-    the cache does not belong to ``(tensor, reals)``.
-    """
-    cfg = tensor.cfg
-    if cache.tensor is not tensor or cache.reals is not reals:
-        raise StaleCacheError("cache was produced by a different tensor or realization set")
-    if len(cache.stages) != cfg.layers:
-        raise StaleCacheError("cache holds no forward pass (return_cache=False, or a later "
-                              "forward took it over)")
-    g = np.asarray(out_grad, dtype=float)
-    act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
-    want = act if cfg.readout == "none" else (cfg.readout_dim, *act[1 + (cfg.readout == "pooled"):])
-    if g.shape != want:
-        raise ValueError(f"out_grad has shape {g.shape}, the forward output {want}")
-    n = act[1]
-
-    grad = np.zeros(cfg.num_params)
-    layer_grads, head_w_grad, head_b_grad = split_params(cfg, grad)
-    if cfg.readout == "none":
-        d_act = g
-    elif cfg.readout == "pooled":
-        head_w_grad[...] = g @ cache.pooled_hat.T
-        head_b_grad[...] = g.sum(axis=1)
-        d_hat = tensor.head_weight.T @ g
-        # through the feature standardization:
-        # d pooled = (d_hat - mean(d_hat) - hat * mean(d_hat * hat)) / std,
-        # without the last term where the std is floored, hence constant
-        hat = cache.pooled_hat
-        d_pooled = (d_hat - d_hat.mean(axis=0)
-                    - np.where(cache.pooled_floored, 0.0, hat * (d_hat * hat).mean(axis=0))
-                    ) / cache.pooled_std
-        d_act = np.broadcast_to(d_pooled[:, None, :] / n, cache.activations[-1].shape)
-    else:  # per_node
-        head_w_grad[...] = np.einsum("dnb,fnb->df", g, cache.activations[-1])
-        head_b_grad[...] = g.sum(axis=(1, 2))
-        d_act = np.einsum("df,dnb->fnb", tensor.head_weight, g)
-
-    for layer_idx in range(cfg.layers - 1, -1, -1):
-        delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
-        # stages are (K+1, out or 1, in, N, B); a size-1 out axis takes the transposed
-        # matrix product of the forward contraction
-        layer_grads[layer_idx][...] = _tap_gradient(delta_u, cache.stages[layer_idx])
-        if layer_idx == 0:
-            break
-        coeffs = tensor.layers[layer_idx]
-        if not isinstance(reals, DeferredSets):
-            d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
-            continue
-        out_d, in_d = coeffs.shape[:2]
-        buf, d_act = np.zeros((out_d * in_d * cfg.order, n, n)), np.empty((in_d, n, act[2]))
-        for col in range(act[2]):
-            mats = _column_set(reals, col, cache.keeps[col][layer_idx], buf,
-                               (out_d, in_d, cfg.order, n, n))
-            d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
-    return grad
 
 
 # ---------------------------------------------------------------------------

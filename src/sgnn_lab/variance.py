@@ -41,7 +41,7 @@ import numpy as np
 from . import spectral
 from .errors import ConfigError, SizeGuardError, UnsupportedKindError
 from .graphs import (ADJACENCY, KINDS, LAPLACIAN, NORMALIZED_ADJACENCY, ShiftOperator,
-                     _realized_mats)
+                     _realized_mats, check_edge_probability)
 from .model import (
     NONLINEARITY_LIPSCHITZ,
     FilterTensor,
@@ -141,8 +141,7 @@ def enumerate_expected_shift_square(base: ShiftOperator, p: float,
     """E[S_k^2] by exact enumeration of all 2^M edge masks."""
     if base.num_edges > max_edges:
         raise SizeGuardError(f"{base.num_edges} edges exceed the enumeration guard {max_edges}")
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     keeps, mats = _mask_battery(base)
     weights = _mask_weights(keeps, p)
     return np.einsum("b,bnm->nm", weights, mats @ mats)
@@ -154,8 +153,7 @@ def exact_filter_variance(h, base: ShiftOperator, p: float, x: np.ndarray) -> fl
     the enumeration guard."""
     h = spectral._taps(h)
     x = _signal(x, base)
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     k_order = len(h) - 1
     if k_order == 0:
         return 0.0
@@ -189,8 +187,7 @@ def filter_variance_bound(h, base: ShiftOperator, p: float, x: np.ndarray,
                           constants: spectral.FilterConstants) -> float:
     """First-order variance bound of a stochastic graph filter:
     ``p (1-p) * 2 alpha M K Cg^2 * ||x||^2``."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     h = spectral._taps(h)
     x = _signal(x, base)
     k_order = len(h) - 1
@@ -202,8 +199,7 @@ def sgnn_variance_bound(cfg: SgnnConfig, base: ShiftOperator, p: float,
                         x: np.ndarray, constants: spectral.FilterConstants) -> float:
     """First-order variance bound of the network output (evaluated literally
     for every depth, including L = 1)."""
-    if not 0.0 <= p <= 1.0:
-        raise ConfigError(f"edge probability p={p} outside [0, 1]")
+    check_edge_probability(p)
     x = _signal(x, base)
     big_l, big_f = cfg.layers, cfg.features
     cu, cg, cs = (constants.response_bound, constants.response_lipschitz,

@@ -1,4 +1,6 @@
 import itertools
+import resource
+import struct
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -661,6 +663,20 @@ class TestCheckpoint:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    # the parameter count once walked a list of one shape per layer: layers=3000000
+    # took 1.5 s and 236 MB before the file's size was checked
+    def test_header_layer_count_costs_nothing_to_reject(self, tmp_path):
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"sgnn-checkpoint-v1 layers=1000000000 features=1 order=0 "
+                         b"in_features=1 out_features=1 nonlinearity=relu readout=none "
+                         b"readout_dim=0 kind=adjacency\n" + struct.pack("<q", 10**9))
+        before = resource.getrusage(resource.RUSAGE_SELF)
+        with pytest.raises(ValueError, match=r"deep\.ckpt is truncated or inconsistent"):
+            load_checkpoint(path)
+        after = resource.getrusage(resource.RUSAGE_SELF)
+        assert after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime < 0.1
+        assert after.ru_maxrss - before.ru_maxrss < 10 * 1024  # KiB
 
     def test_large_integer_fields_round_trip(self, tmp_path):
         # the hidden width of a one-layer network sizes nothing, so it can be 20 digits

@@ -256,7 +256,7 @@ class TestBackward:
         x = 1e-13 * rng.child(2).normal(size=(1, 8, 2))
         out, cache = forward(tensor, reals, x)
         assert np.array_equal(cache.pooled_std, [1e-12, 1e-12])
-        assert cache.pooled_floored.all()
+        assert (cache.pooled_std == model._STD_FLOOR).all()  # backward's floor branch
         if loss == "cross_entropy":
             y = rng.child(3).integers(0, 2, 2)
         else:
@@ -448,7 +448,7 @@ def _assert_pass_matches_contiguous_copy(tensor, reals, x, rng):
     out_grad = None
     passes = []
     with mock.patch.object(model, "_contract_taps", _einsum_taps), \
-         mock.patch.object(training, "_tap_gradient", _einsum_tap_gradient):
+         mock.patch.object(model, "_tap_gradient", _einsum_tap_gradient):
         for rs in (reals, copies):
             out, cache = forward(tensor, rs, x)
             for layer, (mats, stages) in enumerate(zip(rs, _diffusions(cache))):
@@ -546,11 +546,11 @@ def test_shared_stage_pass_matches_einsum_on_contiguous_copies(case):
     warm = rng.child(4).normal(size=x.shape)
     out_grad = rng.child(2).normal(size=forward(tensor, reals, x, return_cache=False)[0].shape)
     passes = []
-    for contract, tap_gradient in ((model._contract_taps, training._tap_gradient),
+    for contract, tap_gradient in ((model._contract_taps, model._tap_gradient),
                                    (_einsum_taps, _einsum_tap_gradient)):
         warm_set = sample_architecture(graphs, 0.7, tensor.cfg, rng.child(5))
         with mock.patch.object(model, "_contract_taps", contract), \
-             mock.patch.object(training, "_tap_gradient", tap_gradient):
+             mock.patch.object(model, "_tap_gradient", tap_gradient):
             passes.append(_intact_pass(tensor, reals, x, (warm_set, warm), out_grad))
     (out, cache, grad, cacheless), (want_out, want_cache, want_grad, want_cacheless) = passes
     _assume_conditioned(tensor.cfg, cache)
@@ -596,7 +596,7 @@ def test_backward_equals_the_value_and_slope_reference(base8, kind, readout):
     assert any((u == 0.0).any() for u in cache.pre_activations)
     out_grad = Rng(7).normal(size=out.shape)
     grad = backward(tensor, reals, cache, out_grad)
-    with mock.patch.object(training, "_slope", lambda k, u: _value_and_slope(k, u)[1]):
+    with mock.patch.object(model, "_slope", lambda k, u: _value_and_slope(k, u)[1]):
         want = backward(tensor, reals, cache, out_grad)
     assert grad.tobytes() == want.tobytes()
 

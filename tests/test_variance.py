@@ -18,11 +18,14 @@ from sgnn_lab import (
     VarianceReport,
     apply_filter,
     build_sbm,
+    check_edge_probability,
     check_nonlinearity_variance,
     enumerate_expected_shift_square,
     estimate_response_bound,
     estimate_response_lipschitz,
     exact_filter_variance,
+    expected_shift,
+    expected_shift_square,
     filter_constants,
     filter_variance_bound,
     forward,
@@ -236,6 +239,26 @@ _SHORT_SIGNAL = re.escape("signal has shape (4,), expected (6,) for 6 nodes")
 def test_malformed_bound_input_rejected(call, error, match):
     with pytest.raises(error, match=match):
         call()
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+@pytest.mark.parametrize("call", [
+    lambda p: check_edge_probability(p),
+    lambda p: sample_realizations(_SBM6, p, Rng(0), 2),
+    lambda p: expected_shift(_SBM6, p),
+    lambda p: expected_shift_square(_SBM6, p),
+    lambda p: sample_architecture(_SBM6, p, SgnnConfig(layers=1, features=1, order=1), Rng(0)),
+    lambda p: enumerate_expected_shift_square(_SBM6, p, max_edges=64),
+    lambda p: exact_filter_variance([0.2, 0.5], _SBM6, p, np.ones(6)),
+    lambda p: filter_variance_bound([0.2, 0.5], _SBM6, p, np.ones(6), _CONSTS6),
+    lambda p: sgnn_variance_bound(SgnnConfig(layers=1, features=1, order=2), _SBM6, p,
+                                  np.ones(6), _CONSTS6),
+], ids=["rule", "sample-realizations", "expected-shift", "expected-shift-square",
+        "sample-architecture", "enumerated-square", "exact-variance", "filter-bound",
+        "sgnn-bound"])
+def test_every_edge_probability_site_raises_the_one_error(call, p):
+    with pytest.raises(ConfigError, match=re.escape(f"edge probability p={p} outside [0, 1]")):
+        call(p)
 
 
 class TestSgnnVarianceBound:
