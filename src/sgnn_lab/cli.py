@@ -163,15 +163,13 @@ def cmd_variance_sweep(args) -> int:
         variance.make_sgnn_report(tensor, base, p, x, args.samples, rng.child(10 + i), constants)
         for i, p in enumerate(p_grid)
     ]
-    out = Path(args.out)
-    if args.format == "json":
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "variance_sweep.json"
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("[\n" + ",\n".join(r.to_json() for r in reports) + "\n]\n")
+    if args.format == "json":  # one nested record per row, `constants` kept whole
+        rows = [dataclasses.asdict(r) for r in reports]
+        columns = tuple(f.name for f in dataclasses.fields(variance.VarianceReport))
     else:
-        path = common.write_results([r.as_row() for r in reports], out / "variance_sweep.csv",
-                                    columns=variance.REPORT_COLUMNS)
+        rows, columns = [r.as_row() for r in reports], variance.REPORT_COLUMNS
+    path = common.write_results(rows, Path(args.out) / f"variance_sweep.{args.format}",
+                                args.format, columns)
     print(f"variance-sweep: {len(reports)} rows -> {path}")
     if args.check:
         for r in reports:

@@ -59,12 +59,18 @@ class FilterConstants:
     domain: tuple[float, float]
 
     def __post_init__(self):
-        lo, hi = self.domain
-        if not (lo <= hi):
-            raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
+        _check_domain(self.domain)
         for name in ("response_bound", "response_lipschitz", "nonlinearity_lipschitz"):
             if not (np.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+
+
+def _check_domain(domain) -> tuple[float, float]:
+    """``domain`` as ``(lo, hi)``: both ends finite and lo <= hi (``ConfigError`` otherwise)."""
+    lo, hi = domain
+    if not (lo <= hi and np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"frequency domain ({lo}, {hi}) needs finite ends with lo <= hi")
+    return lo, hi
 
 
 def _as_matrix(s) -> np.ndarray:
@@ -178,9 +184,7 @@ def default_domain(s) -> tuple[float, float]:
 def estimate_response_bound(h, domain) -> float:
     """Sup of ``|h(lam)|`` over a uniform 512-point grid on ``domain`` times the
     safety factor."""
-    lo, hi = domain
-    if lo > hi:
-        raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
+    lo, hi = _check_domain(domain)
     grid = np.linspace(lo, hi, 512)
     return SAFETY * float(np.abs(freq_response(h, grid)).max())
 
@@ -200,9 +204,7 @@ def estimate_response_lipschitz(h, domain, rng: Rng) -> float:
     k_order = len(h) - 1
     if k_order == 0:
         return 0.0
-    lo, hi = domain
-    if lo > hi:
-        raise ConfigError(f"empty frequency domain: ({lo}, {hi})")
+    lo, hi = _check_domain(domain)
     rows = [rng.uniform(lo, hi, (256, k_order))]
     # row r-1 of ``head`` marks the r-1 leading entries that take the value a
     head = np.tri(k_order, k=-1, dtype=bool)
@@ -226,7 +228,8 @@ def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[
     no library code calls: the exact norm gates :func:`estimate_response_bound`.
 
     With ``domain=None`` the domain is derived from the spectrum of ``s``
-    itself.  An explicit domain that does not cover the spectrum raises
+    itself.  An explicit domain must have finite ends with lo <= hi
+    (``ConfigError`` otherwise); one that does not cover the spectrum raises
     :class:`DomainViolationError`.
     """
     mat = _as_matrix(s)
@@ -234,7 +237,7 @@ def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[
     if domain is None:
         rho = SAFETY * max(abs(pair.values[0]), abs(pair.values[-1]), 0.0)
         domain = (-rho, rho)
-    lo, hi = domain
+    lo, hi = _check_domain(domain)
     if pair.values[0] < lo - 1e-12 or pair.values[-1] > hi + 1e-12:
         raise DomainViolationError(
             f"spectrum [{pair.values[0]:.6g}, {pair.values[-1]:.6g}] exits domain ({lo}, {hi})"

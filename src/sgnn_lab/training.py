@@ -186,9 +186,13 @@ def gradient_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 def central_differences(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, y,
                         loss: str, eps: float = 1e-5) -> np.ndarray:
-    """Cost gradient on the fixed ``reals`` (a deferred set only at p = 1, where it
-    draws nothing) by central differences on each entry of the flat vector:
-    ``(cost(+eps) - cost(-eps)) / (2 eps)``."""
+    """Cost gradient on the fixed ``reals`` by central differences on each entry of
+    the flat vector: ``(cost(+eps) - cost(-eps)) / (2 eps)``.  A deferred set below
+    p = 1 draws new sets on every pass, so it raises ``ValueError``; at p = 1 it draws
+    nothing and is allowed."""
+    if isinstance(reals, DeferredSets) and reals.p < 1.0:
+        raise ValueError(f"a deferred set at p = {reals.p} is not fixed: every pass draws anew")
+
     def cost(flat):
         out, _ = forward(FilterTensor(tensor.cfg, flat), reals, x, return_cache=False)
         return _loss_pair(loss, out, y)[0]

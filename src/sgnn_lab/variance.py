@@ -32,7 +32,6 @@ bounds on small instances, so they stay independent of the fast paths.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -297,17 +296,6 @@ class VarianceReport:
             raise ConfigError("mc_variance must be >= 0")
         if self.n_samples < 2:
             raise ConfigError("n_samples must be >= 2")
-
-    def to_json(self) -> str:
-        payload = {
-            "p": self.p,
-            "n_samples": self.n_samples,
-            "mc_variance": self.mc_variance,
-            "mc_std_error": self.mc_std_error,
-            "bound_first_order": self.bound_first_order,
-            "constants": dict(self.constants),
-        }
-        return json.dumps(payload, sort_keys=True)
 
     def as_row(self) -> dict:
         """The report as one flat table row over :data:`REPORT_COLUMNS`."""

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sgnn_lab import (
     ConfigError,
     DomainViolationError,
+    FilterConstants,
     LAPLACIAN,
     Rng,
     default_domain,
@@ -271,6 +272,24 @@ class TestFilterNormCheck:
         lap = to_shift(p3, LAPLACIAN)
         with pytest.raises(DomainViolationError):
             filter_norm_check([1.0, 1.0], lap, domain=(-0.5, 0.5))
+
+
+_BAD_DOMAINS = [(math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf), (1.0, 0.0)]
+_DOMAIN_SITES = {
+    "constants": lambda d, p3: FilterConstants(1.0, 1.0, 1.0, d),
+    "bound": lambda d, p3: estimate_response_bound([1.0, 0.5], d),
+    "lipschitz": lambda d, p3: estimate_response_lipschitz([1.0, 0.5], d, Rng(0)),
+    "norm_check": lambda d, p3: filter_norm_check([1.0, 0.5], p3, domain=d),
+}
+
+
+@pytest.mark.parametrize("domain", _BAD_DOMAINS, ids=["nan", "-inf", "inf", "reversed"])
+@pytest.mark.parametrize("site", sorted(_DOMAIN_SITES))
+def test_one_frequency_domain_rule(site, domain, p3):
+    # every site that takes a domain needs finite ends with lo <= hi, and says so
+    # before it looks at a spectrum or a grid
+    with pytest.raises(ConfigError, match=r"frequency domain \(.*\) needs finite ends"):
+        _DOMAIN_SITES[site](domain, p3)
 
 
 class TestDefaultDomain:

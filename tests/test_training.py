@@ -1043,6 +1043,27 @@ def test_fresh_per_column_set_backward_matches_central_differences(readout, loss
     assert gradient_rel_error(grad, fd) <= 1e-6
 
 
+@pytest.mark.parametrize("p", [1.0, 0.7])
+def test_central_differences_takes_a_deferred_set_only_at_p_one(p):
+    # below p = 1 each pass draws the next B sets, so the two costs behind a
+    # coordinate would run on different shifts and the quotient would be noise;
+    # at p = 1 one graph per column gives a deferred set that draws nothing
+    graphs = [to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(1).child(b)), NORMALIZED_ADJACENCY)
+              for b in range(3)]
+    cfg = SgnnConfig(layers=1, features=2, order=2, nonlinearity="tanh", out_features=2)
+    tensor = init_tensor(cfg, Rng(2), 0.5)
+    sets = sample_architecture(graphs, p, cfg, Rng(5))
+    assert isinstance(sets, DeferredSets)
+    x, y = Rng(3).normal(size=(1, 8, 3)), Rng(4).normal(size=(2, 8, 3))
+    if p < 1.0:
+        with pytest.raises(ValueError, match="not fixed"):
+            central_differences(tensor, sets, x, y, "mse")
+        return
+    out, cache = forward(tensor, sets, x)
+    grad = backward(tensor, sets, cache, _loss_pair("mse", out, y)[1])
+    assert gradient_rel_error(grad, central_differences(tensor, sets, x, y, "mse")) <= 1e-6
+
+
 @pytest.mark.parametrize("p", [1.0, 0.7], ids=["intact", "drawn"])
 def test_per_sample_bases_run_one_pass_per_step(monkeypatch, p):
     # guards against a silent fallback to a per-sample loop, at p = 1 and below it

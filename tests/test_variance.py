@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -436,12 +437,15 @@ class TestVarianceReport:
         return make_sgnn_report(tensor, base, 0.9, rng.child(2).normal(size=6),
                                 400, rng.child(3))
 
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         report = self._report()
-        payload = json.loads(report.to_json())
+        fields = tuple(f.name for f in dataclasses.fields(VarianceReport))
+        path = write_results([dataclasses.asdict(report)], tmp_path / "sweep.json", "json", fields)
+        [payload] = json.loads(path.read_text())
         assert payload["p"] == 0.9
         assert payload["n_samples"] == 400
         assert set(payload["constants"]) >= {"alpha", "num_edges", "order"}
+        assert VarianceReport(**payload) == report
 
     def test_csv_row_matches_header(self, tmp_path):
         report = self._report()
