@@ -33,6 +33,23 @@ class Message(NamedTuple):
     value: float
 
 
+def _taps(h) -> np.ndarray:
+    """Filter taps as a 1-D float array of at least one tap (``ValueError`` otherwise)."""
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 1 or len(h) == 0:
+        raise ValueError(f"filter taps must be a non-empty 1-D sequence, got shape {h.shape}")
+    return h
+
+
+def _filter_inputs(h, mats: Sequence[np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Taps ``h`` (one more than the shifts ``mats``) and signal ``x`` of a filter, as
+    float arrays (``ValueError`` otherwise)."""
+    h = _taps(h)
+    if len(h) != len(mats) + 1:
+        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(mats)}")
+    return h, _check_inputs(mats, x)
+
+
 def _check_inputs(mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -73,10 +90,8 @@ def diffuse(x: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
 def apply_filter(h, mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
     """Stochastic graph convolution with taps ``h`` (length K+1) over K
     realized shifts."""
-    h = np.asarray(h, dtype=float)
-    if len(h) != len(mats) + 1:
-        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(mats)}")
-    stages = diffuse(x, mats)
+    h, x = _filter_inputs(h, mats, x)
+    stages = diffusion_stages(mats, x)
     out = h[0] * stages[0]
     for k in range(1, len(h)):
         out = out + h[k] * stages[k]
@@ -86,8 +101,8 @@ def apply_filter(h, mats: Sequence[np.ndarray], x: np.ndarray) -> np.ndarray:
 def apply_deterministic(h, s, x: np.ndarray) -> np.ndarray:
     """Polynomial filter ``sum_k h_k S^k x`` on a fixed shift (operator or
     matrix), via iterated multiplies (powers of S are never formed)."""
-    mat = np.asarray(getattr(s, "mat", s), dtype=float)
-    return apply_filter(h, [mat] * (len(h) - 1), x)
+    h = _taps(h)
+    return apply_filter(h, [np.asarray(getattr(s, "mat", s), dtype=float)] * (len(h) - 1), x)
 
 
 def apply_distributed(
@@ -107,10 +122,7 @@ def apply_distributed(
     Returns the output signal, or ``(output, messages)`` when
     ``record_trace`` is true.
     """
-    h = np.asarray(h, dtype=float)
-    if len(h) != len(mats) + 1:
-        raise ValueError(f"{len(h)} taps need {len(h) - 1} realizations, got {len(mats)}")
-    x = _check_inputs(mats, x)
+    h, x = _filter_inputs(h, mats, x)
     n = len(x)
     acc = [h[0] * x[i] for i in range(n)]
     current = [x[i] for i in range(n)]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -120,9 +120,9 @@ class SgnnConfig:
     layers: int
     features: int
     order: int
-    nonlinearity: str = "relu"
     in_features: int = 1
     out_features: int = 1
+    nonlinearity: str = "relu"
     readout: str = "none"
     readout_dim: int = 0
 
@@ -582,7 +582,8 @@ def forward_expected(tensor: FilterTensor, base: ShiftOperator, p: float, x: np.
 
 
 _CKPT_MAGIC = "sgnn-checkpoint-v1"
-_CKPT_KEYS = set(SgnnConfig.__dataclass_fields__) | {"kind"}  # each once in a header
+_CKPT_FIELDS = fields(SgnnConfig)  # the header's keys, in order, then kind
+_CKPT_KEYS = {f.name for f in _CKPT_FIELDS} | {"kind"}  # each once in a header
 # header bytes, newline included: the longest names and six 20-digit integers take 265
 _CKPT_HEADER_MAX = 288
 
@@ -593,12 +594,8 @@ def save_checkpoint(tensor: FilterTensor, path, kind: str = "adjacency") -> None
     if kind not in KINDS:
         raise ConfigError(f"unknown shift kind {kind!r}")
     cfg = tensor.cfg
-    header = (
-        f"{_CKPT_MAGIC} layers={cfg.layers} features={cfg.features} order={cfg.order} "
-        f"in_features={cfg.in_features} out_features={cfg.out_features} "
-        f"nonlinearity={cfg.nonlinearity} readout={cfg.readout} readout_dim={cfg.readout_dim} "
-        f"kind={kind}\n"
-    )
+    items = "".join(f"{f.name}={getattr(cfg, f.name)} " for f in _CKPT_FIELDS)
+    header = f"{_CKPT_MAGIC} {items}kind={kind}\n"
     if len(header) > _CKPT_HEADER_MAX:
         raise ConfigError(f"checkpoint header of {len(header)} bytes, over {_CKPT_HEADER_MAX}")
     flat = np.ascontiguousarray(tensor.flat, dtype="<f8")
@@ -616,21 +613,13 @@ def load_checkpoint(path) -> tuple[FilterTensor, str]:
             raise ValueError(f"{path} is not a model checkpoint")
         try:
             items = [item.split("=", 1) for item in header[1:]]
-            fields = dict(items)
-            if len(fields) != len(items) or fields.keys() != _CKPT_KEYS:
+            values = dict(items)
+            if len(values) != len(items) or values.keys() != _CKPT_KEYS:
                 raise ValueError(f"header keys {[item[0] for item in items]}, "
                                  f"expected each of {sorted(_CKPT_KEYS)} once")
-            cfg = SgnnConfig(
-                layers=int(fields["layers"]),
-                features=int(fields["features"]),
-                order=int(fields["order"]),
-                nonlinearity=fields["nonlinearity"],
-                in_features=int(fields["in_features"]),
-                out_features=int(fields["out_features"]),
-                readout=fields["readout"],
-                readout_dim=int(fields["readout_dim"]),
-            )
-            kind = fields["kind"]
+            cfg = SgnnConfig(**{f.name: int(values[f.name]) if f.type == "int" else values[f.name]
+                                for f in _CKPT_FIELDS})
+            kind = values["kind"]
             if kind not in KINDS:
                 raise ValueError(f"unknown shift kind {kind!r}")
         except ValueError as exc:

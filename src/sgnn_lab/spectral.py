@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainViolationError
-from .filters import diffusion_stages
+from .filters import _taps, diffusion_stages
 from .rng import Rng
 
 # Safety factor applied to estimated constants: conservative constants keep
@@ -119,12 +119,14 @@ def igft(v, xhat: np.ndarray) -> np.ndarray:
     return basis @ xhat
 
 
-def _taps(h) -> np.ndarray:
-    """Filter taps as a 1-D float array of at least one tap (``ValueError`` otherwise)."""
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 1 or len(h) == 0:
-        raise ValueError(f"filter taps must be a non-empty 1-D sequence, got shape {h.shape}")
-    return h
+def _taps_and_frequencies(h, lamvec) -> tuple[np.ndarray, np.ndarray]:
+    """Taps ``h`` and a vector ``lamvec`` of one frequency per realization, as float
+    arrays (``ValueError`` otherwise)."""
+    h = _taps(h)
+    lamvec = np.asarray(lamvec, dtype=float)
+    if lamvec.shape != (len(h) - 1,):
+        raise ValueError(f"expected {len(h) - 1} frequencies, got shape {lamvec.shape}")
+    return h, lamvec
 
 
 def freq_response(h, lam):
@@ -140,11 +142,7 @@ def freq_response(h, lam):
 def generalized_freq_response(h, lamvec) -> float:
     """Evaluate ``sum_k h_k * prod_{j<=k} lam_j`` with the empty product = 1.  An
     oracle that no library code calls: its central differences gate :func:`gfr_partial`."""
-    h = np.asarray(h, dtype=float)
-    lamvec = np.asarray(lamvec, dtype=float)
-    k_order = len(h) - 1
-    if lamvec.shape != (k_order,):
-        raise ValueError(f"expected {k_order} frequencies, got shape {lamvec.shape}")
+    h, lamvec = _taps_and_frequencies(h, lamvec)
     prods = np.concatenate(([1.0], np.cumprod(lamvec)))
     return float(h @ prods)
 
@@ -155,11 +153,8 @@ def gfr_partial(h, lamvec, r: int) -> float:
     ``sum_{k>=r} h_k * prod_{j<r} lam_j * prod_{r<j<=k} lam_j``.  An oracle that no
     library code calls: per candidate, it gates the one-pass gradient of
     :func:`estimate_response_lipschitz`."""
-    h = np.asarray(h, dtype=float)
-    lamvec = np.asarray(lamvec, dtype=float)
-    k_order = len(h) - 1
-    if lamvec.shape != (k_order,):
-        raise ValueError(f"expected {k_order} frequencies, got shape {lamvec.shape}")
+    h, lamvec = _taps_and_frequencies(h, lamvec)
+    k_order = len(lamvec)
     if not 1 <= r <= k_order:
         raise ValueError(f"tap index r={r} out of range 1..{k_order}")
     prefix = float(np.prod(lamvec[: r - 1]))
@@ -227,24 +222,20 @@ def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[
     response bound on ``domain``; callers assert ``norm <= bound``.  An oracle that
     no library code calls: the exact norm gates :func:`estimate_response_bound`.
 
-    With ``domain=None`` the domain is derived from the spectrum of ``s``
-    itself.  An explicit domain must have finite ends with lo <= hi
-    (``ConfigError`` otherwise); one that does not cover the spectrum raises
-    :class:`DomainViolationError`.
+    With ``domain=None`` the domain is :func:`default_domain` of ``s``.  An explicit
+    domain must have finite ends with lo <= hi (``ConfigError`` otherwise); one that
+    does not cover the spectrum raises :class:`DomainViolationError`.
     """
+    h = _taps(h)
     mat = _as_matrix(s)
-    pair = eig_sym(mat)
-    if domain is None:
-        rho = SAFETY * max(abs(pair.values[0]), abs(pair.values[-1]), 0.0)
-        domain = (-rho, rho)
-    lo, hi = _check_domain(domain)
-    if pair.values[0] < lo - 1e-12 or pair.values[-1] > hi + 1e-12:
+    lo, hi = _check_domain(default_domain(mat) if domain is None else domain)
+    values = eig_sym(mat).values
+    if values[0] < lo - 1e-12 or values[-1] > hi + 1e-12:
         raise DomainViolationError(
-            f"spectrum [{pair.values[0]:.6g}, {pair.values[-1]:.6g}] exits domain ({lo}, {hi})"
+            f"spectrum [{values[0]:.6g}, {values[-1]:.6g}] exits domain ({lo}, {hi})"
         )
-    h = np.asarray(h, dtype=float)
     # stage k of diffusing the identity is S^k
     filter_mat = np.tensordot(h, diffusion_stages([mat] * (len(h) - 1), np.eye(len(mat))), 1)
     norm_vals = eig_sym(filter_mat).values
     norm = float(max(abs(norm_vals[0]), abs(norm_vals[-1])))
-    return norm, estimate_response_bound(h, domain)
+    return norm, estimate_response_bound(h, (lo, hi))

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import common
 from .errors import ConfigError, DivergenceError
-from .graphs import ShiftOperator
+from .graphs import ShiftOperator, check_edge_probability
 from .model import (DeferredSets, FilterTensor, ForwardCache, Reals, backward, forward,
                     sample_architecture)
 from .rng import Rng
@@ -136,8 +136,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if not (np.isfinite(self.lr) and self.lr >= 0):
             raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
-        if not 0.0 <= self.link_p <= 1.0:
-            raise ConfigError(f"link_p={self.link_p} outside [0, 1]")
+        check_edge_probability(self.link_p)
         if self.schedule not in SCHEDULES:
             raise ConfigError(f"unknown schedule {self.schedule!r}")
         if self.optimizer not in OPTIMIZERS:

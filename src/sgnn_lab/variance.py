@@ -39,6 +39,7 @@ import numpy as np
 
 from . import spectral
 from .errors import ConfigError, SizeGuardError, UnsupportedKindError
+from .filters import _taps
 from .graphs import (ADJACENCY, KINDS, LAPLACIAN, NORMALIZED_ADJACENCY, ShiftOperator,
                      _realized_mats, check_edge_probability)
 from .model import (
@@ -150,7 +151,7 @@ def exact_filter_variance(h, base: ShiftOperator, p: float, x: np.ndarray) -> fl
     """Exact output variance of a stochastic filter by enumerating every mask
     sequence with its probability.  Feasible only while (2^M)^K stays within
     the enumeration guard."""
-    h = spectral._taps(h)
+    h = _taps(h)
     x = _signal(x, base)
     check_edge_probability(p)
     k_order = len(h) - 1
@@ -187,7 +188,7 @@ def filter_variance_bound(h, base: ShiftOperator, p: float, x: np.ndarray,
     """First-order variance bound of a stochastic graph filter:
     ``p (1-p) * 2 alpha M K Cg^2 * ||x||^2``."""
     check_edge_probability(p)
-    h = spectral._taps(h)
+    h = _taps(h)
     x = _signal(x, base)
     k_order = len(h) - 1
     c = 2.0 * shift_alpha(base.kind) * base.num_edges * k_order * constants.response_lipschitz**2
@@ -224,37 +225,29 @@ def check_nonlinearity_variance(kind: str, sampler: Callable[[int], np.ndarray],
     return float(x.var(ddof=1)), float(y.var(ddof=1))
 
 
+def _constants(filters, base: ShiftOperator) -> spectral.FilterConstants:
+    """The largest response bound and Lipschitz constant over ``filters``, (taps, rng)
+    pairs, on the default frequency domain of ``base``."""
+    domain = spectral.default_domain(base)
+    bound, lipschitz = np.max([(spectral.estimate_response_bound(h, domain),
+                                spectral.estimate_response_lipschitz(h, domain, rng))
+                               for h, rng in filters], axis=0)
+    return spectral.FilterConstants(float(bound), float(lipschitz), NONLINEARITY_LIPSCHITZ, domain)
+
+
 def filter_constants(h, base: ShiftOperator, rng: Rng) -> spectral.FilterConstants:
     """Constants of one filter on the default frequency domain of ``base``."""
-    domain = spectral.default_domain(base)
-    return spectral.FilterConstants(
-        response_bound=spectral.estimate_response_bound(h, domain),
-        response_lipschitz=spectral.estimate_response_lipschitz(h, domain, rng),
-        nonlinearity_lipschitz=NONLINEARITY_LIPSCHITZ,
-        domain=domain,
-    )
+    return _constants([(h, rng)], base)
 
 
 def tensor_constants(tensor: FilterTensor, base: ShiftOperator,
                      rng: Rng) -> spectral.FilterConstants:
     """Max of the per-filter constants over every filter in the tensor
-    (conservative: keeps the single-constant bound form)."""
-    domain = spectral.default_domain(base)
-    cu = 0.0
-    cg = 0.0
-    for idx, arr in enumerate(tensor.layers):
-        child = rng.child(idx)
-        for f in range(arr.shape[0]):
-            for g in range(arr.shape[1]):
-                h = arr[f, g]
-                cu = max(cu, spectral.estimate_response_bound(h, domain))
-                cg = max(cg, spectral.estimate_response_lipschitz(h, domain, child))
-    return spectral.FilterConstants(
-        response_bound=cu,
-        response_lipschitz=cg,
-        nonlinearity_lipschitz=NONLINEARITY_LIPSCHITZ,
-        domain=domain,
-    )
+    (conservative: keeps the single-constant bound form); layer l's filters draw in
+    turn from one stream, ``rng.child(l)``."""
+    children = [rng.child(idx) for idx in range(len(tensor.layers))]
+    return _constants([(h, child) for child, arr in zip(children, tensor.layers)
+                       for h in arr.reshape(-1, arr.shape[-1])], base)
 
 
 def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,

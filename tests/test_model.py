@@ -2,7 +2,7 @@ import itertools
 import resource
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from unittest import mock
 
 import numpy as np
@@ -767,9 +767,9 @@ def test_tensor_blocks_are_views_of_its_vector():
 
 
 @st.composite
-def _configs(draw):
+def _configs(draw, max_layers=4):
     readout = draw(st.sampled_from(READOUTS))
-    return SgnnConfig(layers=draw(st.integers(1, 4)), features=draw(st.integers(1, 4)),
+    return SgnnConfig(layers=draw(st.integers(1, max_layers)), features=draw(st.integers(1, 4)),
                       order=draw(st.integers(0, 5)),
                       nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
                       in_features=draw(st.integers(1, 3)), out_features=draw(st.integers(1, 3)),
@@ -799,3 +799,41 @@ def test_checkpoint_round_trip_and_layout(tmp_path_factory, cfg, kind, seed):
         assert view.ctypes.data == tensor.flat.ctypes.data + pos * tensor.flat.itemsize
         pos += view.size
     assert pos == cfg.num_params
+
+
+# the v1 header's keys in the order every writer so far has written them
+_V1_KEYS = ("layers", "features", "order", "in_features", "out_features", "nonlinearity",
+            "readout", "readout_dim", "kind")
+
+
+def _v1_header(cfg: SgnnConfig, kind: str, keys) -> bytes:
+    """A v1 checkpoint header written out by hand, its keys in the order ``keys``."""
+    values = {**asdict(cfg), "kind": kind}
+    return ("sgnn-checkpoint-v1 " + " ".join(f"{k}={values[k]}" for k in keys) + "\n").encode()
+
+
+def test_v1_header_is_the_written_one(tmp_path):
+    # as written by the library before the header came from the config's fields
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(init_tensor(SgnnConfig(layers=2, features=3, order=2, nonlinearity="tanh",
+                                           in_features=2, out_features=2, readout="pooled",
+                                           readout_dim=4), Rng(12), 0.8), path, kind="laplacian")
+    assert path.read_bytes().split(b"\n", 1)[0] == (
+        b"sgnn-checkpoint-v1 layers=2 features=3 order=2 in_features=2 out_features=2 "
+        b"nonlinearity=tanh readout=pooled readout_dim=4 kind=laplacian")
+
+
+@settings(max_examples=40, deadline=None)
+@given(_configs(max_layers=3), st.sampled_from(KINDS), st.integers(0, 2**16),
+       st.permutations(_V1_KEYS))
+def test_checkpoint_format_is_pinned(tmp_path_factory, cfg, kind, seed, shuffled):
+    tensor = init_tensor(cfg, Rng(seed), 1.0)
+    body = struct.pack("<q", cfg.num_params) + tensor.flat.astype("<f8").tobytes()
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_checkpoint(tensor, path, kind=kind)
+    assert path.read_bytes() == _v1_header(cfg, kind, _V1_KEYS) + body
+    for keys in (_V1_KEYS, shuffled):
+        path.write_bytes(_v1_header(cfg, kind, keys) + body)
+        loaded, loaded_kind = load_checkpoint(path)
+        assert (loaded.cfg, loaded_kind) == (cfg, kind)
+        assert loaded.flat.tobytes() == tensor.flat.tobytes()

@@ -16,7 +16,7 @@ PACKAGE = Path(sgnn_lab.__file__).parent
 ALLOWED = {
     ("graphs", "_realized_mats"): {"model", "variance"},
     ("model", "_activate"): {"variance"},
-    ("spectral", "_taps"): {"variance"},
+    ("filters", "_taps"): {"spectral", "variance"},
     ("training", "_loss_pair"): {"cli"},
 }
 

@@ -13,6 +13,7 @@ from sgnn_lab import (
     NORMALIZED_ADJACENCY,
     Rng,
     SgnnConfig,
+    TrainConfig,
     KINDS,
     SizeGuardError,
     UnsupportedKindError,
@@ -254,9 +255,10 @@ def test_malformed_bound_input_rejected(call, error, match):
     lambda p: filter_variance_bound([0.2, 0.5], _SBM6, p, np.ones(6), _CONSTS6),
     lambda p: sgnn_variance_bound(SgnnConfig(layers=1, features=1, order=2), _SBM6, p,
                                   np.ones(6), _CONSTS6),
+    lambda p: TrainConfig(iterations=1, batch_size=1, link_p=p),
 ], ids=["rule", "sample-realizations", "expected-shift", "expected-shift-square",
         "sample-architecture", "enumerated-square", "exact-variance", "filter-bound",
-        "sgnn-bound"])
+        "sgnn-bound", "train-config"])
 def test_every_edge_probability_site_raises_the_one_error(call, p):
     with pytest.raises(ConfigError, match=re.escape(f"edge probability p={p} outside [0, 1]")):
         call(p)
