@@ -207,15 +207,20 @@ def cmd_grad_check(args) -> int:
         readout = ("none", "pooled", "per_node")[case % 3]
         if loss == "cross_entropy":
             readout = "pooled"
-        cfg = SgnnConfig(layers=2, features=2, order=2, nonlinearity=nl,
-                         in_features=1, out_features=1 if readout == "none" else 2,
+        # three pooled features: standardization maps two to +-1 whatever the layers do
+        cfg = SgnnConfig(layers=2, features=2, order=2, nonlinearity=nl, in_features=1,
+                         out_features={"none": 1, "pooled": 3, "per_node": 2}[readout],
                          readout=readout, readout_dim=0 if readout == "none" else 3)
         tensor = init_tensor(cfg, r.child(2), 0.6)
         reals = sample_architecture(base, 0.7, cfg, r.child(3))
         x = r.child(4).normal(size=(1, n, 3))
         out, cache = forward(tensor, reals, x)
-        # keep kink-prone cases away from non-differentiable points
-        if nl in ("relu", "abs") and min(np.abs(u).min() for u in cache.pre_activations) < 1e-4:
+        # keep kink-prone cases away from non-differentiable points, and skip a relu
+        # layer dead on every node: the output, and so the check, ignore every tap
+        pre = cache.pre_activations
+        if nl in ("relu", "abs") and min(np.abs(u).min() for u in pre) < 1e-4:
+            continue
+        if nl == "relu" and any((u < 0).all() for u in pre):
             continue
         if loss == "cross_entropy":
             y = r.child(5).integers(0, 3, 3)

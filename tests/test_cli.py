@@ -5,11 +5,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from sgnn_lab import ConfigError
+from sgnn_lab import ConfigError, cli
 from sgnn_lab.cli import FLOCK_CHECKS, SOURCE_CHECKS, _apply_overrides, main, run_checks
 from sgnn_lab.experiments import FlockingConfig, SourceLocConfig
+from sgnn_lab.model import backward, split_params
 
 TINY_SOURCE = ["nodes=8", "communities=2", "tau_max=4", "train_size=60", "val_size=12",
                "test_size=24", "features=8", "order=2", "iterations=30",
@@ -79,6 +81,23 @@ class TestGradCheck:
         assert run(["grad-check", "--cases", "3", "--out", tmp_path]) == 0
         lines = (tmp_path / "grad_check.csv").read_text().splitlines()
         assert len(lines) == 4
+
+    def test_every_case_checks_the_layers(self, tmp_path):
+        # two pooled features standardize to +-1 whatever the layers do, which once left
+        # the pooled cases' layer gradient at roundoff (~4e-17 against ~0.45 for the head)
+        blocks = []
+
+        def spy(tensor, *args):
+            grad = backward(tensor, *args)
+            taps = split_params(tensor.cfg, grad)[0]
+            blocks.append((tensor.cfg.readout, max(np.abs(t).max() for t in taps)))
+            return grad
+
+        with mock.patch.object(cli, "backward", spy):
+            assert run(["grad-check", "--cases", "20", "--out", tmp_path]) == 0
+        assert len(blocks) == 20
+        assert {readout for readout, _ in blocks} == {"none", "pooled", "per_node"}
+        assert all(layers > 1e-3 for _, layers in blocks), blocks
 
 
 class TestConvergence:
