@@ -812,17 +812,6 @@ def _v1_header(cfg: SgnnConfig, kind: str, keys) -> bytes:
     return ("sgnn-checkpoint-v1 " + " ".join(f"{k}={values[k]}" for k in keys) + "\n").encode()
 
 
-def test_v1_header_is_the_written_one(tmp_path):
-    # as written by the library before the header came from the config's fields
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(init_tensor(SgnnConfig(layers=2, features=3, order=2, nonlinearity="tanh",
-                                           in_features=2, out_features=2, readout="pooled",
-                                           readout_dim=4), Rng(12), 0.8), path, kind="laplacian")
-    assert path.read_bytes().split(b"\n", 1)[0] == (
-        b"sgnn-checkpoint-v1 layers=2 features=3 order=2 in_features=2 out_features=2 "
-        b"nonlinearity=tanh readout=pooled readout_dim=4 kind=laplacian")
-
-
 @settings(max_examples=40, deadline=None)
 @given(_configs(max_layers=3), st.sampled_from(KINDS), st.integers(0, 2**16),
        st.permutations(_V1_KEYS))

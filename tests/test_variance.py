@@ -314,6 +314,30 @@ class TestSgnnVarianceBound:
         bound = sgnn_variance_bound(cfg, base, 0.95, x, consts)
         assert var <= bound + 3 * se
 
+    def test_tensor_constants_draw_each_layer_from_one_stream(self, monkeypatch):
+        # one bound and one Lipschitz estimate per filter, in filter order; layer l's
+        # filters take turns on one stream, rng.child(l)
+        from sgnn_lab import spectral
+
+        calls = []
+        for name in ("estimate_response_bound", "estimate_response_lipschitz"):
+            def spy(h, domain, *rng, _name=name, _real=getattr(spectral, name)):
+                calls.append((_name, tuple(h), *rng))
+                return _real(h, domain, *rng)
+            monkeypatch.setattr(spectral, name, spy)
+        tensor = init_tensor(SgnnConfig(layers=3, features=2, order=2), Rng(3), 0.5)
+        rng = Rng(4)
+        tensor_constants(tensor, _SBM6, rng)
+        taps = [tuple(h) for arr in tensor.layers for h in arr.reshape(-1, arr.shape[-1])]
+        assert [c[1] for c in calls if c[0] == "estimate_response_bound"] == taps
+        streams = [c[2] for c in calls if c[0] == "estimate_response_lipschitz"]
+        assert [c[1] for c in calls if c[0] == "estimate_response_lipschitz"] == taps
+        per_layer = [arr.shape[0] * arr.shape[1] for arr in tensor.layers]
+        for layer, start in enumerate(np.cumsum([0] + per_layer[:-1])):
+            layer_streams = streams[start:start + per_layer[layer]]
+            assert all(s is layer_streams[0] for s in layer_streams)
+            assert repr(layer_streams[0]) == repr(rng.child(layer))
+
     @pytest.mark.parametrize("p", [0.0, 0.9, 1.0])
     def test_one_forward_call_carries_every_sample(self, monkeypatch, p):
         # the per-sample loop must not come back, at p = 1 either
