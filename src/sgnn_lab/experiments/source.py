@@ -151,11 +151,19 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     and the layers run over chunks of samples; at p = 1 that call gives the intact
     graph, shared by the batch.
 
-    ``inputs`` is (R, F_in, N) with R >= 1 and ``labels`` (R,); ``ValueError``
-    otherwise."""
-    if len(inputs) == 0 or len(labels) != len(inputs):
-        raise ValueError(f"{len(inputs)} test inputs with {len(labels)} labels: "
-                         "need one label per input, and at least one input")
+    ``tensor`` has a pooled head (``ConfigError`` otherwise: the argmax runs over its
+    ``readout_dim`` classes), ``inputs`` is (R, F_in, N) with R >= 1 and ``labels``
+    (R,) of classes 0 .. readout_dim - 1; ``ValueError`` otherwise.  Nothing is drawn
+    before these checks."""
+    if tensor.cfg.readout != "pooled":
+        raise ConfigError(f"accuracy needs a pooled readout head, got {tensor.cfg.readout!r}")
+    labels = np.asarray(labels)
+    if len(inputs) == 0 or labels.shape != (len(inputs),):
+        raise ValueError(f"{len(inputs)} test inputs with {labels.size} labels of shape "
+                         f"{labels.shape}: need one label per input, and at least one input")
+    if not np.isin(labels, np.arange(tensor.cfg.readout_dim)).all():
+        raise ValueError(f"labels must be classes 0 .. {tensor.cfg.readout_dim - 1}, "
+                         f"got {np.unique(labels)}")
     reals = sample_architecture([base] * len(inputs), p, tensor.cfg, rng)
     logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
     return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)

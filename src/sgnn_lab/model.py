@@ -11,7 +11,8 @@ of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts,
 shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
-takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one,
+takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one
+(below p = 1, a layer's columns in cache-sized groups, one diffusion call per group),
 and :func:`_contract_taps` how a layer contracts its taps with its stages.
 
 All trainable coefficients are one flat vector, the one SGD updates;
@@ -284,6 +285,12 @@ class ForwardCache:
 _STD_FLOOR = 1e-12
 # columns per layer-major pass of a forward-only deferred set below p = 1
 _CHUNK_COLUMNS = 32
+# bytes of shifts per group of columns that one diffusion call runs, on a deferred set
+# below p = 1: a group's slots stay in L2.  Measured: 64-filter source columns (614 KB
+# each) built in 58, 100 and 161 us per column at 1, 2 and 4 columns per group, and
+# 8-filter K = 10 columns (256 KB) ran the variance benchmark's passes faster at 4 per
+# group (this cap) than at 2 (a 512 KB cap) in 8 of 9 runs
+_GROUP_BYTES = 2**20
 
 
 def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | None" = None) -> np.ndarray:
@@ -327,16 +334,17 @@ def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
 
 
 def _column_set(sets: DeferredSets, col: int, keep: np.ndarray | None, buf: np.ndarray,
-                shape: tuple) -> np.ndarray:
+                shape: tuple, group: int = 1) -> np.ndarray:
     """Column ``col``'s shifts of one layer of ``shape`` (out, in, K, N, N): a read-only
     view of its graph at p = 1, else built from ``keep`` in ``buf`` and viewed there.
-    The buffer is an (out * in * K, N, N) array of zeros or of column col - 1's build: a
-    refill on column col - 1's graph rewrites only edge and diagonal entries; on another
-    graph it zeroes the buffer first."""
+    The buffer is an (out * in * K, N, N) array, one slot of a group of ``group``
+    columns, holding zeros or column col - group's build: a refill on that column's
+    graph rewrites only edge and diagonal entries; on another graph it zeroes the
+    buffer first."""
     graph = sets.graphs[col]
     if sets.p == 1.0:
         return np.broadcast_to(graph.mat, shape)
-    if col and sets.graphs[col - 1] is not graph:
+    if col >= group and sets.graphs[col - group] is not graph:
         buf.fill(0.0)
     _realized_mats(graph, keep, out=buf)
     return buf.reshape(shape)
@@ -406,16 +414,24 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            buf = np.zeros((out_d * in_d * k, n, n))
-            for col in range(b):
-                if layer_idx == 0:  # backward rebuilds the later layers only
-                    keeps.append(_draw_column(reals, shapes, col))
-                    keep, keeps[col][0] = keeps[col][0], None
-                else:
-                    keep = keeps[col][layer_idx]
-                mats = _column_set(reals, col, keep, buf, shapes[layer_idx])
-                diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None, :, :, col:col + 1],
-                                 stages[..., col:col + 1])
+            size = out_d * in_d * k
+            group = max(1, min(b, _GROUP_BYTES // max(1, size * n * n * 8)))
+            slots = np.zeros((group, size, n, n))  # slot j holds columns j, j + group, ...
+            # the slots as (K, g, out, in, N, N) shifts, the signals (in, N, B) as
+            # (B, 1, in, N, 1) and the stages as (K+1, B, out, in, N, 1)
+            mats = slots.reshape(group, out_d, in_d, k, n, n).transpose(3, 0, 1, 2, 4, 5)
+            signals = current.transpose(2, 0, 1)[:, None, ..., None]
+            outs = stages.transpose(0, 4, 1, 2, 3)[..., None]
+            for lo in range(0, b, group):
+                hi = min(lo + group, b)
+                for col in range(lo, hi):
+                    if layer_idx == 0:  # backward rebuilds the later layers only
+                        keeps.append(_draw_column(reals, shapes, col))
+                        keep, keeps[col][0] = keeps[col][0], None
+                    else:
+                        keep = keeps[col][layer_idx]
+                    _column_set(reals, col, keep, slots[col - lo], shapes[layer_idx], group)
+                diffusion_stages(mats[:, :hi - lo], signals[lo:hi], outs[:, lo:hi])
         else:
             mats = reals[layer_idx]
             # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
@@ -449,10 +465,16 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     Below p = 1 the pass runs layer by layer over the batch: layer 0 draws column b's
     keeps for every layer when it reaches column b (the order of B single-set draws),
     and a cache keeps those of the later layers (``backward`` rebuilds their shifts
-    from them).  Without a cache to return or refill, the pass runs on chunks of
-    ``_CHUNK_COLUMNS`` columns one after the other, so that its stage arrays do not
-    grow with B; its output is the cached pass's bit for bit.  An input whose node or
-    column count does not match the set raises ``ValueError`` before any draw.
+    from them).  A layer takes the columns in consecutive groups of as many as fit
+    ``_GROUP_BYTES`` of shifts (at least one): each column is built into its own slot
+    of the group's buffer (a refill on the graph that slot last held rewrites only the
+    edge and diagonal entries; on another graph the slot is zeroed first), and one
+    :func:`diffusion_stages` call runs the group's stages, each column's products those
+    of a pass on that column alone.  Without a cache to return or refill, the pass runs
+    on chunks of ``_CHUNK_COLUMNS`` columns one after the other, so that its stage
+    arrays do not grow with B; its output is the cached pass's bit for bit.  An input
+    that is complex, or whose node or column count does not match the set, raises
+    ``ValueError`` before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -462,6 +484,8 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     the next pass on that cache overwrites.
     """
     cfg = tensor.cfg
+    if np.iscomplexobj(x):  # before the copy, which would drop the imaginary part
+        raise ValueError("input entries must be real, got a complex dtype")
     x = np.asarray(x, dtype=float)
     if x.ndim != 3 or x.shape[0] != cfg.in_features:
         raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "

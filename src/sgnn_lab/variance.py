@@ -71,11 +71,21 @@ def shift_alpha(kind: str) -> float:
 
 
 def _signal(x, base: ShiftOperator) -> np.ndarray:
-    """``x`` as a float signal of shape (N,) on ``base`` (``ValueError`` otherwise)."""
+    """``x`` as a float signal of shape (N,) on ``base`` (``ValueError`` otherwise, also
+    for a complex ``x``, whose imaginary part the copy would drop)."""
+    if np.iscomplexobj(x):
+        raise ValueError("signal entries must be real, got a complex dtype")
     x = np.asarray(x, dtype=float)
     if x.shape != (base.n,):
         raise ValueError(f"signal has shape {x.shape}, expected ({base.n},) for {base.n} nodes")
     return x
+
+
+def _sample_count(n_samples) -> int:
+    """``n_samples`` as an int, an integer (numpy's too) >= 2; ``ConfigError`` otherwise."""
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 2:
+        raise ConfigError(f"n_samples must be >= 2 and an integer, got {n_samples!r}")
+    return int(n_samples)
 
 
 def _variance_estimate(samples: np.ndarray) -> tuple[float, float]:
@@ -99,10 +109,8 @@ def mc_variance(evaluate: Callable[[Rng], np.ndarray], n_samples: int,
     estimate and its standard error (delta method on the per-sample squared
     deviations, which captures cross-node correlation).
     """
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
     return _variance_estimate(np.stack([np.ravel(np.asarray(evaluate(rng), dtype=float))
-                                        for _ in range(n_samples)]))
+                                        for _ in range(_sample_count(n_samples))]))
 
 
 def variance_std_error(samples: np.ndarray) -> float:
@@ -256,9 +264,7 @@ def mc_sgnn_variance(tensor: FilterTensor, base: ShiftOperator, p: float,
     sets, for one signal ``x`` of shape (N,) (``ValueError`` otherwise), as
     :func:`mc_variance` estimates it, in the one forward pass that the module
     docstring describes."""
-    x = _signal(x, base)
-    if n_samples < 2:
-        raise ConfigError("n_samples must be >= 2")
+    x, n_samples = _signal(x, base), _sample_count(n_samples)
     reals = sample_architecture([base] * n_samples, p, tensor.cfg, rng)
     out, _ = forward(tensor, reals, np.broadcast_to(x[None, :, None], (1, base.n, n_samples)),
                      return_cache=False)
@@ -287,8 +293,7 @@ class VarianceReport:
     def __post_init__(self):
         if self.mc_variance < 0:
             raise ConfigError("mc_variance must be >= 0")
-        if self.n_samples < 2:
-            raise ConfigError("n_samples must be >= 2")
+        _sample_count(self.n_samples)
 
     def as_row(self) -> dict:
         """The report as one flat table row over :data:`REPORT_COLUMNS`."""

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,34 @@ class TestSourcePipeline:
         inputs = Rng(1).normal(size=(size, 1, 20))
         with pytest.raises(ValueError, match=f"{size} test inputs with {labels} labels"):
             evaluate_accuracy(tensor, norm20, inputs, np.zeros(labels, dtype=int), 0.7, Rng(2))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.7])
+@pytest.mark.parametrize("readout", ["none", "pooled", "per_node"])
+def test_accuracy_needs_a_pooled_head_and_its_classes(norm20, readout, p):
+    # the argmax runs over the pooled head's classes: without one it ran over a
+    # (D, N, B) output and scored 3.17 or 4.0, and labels that are no class (0.5, -1,
+    # readout_dim) scored 0 silently; each refusal comes before any draw
+    cfg = replace(SourceLocConfig(features=4).model_config(), readout=readout,
+                  readout_dim=0 if readout == "none" else 4)
+    tensor = init_tensor(cfg, Rng(0), 0.5)
+    test = gen_source_dataset(norm20, 4, (1, 1, 12), 3, 0.01, Rng(1)).test
+    bad_labels = [np.full(12, 0.5), np.full(12, -1), np.full(12, 4)]
+    rng = Rng(2)
+    if readout != "pooled":
+        for labels in [test.labels] + bad_labels:
+            with pytest.raises(ConfigError, match=f"pooled readout head, got '{readout}'"):
+                evaluate_accuracy(tensor, norm20, test.inputs, labels, p, rng)
+    else:
+        for labels in bad_labels:
+            with pytest.raises(ValueError, match=r"labels must be classes 0 \.\. 3"):
+                evaluate_accuracy(tensor, norm20, test.inputs, labels, p, rng)
+    assert rng.random(4).tobytes() == Rng(2).random(4).tobytes()
+    if readout == "pooled":
+        acc = evaluate_accuracy(tensor, norm20, test.inputs, test.labels.astype(float), p,
+                                Rng(2))
+        assert acc == evaluate_accuracy(tensor, norm20, test.inputs, test.labels, p, Rng(2))
+        assert 0.0 <= acc <= 1.0
 
 
 @pytest.mark.parametrize("p", [0.7, 1.0])

@@ -3,7 +3,8 @@
 Each table maps an entry point to a call that varies one argument.  A refusal
 must be the library's error, raised from a frame inside ``sgnn_lab``: a numpy
 error that escapes fails even when it is a ``ValueError``.  The first table
-covers every entry point that reads one filter's taps.
+covers every entry point that reads one filter's taps, the second the entry
+points that the Monte-Carlo sweeps and the accuracy evaluation time.
 """
 
 from pathlib import Path
@@ -14,7 +15,9 @@ import pytest
 import sgnn_lab
 from sgnn_lab import (
     ADJACENCY,
+    ConfigError,
     Rng,
+    SgnnConfig,
     apply_deterministic,
     apply_distributed,
     apply_filter,
@@ -27,9 +30,14 @@ from sgnn_lab import (
     filter_variance_bound,
     freq_response,
     generalized_freq_response,
+    forward,
     gfr_partial,
+    init_tensor,
+    mc_sgnn_variance,
+    sample_architecture,
     to_shift,
 )
+from sgnn_lab.experiments import evaluate_accuracy
 
 PACKAGE = Path(sgnn_lab.__file__).resolve().parent
 
@@ -74,3 +82,62 @@ def test_malformed_taps_raise_the_taps_error(entry, taps):
 @pytest.mark.parametrize("entry", sorted(SINGLE_FILTER))
 def test_the_table_calls_are_valid_with_good_taps(entry):
     SINGLE_FILTER[entry]([1.0, 0.5])
+
+
+_NET = init_tensor(SgnnConfig(layers=1, features=2, order=2, out_features=2), Rng(10), 0.5)
+_CLASSIFIER = init_tensor(SgnnConfig(layers=1, features=2, order=2, out_features=2,
+                                     readout="pooled", readout_dim=2), Rng(10), 0.5)
+_INPUTS = Rng(11).normal(size=(4, 1, _BASE.n))
+
+
+def _forward(x, rng):
+    return forward(_NET, sample_architecture([_BASE] * 2, 0.7, _NET.cfg, rng), x,
+                   return_cache=False)
+
+
+# timed entry points, each called on a stream with one argument varied: the malformed
+# value, the error and its message, and a good value.  A complex signal was once cast
+# with a ComplexWarning, its imaginary part dropped; n_samples=2.5 raised a raw
+# TypeError from `[base] * n_samples`; a head without classes or labels that are no
+# class scored an accuracy above 1, or 0
+TIMED = {
+    "mc_sgnn_variance n_samples": (
+        lambda n, rng: mc_sgnn_variance(_NET, _BASE, 0.7, _X, n, rng),
+        2.5, np.int64(3), ConfigError, "n_samples must be >= 2 and an integer, got 2.5"),
+    "mc_sgnn_variance signal": (
+        lambda x, rng: mc_sgnn_variance(_NET, _BASE, 0.7, x, 3, rng),
+        _X + 1j, _X, ValueError, "signal entries must be real"),
+    "exact_filter_variance signal": (
+        lambda x, rng: exact_filter_variance([0.2, 0.5], _BASE, 0.5, x),
+        _X + 0j, _X, ValueError, "signal entries must be real"),
+    "forward input": (
+        _forward, np.ones((1, _BASE.n, 2)) + 1j, np.ones((1, _BASE.n, 2)), ValueError,
+        "input entries must be real"),
+    "evaluate_accuracy head": (
+        lambda net, rng: evaluate_accuracy(net, _BASE, _INPUTS, [0, 1, 1, 0], 0.7, rng),
+        _NET, _CLASSIFIER, ConfigError, "accuracy needs a pooled readout head, got 'none'"),
+    "evaluate_accuracy fractional labels": (
+        lambda labels, rng: evaluate_accuracy(_CLASSIFIER, _BASE, _INPUTS, labels, 0.7, rng),
+        [0, 0.5, 1, 0], [0.0, 1.0, 1.0, 0.0], ValueError, r"labels must be classes 0 \.\. 1"),
+    "evaluate_accuracy labels out of range": (
+        lambda labels, rng: evaluate_accuracy(_CLASSIFIER, _BASE, _INPUTS, labels, 0.7, rng),
+        [0, 2, 1, -1], np.array([0, 1, 1, 0], dtype=np.int8), ValueError,
+        r"labels must be classes 0 \.\. 1"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(TIMED))
+def test_timed_entry_points_refuse_bad_input_before_any_draw(row):
+    call, bad, _, error, match = TIMED[row]
+    rng = Rng(0)
+    with pytest.raises(error, match=match) as exc:
+        call(bad, rng)
+    assert _raised_inside_the_package(exc)
+    assert rng.random(4).tobytes() == Rng(0).random(4).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row", sorted(TIMED))
+def test_the_timed_calls_are_valid_with_good_input(row):
+    call, _, good, _, _ = TIMED[row]
+    call(good, Rng(0))
