@@ -604,7 +604,8 @@ def test_column_groups_equal_one_column_at_a_time(monkeypatch, base8, random8, o
     width, fed = columns if return_cache else model._CHUNK_COLUMNS, []
     for c0 in range(0, columns, width):  # per chunk, layer by layer, one call per group
         hi = min(c0 + width, columns)
-        fed += [(min(group, hi - lo), 1, 2, 8, 1) for lo in range(c0, hi, group)] * 2
+        sizes = [min(group, hi - lo) for lo in range(c0, hi, group)]
+        fed += [(g, 1, 2, 8, 1)[g == 1:] for g in sizes] * 2  # one column: no group axis
     assert [call.args[1].shape for call in calls.call_args_list] == fed
     monkeypatch.setattr(model, "_GROUP_BYTES", 1)  # one column per group
     want, want_state = _pass_arrays(tensor, graphs, x, return_cache)
