@@ -181,10 +181,11 @@ def _realized_mats(base: ShiftOperator, keep: np.ndarray,
     vals = keep * base._weights
     if base.kind == LAPLACIAN:  # of the surviving edges: base degrees less dropped weights
         vals = -vals
-        degrees = np.repeat(np.diag(base.mat)[None], b, axis=0)
-        np.subtract.at(degrees, (slice(None), iu), ~keep * base._weights)
-        np.subtract.at(degrees, (slice(None), ju), ~keep * base._weights)
-        mats[:, np.arange(n), np.arange(n)] = degrees
+        # per node, the dropped weights summed through the (M, N) edge-node incidence:
+        # exact, so equal to any other order of summation, on integer weights
+        ends, rows = np.zeros((len(iu), n)), np.arange(len(iu))
+        ends[rows, iu] = ends[rows, ju] = 1.0
+        mats[:, np.arange(n), np.arange(n)] = np.diag(base.mat) - (~keep * base._weights) @ ends
     mats[:, iu, ju] = vals
     mats[:, ju, iu] = vals
     return mats

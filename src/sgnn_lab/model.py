@@ -12,8 +12,9 @@ tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shi
 shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
 takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one
-(below p = 1, a layer's columns in cache-sized groups, one diffusion call per group),
-and :func:`_contract_taps` how a layer contracts its taps with its stages.
+(below p = 1, a layer's columns in cache-sized groups, each group's shifts built and
+diffused one stage at a time, one diffusion call per group), and :func:`_contract_taps`
+how a layer contracts its taps with its stages.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -220,6 +221,11 @@ def init_tensor(cfg: SgnnConfig, rng: Rng, scale: float) -> FilterTensor:
     return FilterTensor(cfg, rng.uniform(-scale, scale, cfg.num_params))
 
 
+def _check_node_counts(graphs: tuple) -> None:
+    if len({g.n for g in graphs}) != 1:
+        raise ValueError(f"per-column graphs need one node count, got {[g.n for g in graphs]}")
+
+
 def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
                         cfg: SgnnConfig, rng: Rng) -> Reals | DeferredSets:
     """Draw a fresh realization set for one forward pass.
@@ -240,8 +246,7 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     check_edge_probability(p)
     if not isinstance(base, ShiftOperator):
         graphs = tuple(base)
-        if len({g.n for g in graphs}) != 1:
-            raise ValueError(f"per-column graphs need one node count, got {[g.n for g in graphs]}")
+        _check_node_counts(graphs)
         if p < 1.0 or any(g is not graphs[0] for g in graphs):
             return DeferredSets(graphs, p, rng)
         base = graphs[0]
@@ -285,12 +290,13 @@ class ForwardCache:
 _STD_FLOOR = 1e-12
 # columns per layer-major pass of a forward-only deferred set below p = 1
 _CHUNK_COLUMNS = 32
-# bytes of shifts per group of columns that one diffusion call runs, on a deferred set
-# below p = 1: a group's slots stay in L2.  Measured: 64-filter source columns (614 KB
-# each) built in 58, 100 and 161 us per column at 1, 2 and 4 columns per group, and
-# 8-filter K = 10 columns (256 KB) ran the variance benchmark's passes faster at 4 per
-# group (this cap) than at 2 (a 512 KB cap) in 8 of 9 runs
-_GROUP_BYTES = 2**20
+# bytes of one stage's shifts per group of columns that one diffusion call runs, on a
+# deferred set below p = 1 (at least one column): 64-filter source and 192-filter flock
+# columns (205 and 221 KB a stage) run one per group, 8-filter variance columns (26 KB)
+# ten.  Stage groups of 1 MiB (5 source and 4 flock columns) were slower in 3 of 3
+# benchmark pairs each: source evaluation 0.579 -> 0.606 of the reference's time, flock
+# training 0.338 -> 0.354
+_GROUP_BYTES = 2**18
 
 
 def _apply_head(tensor: FilterTensor, core: np.ndarray, cache: "ForwardCache | None" = None) -> np.ndarray:
@@ -333,21 +339,39 @@ def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
     return [sets.rng.bernoulli(sets.p, (o * i * k, m)) for o, i, k, _, _ in shapes]
 
 
-def _column_set(sets: DeferredSets, col: int, keep: np.ndarray | None, buf: np.ndarray,
-                shape: tuple, group: int = 1) -> np.ndarray:
-    """Column ``col``'s shifts of one layer of ``shape`` (out, in, K, N, N): a read-only
-    view of its graph at p = 1, else built from ``keep`` in ``buf`` and viewed there.
-    The buffer is an (out * in * K, N, N) array, one slot of a group of ``group``
-    columns, holding zeros or column col - group's build: a refill on that column's
-    graph rewrites only edge and diagonal entries; on another graph it zeroes the
-    buffer first."""
-    graph = sets.graphs[col]
-    if sets.p == 1.0:
-        return np.broadcast_to(graph.mat, shape)
-    if col >= group and sets.graphs[col - group] is not graph:
-        buf.fill(0.0)
-    _realized_mats(graph, keep, out=buf)
-    return buf.reshape(shape)
+def _column_set(graph: ShiftOperator, keep: np.ndarray, slots: np.ndarray, held: list,
+                lo: int = 0, hi: int = 1) -> np.ndarray:
+    """Consecutive columns' shifts on ``graph`` built from ``keep`` (their rows in slot
+    order) into slots ``lo`` to ``hi`` of ``slots``, one (..., N, N) block per column, and
+    viewed there.  ``held[j]`` is the graph slot j was last built on, None while it holds
+    zeros: a slot refilled on that graph has only its edge and diagonal entries rewritten;
+    one that held another graph is zeroed first."""
+    for j in range(lo, hi):
+        if held[j] is not None and held[j] is not graph:
+            slots[j].fill(0.0)
+        held[j] = graph
+    return _realized_mats(graph, keep, out=slots[lo:hi].reshape(-1, graph.n, graph.n))
+
+
+class _StageShifts:
+    """A group's K stage shifts as :func:`diffusion_stages` reads them, item s for stage
+    s + 1: reading item s builds stage s + 1 of each run of ``runs`` (first slot, the slot
+    past its last, graph, keeps) into ``slots`` and returns ``view``, a view of them; read
+    again before another item, it is not rebuilt."""
+
+    def __init__(self, order: int, runs: list, slots: np.ndarray, held: list, view: np.ndarray):
+        self.order, self.runs, self.slots, self.held, self.view = order, runs, slots, held, view
+        self.built = None
+
+    def __len__(self) -> int:
+        return self.order
+
+    def __getitem__(self, s: int) -> np.ndarray:
+        if s != self.built:
+            for first, last, graph, keep in self.runs:  # a run's rows s, s + K, ...
+                _column_set(graph, keep[s::self.order], self.slots, self.held, first, last)
+            self.built = s
+        return self.view
 
 
 def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -385,7 +409,8 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
     batch ``x`` and return the last activation, a :class:`DeferredSets` as
     :func:`forward` runs one.  Layer 0 appends column b's keeps for every layer to
-    the empty list ``keeps`` (None at p = 1), its own replaced by None once built.
+    the empty list ``keeps`` (None at p = 1), its own as None: it holds them only while
+    it builds column b's group.
     Each array of ``spare`` (per layer a (stages, u, act) triple of an earlier pass)
     whose shape matches is refilled in place; each layer's arrays are appended to
     ``cache`` when one is given."""
@@ -414,28 +439,33 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            size = out_d * in_d * k
-            group = max(1, min(b, _GROUP_BYTES // max(1, size * n * n * 8)))
-            slots = np.zeros((group, size, n, n))  # slot j holds columns j, j + group, ...
-            # the slots as (K, g, out, in, N, N) shifts, the signals (in, N, B) as
-            # (B, 1, in, N, 1) and the stages as (K+1, B, out, in, N, 1)
-            mats = slots.reshape(group, out_d, in_d, k, n, n).transpose(3, 0, 1, 2, 4, 5)
+            group = max(1, min(b, _GROUP_BYTES // (out_d * in_d * n * n * 8)))
+            # slot j holds one stage of column j, j + group, ...; held[j] its graph
+            slots, held = np.zeros((group, out_d, in_d, n, n)), [None] * group
+            # the signals (in, N, B) as (B, 1, in, N, 1) and the stages as
+            # (K+1, B, out, in, N, 1)
             signals = current.transpose(2, 0, 1)[:, None, ..., None]
             outs = stages.transpose(0, 4, 1, 2, 3)[..., None]
             for lo in range(0, b, group):
                 hi = min(lo + group, b)
-                for col in range(lo, hi):
-                    if layer_idx == 0:  # backward rebuilds the later layers only
-                        keeps.append(_draw_column(reals, shapes, col))
-                        keep, keeps[col][0] = keeps[col][0], None
-                    else:
-                        keep = keeps[col][layer_idx]
-                    _column_set(reals, col, keep, slots[col - lo], shapes[layer_idx], group)
+                if layer_idx == 0:  # backward rebuilds the later layers only
+                    drawn = [_draw_column(reals, shapes, col) for col in range(lo, hi)]
+                    keeps.extend([None, *column[1:]] for column in drawn)
+                    group_keeps = [column[0] for column in drawn]
+                else:
+                    group_keeps = [keeps[col][layer_idx] for col in range(lo, hi)]
+                # runs of consecutive columns on one graph, each built in one call: first slot,
+                # the slot past its last, graph and keeps (columns * out * in * K, M)
+                ends = [j for j in range(1, hi - lo) if reals.graphs[lo + j] is not reals.graphs[lo + j - 1]]
+                runs = [(a, z, reals.graphs[lo + a],
+                         group_keeps[a] if z - a == 1 else np.concatenate(group_keeps[a:z]))
+                        for a, z in zip([0, *ends], [*ends, hi - lo])]
                 # a one-column group indexes its column, which drops the group axis: the
-                # products are the same, and on 5-D operands the three matmuls of a
-                # 64-filter source column take ~1 us less
+                # products are the same, and on whole-column slots one axis fewer took ~1 us
+                # off the three matmuls of a 64-filter source column
                 cols, part = (slice(lo, hi), slice(hi - lo)) if hi - lo > 1 else (lo, 0)
-                diffusion_stages(mats[:, part], signals[cols], outs[:, cols])
+                diffusion_stages(_StageShifts(k, runs, slots, held, slots[part]), signals[cols],
+                                 outs[:, cols])
         else:
             mats = reals[layer_idx]
             # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
@@ -467,18 +497,22 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     column b's set as the b-th of B single-set draws on its graph would draw it.  At
     p = 1 each stage is one stacked product of the columns' graphs, cached or not.
     Below p = 1 the pass runs layer by layer over the batch: layer 0 draws column b's
-    keeps for every layer when it reaches column b (the order of B single-set draws),
-    and a cache keeps those of the later layers (``backward`` rebuilds their shifts
-    from them).  A layer takes the columns in consecutive groups of as many as fit
-    ``_GROUP_BYTES`` of shifts (at least one): each column is built into its own slot
-    of the group's buffer (a refill on the graph that slot last held rewrites only the
-    edge and diagonal entries; on another graph the slot is zeroed first), and one
-    :func:`diffusion_stages` call runs the group's stages, each column's products those
-    of a pass on that column alone.  Without a cache to return or refill, the pass runs
-    on chunks of ``_CHUNK_COLUMNS`` columns one after the other, so that its stage
-    arrays do not grow with B; its output is the cached pass's bit for bit.  An input
-    that is complex, or whose node or column count does not match the set, raises
-    ``ValueError`` before any draw.
+    keeps for every layer when column b's group starts, in column order (the order of B
+    single-set draws), and a cache keeps those of the later layers (``backward``
+    rebuilds their shifts from them).  A layer takes the columns in consecutive groups
+    of as many as fit ``_GROUP_BYTES`` of one stage's shifts (at least one), each
+    column with its own slot of the group's buffer, and one :func:`diffusion_stages`
+    call runs the group's stages: for k = 1..K it builds stage k's shifts of every
+    column into its slot (consecutive columns on one graph in one build) and then runs
+    the group's stage-k product, each column's products those of a pass on that column
+    alone.  A slot records the graph it holds: refilled on that graph, only its edge
+    and diagonal entries are rewritten; on another graph it is zeroed first, one
+    stage's bytes (``backward`` rebuilds a column's K stages in one slot by the same
+    rule).  Without a cache to return or refill, the pass runs on chunks of
+    ``_CHUNK_COLUMNS`` columns one after the other, so that its stage arrays do not
+    grow with B; its output is the cached pass's bit for bit.  An input that is
+    complex, or whose node or column count does not match the set, or a set whose
+    graphs are none or of mixed node counts, raises ``ValueError`` before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -496,6 +530,7 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
                          f"with F_in = {cfg.in_features}")
     keeps = None
     if isinstance(reals, DeferredSets):
+        _check_node_counts(reals.graphs)
         n, b = reals.graphs[0].n, len(reals.graphs)
         if x.shape[1:] != (n, b):
             raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
@@ -585,9 +620,10 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
             d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
             continue
         shape = (*coeffs.shape[:2], cfg.order, n, n)
-        buf, d_act = np.zeros((np.prod(shape[:3]), n, n)), np.empty((shape[1], n, act[2]))
-        for col in range(act[2]):
-            mats = _column_set(reals, col, cache.keeps[col][layer_idx], buf, shape)
+        slot, held, d_act = np.zeros((1, *shape)), [None], np.empty((shape[1], n, act[2]))
+        for col, graph in enumerate(reals.graphs):  # each column's K stages in one slot
+            mats = (np.broadcast_to(graph.mat, shape) if reals.p == 1.0 else
+                    _column_set(graph, cache.keeps[col][layer_idx], slot, held).reshape(shape))
             d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
     return grad
 

@@ -228,6 +228,25 @@ class TestSampleRealization:
         mean = np.einsum("b,bnm->nm", probs, _realized_mats(base, masks))
         assert np.abs(mean - expected_shift(base, 0.3)).max() <= 1e-15
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_laplacian_build_equals_a_hand_built_laplacian(self, random8, weighted):
+        # the build takes each node's degree as the base's less its dropped weights summed
+        # at once: exactly the Laplacian of the kept edges on unit weights (to_shift's; a
+        # dropped edge reads -0.0), and to roundoff on others
+        weights = random8.mat * (Rng(5).uniform(0.3, 2.0, (8, 8)) if weighted else 1.0)
+        weights = np.triu(weights, 1) + np.triu(weights, 1).T
+        base = weighted_shift(weights, LAPLACIAN)
+        keep = Rng(6).bernoulli(0.6, (20, base.num_edges))
+        for got, row in zip(_realized_mats(base, keep), keep):
+            i, j = base.edges[row].T
+            kept = np.zeros((8, 8))
+            kept[i, j] = kept[j, i] = weights[i, j]
+            want = np.diag(kept.sum(axis=1)) - kept
+            if weighted:
+                assert np.abs(got - want).max() <= 1e-12
+            else:
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_refill_in_place_equals_fresh_builds(self, random8, kind):
         # weighted, so that an entry left over from an earlier keep cannot pass for a fresh one

@@ -38,6 +38,7 @@ from sgnn_lab import (
     to_shift,
 )
 from sgnn_lab.experiments import evaluate_accuracy
+from sgnn_lab.model import DeferredSets
 
 PACKAGE = Path(sgnn_lab.__file__).resolve().parent
 
@@ -95,11 +96,23 @@ def _forward(x, rng):
                    return_cache=False)
 
 
+_EIGHT = build_sbm(8, 2, 0.8, 0.4, Rng(12).child(0))
+
+
+def _forward_deferred(p):
+    """A pass on a deferred set of a given first graph and ``_BASE``, built by hand (as
+    :func:`sample_architecture` would refuse mixed node counts)."""
+    return lambda first, rng: forward(_NET, DeferredSets((first, _BASE), p, rng),
+                                      np.ones((1, first.n, 2)), return_cache=False)
+
+
 # timed entry points, each called on a stream with one argument varied: the malformed
 # value, the error and its message, and a good value.  A complex signal was once cast
 # with a ComplexWarning, its imaginary part dropped; n_samples=2.5 raised a raw
 # TypeError from `[base] * n_samples`; a head without classes or labels that are no
-# class scored an accuracy above 1, or 0
+# class scored an accuracy above 1, or 0; an 8-node plus a 6-node deferred set ran
+# at p = 0.7, the 6-node graph written into 8 x 8 slots, and raised numpy's
+# stacking error at p = 1
 TIMED = {
     "mc_sgnn_variance n_samples": (
         lambda n, rng: mc_sgnn_variance(_NET, _BASE, 0.7, _X, n, rng),
@@ -113,6 +126,12 @@ TIMED = {
     "forward input": (
         _forward, np.ones((1, _BASE.n, 2)) + 1j, np.ones((1, _BASE.n, 2)), ValueError,
         "input entries must be real"),
+    "forward deferred node counts": (
+        _forward_deferred(0.7), _EIGHT, _BASE, ValueError,
+        r"per-column graphs need one node count, got \[8, 6\]"),
+    "forward deferred node counts at p = 1": (
+        _forward_deferred(1.0), _EIGHT, _BASE, ValueError,
+        r"per-column graphs need one node count, got \[8, 6\]"),
     "evaluate_accuracy head": (
         lambda net, rng: evaluate_accuracy(net, _BASE, _INPUTS, [0, 1, 1, 0], 0.7, rng),
         _NET, _CLASSIFIER, ConfigError, "accuracy needs a pooled readout head, got 'none'"),

@@ -541,8 +541,8 @@ def test_forward_only_pass_on_intact_graph_list_is_one_stacked_pass(base8, rando
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_refill_after_a_denser_graph_equals_a_fresh_set(random8, kind):
-    # each column's build refills the slot of its group that column col - group built,
-    # of each layer: on the same graph, or on a denser or sparser one
+    # each column's build refills the slot that column col - group built, of each layer:
+    # on the same graph, or on a denser or sparser one
     dense, sparse = (to_shift(build_sbm(8, 2, 1.0, 1.0, Rng(7).child(0)), kind),
                      to_shift(random8, kind))
     assert {tuple(e) for e in dense.edges} > {tuple(e) for e in sparse.edges}
@@ -552,13 +552,15 @@ def test_refill_after_a_denser_graph_equals_a_fresh_set(random8, kind):
     for group in (1, 2):
         sets = sample_architecture(graphs, 0.7, cfg, Rng(0))
         slots = [np.zeros((group, o * i * k, 8, 8)) for o, i, k, _, _ in shapes]
+        held = [[None] * group for _ in shapes]
         loop_rng = Rng(0)
         for col, graph in enumerate(graphs):
             want = sample_architecture(graph, 0.7, cfg, loop_rng)
             keeps = model._draw_column(sets, shapes, col)
+            j = col % group
             for layer, (keep, buf, shape) in enumerate(zip(keeps, slots, shapes)):
-                got = model._column_set(sets, col, keep, buf[col % group], shape, group)
-                assert np.shares_memory(got, buf[col % group])
+                got = model._column_set(graph, keep, buf, held[layer], j, j + 1)
+                assert np.shares_memory(got, buf[j]) and held[layer][j] is graph
                 assert got.tobytes() == want[layer].tobytes()
         assert _state(sets.rng) == _state(loop_rng)
 
@@ -576,37 +578,52 @@ def _pass_arrays(tensor, graphs, x, return_cache):
     return arrays, _state(rng)
 
 
-@pytest.mark.parametrize("return_cache", [True, False])
-@pytest.mark.parametrize("group, columns", [(2, 7), (3, 7), (5, 70)])
-@pytest.mark.parametrize("order", [0, 1, 3])
-def test_column_groups_equal_one_column_at_a_time(monkeypatch, base8, random8, order, group,
-                                                  columns, return_cache):
-    # below p = 1 each layer builds a group of columns, each in its own slot, and runs
-    # their stages in one diffusion call; the last group of a batch or chunk may be short.
-    # The graphs repeat and change kind, so a slot is refilled on the graph it held (only
-    # its edges and a Laplacian's diagonal rewritten) and on another one (zeroed first).
-    # Output, stages, pre-activations and gradient (two layers: the second rebuilt from
-    # stored keeps) are the one-column-per-group pass's bit for bit, the output is B
-    # single-set passes' to roundoff, and the stream ends where B single-set draws leave it
+def _stage_slot_calls(graphs, group, order, return_cache):
+    """The calls of a pass at p = 0.7 on ``graphs`` with ``group`` columns per group (the
+    2-layer, 2 x 2-filter net below): per chunk, layer and group, one diffusion call (the
+    shape of its signals; a one-column group has no group axis), then per stage one build
+    per run of consecutive columns on one graph (its keep rows, 4 filters per column)."""
+    width, calls = len(graphs) if return_cache else model._CHUNK_COLUMNS, []
+    for c0 in range(0, len(graphs), width):
+        hi = min(c0 + width, len(graphs))
+        for _layer, lo in itertools.product(range(2), range(c0, hi, group)):
+            part = graphs[lo:min(lo + group, hi)]
+            calls.append(("diffuse", (len(part), 1, 2, 8, 1)[len(part) == 1:]))
+            runs = [len(list(run)) for _, run in itertools.groupby(part, id)]
+            calls += [("build", 4 * r) for r in runs] * order
+    return calls
+
+
+def _check_column_groups(monkeypatch, graphs, order, group, return_cache):
+    # a pass in groups of `group` columns makes the calls of _stage_slot_calls.  Output,
+    # stages, pre-activations and gradient (two layers: the second rebuilt from stored
+    # keeps) are the one-column-per-group pass's bit for bit, the output is B single-set
+    # passes' to roundoff, and the stream ends where B single-set draws leave it
     cfg = SgnnConfig(layers=2, features=2, order=order, nonlinearity="tanh", in_features=2,
                      out_features=2, readout="per_node", readout_dim=2)
     tensor = init_tensor(cfg, Rng(5), 0.6)
-    dense = build_sbm(8, 2, 1.0, 1.0, Rng(7).child(0))
-    pool = [to_shift(dense, "laplacian"), to_shift(random8, "laplacian"), random8, base8, dense]
-    graphs = [pool[c] for c in Rng(6).integers(0, len(pool), columns)]
+    columns = len(graphs)
     x = Rng(3).normal(size=(2, 8, columns))
-    if order:  # both layers have 2 x 2 filters: `group` columns of 4 * order shifts
-        monkeypatch.setattr(model, "_GROUP_BYTES", group * 4 * order * 8 * 8 * 8)
-    else:  # no shifts to build: one group per batch or chunk
-        group = columns
-    with mock.patch.object(model, "diffusion_stages", wraps=model.diffusion_stages) as calls:
-        got, state = _pass_arrays(tensor, graphs, x, return_cache)
-    width, fed = columns if return_cache else model._CHUNK_COLUMNS, []
-    for c0 in range(0, columns, width):  # per chunk, layer by layer, one call per group
-        hi = min(c0 + width, columns)
-        sizes = [min(group, hi - lo) for lo in range(c0, hi, group)]
-        fed += [(g, 1, 2, 8, 1)[g == 1:] for g in sizes] * 2  # one column: no group axis
-    assert [call.args[1].shape for call in calls.call_args_list] == fed
+    calls, diffusion_stages, realized_mats = [], model.diffusion_stages, model._realized_mats
+
+    def diffuse(mats, signals, out):
+        calls.append(("diffuse", signals.shape))
+        return diffusion_stages(mats, signals, out)
+
+    def build(graph, keep, out):
+        assert out.shape == (len(keep), 8, 8)  # one stage of each column of the run
+        calls.append(("build", len(keep)))
+        return realized_mats(graph, keep, out=out)
+
+    monkeypatch.setattr(model, "diffusion_stages", diffuse)
+    monkeypatch.setattr(model, "_realized_mats", build)
+    # both layers have 2 x 2 filters: `group` columns of one stage of 4 shifts
+    monkeypatch.setattr(model, "_GROUP_BYTES", group * 4 * 8 * 8 * 8)
+    got, state = _pass_arrays(tensor, graphs, x, return_cache)
+    if return_cache:  # backward's rebuilds: each column's K stages of layer 1 in one slot
+        assert calls[-columns:] == [("build", 4 * order)] * columns
+        calls = calls[:-columns]
+    assert calls == _stage_slot_calls(graphs, group, order, return_cache)
     monkeypatch.setattr(model, "_GROUP_BYTES", 1)  # one column per group
     want, want_state = _pass_arrays(tensor, graphs, x, return_cache)
     assert state == want_state
@@ -617,6 +634,38 @@ def test_column_groups_equal_one_column_at_a_time(monkeypatch, base8, random8, o
                            for c, g in enumerate(graphs)], axis=-1)
     assert _state(loop_rng) == state
     np.testing.assert_allclose(got[0], loop, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("return_cache", [True, False])
+@pytest.mark.parametrize("group, columns", [(2, 7), (3, 7), (5, 70)])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_column_groups_equal_one_column_at_a_time(monkeypatch, base8, random8, order, group,
+                                                  columns, return_cache):
+    # below p = 1 each layer takes a group of columns at a time, one slot per column, and
+    # builds and diffuses them one stage at a time; the last group of a batch or chunk may
+    # be short.  The graphs repeat and change kind, so a slot is refilled on the graph it
+    # held (only its edges and a Laplacian's diagonal rewritten) and on another one
+    # (zeroed first)
+    dense = build_sbm(8, 2, 1.0, 1.0, Rng(7).child(0))
+    pool = [to_shift(dense, "laplacian"), to_shift(random8, "laplacian"), random8, base8, dense]
+    graphs = [pool[c] for c in Rng(6).integers(0, len(pool), columns)]
+    _check_column_groups(monkeypatch, graphs, order, group, return_cache)
+
+
+@pytest.mark.parametrize("return_cache", [True, False])
+@pytest.mark.parametrize("case", ["laplacian slots move to adjacency graphs",
+                                  "a run of columns, then another graph"])
+def test_stage_slots_across_graph_changes(monkeypatch, base8, random8, case, return_cache):
+    # a slot that held a Laplacian's stage and takes an adjacency's must lose its
+    # diagonal (K = 2: the stage-2 build refills the stage-1 slots of the same graph);
+    # a run of columns on one graph is built in one call, and the next graph's column
+    # in its own
+    lap, dense = to_shift(random8, "laplacian"), build_sbm(8, 2, 1.0, 1.0, Rng(7).child(0))
+    graphs, group = {
+        "laplacian slots move to adjacency graphs": ([lap, lap, random8, base8, lap], 2),
+        "a run of columns, then another graph": ([dense, dense, lap, lap, lap, base8], 3),
+    }[case]
+    _check_column_groups(monkeypatch, graphs, 2, group, return_cache)
 
 
 @pytest.mark.parametrize("columns", [33, 70])
