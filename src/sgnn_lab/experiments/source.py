@@ -153,8 +153,9 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
 
     ``tensor`` has a pooled head (``ConfigError`` otherwise: the argmax runs over its
     ``readout_dim`` classes), ``inputs`` is (R, F_in, N) with R >= 1 and ``labels``
-    (R,) of classes 0 .. readout_dim - 1; ``ValueError`` otherwise.  Nothing is drawn
-    before these checks."""
+    (R,) of classes 0 .. readout_dim - 1; ``ValueError`` otherwise, also for a NaN or
+    infinite input (its logits would argmax to class 0).  Nothing is drawn before these
+    checks."""
     if tensor.cfg.readout != "pooled":
         raise ConfigError(f"accuracy needs a pooled readout head, got {tensor.cfg.readout!r}")
     labels = np.asarray(labels)
@@ -164,6 +165,8 @@ def evaluate_accuracy(tensor, base: ShiftOperator, inputs: np.ndarray,
     if not np.isin(labels, np.arange(tensor.cfg.readout_dim)).all():
         raise ValueError(f"labels must be classes 0 .. {tensor.cfg.readout_dim - 1}, "
                          f"got {np.unique(labels)}")
+    if not np.isfinite(inputs).all():
+        raise ValueError("test inputs must be finite")
     reals = sample_architecture([base] * len(inputs), p, tensor.cfg, rng)
     logits, _ = forward(tensor, reals, np.moveaxis(inputs, 0, -1), return_cache=False)
     return int(np.count_nonzero(np.argmax(logits, axis=0) == labels)) / len(inputs)

@@ -13,8 +13,9 @@ shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
 takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one
 (below p = 1, a layer's columns in cache-sized groups, each group's shifts built and
-diffused one stage at a time, one diffusion call per group), and :func:`_contract_taps`
-how a layer contracts its taps with its stages.
+diffused one stage at a time, one diffusion call per group; a pass without a cache in
+chunks of whole groups whose stage arrays stay cache-sized too), and
+:func:`_contract_taps` how a layer contracts its taps with its stages.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -288,14 +289,14 @@ class ForwardCache:
 
 
 _STD_FLOOR = 1e-12
-# columns per layer-major pass of a forward-only deferred set below p = 1
-_CHUNK_COLUMNS = 32
 # bytes of one stage's shifts per group of columns that one diffusion call runs, on a
 # deferred set below p = 1 (at least one column): 64-filter source and 192-filter flock
 # columns (205 and 221 KB a stage) run one per group, 8-filter variance columns (26 KB)
 # ten.  Stage groups of 1 MiB (5 source and 4 flock columns) were slower in 3 of 3
 # benchmark pairs each: source evaluation 0.579 -> 0.606 of the reference's time, flock
-# training 0.338 -> 0.354
+# training 0.338 -> 0.354.  A forward-only pass below p = 1 runs in chunks whose widest
+# stage array (K+1 stages of every filter, N values a column) fits the same budget,
+# rounded up to whole groups: 6 source columns (41 KB each), 20 variance columns
 _GROUP_BYTES = 2**18
 
 
@@ -374,6 +375,14 @@ class _StageShifts:
         return self.view
 
 
+def _columns(floats: int, per: int = 1) -> int:
+    """As many columns of ``floats`` float64 values each as fit ``_GROUP_BYTES`` (at least
+    one), rounded up to a multiple of ``per``: the width of a layer's groups
+    (``floats`` its one stage's shifts), and of a forward-only pass's chunks (its widest
+    layer's stage array, in whole groups of that layer)."""
+    return -(-max(1, _GROUP_BYTES // (floats * 8)) // per) * per
+
+
 def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pre-activations ``u[o] = sum_k,i taps[o, i, k] * stages[k, o, i]`` (out, N, B) of
     taps (out, in, K+1) and stages (K+1, out or 1, in, N, B), into ``out`` when given.
@@ -439,7 +448,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            group = max(1, min(b, _GROUP_BYTES // (out_d * in_d * n * n * 8)))
+            group = min(b, _columns(out_d * in_d * n * n))
             # slot j holds one stage of column j, j + group, ...; held[j] its graph
             slots, held = np.zeros((group, out_d, in_d, n, n)), [None] * group
             # the signals (in, N, B) as (B, 1, in, N, 1) and the stages as
@@ -508,11 +517,13 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     alone.  A slot records the graph it holds: refilled on that graph, only its edge
     and diagonal entries are rewritten; on another graph it is zeroed first, one
     stage's bytes (``backward`` rebuilds a column's K stages in one slot by the same
-    rule).  Without a cache to return or refill, the pass runs on chunks of
-    ``_CHUNK_COLUMNS`` columns one after the other, so that its stage arrays do not
-    grow with B; its output is the cached pass's bit for bit.  An input that is
-    complex, or whose node or column count does not match the set, or a set whose
-    graphs are none or of mixed node counts, raises ``ValueError`` before any draw.
+    rule).  Without a cache to return or refill, the pass runs on chunks of columns one
+    after the other, so that its stage arrays do not grow with B: as many columns as
+    keep the widest layer's stage array within ``_GROUP_BYTES`` (at least one), rounded
+    up to whole groups of that layer; its output is the cached pass's bit for bit.  An
+    input that is complex, or whose node or column count does not match the set, or a
+    set whose graphs are none or of mixed node counts, raises ``ValueError`` before any
+    draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -536,11 +547,10 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
             raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
                              f"on {n} nodes")
         if reals.p < 1.0 and not return_cache and cache is None:
-            core = None
-            for lo in range(0, b, _CHUNK_COLUMNS):
-                cols = slice(lo, lo + _CHUNK_COLUMNS)
-                act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols],
-                              [], None, [])
+            filters = max(o * i for o, i in cfg.layer_shapes())  # the widest layer's
+            chunk, core = _columns((cfg.order + 1) * filters * n, _columns(filters * n * n)), None
+            for cols in (slice(lo, lo + chunk) for lo in range(0, b, chunk)):
+                act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols], [], None, [])
                 if core is None:  # act's layout: the head sums in memory order, as on a cached pass
                     core = np.empty_like(act, shape=act.shape[:2] + (b,))
                 core[..., cols] = act

@@ -72,12 +72,15 @@ def shift_alpha(kind: str) -> float:
 
 def _signal(x, base: ShiftOperator) -> np.ndarray:
     """``x`` as a float signal of shape (N,) on ``base`` (``ValueError`` otherwise, also
-    for a complex ``x``, whose imaginary part the copy would drop)."""
+    for a complex ``x``, whose imaginary part the copy would drop, and for a NaN or
+    infinite entry)."""
     if np.iscomplexobj(x):
         raise ValueError("signal entries must be real, got a complex dtype")
     x = np.asarray(x, dtype=float)
     if x.shape != (base.n,):
         raise ValueError(f"signal has shape {x.shape}, expected ({base.n},) for {base.n} nodes")
+    if not np.isfinite(x).all():
+        raise ValueError("signal entries must be finite")
     return x
 
 

@@ -112,7 +112,8 @@ def _forward_deferred(p):
 # TypeError from `[base] * n_samples`; a head without classes or labels that are no
 # class scored an accuracy above 1, or 0; an 8-node plus a 6-node deferred set ran
 # at p = 0.7, the 6-node graph written into 8 x 8 slots, and raised numpy's
-# stacking error at p = 1
+# stacking error at p = 1; NaN inputs labelled 0 scored an accuracy of 1 (NaN logits
+# argmax to class 0), and a NaN signal gave a variance of NaN
 TIMED = {
     "mc_sgnn_variance n_samples": (
         lambda n, rng: mc_sgnn_variance(_NET, _BASE, 0.7, _X, n, rng),
@@ -120,6 +121,14 @@ TIMED = {
     "mc_sgnn_variance signal": (
         lambda x, rng: mc_sgnn_variance(_NET, _BASE, 0.7, x, 3, rng),
         _X + 1j, _X, ValueError, "signal entries must be real"),
+    "mc_sgnn_variance NaN signal": (
+        lambda x, rng: mc_sgnn_variance(_NET, _BASE, 0.7, x, 3, rng),
+        np.where(np.arange(_BASE.n) == 1, np.nan, _X), _X, ValueError,
+        "signal entries must be finite"),
+    "mc_sgnn_variance infinite signal": (
+        lambda x, rng: mc_sgnn_variance(_NET, _BASE, 0.7, x, 3, rng),
+        np.where(np.arange(_BASE.n) == 1, -np.inf, _X), _X, ValueError,
+        "signal entries must be finite"),
     "exact_filter_variance signal": (
         lambda x, rng: exact_filter_variance([0.2, 0.5], _BASE, 0.5, x),
         _X + 0j, _X, ValueError, "signal entries must be real"),
@@ -142,6 +151,15 @@ TIMED = {
         lambda labels, rng: evaluate_accuracy(_CLASSIFIER, _BASE, _INPUTS, labels, 0.7, rng),
         [0, 2, 1, -1], np.array([0, 1, 1, 0], dtype=np.int8), ValueError,
         r"labels must be classes 0 \.\. 1"),
+    "evaluate_accuracy NaN inputs": (
+        lambda inputs, rng: evaluate_accuracy(_CLASSIFIER, _BASE, inputs, [0, 0, 0, 0], 0.7,
+                                              rng),
+        np.full_like(_INPUTS, np.nan), _INPUTS, ValueError, "test inputs must be finite"),
+    "evaluate_accuracy infinite inputs": (
+        lambda inputs, rng: evaluate_accuracy(_CLASSIFIER, _BASE, inputs, [0, 1, 1, 0], 0.7,
+                                              rng),
+        np.where(np.arange(_BASE.n) == 2, np.inf, _INPUTS), _INPUTS, ValueError,
+        "test inputs must be finite"),
 }
 
 

@@ -578,12 +578,25 @@ def _pass_arrays(tensor, graphs, x, return_cache):
     return arrays, _state(rng)
 
 
-def _stage_slot_calls(graphs, group, order, return_cache):
+def _chunk_width(cfg, n):
+    """Columns per chunk of a forward-only pass at p < 1 on ``n`` nodes: as many as keep
+    the widest layer's stage array, (K+1) * out * in * N floats a column, within
+    ``_GROUP_BYTES`` (at least one), rounded up to whole groups of that layer; and the
+    width of those groups."""
+    filters = max(o * i for o, i in cfg.layer_shapes())
+    group = model._columns(filters * n * n)
+    fit = max(1, model._GROUP_BYTES // ((cfg.order + 1) * filters * n * 8))
+    return -(-fit // group) * group, group
+
+
+def _stage_slot_calls(cfg, graphs, group, return_cache):
     """The calls of a pass at p = 0.7 on ``graphs`` with ``group`` columns per group (the
-    2-layer, 2 x 2-filter net below): per chunk, layer and group, one diffusion call (the
-    shape of its signals; a one-column group has no group axis), then per stage one build
-    per run of consecutive columns on one graph (its keep rows, 4 filters per column)."""
-    width, calls = len(graphs) if return_cache else model._CHUNK_COLUMNS, []
+    2-layer, 2 x 2-filter net ``cfg`` below): per chunk, layer and group, one diffusion
+    call (the shape of its signals; a one-column group has no group axis), then per stage
+    one build per run of consecutive columns on one graph (its keep rows, 4 filters per
+    column)."""
+    order, calls = cfg.order, []
+    width = len(graphs) if return_cache else _chunk_width(cfg, 8)[0]
     for c0 in range(0, len(graphs), width):
         hi = min(c0 + width, len(graphs))
         for _layer, lo in itertools.product(range(2), range(c0, hi, group)):
@@ -623,7 +636,7 @@ def _check_column_groups(monkeypatch, graphs, order, group, return_cache):
     if return_cache:  # backward's rebuilds: each column's K stages of layer 1 in one slot
         assert calls[-columns:] == [("build", 4 * order)] * columns
         calls = calls[:-columns]
-    assert calls == _stage_slot_calls(graphs, group, order, return_cache)
+    assert calls == _stage_slot_calls(cfg, graphs, group, return_cache)
     monkeypatch.setattr(model, "_GROUP_BYTES", 1)  # one column per group
     want, want_state = _pass_arrays(tensor, graphs, x, return_cache)
     assert state == want_state
@@ -669,24 +682,32 @@ def test_stage_slots_across_graph_changes(monkeypatch, base8, random8, case, ret
 
 
 @pytest.mark.parametrize("columns", [33, 70])
-def test_forward_only_pass_runs_in_chunks_of_columns(base8, random8, columns):
-    # below p = 1 a forward-only pass runs the cached pass's layers on at most
-    # _CHUNK_COLUMNS columns at a time: the same output bit for bit, and the stream left
-    # where B single-set draws leave it
+def test_forward_only_pass_runs_in_chunks_of_columns(monkeypatch, base8, random8, columns):
+    # below p = 1 a forward-only pass runs the cached pass's layers on chunks of whole
+    # groups of the widest layer, as many columns as keep its stage array within the
+    # budget: the same output bit for bit, and the stream left where B single-set draws
+    # leave it
     cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2, readout="pooled",
                      out_features=3, readout_dim=2)
     tensor = init_tensor(cfg, Rng(5), 0.6)
     x = Rng(3).normal(size=(2, 8, columns))
     graphs = [(base8, random8, to_shift(random8, "laplacian"))[c % 3] for c in range(columns)]
+    # the widest layer (3 x 2 filters) in groups of 2 columns, chunks of 6 (3 groups):
+    # both batches end on a short chunk
+    monkeypatch.setattr(model, "_GROUP_BYTES", 2 * 6 * 8 * 8 * 8)
+    chunk, group = _chunk_width(cfg, 8)
+    stage_bytes = 3 * 6 * 8 * 8  # the widest layer's stage array, per column
+    assert (chunk, group) == (6, 2) and columns % chunk
     for base in ([base8] * columns, graphs):
         rng, cached_rng, loop_rng = Rng(0), Rng(0), Rng(0)
         with mock.patch.object(model, "_layers", wraps=model._layers) as layers:
             got, _ = forward(tensor, sample_architecture(base, 0.7, cfg, rng), x,
                              return_cache=False)
-        chunk = model._CHUNK_COLUMNS
-        assert layers.call_count == -(-columns // chunk)
-        assert [call.args[2].shape[2] for call in layers.call_args_list] == (
-            [chunk] * (columns // chunk) + [columns % chunk])
+        widths = [call.args[2].shape[2] for call in layers.call_args_list]
+        assert widths == [chunk] * (columns // chunk) + [columns % chunk]
+        for width in widths[:-1]:  # whole groups; all but the last fit the budget
+            assert width % group == 0
+            assert (width - group) * stage_bytes <= model._GROUP_BYTES
         want, _ = forward(tensor, sample_architecture(base, 0.7, cfg, cached_rng), x)
         assert got.tobytes() == want.tobytes()
         for graph in base:

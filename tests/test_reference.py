@@ -1,11 +1,15 @@
 """The library against the frozen reference copy in ``perfbench/reference``.
 
 The reference is the copy of the library that the benchmark divides every
-timing by.  Both run one seed of each experiment; only what draws nothing is
-compared, since the two libraries draw their p < 1 realizations from
-different streams: the GNN's training, which runs on the intact graph, and the
-p = 1 rows of the results table.  The reference is imported as
-``perfbench/run.py`` imports it, with its dataset cache off, and never edited.
+timing by.  Both run one seed of each experiment.  In its own keep format the
+library agrees with the reference on what draws nothing: the GNN's training,
+which runs on the intact graph, and the p = 1 rows of the results table.  The
+two formats differ (the library keeps an edge on a 32-bit lane, the reference
+on a uniform float), but the order of draws is the same, so with the
+reference's format patched into ``Rng.bernoulli`` everything else must agree
+too: the SGNN's training, every row, and the Monte-Carlo variance.  The
+reference is imported as ``perfbench/run.py`` imports it, with its dataset
+cache off, and never edited.
 """
 
 import importlib
@@ -14,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from sgnn_lab.rng import Rng
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -25,19 +31,35 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_intact_graph_outputs_match_the_reference(monkeypatch, name):
+def _libraries(monkeypatch):
+    """Both packages, ``sgnn_lab`` first, the reference imported from ``REFERENCE``."""
     monkeypatch.delenv("SGNN_LAB_DATA_DIR", raising=False)
     monkeypatch.setattr(sys, "path", [*sys.path, str(REFERENCE)])
+    return ("sgnn_lab", "sgnn_ref")
+
+
+def _run_both(monkeypatch, name):
     module, run, config, overrides = CASES[name]
-    got, want = (
-        getattr(mod, run)(getattr(mod, config)(**overrides), 3)
-        for mod in (importlib.import_module(f"{package}.experiments.{module}")
-                    for package in ("sgnn_lab", "sgnn_ref")))
-    got_gnn, want_gnn = got["gnn_trace"], want["gnn_trace"]
-    np.testing.assert_allclose(got_gnn.costs, want_gnn.costs, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(got_gnn.tensor.flatten(), want_gnn.tensor.flatten(),
-                               rtol=0, atol=1e-12)
+    return [getattr(mod, run)(getattr(mod, config)(**overrides), 3)
+            for mod in (importlib.import_module(f"{package}.experiments.{module}")
+                        for package in _libraries(monkeypatch))]
+
+
+def _reference_keeps(monkeypatch):
+    """The reference's keep format in the library, for this test only: one uniform
+    draw per edge, kept below p."""
+    monkeypatch.setattr(Rng, "bernoulli", lambda self, p, shape: self.random(shape) < p)
+
+
+def _assert_traces_match(got, want):
+    np.testing.assert_allclose(got.costs, want.costs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.tensor.flatten(), want.tensor.flatten(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_intact_graph_outputs_match_the_reference(monkeypatch, name):
+    got, want = _run_both(monkeypatch, name)
+    _assert_traces_match(got["gnn_trace"], want["gnn_trace"])
 
     def intact_rows(result):
         return [row for row in result["rows"] if row["p"] == 1.0 and row["method"] != "sgnn"]
@@ -45,3 +67,43 @@ def test_intact_graph_outputs_match_the_reference(monkeypatch, name):
     assert intact_rows(got) == intact_rows(want)
     assert {row["method"] for row in intact_rows(got)} == (
         {"gnn"} if name == "source" else {"gnn", "expert", "zero"})
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stochastic_outputs_match_the_reference_in_its_keep_format(monkeypatch, name):
+    # every p < 1 path after the draw: deferred sets, slot refills across graphs (flock),
+    # chunks of a forward-only pass (source: 20 test samples in chunks of 6)
+    _reference_keeps(monkeypatch)
+    got, want = _run_both(monkeypatch, name)
+    for trace in ("sgnn_trace", "gnn_trace"):
+        _assert_traces_match(got[trace], want[trace])
+    assert len(got["rows"]) == len(want["rows"])
+    assert any(row["p"] < 1.0 for row in got["rows"])
+    for row, ref in zip(got["rows"], want["rows"]):
+        assert row.keys() == ref.keys()
+        for key, value in row.items():
+            if isinstance(value, float):
+                np.testing.assert_allclose(value, ref[key], rtol=1e-12, atol=0, err_msg=key)
+            else:
+                assert value == ref[key], key
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7])
+def test_monte_carlo_variance_matches_the_reference_in_its_keep_format(monkeypatch, p):
+    # one forward-only pass of 30 deferred sets through a 2-layer tanh net, against 30
+    # single-set passes of the reference
+    _reference_keeps(monkeypatch)
+    results, flats = [], []
+    for package in _libraries(monkeypatch):
+        lib = importlib.import_module(package)
+        rng = lib.Rng(8, stream=5)
+        base = lib.to_shift(lib.build_sbm(12, 2, 0.8, 0.3, rng.child(0)),
+                            lib.NORMALIZED_ADJACENCY)
+        cfg = lib.SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh")
+        tensor = lib.init_tensor(cfg, rng.child(1), 0.6)
+        flats.append(tensor.flatten())
+        results.append(lib.mc_sgnn_variance(tensor, base, p, rng.child(2).normal(size=12), 30,
+                                            rng.child(3)))
+    assert flats[0].tobytes() == flats[1].tobytes()
+    assert results[0][0] > 0
+    np.testing.assert_allclose(results[0], results[1], rtol=1e-12, atol=0)
