@@ -15,7 +15,11 @@ takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs on
 (below p = 1, a layer's columns in cache-sized groups, each group's shifts built and
 diffused one stage at a time, one diffusion call per group; a pass without a cache in
 chunks of whole groups whose stage arrays stay cache-sized too), and
-:func:`_contract_taps` how a layer contracts its taps with its stages.
+:func:`_contract_taps` how a layer contracts its taps with its stages.  A layer of a
+shared set whose shifts are drawn per filter, of order K >= 2, on more columns than
+nodes runs each filter as one N x N matrix ``H = sum_k h_k P_k``, ``P_k = S_k ... S_1``,
+instead (:func:`_by_products` is the rule, and gives its flop count): the whole layer is
+then one (out * N, in * N) @ (in * N, B) product.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -31,12 +35,13 @@ the trailing block of the vector and train jointly:
   regression of per-node quantities such as accelerations).
 
 ``forward`` takes one input shape, a batch (F_in, N, B), and caches every
-diffusion stage and pre-activation, through which ``backward`` propagates the
-cost gradient with the sampled shifts held constant; Monte-Carlo sweeps pass
-``return_cache=False``, which builds no cache.
+diffusion stage (or, on filter matrices, every filter's products) and
+pre-activation, through which ``backward`` propagates the cost gradient with the
+sampled shifts held constant; Monte-Carlo sweeps pass ``return_cache=False``,
+which builds no cache.
 A training loop hands each ``forward`` the previous step's cache, whose arrays
 the new pass refills in place when their shapes match, so steady-state steps
-allocate no stage, pre-activation or activation arrays.  ``forward`` computes
+allocate no stage, product, pre-activation or activation arrays.  ``forward`` computes
 the nonlinearity's value only; ``backward`` takes its derivative from the
 cached pre-activations.
 """
@@ -268,7 +273,9 @@ class ForwardCache:
     reals: Reals | DeferredSets | None  # None once released
     x: np.ndarray | None                # (F_in, N, B)
     keeps: list | None = None           # a DeferredSets' keeps, per column and layer (None at 0)
-    stages: list[np.ndarray] = field(default_factory=list)       # (K+1, out or 1, in, N, B)
+    # per layer its stages (K+1, out or 1, in, N, B), or, where _by_products holds, its
+    # filters' products (out, in, K+1, N, N)
+    stages: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
     pooled_std: np.ndarray | None = None    # (B,) feature std (floored)
@@ -383,6 +390,18 @@ def _columns(floats: int, per: int = 1) -> int:
     return -(-max(1, _GROUP_BYTES // (floats * 8)) // per) * per
 
 
+def _matmul_into(a: np.ndarray, b: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` viewed as ``shape``, written into ``out`` when given: through a view of
+    it when it is C-contiguous, else copied into its layout."""
+    if out is None:
+        out = np.empty(shape)
+    if out.flags.c_contiguous:
+        np.matmul(a, b, out=out.reshape(len(a), -1))
+    else:
+        out[...] = (a @ b).reshape(shape)
+    return out
+
+
 def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pre-activations ``u[o] = sum_k,i taps[o, i, k] * stages[k, o, i]`` (out, N, B) of
     taps (out, in, K+1) and stages (K+1, out or 1, in, N, B), into ``out`` when given.
@@ -393,13 +412,7 @@ def _contract_taps(taps: np.ndarray, stages: np.ndarray, out: np.ndarray | None 
         return np.einsum("oik,koinb->onb", taps, stages, out=out)
     mat = stages.reshape(-1, stages.shape[3] * stages.shape[4])
     weights = taps.transpose(0, 2, 1).reshape(len(taps), -1)  # (k, i) order, as the rows
-    if out is None:
-        out = np.empty((len(taps),) + stages.shape[3:])
-    if not out.flags.c_contiguous:  # the product, copied into out's layout
-        out[...] = (weights @ mat).reshape(out.shape)
-    else:
-        np.matmul(weights, mat, out=out.reshape(len(taps), -1))
-    return out
+    return _matmul_into(weights, mat, (len(taps),) + stages.shape[3:], out)
 
 
 def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
@@ -411,6 +424,41 @@ def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
     mat = stages.reshape(-1, stages.shape[3] * stages.shape[4])
     grad = delta_u.reshape(len(delta_u), -1) @ mat.T            # (out, (K+1) * in)
     return grad.reshape(len(delta_u), len(stages), -1).transpose(0, 2, 1)
+
+
+def _by_products(reals: Reals | DeferredSets, layer: int, b: int) -> bool:
+    """Whether layer ``layer`` of a pass of ``b`` columns on ``reals`` runs on its filters'
+    products ``P_k = S_k ... S_1`` (``P_0 = I``) rather than on its stages, the one rule
+    that :func:`forward` and :func:`backward` read.  Per filter, K stages of B columns
+    take ``K N^2 B`` flops; the products take ``(K - 1) N^3`` (``P_1 = S_1``), and
+    ``H = sum_k h_k P_k`` applied to B columns ``N^2 B``: fewer exactly when K >= 2 and
+    B > N.  Only a shared set whose shifts are drawn per filter takes them; a deferred
+    set, and shifts shared along a stride-0 out or in axis (p = 1, mean shifts), keep
+    their stages."""
+    if isinstance(reals, DeferredSets):
+        return False
+    mats = reals[layer]
+    return mats.shape[2] >= 2 and b > mats.shape[3] and 0 not in mats.strides[:2]
+
+
+def _filter_matrix(taps: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """The layer as one (out * N, in * N) matrix, block (o, i) ``H = sum_k taps[o, i, k]
+    P_k`` of taps (out, in, K+1) and products (out, in, K+1, N, N), formed in one batched
+    product: ``u = H x`` for an input (in * N, B)."""
+    o, i, w, n = prods.shape[:4]
+    h = taps[:, :, None] @ prods.reshape(o, i, w, n * n)         # (out, in, 1, N * N)
+    return h.reshape(o, i, n, n).transpose(0, 2, 1, 3).reshape(o * n, i * n)
+
+
+def _product_tap_gradient(delta_u: np.ndarray, x: np.ndarray, prods: np.ndarray) -> np.ndarray:
+    """The taps' gradient ``<P_k, delta_u[o] x[i]^T>`` (out, in, K+1) of the
+    pre-activations' gradient ``delta_u`` (out, N, B), the layer input ``x`` (in, N, B)
+    and products as in :func:`_filter_matrix`: one (out * N, B) @ (B, in * N) product,
+    then one batched product with the products."""
+    o, i, w, n = prods.shape[:4]
+    outer = delta_u.reshape(o * n, -1) @ x.reshape(i * n, -1).T
+    outer = outer.reshape(o, n, i, n).transpose(0, 2, 1, 3).reshape(o, i, n * n, 1)
+    return (prods.reshape(o, i, w, n * n) @ outer)[..., 0]
 
 
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
@@ -433,6 +481,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
         if old_u is not None and old_u.shape != (out_d, n, b):
             old_u = old_act = None
+        products = _by_products(reals, layer_idx, b)
         if stack is not None:  # every out filter shares the stages of the intact graphs
             if layer_idx == 0:
                 keeps.extend([None] * len(shapes) for _ in range(b))
@@ -475,6 +524,13 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
                 cols, part = (slice(lo, hi), slice(hi - lo)) if hi - lo > 1 else (lo, 0)
                 diffusion_stages(_StageShifts(k, runs, slots, held, slots[part]), signals[cols],
                                  outs[:, cols])
+        elif products:  # filter-major (out, in, K+1, N, N): P_0 = I, P_k = S_k P_(k-1)
+            mats, shape = reals[layer_idx], (out_d, in_d, k + 1, n, n)
+            stages = old_stages if getattr(old_stages, "shape", None) == shape else np.empty(shape)
+            stages[:, :, 0] = np.eye(n)
+            # the diffusion of P_1 = S_1 through S_2 .. S_K, written into P_1 .. P_K
+            diffusion_stages(mats.transpose(2, 0, 1, 3, 4)[1:], mats[:, :, 0],
+                             stages.transpose(2, 0, 1, 3, 4)[1:])
         else:
             mats = reals[layer_idx]
             # shifts shared along a stride-0 out/in axis (p = 1, mean shifts) diffuse once
@@ -482,7 +538,9 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # (out, in, K, N, N) -> (K, out, in, N, N): stage k of every filter at once;
             # stages with a size-1 out axis are contracted in one matrix product
             stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
-        u = _contract_taps(tensor.layers[layer_idx], stages, old_u)
+        taps = tensor.layers[layer_idx]
+        u = (_matmul_into(_filter_matrix(taps, stages), current.reshape(in_d * n, b), (out_d, n, b),
+                          old_u) if products else _contract_taps(taps, stages, old_u))
         act = _activate(cfg.nonlinearity, u, old_act)
         if cache is not None:
             cache.stages.append(stages)
@@ -501,6 +559,14 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     ``(output, cache)``, the output batched along its last axis and the cache
     None when ``return_cache`` is false.  A realization array of any other shape
     than (out, in, K, N, N) raises ``ValueError``.
+
+    A layer whose shifts are drawn per filter (no stride-0 out or in axis) at order
+    K >= 2, on B > N columns, builds its filters' products ``P_0 = I``, ``P_1 = S_1``,
+    ``P_k = S_k P_(k-1)`` (K - 1 stacked matmuls, one :func:`diffusion_stages` call)
+    into a filter-major (out, in, K+1, N, N) array, cached in place of the stages, forms
+    ``H[o, i] = sum_k h[o, i, k] P_k`` in one batched product, and computes the layer's
+    pre-activations in one (out * N, in * N) @ (in * N, B) product
+    (:func:`_by_products`).  Every other layer diffuses the B columns stage by stage.
 
     A :class:`DeferredSets` of B columns, column b on its own set, is drawn here,
     column b's set as the b-th of B single-set draws on its graph would draw it.  At
@@ -579,7 +645,12 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
     treating the sampled shifts as constants, as one flat vector in the
     order of ``tensor.flatten()`` (laid out by :func:`split_params`).  On a
-    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.
+    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.  A layer
+    that ran on its filter products (:func:`_by_products`) takes its taps' gradient as
+    ``<P_k, delta_u[o] x[i]^T>`` (one product for the outer products, one batched
+    product with the cached products) and its input's gradient as ``H^T delta_u`` in one
+    product; every other layer contracts its cached stages and runs the adjoint of its
+    diffusion.
 
     ``out_grad`` is the cost gradient w.r.t. the forward output, in its
     shape (``ValueError`` otherwise).  Raises :class:`StaleCacheError` when
@@ -620,12 +691,20 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
 
     for layer_idx in range(cfg.layers - 1, -1, -1):
         delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
-        # stages are (K+1, out or 1, in, N, B); a size-1 out axis takes the transposed
-        # matrix product of the forward contraction
-        layer_grads[layer_idx][...] = _tap_gradient(delta_u, cache.stages[layer_idx])
+        stages, products = cache.stages[layer_idx], _by_products(reals, layer_idx, act[2])
+        if products:
+            inputs = cache.activations[layer_idx - 1] if layer_idx else cache.x
+            layer_grads[layer_idx][...] = _product_tap_gradient(delta_u, inputs, stages)
+        else:  # stages (K+1, out or 1, in, N, B): a size-1 out axis takes the transposed
+            # matrix product of the forward contraction
+            layer_grads[layer_idx][...] = _tap_gradient(delta_u, stages)
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
+        if products:  # H^T delta_u, H the layer's filter matrix
+            d_act = _filter_matrix(coeffs, stages).T @ delta_u.reshape(-1, act[2])
+            d_act = d_act.reshape(-1, n, act[2])
+            continue
         if not isinstance(reals, DeferredSets):
             d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
             continue

@@ -30,6 +30,8 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 _REFERENCE = "tests/test_reference.py::"
 _STOCHASTIC = _REFERENCE + "test_stochastic_outputs_match_the_reference_in_its_keep_format"
 _INTACT = _REFERENCE + "test_intact_graph_outputs_match_the_reference"
+_ONE_SET = _REFERENCE + "test_one_drawn_set_gives_the_reference_outputs_and_gradients"
+_COLUMNS = "tests/test_model.py::test_shared_set_batch_equals_its_columns_one_at_a_time"
 
 
 class Mutant(NamedTuple):
@@ -63,6 +65,29 @@ MUTANTS = {
         "weights = taps[..., ::-1].transpose(0, 2, 1)",
         (_INTACT + "[source]",
          "tests/test_model.py::TestForward::test_single_filter_matches_filter_module")),
+    # a filter's products built as P_k = P_(k-1) S_k: written through the transposed view,
+    # the diffusion of symmetric shifts stores S_1 ... S_k in place of S_k ... S_1
+    "products in the wrong order": Mutant(
+        "src/sgnn_lab/model.py", "stages.transpose(2, 0, 1, 3, 4)[1:]",
+        "stages.transpose(2, 0, 1, 4, 3)[1:]",
+        (_STOCHASTIC + "[source]", _ONE_SET, _COLUMNS)),
+    # the filter matrices' tap gradient pairs tap k with the product P_(k-1)
+    "tap gradient one stage off": Mutant(
+        "src/sgnn_lab/model.py", "(prods.reshape(o, i, w, n * n) @ outer)",
+        "(np.roll(prods, 1, axis=2).reshape(o, i, w, n * n) @ outer)",
+        (_STOCHASTIC + "[source]", _ONE_SET, _COLUMNS)),
+    # every step descends along the negated gradient
+    "sign-flipped gradient": Mutant(
+        "src/sgnn_lab/training.py", "grad = backward(tensor, reals, cache, dout)",
+        "grad = -backward(tensor, reals, cache, dout)",
+        (_STOCHASTIC + "[source]",
+         "tests/test_training.py::TestTrain::test_recovers_generating_filter")),
+    # Adam, the default optimizer and source's, never moves the taps
+    "skipped optimizer update": Mutant(
+        "src/sgnn_lab/training.py", "flat = flat - lr_t * m1_hat / (np.sqrt(m2_hat) + ADAM_EPS)",
+        "pass",
+        (_STOCHASTIC + "[source]",
+         "tests/test_golden.py::test_values_match_the_fixture[csv/train-source/source_sgnn_seed0.ckpt]")),
 }
 
 

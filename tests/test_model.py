@@ -520,6 +520,54 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
             assert np.abs(layers).max() <= 1e-6 * term
 
 
+_ORACLE_BASES = {kind: to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2026).child(0)), kind)
+                 for kind in KINDS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_nets(), st.sampled_from(KINDS), st.sampled_from([0.3, 0.7]),
+       st.sampled_from([0, 1, 16]), st.integers(0, 2**16))
+def test_shared_set_batch_equals_its_columns_one_at_a_time(cfg, kind, p, extra, seed):
+    # one set drawn per filter and shared by B = N, N + 1 or 3N columns, against each
+    # column alone on it (B = 1 <= N: the stages): at K >= 2 and B > N the batch runs each
+    # filter's N x N matrix and caches the products, else the stages.  The batch's
+    # gradient is the sum of the columns' gradients, each given its column of the output
+    # gradient; pooled heads keep three features, so the layers' gradient is not roundoff
+    if cfg.readout == "pooled":
+        cfg = replace(cfg, out_features=3)
+    base = _ORACLE_BASES[kind]
+    n, k = base.n, cfg.order
+    b = n + extra
+    tensor = init_tensor(cfg, Rng(seed), 0.6)
+    reals = sample_architecture(base, p, cfg, Rng(seed, 1))
+    x = Rng(seed, 2).normal(size=(cfg.in_features, n, b))
+    out, cache = forward(tensor, reals, x)
+    dout = Rng(seed, 3).normal(size=out.shape)
+    grad = backward(tensor, reals, cache, dout)
+    products = k >= 2 and b > n
+    for stages, (o, i) in zip(cache.stages, cfg.layer_shapes()):
+        if products:
+            assert stages.shape == (o, i, k + 1, n, n)
+        else:
+            assert stages.shape[0] == k + 1 and stages.shape[2:] == (i, n, b)
+    want, want_grad, signs = [], np.zeros(cfg.num_params), True
+    for col in range(b):
+        one_out, one = forward(tensor, reals, x[..., col, None])
+        assert all(s.shape[0] == k + 1 and s.shape[-1] == 1 for s in one.stages)
+        want.append(one_out)
+        want_grad += backward(tensor, reals, one, dout[..., col, None])
+        signs = signs and _signs_match(cache, col, one)
+    want = np.concatenate(want, axis=-1)
+    assert out.shape == want.shape
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max(initial=1.0)
+    # a pooled std near its floor divides roundoff; relu's and abs' slopes flip where
+    # roundoff moves a pre-activation across 0
+    if cfg.readout == "pooled" and cache.pooled_std.min() <= 1e-3:
+        return
+    if signs or cfg.nonlinearity == "tanh":
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)
+
+
 def test_forward_only_pass_on_intact_graph_list_is_one_stacked_pass(base8, random8):
     # at p = 1 the columns' graphs stack: one pass over the batch, not a B = 1 loop
     lap = to_shift(random8, "laplacian")

@@ -7,19 +7,26 @@ which runs on the intact graph, and the p = 1 rows of the results table.  The
 two formats differ (the library keeps an edge on a 32-bit lane, the reference
 on a uniform float), but the order of draws is the same, so with the
 reference's format patched into ``Rng.bernoulli`` everything else must agree
-too: the SGNN's training, every row, and the Monte-Carlo variance.  The
-reference is imported as ``perfbench/run.py`` imports it, with its dataset
-cache off, and never edited.
+too: the SGNN's training, every row, and the Monte-Carlo variance.  One set
+drawn by the library, handed to the reference's ``RealizationSet``, gives the
+same outputs and gradients on any 1- or 2-layer net.  The reference is
+imported as ``perfbench/run.py`` imports it, with its dataset cache off, and
+never edited.
 """
 
 import importlib
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sgnn_lab.rng import Rng
+from sgnn_lab import (KINDS, Rng, SgnnConfig, backward, build_sbm, forward, init_tensor,
+                      sample_architecture, to_shift)
+from sgnn_lab.model import NONLINEARITIES, READOUTS
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
@@ -107,3 +114,59 @@ def test_monte_carlo_variance_matches_the_reference_in_its_keep_format(monkeypat
     assert flats[0].tobytes() == flats[1].tobytes()
     assert results[0][0] > 0
     np.testing.assert_allclose(results[0], results[1], rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def sgnn_ref():
+    with pytest.MonkeyPatch.context() as mp:
+        return importlib.import_module(_libraries(mp)[1])
+
+
+_BASES = {kind: to_shift(build_sbm(8, 2, 0.9, 0.4, Rng(2027).child(0)), kind) for kind in KINDS}
+
+
+@st.composite
+def _nets(draw):
+    """A 1- or 2-layer net of any readout and nonlinearity at K = 0-3, pooled heads with
+    three features (fewer standardize to values the layers do not move)."""
+    readout = draw(st.sampled_from(READOUTS))
+    return SgnnConfig(layers=draw(st.integers(1, 2)), features=draw(st.integers(1, 3)),
+                      order=draw(st.integers(0, 3)),
+                      nonlinearity=draw(st.sampled_from(NONLINEARITIES)),
+                      in_features=draw(st.integers(1, 2)),
+                      out_features=3 if readout == "pooled" else draw(st.integers(1, 3)),
+                      readout=readout,
+                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_nets(), st.sampled_from(KINDS), st.sampled_from([0.3, 0.7, 1.0]),
+       st.sampled_from([1, 8, 9, 24]), st.integers(0, 2**16))
+def test_one_drawn_set_gives_the_reference_outputs_and_gradients(sgnn_ref, cfg, kind, p,
+                                                                 columns, seed):
+    # B on both sides of N = 8: the Horner adjoint (B <= N, and every order below 2) and
+    # the filter matrices' H^T delta_u (K >= 2, B > N) against the reference's loops
+    base = _BASES[kind]
+    rng = Rng(seed)
+    tensor = init_tensor(cfg, rng.child(0), 0.6)
+    reals = sample_architecture(base, p, cfg, rng.child(1))
+    x = rng.child(2).normal(size=(cfg.in_features, base.n, columns))
+    ref_cfg = sgnn_ref.SgnnConfig(**asdict(cfg))
+    ref_tensor = sgnn_ref.FilterTensor.from_flat(ref_cfg, tensor.flatten())
+    ref_reals = sgnn_ref.RealizationSet(sgnn_ref.ShiftOperator(base.kind, base.mat), p, ref_cfg,
+                                        list(reals), [None] * cfg.layers)
+    out, cache = forward(tensor, reals, x)
+    want, ref_cache = sgnn_ref.forward(ref_tensor, ref_reals, x)
+    assert out.shape == want.shape
+    assert np.abs(out - want).max() <= 1e-12 * np.abs(want).max(initial=1.0)
+    out_grad = rng.child(3).normal(size=out.shape)
+    grad = backward(tensor, reals, cache, out_grad)
+    want_grad = sgnn_ref.backward(ref_tensor, ref_reals, ref_cache, out_grad).flatten()
+    # a pooled std near its floor divides roundoff; relu's and abs' slopes flip where
+    # roundoff moves a pre-activation across 0
+    if cfg.readout == "pooled" and cache.pooled_std.min() <= 1e-3:
+        return
+    if cfg.nonlinearity == "tanh" or all(
+            np.array_equal(np.sign(u), np.sign(v))
+            for u, v in zip(cache.pre_activations, ref_cache.pre_activations)):
+        assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)

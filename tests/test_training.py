@@ -231,14 +231,18 @@ class TestBackward:
         with pytest.raises(StaleCacheError):
             backward(other, reals, cache, np.ones_like(out))
 
-    def test_superseded_cache_rejected(self, base8):
+    @pytest.mark.parametrize("order, width", [(1, 2), (2, 9)], ids=["stages", "products"])
+    def test_superseded_cache_rejected(self, base8, order, width):
         # a pass on a reused cache empties the old handle: even with the same
-        # tensor and set, backward cannot read the newer pass through it
-        cfg = SgnnConfig(layers=2, features=2, order=1)
+        # tensor and set, backward cannot read the newer pass through it (9 columns on
+        # 8 nodes at K = 2 cache the filter products, 2 columns at K = 1 the stages)
+        cfg = SgnnConfig(layers=2, features=2, order=order)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
-        out, first = forward(tensor, reals, np.ones((1, 8, 2)))
-        out2, second = forward(tensor, reals, 2.0 * np.ones((1, 8, 2)), cache=first)
+        out, first = forward(tensor, reals, np.ones((1, 8, width)))
+        layout = (1, 2, 3, 8, 8) if order == 2 else (2, 1, 2, 8, 2)  # layer 1: out 1, in 2
+        assert first.stages[1].shape == layout
+        out2, second = forward(tensor, reals, 2.0 * np.ones((1, 8, width)), cache=first)
         assert second is not first
         with pytest.raises(StaleCacheError, match="later forward"):
             backward(tensor, reals, first, np.ones_like(out))
@@ -607,11 +611,18 @@ def _arrays(cache):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_networks(), st.lists(st.tuples(st.sampled_from([0.6, 1.0]), st.integers(1, 3)),
+@given(_networks(), st.lists(st.tuples(st.sampled_from([0.6, 1.0]),
+                                       st.sampled_from([1, 2, 3, 9, 12])),
                              min_size=2, max_size=4))
+# two steps of 9 columns on 8 nodes at K = 2: the second refills the first's products
+@example(net=(init_tensor(SgnnConfig(layers=2, features=2, order=2, nonlinearity="tanh"),
+                          Rng(0), 0.6), to_shift(_GRAPH8, NORMALIZED_ADJACENCY), None, Rng(1)),
+         passes=[(0.6, 9), (0.6, 9)])
 def test_pass_on_a_reused_cache_equals_a_fresh_pass(net, passes):
     # each pass draws its own set (a stride-0 view at p = 1) and batch width;
-    # it refills exactly those arrays of the previous pass whose shapes match
+    # it refills exactly those arrays of the previous pass whose shapes match: the
+    # stages, or at K >= 2 below p = 1 on more columns than nodes the filter products
+    # (out, in, K+1, N, N), whatever the width
     tensor, base, _, rng = net
     cache = None
     for j, (p, width) in enumerate(passes):
@@ -621,11 +632,12 @@ def test_pass_on_a_reused_cache_equals_a_fresh_pass(net, passes):
         out, cache = forward(tensor, reals, x, cache=cache)
         for got, was in zip(_arrays(cache), old):
             assert (got is was) == (got.shape == was.shape)
+        products = p < 1.0 and tensor.cfg.order >= 2 and width > base.n
+        assert all(s.shape[-1] == (base.n if products else width) for s in cache.stages)
         want_out, fresh = forward(tensor, reals, x)
         out_grad = rng.child(30 + j).normal(size=out.shape)
-        got = [out, *_diffusions(cache), *_arrays(cache), backward(tensor, reals, cache, out_grad)]
-        want = [want_out, *_diffusions(fresh), *_arrays(fresh),
-                backward(tensor, reals, fresh, out_grad)]
+        got = [out, *_arrays(cache), backward(tensor, reals, cache, out_grad)]
+        want = [want_out, *_arrays(fresh), backward(tensor, reals, fresh, out_grad)]
         for a, b in zip(got, want, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
