@@ -11,15 +11,11 @@ of shift realizations, so one forward pass is fixed by a realization set: a
 tuple of per-layer (out, in, K, N, N) arrays, ``P = K * sum_l out_l * in_l`` shifts,
 shared by every column of a batch.  A pass in which every column has its own set
 (a fresh set per sample on one graph below p = 1, or each sample on its own graph)
-takes a deferred set, :class:`DeferredSets`: :func:`forward` says how it runs one
-(below p = 1, a layer's columns in cache-sized groups, each group's shifts built and
-diffused one stage at a time, one diffusion call per group; a pass without a cache in
-chunks of whole groups whose stage arrays stay cache-sized too), and
-:func:`_contract_taps` how a layer contracts its taps with its stages.  A layer of a
-shared set whose shifts are drawn per filter, of order K >= 2, on more columns than
-nodes runs each filter as one N x N matrix ``H = sum_k h_k P_k``, ``P_k = S_k ... S_1``,
-instead (:func:`_by_products` is the rule, and gives its flop count): the whole layer is
-then one (out * N, in * N) @ (in * N, B) product.
+takes a deferred set, :class:`DeferredSets`.  :func:`_plan` chooses, once per pass,
+how each layer runs (stacked intact graphs, column groups, filter products or
+shared stages) and in what chunks a pass without a cache takes its columns;
+:func:`_layers` and :func:`backward` read that plan, and :func:`_contract_taps` says
+how a layer contracts its taps with its stages.
 
 All trainable coefficients are one flat vector, the one SGD updates;
 :func:`split_params` is its layout (per-layer taps, then the head), and a
@@ -272,9 +268,10 @@ class ForwardCache:
     tensor: FilterTensor
     reals: Reals | DeferredSets | None  # None once released
     x: np.ndarray | None                # (F_in, N, B)
-    keeps: list | None = None           # a DeferredSets' keeps, per column and layer (None at 0)
-    # per layer its stages (K+1, out or 1, in, N, B), or, where _by_products holds, its
-    # filters' products (out, in, K+1, N, N)
+    plan: _Plan | None = None           # how the pass ran
+    keeps: list | None = None           # a groups pass's keeps, per column and layer (None at 0)
+    # per layer its stages (K+1, out or 1, in, N, B), or on products its filters'
+    # products (out, in, K+1, N, N)
     stages: list[np.ndarray] = field(default_factory=list)
     pre_activations: list[np.ndarray] = field(default_factory=list)  # (out, N, B)
     activations: list[np.ndarray] = field(default_factory=list)      # (out, N, B)
@@ -296,14 +293,8 @@ class ForwardCache:
 
 
 _STD_FLOOR = 1e-12
-# bytes of one stage's shifts per group of columns that one diffusion call runs, on a
-# deferred set below p = 1 (at least one column): 64-filter source and 192-filter flock
-# columns (205 and 221 KB a stage) run one per group, 8-filter variance columns (26 KB)
-# ten.  Stage groups of 1 MiB (5 source and 4 flock columns) were slower in 3 of 3
-# benchmark pairs each: source evaluation 0.579 -> 0.606 of the reference's time, flock
-# training 0.338 -> 0.354.  A forward-only pass below p = 1 runs in chunks whose widest
-# stage array (K+1 stages of every filter, N values a column) fits the same budget,
-# rounded up to whole groups: 6 source columns (41 KB each), 20 variance columns
+# one stage of a group's shifts fits in 256 KiB (see _plan): 64-filter source and
+# 192-filter flock columns run one per group, 8-filter variance columns ten
 _GROUP_BYTES = 2**18
 
 
@@ -368,8 +359,7 @@ class _StageShifts:
     again before another item, it is not rebuilt."""
 
     def __init__(self, order: int, runs: list, slots: np.ndarray, held: list, view: np.ndarray):
-        self.order, self.runs, self.slots, self.held, self.view = order, runs, slots, held, view
-        self.built = None
+        self.order, self.runs, self.slots, self.held, self.view, self.built = order, runs, slots, held, view, None
 
     def __len__(self) -> int:
         return self.order
@@ -388,6 +378,50 @@ def _columns(floats: int, per: int = 1) -> int:
     (``floats`` its one stage's shifts), and of a forward-only pass's chunks (its widest
     layer's stage array, in whole groups of that layer)."""
     return -(-max(1, _GROUP_BYTES // (floats * 8)) // per) * per
+
+
+class _Plan(NamedTuple):
+    """How one pass runs: per layer its regime and group width, and its chunk width."""
+
+    layers: tuple[tuple[str, int], ...]  # (regime, columns per group: 0 but on groups)
+    chunk: int                           # columns per chunk; 0: the batch in one run
+
+
+def _plan(cfg: SgnnConfig, reals: Reals | DeferredSets, b: int, cached: bool) -> _Plan:
+    """How a pass of ``b`` columns on ``reals`` runs, ``cached`` when it returns or refills a
+    cache: the one place that chooses a layer's regime, which :func:`_layers` and
+    :func:`backward` read.
+
+    * ``stack``: a deferred set at p = 1.  Each stage is one stacked product of the
+      columns' graphs, shared by every out filter.
+    * ``groups``: a deferred set below p = 1.  The columns run in consecutive groups of
+      as many as fit ``_GROUP_BYTES`` of one stage's shifts (at least one), each column
+      with its own slot of the group's buffer; one :func:`diffusion_stages` call runs a
+      group, for k = 1..K building stage k's shifts of every column into its slot
+      (consecutive columns on one graph in one build), then the group's stage-k product.
+      Layer 0 draws column b's keeps for every layer when column b's group starts, in
+      the order of B single-set draws; ``backward`` rebuilds the later layers' shifts
+      from them.  A pass without a cache runs on chunks of columns one after the other,
+      so that its stage arrays do not grow with B: as many columns as keep the widest
+      layer's stage array within ``_GROUP_BYTES`` (at least one), rounded up to whole
+      groups of that layer.
+    * ``products``: a shared set whose shifts are drawn per filter (no stride-0 out or
+      in axis), at K >= 2 on B > N columns.  Each filter runs as its N x N matrix
+      ``H = sum_k h_k P_k``, ``P_k = S_k ... S_1``: per filter K stages of B columns take
+      ``K N^2 B`` flops, the products ``(K - 1) N^3`` and ``H`` on B columns ``N^2 B``,
+      fewer exactly when K >= 2 and B > N.  Timed training steps agree but for one
+      layer at B = N + 1 (4% slower than on its stages at N = 20, K = 3).
+    * ``stages``: any other shared set (B <= N, K <= 1, or shifts shared along a
+      stride-0 out or in axis: p = 1, mean shifts), diffused stage by stage."""
+    if not isinstance(reals, DeferredSets):
+        return _Plan(tuple([("products" if cfg.order >= 2 and b > mats.shape[3]
+                             and 0 not in mats.strides[:2] else "stages", 0) for mats in reals]), 0)
+    if reals.p == 1.0:
+        return _Plan((("stack", 0),) * cfg.layers, 0)
+    n, shapes = reals.graphs[0].n, cfg.layer_shapes()
+    filters = max(o * i for o, i in shapes)  # the widest layer's
+    chunk = 0 if cached else _columns((cfg.order + 1) * filters * n, _columns(filters * n * n))
+    return _Plan(tuple([("groups", min(chunk or b, b, _columns(o * i * n * n))) for o, i in shapes]), chunk)
 
 
 def _matmul_into(a: np.ndarray, b: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
@@ -426,21 +460,6 @@ def _tap_gradient(delta_u: np.ndarray, stages: np.ndarray) -> np.ndarray:
     return grad.reshape(len(delta_u), len(stages), -1).transpose(0, 2, 1)
 
 
-def _by_products(reals: Reals | DeferredSets, layer: int, b: int) -> bool:
-    """Whether layer ``layer`` of a pass of ``b`` columns on ``reals`` runs on its filters'
-    products ``P_k = S_k ... S_1`` (``P_0 = I``) rather than on its stages, the one rule
-    that :func:`forward` and :func:`backward` read.  Per filter, K stages of B columns
-    take ``K N^2 B`` flops; the products take ``(K - 1) N^3`` (``P_1 = S_1``), and
-    ``H = sum_k h_k P_k`` applied to B columns ``N^2 B``: fewer exactly when K >= 2 and
-    B > N.  Only a shared set whose shifts are drawn per filter takes them; a deferred
-    set, and shifts shared along a stride-0 out or in axis (p = 1, mean shifts), keep
-    their stages."""
-    if isinstance(reals, DeferredSets):
-        return False
-    mats = reals[layer]
-    return mats.shape[2] >= 2 and b > mats.shape[3] and 0 not in mats.strides[:2]
-
-
 def _filter_matrix(taps: np.ndarray, prods: np.ndarray) -> np.ndarray:
     """The layer as one (out * N, in * N) matrix, block (o, i) ``H = sum_k taps[o, i, k]
     P_k`` of taps (out, in, K+1) and products (out, in, K+1, N, N), formed in one batched
@@ -462,42 +481,39 @@ def _product_tap_gradient(delta_u: np.ndarray, x: np.ndarray, prods: np.ndarray)
 
 
 def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, spare: list,
-            cache: ForwardCache | None, keeps: list | None = None) -> np.ndarray:
+            cache: ForwardCache | None, plan: _Plan) -> np.ndarray:
     """Run the layers of ``tensor`` on the realization set ``reals`` from the input
-    batch ``x`` and return the last activation, a :class:`DeferredSets` as
-    :func:`forward` runs one.  Layer 0 appends column b's keeps for every layer to
-    the empty list ``keeps`` (None at p = 1), its own as None: it holds them only while
-    it builds column b's group.
+    batch ``x`` as ``plan`` says and return the last activation.  On ``groups`` layer 0
+    draws column b's keeps for every layer and keeps those of the later layers, in
+    ``cache.keeps`` when a cache is given (its own as None: it holds them only while it
+    builds column b's group).
     Each array of ``spare`` (per layer a (stages, u, act) triple of an earlier pass)
     whose shape matches is refilled in place; each layer's arrays are appended to
     ``cache`` when one is given."""
     cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
     shapes = [(o, i, k, n, n) for o, i in cfg.layer_shapes()]
-    stack = (np.stack([graph.mat for graph in reals.graphs])
-             if keeps is not None and reals.p == 1.0 else None)
+    keeps = [] if cache is None else cache.keeps  # on groups, per column its keeps of every layer
     current = x
-    for layer_idx, (out_d, in_d) in enumerate(cfg.layer_shapes()):
+    for layer_idx, ((out_d, in_d), (regime, group)) in enumerate(zip(cfg.layer_shapes(), plan.layers)):
         old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
         if old_u is not None and old_u.shape != (out_d, n, b):
             old_u = old_act = None
-        products = _by_products(reals, layer_idx, b)
-        if stack is not None:  # every out filter shares the stages of the intact graphs
-            if layer_idx == 0:
-                keeps.extend([None] * len(shapes) for _ in range(b))
+        if regime == "stack":  # every out filter shares the stages of the intact graphs
+            # every layer runs stack: the graphs are stacked once
+            graphs = np.stack([graph.mat for graph in reals.graphs]) if layer_idx == 0 else graphs
             shape = (k + 1, 1, in_d, n, b)
             stages = old_stages if getattr(old_stages, "shape", None) == shape else np.empty(shape)
             # the signals and stages (..., N, B) viewed as (..., B, N, 1): column b's
             # product is graph b's
-            diffusion_stages([stack] * k, current[None].swapaxes(2, 3)[..., None],
+            diffusion_stages([graphs] * k, current[None].swapaxes(2, 3)[..., None],
                              stages.swapaxes(3, 4)[..., None])
-        elif keeps is not None:  # at order 0 the stages are the input, shared by every out
+        elif regime == "groups":  # at order 0 the stages are the input, shared by every out
             shape = (k + 1, out_d if k else 1, in_d, n, b)
             # laid out (..., B, N) in memory, so that each column's products write
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            group = min(b, _columns(out_d * in_d * n * n))
             # slot j holds one stage of column j, j + group, ...; held[j] its graph
             slots, held = np.zeros((group, out_d, in_d, n, n)), [None] * group
             # the signals (in, N, B) as (B, 1, in, N, 1) and the stages as
@@ -524,7 +540,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
                 cols, part = (slice(lo, hi), slice(hi - lo)) if hi - lo > 1 else (lo, 0)
                 diffusion_stages(_StageShifts(k, runs, slots, held, slots[part]), signals[cols],
                                  outs[:, cols])
-        elif products:  # filter-major (out, in, K+1, N, N): P_0 = I, P_k = S_k P_(k-1)
+        elif regime == "products":  # filter-major (out, in, K+1, N, N): P_0 = I, P_k = S_k P_(k-1)
             mats, shape = reals[layer_idx], (out_d, in_d, k + 1, n, n)
             stages = old_stages if getattr(old_stages, "shape", None) == shape else np.empty(shape)
             stages[:, :, 0] = np.eye(n)
@@ -540,7 +556,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             stages = diffusion_stages(mats.transpose(2, 0, 1, 3, 4), current[None], old_stages)
         taps = tensor.layers[layer_idx]
         u = (_matmul_into(_filter_matrix(taps, stages), current.reshape(in_d * n, b), (out_d, n, b),
-                          old_u) if products else _contract_taps(taps, stages, old_u))
+                          old_u) if regime == "products" else _contract_taps(taps, stages, old_u))
         act = _activate(cfg.nonlinearity, u, old_act)
         if cache is not None:
             cache.stages.append(stages)
@@ -560,36 +576,12 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     None when ``return_cache`` is false.  A realization array of any other shape
     than (out, in, K, N, N) raises ``ValueError``.
 
-    A layer whose shifts are drawn per filter (no stride-0 out or in axis) at order
-    K >= 2, on B > N columns, builds its filters' products ``P_0 = I``, ``P_1 = S_1``,
-    ``P_k = S_k P_(k-1)`` (K - 1 stacked matmuls, one :func:`diffusion_stages` call)
-    into a filter-major (out, in, K+1, N, N) array, cached in place of the stages, forms
-    ``H[o, i] = sum_k h[o, i, k] P_k`` in one batched product, and computes the layer's
-    pre-activations in one (out * N, in * N) @ (in * N, B) product
-    (:func:`_by_products`).  Every other layer diffuses the B columns stage by stage.
-
-    A :class:`DeferredSets` of B columns, column b on its own set, is drawn here,
-    column b's set as the b-th of B single-set draws on its graph would draw it.  At
-    p = 1 each stage is one stacked product of the columns' graphs, cached or not.
-    Below p = 1 the pass runs layer by layer over the batch: layer 0 draws column b's
-    keeps for every layer when column b's group starts, in column order (the order of B
-    single-set draws), and a cache keeps those of the later layers (``backward``
-    rebuilds their shifts from them).  A layer takes the columns in consecutive groups
-    of as many as fit ``_GROUP_BYTES`` of one stage's shifts (at least one), each
-    column with its own slot of the group's buffer, and one :func:`diffusion_stages`
-    call runs the group's stages: for k = 1..K it builds stage k's shifts of every
-    column into its slot (consecutive columns on one graph in one build) and then runs
-    the group's stage-k product, each column's products those of a pass on that column
-    alone.  A slot records the graph it holds: refilled on that graph, only its edge
-    and diagonal entries are rewritten; on another graph it is zeroed first, one
-    stage's bytes (``backward`` rebuilds a column's K stages in one slot by the same
-    rule).  Without a cache to return or refill, the pass runs on chunks of columns one
-    after the other, so that its stage arrays do not grow with B: as many columns as
-    keep the widest layer's stage array within ``_GROUP_BYTES`` (at least one), rounded
-    up to whole groups of that layer; its output is the cached pass's bit for bit.  An
-    input that is complex, or whose node or column count does not match the set, or a
-    set whose graphs are none or of mixed node counts, raises ``ValueError`` before any
-    draw.
+    :func:`_plan` chooses how each layer runs, and the cache holds that plan.  A
+    :class:`DeferredSets` of B columns, column b on its own set, is drawn here, column
+    b's set as the b-th of B single-set draws on its graph would draw it; a pass that
+    runs in chunks gives the cached pass's output bit for bit.  An input that is
+    complex, or whose node or column count does not match the set, or a set whose graphs
+    are none or of mixed node counts, raises ``ValueError`` before any draw.
 
     ``cache`` is the previous pass's cache, given to reuse its memory: every
     stage, pre-activation and activation array of the right shape is refilled
@@ -605,28 +597,27 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
     if x.ndim != 3 or x.shape[0] != cfg.in_features:
         raise ValueError(f"input has shape {x.shape}, expected (F_in, N, B) "
                          f"with F_in = {cfg.in_features}")
-    keeps = None
     if isinstance(reals, DeferredSets):
         _check_node_counts(reals.graphs)
         n, b = reals.graphs[0].n, len(reals.graphs)
         if x.shape[1:] != (n, b):
             raise ValueError(f"input has shape {x.shape}, the deferred set {b} columns "
                              f"on {n} nodes")
-        if reals.p < 1.0 and not return_cache and cache is None:
-            filters = max(o * i for o, i in cfg.layer_shapes())  # the widest layer's
-            chunk, core = _columns((cfg.order + 1) * filters * n, _columns(filters * n * n)), None
-            for cols in (slice(lo, lo + chunk) for lo in range(0, b, chunk)):
-                act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols], [], None, [])
-                if core is None:  # act's layout: the head sums in memory order, as on a cached pass
-                    core = np.empty_like(act, shape=act.shape[:2] + (b,))
-                core[..., cols] = act
-            return _apply_head(tensor, core), None
-        keeps = []
     else:
         _check_reals(cfg, reals, x.shape[1])
+    plan = _plan(cfg, reals, x.shape[2], return_cache or cache is not None)
+    if plan.chunk:
+        core = None
+        for cols in (slice(lo, lo + plan.chunk) for lo in range(0, x.shape[2], plan.chunk)):
+            act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols], [], None, plan)
+            if core is None:  # act's layout: the head sums in memory order, as on a cached pass
+                core = np.empty_like(act, shape=act.shape[:2] + x.shape[2:])
+            core[..., cols] = act
+        return _apply_head(tensor, core), None
     spare = [] if cache is None else cache._take()  # its arrays move to this pass
-    cache = ForwardCache(tensor=tensor, reals=reals, x=x, keeps=keeps) if return_cache else None
-    return _apply_head(tensor, _layers(tensor, reals, x, spare, cache, keeps), cache), cache
+    cache = (ForwardCache(tensor=tensor, reals=reals, x=x, plan=plan,
+                          keeps=[] if plan.layers[0][0] == "groups" else None) if return_cache else None)
+    return _apply_head(tensor, _layers(tensor, reals, x, spare, cache, plan), cache), cache
 
 
 def _adjoint(coeffs: np.ndarray, mats: np.ndarray, delta_u: np.ndarray) -> np.ndarray:
@@ -644,9 +635,9 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
              out_grad: np.ndarray) -> np.ndarray:
     """Exact gradient of the cached forward pass w.r.t. every coefficient,
     treating the sampled shifts as constants, as one flat vector in the
-    order of ``tensor.flatten()`` (laid out by :func:`split_params`).  On a
-    :class:`DeferredSets` column b's shifts are rebuilt from the cached keeps.  A layer
-    that ran on its filter products (:func:`_by_products`) takes its taps' gradient as
+    order of ``tensor.flatten()`` (laid out by :func:`split_params`), each layer by the
+    regime of the cached plan.  On ``groups`` column b's shifts are rebuilt from the
+    cached keeps.  A layer that ran on its filter products takes its taps' gradient as
     ``<P_k, delta_u[o] x[i]^T>`` (one product for the outer products, one batched
     product with the cached products) and its input's gradient as ``H^T delta_u`` in one
     product; every other layer contracts its cached stages and runs the adjoint of its
@@ -663,11 +654,10 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
         raise StaleCacheError("cache holds no forward pass (return_cache=False, or a later "
                               "forward took it over)")
     g = np.asarray(out_grad, dtype=float)
-    act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
+    _, n, b = act = cache.activations[-1].shape  # (F_out, N, B); a head maps F_out to D, pooled drops N
     want = act if cfg.readout == "none" else (cfg.readout_dim, *act[1 + (cfg.readout == "pooled"):])
     if g.shape != want:
         raise ValueError(f"out_grad has shape {g.shape}, the forward output {want}")
-    n = act[1]
 
     grad = np.zeros(cfg.num_params)
     layer_grads, head_w_grad, head_b_grad = split_params(cfg, grad)
@@ -691,8 +681,8 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
 
     for layer_idx in range(cfg.layers - 1, -1, -1):
         delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
-        stages, products = cache.stages[layer_idx], _by_products(reals, layer_idx, act[2])
-        if products:
+        stages, regime = cache.stages[layer_idx], cache.plan.layers[layer_idx][0]
+        if regime == "products":
             inputs = cache.activations[layer_idx - 1] if layer_idx else cache.x
             layer_grads[layer_idx][...] = _product_tap_gradient(delta_u, inputs, stages)
         else:  # stages (K+1, out or 1, in, N, B): a size-1 out axis takes the transposed
@@ -701,19 +691,17 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
         if layer_idx == 0:
             break
         coeffs = tensor.layers[layer_idx]
-        if products:  # H^T delta_u, H the layer's filter matrix
-            d_act = _filter_matrix(coeffs, stages).T @ delta_u.reshape(-1, act[2])
-            d_act = d_act.reshape(-1, n, act[2])
-            continue
-        if not isinstance(reals, DeferredSets):
+        if regime == "products":  # H^T delta_u, H the layer's filter matrix
+            d_act = (_filter_matrix(coeffs, stages).T @ delta_u.reshape(-1, b)).reshape(-1, n, b)
+        elif regime == "stages":
             d_act = _adjoint(coeffs, reals[layer_idx], delta_u)
-            continue
-        shape = (*coeffs.shape[:2], cfg.order, n, n)
-        slot, held, d_act = np.zeros((1, *shape)), [None], np.empty((shape[1], n, act[2]))
-        for col, graph in enumerate(reals.graphs):  # each column's K stages in one slot
-            mats = (np.broadcast_to(graph.mat, shape) if reals.p == 1.0 else
-                    _column_set(graph, cache.keeps[col][layer_idx], slot, held).reshape(shape))
-            d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
+        else:
+            shape = (*coeffs.shape[:2], cfg.order, n, n)
+            slot, held, d_act = np.zeros((1, *shape)), [None], np.empty((shape[1], n, b))
+            for col, graph in enumerate(reals.graphs):  # each column's K stages in one slot
+                mats = (np.broadcast_to(graph.mat, shape) if regime == "stack" else
+                        _column_set(graph, cache.keeps[col][layer_idx], slot, held).reshape(shape))
+                d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
     return grad
 
 

@@ -32,6 +32,7 @@ _STOCHASTIC = _REFERENCE + "test_stochastic_outputs_match_the_reference_in_its_k
 _INTACT = _REFERENCE + "test_intact_graph_outputs_match_the_reference"
 _ONE_SET = _REFERENCE + "test_one_drawn_set_gives_the_reference_outputs_and_gradients"
 _COLUMNS = "tests/test_model.py::test_shared_set_batch_equals_its_columns_one_at_a_time"
+_CENTRAL = "tests/test_training.py::test_backward_matches_central_differences"
 
 
 class Mutant(NamedTuple):
@@ -49,8 +50,8 @@ MUTANTS = {
          "tests/test_model.py::test_refill_after_a_denser_graph_equals_a_fresh_set[laplacian]")),
     # each chunk of a forward-only pass leaves its first column unscored and undrawn
     "chunk skips a column": Mutant(
-        "src/sgnn_lab/model.py", "slice(lo, lo + chunk) for lo",
-        "slice(lo + 1, lo + chunk) for lo",
+        "src/sgnn_lab/model.py", "slice(lo, lo + plan.chunk) for lo",
+        "slice(lo + 1, lo + plan.chunk) for lo",
         (_STOCHASTIC + "[source]",
          "tests/test_model.py::test_forward_only_pass_runs_in_chunks_of_columns[33]")),
     # the stacked p = 1 product runs column b on graph b - 1
@@ -66,7 +67,9 @@ MUTANTS = {
         (_INTACT + "[source]",
          "tests/test_model.py::TestForward::test_single_filter_matches_filter_module")),
     # a filter's products built as P_k = P_(k-1) S_k: written through the transposed view,
-    # the diffusion of symmetric shifts stores S_1 ... S_k in place of S_k ... S_1
+    # the diffusion of symmetric shifts stores S_1 ... S_k in place of S_k ... S_1.  Central
+    # differences cannot see it: backward reads the same products, so its gradient is
+    # exact for the changed forward pass
     "products in the wrong order": Mutant(
         "src/sgnn_lab/model.py", "stages.transpose(2, 0, 1, 3, 4)[1:]",
         "stages.transpose(2, 0, 1, 4, 3)[1:]",
@@ -75,7 +78,21 @@ MUTANTS = {
     "tap gradient one stage off": Mutant(
         "src/sgnn_lab/model.py", "(prods.reshape(o, i, w, n * n) @ outer)",
         "(np.roll(prods, 1, axis=2).reshape(o, i, w, n * n) @ outer)",
-        (_STOCHASTIC + "[source]", _ONE_SET, _COLUMNS)),
+        (_STOCHASTIC + "[source]", _ONE_SET, _COLUMNS, _CENTRAL)),
+    # a refill of a Laplacian's realizations leaves the diagonal it held (built only
+    # into a new array)
+    "refill skips the laplacian diagonal": Mutant(
+        "src/sgnn_lab/graphs.py", "mats[:, np.arange(n), np.arange(n)] = ",
+        "if out is None: mats[:, np.arange(n), np.arange(n)] = ",
+        ("tests/test_graphs.py::TestSampleRealization::test_refill_in_place_equals_fresh_builds"
+         "[laplacian]",
+         "tests/test_model.py::test_refill_after_a_denser_graph_equals_a_fresh_set[laplacian]")),
+    # the pooled head centers each feature over the batch instead of each column over
+    # the features
+    "pooled head centered over the wrong axis": Mutant(
+        "src/sgnn_lab/model.py", "centered = pooled - np.add.reduce(pooled, axis=0) / len(pooled)",
+        "centered = pooled - np.add.reduce(pooled, axis=1, keepdims=True) / pooled.shape[1]",
+        (_STOCHASTIC + "[source]", _ONE_SET, _CENTRAL)),
     # every step descends along the negated gradient
     "sign-flipped gradient": Mutant(
         "src/sgnn_lab/training.py", "grad = backward(tensor, reals, cache, dout)",

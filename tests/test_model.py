@@ -327,9 +327,9 @@ class TestDeferredSets:
     def test_cached_pass_draws_as_the_forward_only_pass(self, base8, random8, p):
         # with a cache the layers run over the batch, layer 0 drawing column b's keeps
         # for every layer; the stream ends where the forward-only pass leaves it, the
-        # outputs agree to roundoff, and the cache holds every column's keeps of the
-        # layers after the first (none of layer 0, which backward never reads) until
-        # it is released
+        # outputs agree to roundoff, and below p = 1 the cache holds every column's keeps
+        # of the layers after the first (none of layer 0, which backward never reads)
+        # until it is released.  At p = 1 nothing is drawn and the cache holds no keeps
         cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2)
         tensor = init_tensor(cfg, Rng(0), 0.5)
         x = Rng(2).normal(size=(2, 8, 3))
@@ -342,12 +342,13 @@ class TestDeferredSets:
             assert none is None and cache.reals is sets and cache.x is x
             assert _state(cached_rng) == _state(rng)
             np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
-            if p == 1.0 and graphs[1] is base8:  # one graph at p = 1: the shared set, no keeps
-                assert not isinstance(sets, DeferredSets) and cache.keeps is None
+            if p == 1.0:  # one graph: the shared set; several: the stacked graphs
+                assert isinstance(sets, DeferredSets) == (graphs[1] is not base8)
+                assert cache.keeps is None
                 continue
             assert [len(keeps) for keeps in cache.keeps] == [2, 2, 2]
             assert all(keeps[0] is None for keeps in cache.keeps)
-            assert all((keeps[1] is None) == (p == 1.0) for keeps in cache.keeps)
+            assert all(keeps[1] is not None for keeps in cache.keeps)
             cache.release()
             assert cache.keeps is None
 
@@ -491,7 +492,8 @@ def test_deferred_set_equals_a_loop_of_single_sets(p, graphs, per_column, cfg, c
         assert _state(rng) == _state(loop_rng)
         sets = sample_architecture(graphs, p, cfg, cached_rng)
         cached, cache = forward(net, sets, x)
-        assert (cache.keeps is None) == (p == 1.0 and one_graph)
+        assert (cache.keeps is None) == (p == 1.0)
+        assert cache.plan.layers[0][0] == ("groups" if p < 1.0 else "stages" if one_graph else "stack")
         assert cached.tobytes() == got.tobytes()
         assert _state(cached_rng) == _state(loop_rng)
         dout = Rng(seed, 3).normal(size=cached.shape)
@@ -545,6 +547,7 @@ def test_shared_set_batch_equals_its_columns_one_at_a_time(cfg, kind, p, extra, 
     dout = Rng(seed, 3).normal(size=out.shape)
     grad = backward(tensor, reals, cache, dout)
     products = k >= 2 and b > n
+    assert cache.plan.layers == (("products" if products else "stages", 0),) * cfg.layers
     for stages, (o, i) in zip(cache.stages, cfg.layer_shapes()):
         if products:
             assert stages.shape == (o, i, k + 1, n, n)
@@ -553,6 +556,7 @@ def test_shared_set_batch_equals_its_columns_one_at_a_time(cfg, kind, p, extra, 
     want, want_grad, signs = [], np.zeros(cfg.num_params), True
     for col in range(b):
         one_out, one = forward(tensor, reals, x[..., col, None])
+        assert one.plan.layers == (("stages", 0),) * cfg.layers
         assert all(s.shape[0] == k + 1 and s.shape[-1] == 1 for s in one.stages)
         want.append(one_out)
         want_grad += backward(tensor, reals, one, dout[..., col, None])
@@ -566,6 +570,71 @@ def test_shared_set_batch_equals_its_columns_one_at_a_time(cfg, kind, p, extra, 
         return
     if signs or cfg.nonlinearity == "tanh":
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)
+
+
+_BASE20 = to_shift(build_sbm(20, 2, 0.8, 0.2, Rng(2027).child(0)), NORMALIZED_ADJACENCY)
+# the benchmark's banks on 20 nodes: source's 64 filters at K = 3, variance's 8 at K = 10
+_SOURCE_BANK = SgnnConfig(layers=1, features=64, order=3, out_features=64, readout="pooled",
+                          readout_dim=2)
+_VARIANCE_BANK = replace(_SOURCE_BANK, features=8, order=10, out_features=8)
+
+
+def _mixed_set(cfg, base, p):
+    """A 2-layer set whose first layer's shifts are shared along its out axis (stride 0)
+    and whose second layer's are drawn per filter."""
+    first, second = sample_architecture(base, p, cfg, Rng(0))
+    return np.broadcast_to(first[:1], first.shape), second
+
+
+# (set, K, B, cached) -> each layer's (regime, group width), and the chunk width
+_PLANS = {
+    "per-filter set, K = 2, B = N + 1": ("shared", 2, 21, True, [("products", 0)], 0),
+    "per-filter set, K = 3, B = 5N": ("shared", 3, 100, True, [("products", 0)], 0),
+    "B = N": ("shared", 3, 20, True, [("stages", 0)], 0),
+    "K = 1": ("shared", 1, 40, True, [("stages", 0)], 0),
+    "K = 0": ("shared", 0, 40, True, [("stages", 0)], 0),
+    "stride-0 set at p = 1": ("intact", 3, 40, True, [("stages", 0)], 0),
+    "stride-0 first layer, per-filter second": ("mixed", 2, 21, True,
+                                                [("stages", 0), ("products", 0)], 0),
+    "per-column graphs at p = 1": ("stack", 3, 13, True, [("stack", 0)], 0),
+    "per-column graphs at p = 1, forward only": ("stack", 3, 13, False, [("stack", 0)], 0),
+    "below p = 1, source bank": ("groups", 3, 13, True, [("groups", 1)], 0),
+    "below p = 1, variance bank": ("variance", 10, 25, True, [("groups", 10)], 0),
+    "below p = 1, variance bank of 4 columns": ("variance", 10, 4, True, [("groups", 4)], 0),
+    "below p = 1, source bank, forward only": ("groups", 3, 13, False, [("groups", 1)], 6),
+    "below p = 1, variance bank, forward only": ("variance", 10, 45, False, [("groups", 10)], 20),
+}
+
+
+@pytest.mark.parametrize("case", list(_PLANS))
+def test_plan_picks_each_regime(case):
+    # the one rule: a shared set whose shifts are drawn per filter runs on its filters'
+    # products at K >= 2 on B > N columns, any other shared set on its stages; a
+    # deferred set stacks its intact graphs at p = 1 and runs its columns in groups
+    # below it (one stage of a group's shifts within _GROUP_BYTES), a forward-only pass
+    # in chunks.  forward keeps the plan on its cache and hands it to every _layers call
+    kind, k, b, cached, layers, chunk = _PLANS[case]
+    cfg = replace(_VARIANCE_BANK if kind == "variance" else _SOURCE_BANK, order=k)
+    if kind == "mixed":
+        cfg = SgnnConfig(layers=2, features=3, order=k)
+    p = 1.0 if kind in ("intact", "stack") else 0.7
+    graphs = [_BASE20, to_shift(build_sbm(20, 2, 0.9, 0.3, Rng(5).child(0)), ADJACENCY)] * b
+    reals = {"shared": lambda: sample_architecture(_BASE20, p, cfg, Rng(0)),
+             "intact": lambda: sample_architecture(_BASE20, p, cfg, Rng(0)),
+             "mixed": lambda: _mixed_set(cfg, _BASE20, p)}.get(
+                 kind, lambda: sample_architecture(graphs[:b], p, cfg, Rng(0)))()
+    want = model._Plan(tuple(layers), chunk)
+    assert model._plan(cfg, reals, b, cached) == want
+    tensor = init_tensor(cfg, Rng(1), 0.5)
+    x = Rng(2).normal(size=(cfg.in_features, 20, b))
+    with mock.patch.object(model, "_layers", wraps=model._layers) as spy:
+        _, cache = forward(tensor, reals, x, return_cache=cached)
+    assert all(call.args[5] == want for call in spy.call_args_list)
+    assert [call.args[2].shape[2] for call in spy.call_args_list] == (
+        [min(chunk, b - lo) for lo in range(0, b, chunk)] if chunk else [b])
+    assert (cache.plan == want) if cached else cache is None
+    if cached:  # keeps only on groups
+        assert (cache.keeps is None) == (layers[0][0] != "groups")
 
 
 def test_forward_only_pass_on_intact_graph_list_is_one_stacked_pass(base8, random8):

@@ -240,6 +240,7 @@ class TestBackward:
         tensor = init_tensor(cfg, Rng(0), 0.5)
         reals = sample_architecture(base8, 0.5, cfg, Rng(1))
         out, first = forward(tensor, reals, np.ones((1, 8, width)))
+        assert first.plan.layers == (("products" if order == 2 else "stages", 0),) * 2
         layout = (1, 2, 3, 8, 8) if order == 2 else (2, 1, 2, 8, 2)  # layer 1: out 1, in 2
         assert first.stages[1].shape == layout
         out2, second = forward(tensor, reals, 2.0 * np.ones((1, 8, width)), cache=first)
@@ -285,8 +286,9 @@ _GRAPH8 = build_sbm(8, 2, 0.9, 0.4, Rng(2024).child(0))
 
 
 @st.composite
-def _networks(draw):
-    """(tensor, base, input batch, seed) for a random architecture on an 8-node graph."""
+def _networks(draw, max_width=5):
+    """(tensor, base, input batch, seed) for a random architecture on an 8-node graph, on
+    1 to ``max_width`` columns."""
     readout = draw(st.sampled_from(READOUTS))
     cfg = SgnnConfig(layers=draw(st.integers(1, 3)), features=draw(st.integers(1, 3)),
                      order=draw(st.integers(0, 4)),
@@ -295,19 +297,30 @@ def _networks(draw):
                      readout=readout,
                      readout_dim=0 if readout == "none" else draw(st.integers(1, 3)))
     rng = Rng(draw(st.integers(0, 2**16)))
-    x = rng.child(1).normal(size=(cfg.in_features, 8, draw(st.integers(1, 5))))
+    x = rng.child(1).normal(size=(cfg.in_features, 8, draw(st.integers(1, max_width))))
     return init_tensor(cfg, rng.child(0), 0.6), to_shift(_GRAPH8, draw(st.sampled_from(KINDS))), x, rng
 
 
+# two layers at K = 3 on 20 columns of 8 nodes: both run on their filters' products
+_PRODUCTS_NET = (init_tensor(SgnnConfig(layers=2, features=3, order=3, nonlinearity="tanh",
+                                        out_features=3, readout="pooled", readout_dim=2),
+                             Rng(0), 0.6),
+                 to_shift(_GRAPH8, NORMALIZED_ADJACENCY), Rng(1).normal(size=(1, 8, 20)), Rng(2))
+
+
 @settings(max_examples=40, deadline=None)
-@given(_networks(), st.booleans())
+@given(_networks(max_width=20), st.booleans())
+@example(net=_PRODUCTS_NET, cross_entropy=True)
 def test_backward_matches_central_differences(net, cross_entropy):
-    # mse on every head, cross-entropy on pooled heads
+    # mse on every head, cross-entropy on pooled heads; batches on both sides of the
+    # node count, so that layers run on their stages and on their filters' products
     tensor, base, x, rng = net
     cfg = tensor.cfg
     loss = "cross_entropy" if cross_entropy and cfg.readout == "pooled" else "mse"
     reals = sample_architecture(base, 0.7, cfg, rng.child(3))
     out, cache = forward(tensor, reals, x)
+    if net is _PRODUCTS_NET:
+        assert cache.plan.layers == (("products", 0),) * 2
     if cfg.nonlinearity in ("relu", "abs"):
         assume(min(np.abs(u).min() for u in cache.pre_activations) > 1e-4)
     # the pooled head's std floor is a kink too
@@ -633,6 +646,7 @@ def test_pass_on_a_reused_cache_equals_a_fresh_pass(net, passes):
         for got, was in zip(_arrays(cache), old):
             assert (got is was) == (got.shape == was.shape)
         products = p < 1.0 and tensor.cfg.order >= 2 and width > base.n
+        assert cache.plan.layers == (("products" if products else "stages", 0),) * tensor.cfg.layers
         assert all(s.shape[-1] == (base.n if products else width) for s in cache.stages)
         want_out, fresh = forward(tensor, reals, x)
         out_grad = rng.child(30 + j).normal(size=out.shape)
