@@ -147,8 +147,13 @@ def _pairwise(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def centralized_controller(state: SwarmState, *, u_max: float, cutoff: float) -> np.ndarray:
     """Expert accelerations: global velocity consensus plus short-range
     repulsion, clipped per axis to +/- u_max."""
+    return _controller(state, _pairwise(state.z), u_max, cutoff)
+
+
+def _controller(state: SwarmState, pairs: tuple, u_max: float, cutoff: float) -> np.ndarray:
+    """:func:`centralized_controller` on the state's ``_pairwise`` offsets and distances."""
     n = len(state.z)
-    diff, dist = _pairwise(state.z)
+    diff, dist = pairs
     off = ~np.eye(n, dtype=bool)
     if np.any(dist[off] < 1e-6):
         raise DegenerateInputError("coincident agents: controller potential is singular")
@@ -165,11 +170,15 @@ def swarm_features(state: SwarmState, adjacency: np.ndarray) -> np.ndarray:
     """Per-node 6-dim feature from neighborhood sums over the given graph:
     velocity differences, and position offsets weighted by 1/d^4 and 1/d^2.
     Returns an array of shape (6, N)."""
+    return _features(state, adjacency, _pairwise(state.z))
+
+
+def _features(state: SwarmState, adjacency: np.ndarray, pairs: tuple) -> np.ndarray:
+    """:func:`swarm_features` on the state's ``_pairwise`` offsets and distances."""
     adjacency = np.asarray(adjacency, dtype=float)
-    n = len(state.z)
     neighbor = adjacency != 0
     np.fill_diagonal(neighbor, False)
-    diff, dist = _pairwise(state.z)
+    diff, dist = pairs
     if np.any(dist[neighbor] < 1e-9):
         raise DegenerateInputError("zero-distance neighbor in feature computation")
     deg = neighbor.sum(axis=1)
@@ -240,12 +249,13 @@ def collect_expert_dataset(cfg: FlockingConfig, rng: Rng, feature_p: float = 1.0
         state = random_swarm_state(cfg, rng.child(traj))
         for _ in range(cfg.steps):
             graph = build_disc_graph(state.z, cfg.comm_radius)
-            expert = centralized_controller(state, u_max=cfg.u_max, cutoff=cfg.potential_cutoff)
+            pairs = _pairwise(state.z)  # shared by the expert and every feature variant
+            expert = _controller(state, pairs, cfg.u_max, cfg.potential_cutoff)
             shift = _filter_base(graph)
             for _ in range(variants if feature_p < 1.0 else 1):
                 # at p = 1 a view of the intact graph, drawing nothing
                 feat_graph = sample_realization(graph, feature_p, feat_rng)
-                inputs.append(swarm_features(state, feat_graph))
+                inputs.append(_features(state, feat_graph, pairs))
                 targets.append(expert.T)
                 graphs.append(shift)
             state.z = state.z + state.dt * state.v

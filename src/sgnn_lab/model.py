@@ -487,16 +487,17 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
     draws column b's keeps for every layer and keeps those of the later layers, in
     ``cache.keeps`` when a cache is given (its own as None: it holds them only while it
     builds column b's group).
-    Each array of ``spare`` (per layer a (stages, u, act) triple of an earlier pass)
-    whose shape matches is refilled in place; each layer's arrays are appended to
-    ``cache`` when one is given."""
+    Each array of ``spare`` (per layer a (stages, u, act) triple of an earlier pass, on a
+    chunk the previous chunk's (stages, u, act, slots, held)) whose shape matches is
+    refilled in place; each layer's arrays are appended to ``cache`` when one is given,
+    and on a chunk handed to the next one in ``spare``."""
     cfg, k = tensor.cfg, tensor.cfg.order
     n, b = x.shape[1], x.shape[2]
     shapes = [(o, i, k, n, n) for o, i in cfg.layer_shapes()]
     keeps = [] if cache is None else cache.keeps  # on groups, per column its keeps of every layer
     current = x
     for layer_idx, ((out_d, in_d), (regime, group)) in enumerate(zip(cfg.layer_shapes(), plan.layers)):
-        old_stages, old_u, old_act = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
+        old_stages, old_u, old_act, *old_slots = spare[layer_idx] if layer_idx < len(spare) else [None] * 3
         if old_u is not None and old_u.shape != (out_d, n, b):
             old_u = old_act = None
         if regime == "stack":  # every out filter shares the stages of the intact graphs
@@ -515,7 +516,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
             # slot j holds one stage of column j, j + group, ...; held[j] its graph
-            slots, held = np.zeros((group, out_d, in_d, n, n)), [None] * group
+            slots, held = old_slots or (np.zeros((group, out_d, in_d, n, n)), [None] * group)
             # the signals (in, N, B) as (B, 1, in, N, 1) and the stages as
             # (K+1, B, out, in, N, 1)
             signals = current.transpose(2, 0, 1)[:, None, ..., None]
@@ -562,6 +563,8 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             cache.stages.append(stages)
             cache.pre_activations.append(u)
             cache.activations.append(act)
+        elif plan.chunk:  # every layer runs groups
+            spare[layer_idx:layer_idx + 1] = [(stages, u, act, slots, held)]
         current = act
     return current
 
@@ -607,9 +610,9 @@ def forward(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray,
         _check_reals(cfg, reals, x.shape[1])
     plan = _plan(cfg, reals, x.shape[2], return_cache or cache is not None)
     if plan.chunk:
-        core = None
+        core, spare = None, []  # each chunk's arrays move to the next
         for cols in (slice(lo, lo + plan.chunk) for lo in range(0, x.shape[2], plan.chunk)):
-            act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols], [], None, plan)
+            act = _layers(tensor, reals._replace(graphs=reals.graphs[cols]), x[..., cols], spare, None, plan)
             if core is None:  # act's layout: the head sums in memory order, as on a cached pass
                 core = np.empty_like(act, shape=act.shape[:2] + x.shape[2:])
             core[..., cols] = act

@@ -21,6 +21,7 @@ also estimates the two filter constants those bounds need: a sup bound on
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -184,6 +185,27 @@ def estimate_response_bound(h, domain) -> float:
     return SAFETY * float(np.abs(freq_response(h, grid)).max())
 
 
+def _prefix_products(lam: np.ndarray) -> np.ndarray:
+    """Per candidate row ``lam`` (C, K), ``prod_{j<r} lam_j`` for r = 1..K."""
+    return np.cumprod(np.concatenate([np.ones((len(lam), 1)), lam[:, :-1]], axis=1), axis=1)
+
+
+@functools.lru_cache(maxsize=4)
+def _box_candidates(k_order: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of :func:`estimate_response_lipschitz` that draw nothing, and their
+    prefix products: read-only, built once per box ``[lo, hi]**K`` and shared by every
+    filter on it."""
+    # row r-1 of ``head`` marks the r-1 leading entries that take the value a
+    head = np.tri(k_order, k=-1, dtype=bool)
+    rows = [np.where(head, a, b) for a, b in itertools.product((lo, hi), repeat=2)]
+    if k_order <= 12:  # vertex i takes hi where bit K-1-j of i is set: itertools.product order
+        rows.append(np.where(np.arange(2**k_order)[:, None] >> np.arange(k_order)[::-1] & 1, hi, lo))
+    lam = np.concatenate(rows)
+    prefix = _prefix_products(lam)
+    lam.flags.writeable = prefix.flags.writeable = False
+    return lam, prefix
+
+
 def estimate_response_lipschitz(h, domain, rng: Rng) -> float:
     """Lipschitz constant of the generalized frequency response on
     ``domain**K``, estimated as the sup of the gradient norm.
@@ -193,28 +215,27 @@ def estimate_response_lipschitz(h, domain, rng: Rng) -> float:
     drive the variance-bound proofs, and (c) for small K, every vertex of the
     box.  The gradient-norm square is coordinate-wise convex, so its maximum
     over the box sits at a vertex and (c) makes the estimate exact before the
-    safety factor.
+    safety factor.  (b) and (c) and their prefix products depend on the box
+    alone: they are built once per (K, lo, hi) and shared read-only, so that a
+    call draws (a) and runs the gradient over both blocks.
     """
     h = _taps(h)
     k_order = len(h) - 1
     if k_order == 0:
         return 0.0
     lo, hi = _check_domain(domain)
-    rows = [rng.uniform(lo, hi, (256, k_order))]
-    # row r-1 of ``head`` marks the r-1 leading entries that take the value a
-    head = np.tri(k_order, k=-1, dtype=bool)
-    rows += [np.where(head, a, b) for a, b in itertools.product((lo, hi), repeat=2)]
-    if k_order <= 12:
-        rows.append(np.array(list(itertools.product((lo, hi), repeat=k_order)), dtype=float))
-    lam = np.concatenate(rows)
-    # d/d lam_r = prod_{j<r} lam_j * tail_r, with tail_K = h_K and
-    # tail_r = h_r + lam_{r+1} * tail_{r+1} (Horner from the last frequency)
-    prefix = np.cumprod(np.concatenate([np.ones((len(lam), 1)), lam[:, :-1]], axis=1), axis=1)
-    tails = np.empty_like(lam)
-    tails[:, -1] = h[-1]
-    for c in range(k_order - 2, -1, -1):
-        tails[:, c] = h[c + 1] + lam[:, c + 1] * tails[:, c + 1]
-    return SAFETY * float(np.sqrt(((prefix * tails) ** 2).sum(axis=1)).max())
+    draws = rng.uniform(lo, hi, (256, k_order))
+    best = 0.0  # np.maximum keeps a NaN norm, as the max over all candidates would
+    for lam, prefix in ((draws, _prefix_products(draws)),
+                        _box_candidates(k_order, float(lo), float(hi))):
+        # d/d lam_r = prod_{j<r} lam_j * tail_r, with tail_K = h_K and
+        # tail_r = h_r + lam_{r+1} * tail_{r+1} (Horner from the last frequency)
+        tails = np.empty_like(lam)
+        tails[:, -1] = h[-1]
+        for c in range(k_order - 2, -1, -1):
+            tails[:, c] = h[c + 1] + lam[:, c + 1] * tails[:, c + 1]
+        best = np.maximum(best, np.sqrt(((prefix * tails) ** 2).sum(axis=1)).max())
+    return SAFETY * float(best)
 
 
 def filter_norm_check(h, s, domain: tuple[float, float] | None = None) -> tuple[float, float]:

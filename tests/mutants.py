@@ -33,6 +33,8 @@ _INTACT = _REFERENCE + "test_intact_graph_outputs_match_the_reference"
 _ONE_SET = _REFERENCE + "test_one_drawn_set_gives_the_reference_outputs_and_gradients"
 _COLUMNS = "tests/test_model.py::test_shared_set_batch_equals_its_columns_one_at_a_time"
 _CENTRAL = "tests/test_training.py::test_backward_matches_central_differences"
+_LIPSCHITZ = "tests/test_spectral.py::test_vectorized_lipschitz_matches_partials_loop"
+_CONSTANTS = _REFERENCE + "test_filter_constants_match_the_reference"
 
 
 class Mutant(NamedTuple):
@@ -105,6 +107,18 @@ MUTANTS = {
         "pass",
         (_STOCHASTIC + "[source]",
          "tests/test_golden.py::test_values_match_the_fixture[csv/train-source/source_sgnn_seed0.ckpt]")),
+    # a box's shared Lipschitz candidates are looked up by K alone: a second domain of
+    # the same order reads the first one's
+    "lipschitz box keyed by its order": Mutant(
+        "src/sgnn_lab/spectral.py", "@functools.lru_cache(maxsize=4)",
+        "@lambda build, boxes={}: lambda k, lo, hi: boxes.get(k) or boxes.setdefault(k, build(k, lo, hi))",
+        (_LIPSCHITZ, _CONSTANTS)),
+    # the box vertices with lam_1 = hi, the last half of the vertex rows, are no
+    # candidates (dropping only the last row, (hi, ..., hi), changes nothing: it is
+    # also a structured row)
+    "lipschitz vertices cut short": Mutant(
+        "src/sgnn_lab/spectral.py", "np.arange(2**k_order)", "np.arange(2**(k_order - 1))",
+        (_LIPSCHITZ, _CONSTANTS)),
 }
 
 

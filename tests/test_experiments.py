@@ -398,6 +398,31 @@ class TestFlockingPipeline:
         assert mean.shape == (6,) and std.shape == (6,)
         assert np.all(std > 0)
 
+    def test_expert_dataset_pairs_each_state_once(self, monkeypatch):
+        # the expert and each feature variant of a recorded state share one _pairwise,
+        # and the recorded actions are the public controller's on that state
+        from sgnn_lab.experiments import flocking
+
+        cfg = replace(self._tiny_cfg(), steps=4)
+        pairs, states = [], []
+        real_pairwise, real_controller = flocking._pairwise, flocking._controller
+
+        def pairwise(z):
+            pairs.append(z)
+            return real_pairwise(z)
+
+        def controller(state, *args):
+            states.append(SwarmState(z=state.z.copy(), v=state.v.copy(), dt=state.dt))
+            return real_controller(state, *args)
+
+        monkeypatch.setattr(flocking, "_pairwise", pairwise)
+        monkeypatch.setattr(flocking, "_controller", controller)
+        _, targets, _, _ = collect_expert_dataset(cfg, Rng(0), feature_p=0.7, variants=3)
+        assert len(pairs) == len(states) == cfg.train_trajectories * cfg.steps
+        for state, target in zip(states, targets[::3]):
+            want = centralized_controller(state, u_max=cfg.u_max, cutoff=cfg.potential_cutoff)
+            assert want.T.tobytes() == target.tobytes()
+
     def test_run_rows_and_reproducibility(self):
         cfg = self._tiny_cfg()
         a = run_flock_seed(cfg, 0)

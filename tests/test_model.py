@@ -832,6 +832,37 @@ def test_forward_only_pass_runs_in_chunks_of_columns(monkeypatch, base8, random8
         assert _state(rng) == _state(cached_rng) == _state(loop_rng)
 
 
+@pytest.mark.parametrize("columns", [24, 27])
+def test_each_chunk_refills_the_previous_chunks_arrays(monkeypatch, base8, random8, columns):
+    # every chunk after the first runs each layer on the previous chunk's stage array,
+    # slot buffer (with the graphs its slots hold), pre-activations and activations; a
+    # short last chunk keeps only the slots.  The slots then hold another graph's stage
+    # between chunks: the output stays the cached pass's bit for bit
+    cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2, readout="pooled",
+                     out_features=3, readout_dim=2)
+    tensor = init_tensor(cfg, Rng(5), 0.6)
+    x = Rng(3).normal(size=(2, 8, columns))
+    graphs = [(base8, random8, to_shift(random8, "laplacian"))[c % 3] for c in range(columns)]
+    monkeypatch.setattr(model, "_GROUP_BYTES", 2 * 6 * 8 * 8 * 8)  # chunks of 6 columns
+    left, layers = [], model._layers
+
+    def spy(*args):
+        out = layers(*args)
+        left.append([list(arrays) for arrays in args[3]])  # what the chunk hands on
+        return out
+
+    monkeypatch.setattr(model, "_layers", spy)
+    got, _ = forward(tensor, sample_architecture(graphs, 0.7, cfg, Rng(0)), x, return_cache=False)
+    assert len(left) == -(-columns // 6) and {len(arrays) for arrays in left} == {2}
+    for chunk, (before, after) in enumerate(zip(left, left[1:]), 1):
+        full = chunk < len(left) - 1 or columns % 6 == 0
+        for prev, arrays in zip(before, after):  # stages, u, act, slots, held per layer
+            assert [a is b for a, b in zip(prev, arrays)] == [full] * 3 + [True] * 2
+    monkeypatch.setattr(model, "_layers", layers)
+    want, _ = forward(tensor, sample_architecture(graphs, 0.7, cfg, Rng(0)), x)
+    assert got.tobytes() == want.tobytes()
+
+
 class TestForwardExpected:
     def test_intact_probability_equals_deterministic_network(self, base8):
         cfg = SgnnConfig(layers=2, features=2, order=2)

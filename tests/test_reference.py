@@ -9,11 +9,13 @@ on a uniform float), but the order of draws is the same, so with the
 reference's format patched into ``Rng.bernoulli`` everything else must agree
 too: the SGNN's training, every row, and the Monte-Carlo variance.  One set
 drawn by the library, handed to the reference's ``RealizationSet``, gives the
-same outputs and gradients on any 1- or 2-layer net.  The reference is
-imported as ``perfbench/run.py`` imports it, with its dataset cache off, and
-never edited.
+same outputs and gradients on any 1- or 2-layer net, and the filter constants
+of the variance bounds agree on any taps and domain.  The reference is imported as
+``perfbench/run.py`` imports it, with its dataset cache off, and never edited:
+a sha256 of its modules is pinned here.
 """
 
+import hashlib
 import importlib
 import sys
 from dataclasses import asdict
@@ -24,8 +26,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgnn_lab import (KINDS, Rng, SgnnConfig, backward, build_sbm, forward, init_tensor,
-                      sample_architecture, to_shift)
+from sgnn_lab import (KINDS, Rng, ShiftOperator, SgnnConfig, backward, build_sbm,
+                      default_domain, estimate_response_bound, estimate_response_lipschitz,
+                      filter_constants, forward, init_tensor, sample_architecture,
+                      tensor_constants, to_shift)
 from sgnn_lab.model import NONLINEARITIES, READOUTS
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
@@ -170,3 +174,66 @@ def test_one_drawn_set_gives_the_reference_outputs_and_gradients(sgnn_ref, cfg, 
             np.array_equal(np.sign(u), np.sign(v))
             for u, v in zip(cache.pre_activations, ref_cache.pre_activations)):
         assert np.abs(grad - want_grad).max() <= 1e-12 * np.abs(want_grad).max(initial=1.0)
+
+
+def _with_samples(reference):
+    """The reference's ``reference(..., n_samples, rng)`` called as the library's
+    ``(..., rng)``: the library always draws the reference's default 256 samples."""
+    return lambda *args: reference(*args[:-1], 256, args[-1])
+
+
+# two domains of one graph, then an edgeless graph's zero-width (-0.0, 0.0)
+_CONSTANT_BASES = [_BASES["adjacency"], _BASES["normalized_adjacency"],
+                   ShiftOperator("adjacency", np.zeros((8, 8)))]
+_TAP = st.floats(-3, 3).filter(lambda v: v == 0.0 or abs(v) >= 1e-3)
+
+
+def _assert_constants_match(got, want):
+    for name in ("domain", "response_bound", "response_lipschitz", "nonlinearity_lipschitz"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0,
+                                   err_msg=name)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 6).flatmap(lambda k: st.lists(_TAP, min_size=k + 1, max_size=k + 1)),
+       st.integers(1, 2), st.integers(1, 2), st.integers(0, 2**16))
+def test_filter_constants_match_the_reference(sgnn_ref, h, layers, features, seed):
+    # K <= 6 keeps the reference's per-candidate gradient loop fast.  The domains
+    # alternate within one process (each box's shared candidates are built for its
+    # own ends); per graph its own domain, an asymmetric one (on a symmetric box the
+    # gradient norm does not see the sign of lam_1) and a zero-width one
+    ref_lipschitz = _with_samples(sgnn_ref.spectral.estimate_response_lipschitz)
+    ref_filter, ref_tensor_constants = (_with_samples(sgnn_ref.variance.filter_constants),
+                                        _with_samples(sgnn_ref.variance.tensor_constants))
+    cfg = SgnnConfig(layers=layers, features=features, order=len(h) - 1, in_features=2)
+    tensor = init_tensor(cfg, Rng(seed), 0.6)
+    ref_tensor = sgnn_ref.FilterTensor.from_flat(sgnn_ref.SgnnConfig(**asdict(cfg)),
+                                                 tensor.flatten())
+    for base in [*_CONSTANT_BASES, _CONSTANT_BASES[0]]:
+        ref_base = sgnn_ref.ShiftOperator(base.kind, base.mat)
+        domain = default_domain(base)
+        np.testing.assert_allclose(domain, sgnn_ref.spectral.default_domain(ref_base),
+                                   rtol=1e-12, atol=0)
+        for lo_hi in (domain, (domain[0] / 2, domain[1]), (domain[1] / 3,) * 2):
+            np.testing.assert_allclose(
+                [estimate_response_bound(h, lo_hi), estimate_response_lipschitz(h, lo_hi, Rng(seed))],
+                [sgnn_ref.spectral.estimate_response_bound(h, lo_hi),
+                 ref_lipschitz(h, lo_hi, sgnn_ref.Rng(seed))], rtol=1e-12, atol=0)
+        _assert_constants_match(filter_constants(h, base, Rng(seed, stream=1)),
+                                ref_filter(h, ref_base, sgnn_ref.Rng(seed, stream=1)))
+        _assert_constants_match(tensor_constants(tensor, base, Rng(seed, stream=2)),
+                                ref_tensor_constants(ref_tensor, ref_base,
+                                                     sgnn_ref.Rng(seed, stream=2)))
+
+
+# sha256 of the reference's modules, each as its path below ``REFERENCE``, a NUL, its
+# size, a NUL and its bytes, in path order
+REFERENCE_SHA256 = "64ab96978296a65bf4c3beb0ae6db838742130477f81cae118044290f4684449"
+
+
+def test_the_frozen_reference_is_unchanged():
+    digest = hashlib.sha256()
+    for path in sorted(REFERENCE.glob("sgnn_ref/**/*.py")):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(REFERENCE).as_posix()}\0{len(data)}\0".encode() + data)
+    assert digest.hexdigest() == REFERENCE_SHA256
