@@ -166,26 +166,38 @@ def to_shift(adj: ShiftOperator, kind: str) -> ShiftOperator:
     raise ConfigError(f"unknown shift kind {kind!r}")
 
 
-def _realized_mats(base: ShiftOperator, keep: np.ndarray,
+def _edge_values(base: ShiftOperator, keep: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The edge values of a (..., M) boolean keep array, which :func:`_realized_mats`
+    builds from: each kept edge's weight, 0 for a dropped one (``keep * weights`` bit for
+    bit), formed in one float array, the start of the flat buffer ``out`` when given."""
+    vals = np.empty(keep.shape) if out is None else out[:keep.size].reshape(keep.shape)
+    vals[...] = keep
+    vals *= base._weights
+    return vals
+
+
+def _realized_mats(base: ShiftOperator, vals: np.ndarray,
                    out: np.ndarray | None = None) -> np.ndarray:
-    """Dense realized shift matrices for a (B, M) boolean keep array, built in ``out``
-    when given: a (B, N, N) array of zeros or of earlier realizations of ``base``.
-    Its entries off the edges and the diagonal are then zero already, so a refill
-    rewrites only the edge entries (dropped ones to 0) and a Laplacian's diagonal."""
-    b = keep.shape[0]
+    """Dense realized shift matrices for a (B, M) array of edge values (see
+    :func:`_edge_values`), built in ``out`` when given: a (B, N, N) array of zeros or of
+    earlier realizations of ``base``.  Its entries off the edges and the diagonal are then
+    zero already, so a refill rewrites only the edge entries (dropped ones to 0) and a
+    Laplacian's diagonal.  A caller forms a drawn set's values once and builds every
+    stage of it from them."""
+    b = vals.shape[0]
     n = base.n
     mats = np.zeros((b, n, n)) if out is None else out
     if base.num_edges == 0:
         return mats
     iu, ju = base.edges[:, 0], base.edges[:, 1]
-    vals = keep * base._weights
     if base.kind == LAPLACIAN:  # of the surviving edges: base degrees less dropped weights
-        vals = -vals
-        # per node, the dropped weights summed through the (M, N) edge-node incidence:
-        # exact, so equal to any other order of summation, on integer weights
+        # per node, the dropped weights (weights - values, exact on finite weights) summed
+        # through the (M, N) edge-node incidence: exact, so equal to any other order of
+        # summation, on integer weights
         ends, rows = np.zeros((len(iu), n)), np.arange(len(iu))
         ends[rows, iu] = ends[rows, ju] = 1.0
-        mats[:, np.arange(n), np.arange(n)] = np.diag(base.mat) - (~keep * base._weights) @ ends
+        mats[:, np.arange(n), np.arange(n)] = np.diag(base.mat) - (base._weights - vals) @ ends
+        vals = -vals
     mats[:, iu, ju] = vals
     mats[:, ju, iu] = vals
     return mats
@@ -201,17 +213,19 @@ def sample_realizations(base: ShiftOperator, p: float, rng: Rng, count: int) -> 
     """Draw ``count`` independent realized shifts as a (count, N, N) array.
 
     Keeps are ``rng.bernoulli(p, (count, M))``: one 32-bit lane per edge, ``p``
-    rounded down to a multiple of 2^-32, ``ceil(count * M / 2)`` words consumed.
-    At p = 1 every realization is the base: the result is a read-only view of
-    ``base.mat`` (stride 0 along ``count``) and nothing is drawn.
-    Callers never write into a realization.
+    rounded down to a multiple of 2^-32, ``ceil(count * M / 2)`` words consumed.  The
+    set's edge values (:func:`_edge_values`) are formed once, and every realization is
+    built from them.  At p = 1 every realization is the base: the result is a read-only
+    view of ``base.mat`` (stride 0 along ``count``) and nothing is drawn.
+    Callers never write into a realization.  A count that is no integer >= 0 (numpy
+    integers are integers) raises ``ValueError`` before any draw.
     """
     check_edge_probability(p)
-    if count < 0:
-        raise ValueError(f"realization count must be >= 0, got {count}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ValueError(f"realization count must be an integer >= 0, got {count!r}")
     if p == 1.0:
         return np.broadcast_to(base.mat, (count, base.n, base.n))
-    return _realized_mats(base, rng.bernoulli(p, (count, base.num_edges)))
+    return _realized_mats(base, _edge_values(base, rng.bernoulli(p, (count, base.num_edges))))
 
 
 def sample_realization(base: ShiftOperator, p: float, rng: Rng) -> np.ndarray:

@@ -53,8 +53,8 @@ import numpy as np
 
 from .errors import ConfigError, StaleCacheError
 from .filters import diffusion_stages
-from .graphs import (KINDS, ShiftOperator, _realized_mats, check_edge_probability, expected_shift,
-                     sample_realizations)
+from .graphs import (KINDS, ShiftOperator, _edge_values, _realized_mats, check_edge_probability,
+                     expected_shift, sample_realizations)
 from .rng import Rng
 
 NONLINEARITIES = ("relu", "abs", "tanh")
@@ -243,11 +243,15 @@ def sample_architecture(base: ShiftOperator | Sequence[ShiftOperator], p: float,
     calls on its graph would (at p = 1 nothing), so it leaves ``rng`` where those calls
     would.  At p = 1 a sequence whose graphs are all one object gives that graph's
     shared set above: every column's set is that graph.  A bad ``p`` raises
-    ``ConfigError``; graphs that are none or of mixed node counts, ``ValueError``.
+    ``ConfigError``; a base that is neither a graph nor a sequence of them, or graphs that
+    are none or of mixed node counts, ``ValueError``.
     """
     check_edge_probability(p)
     if not isinstance(base, ShiftOperator):
-        graphs = tuple(base)
+        graphs = tuple(base) if np.iterable(base) else (base,)
+        if not all(isinstance(g, ShiftOperator) for g in graphs):
+            raise ValueError(f"base must be a ShiftOperator or a sequence of them, got "
+                             f"{type(base).__name__}")
         _check_node_counts(graphs)
         if p < 1.0 or any(g is not graphs[0] for g in graphs):
             return DeferredSets(graphs, p, rng)
@@ -338,25 +342,26 @@ def _draw_column(sets: DeferredSets, shapes: list, col: int) -> list:
     return [sets.rng.bernoulli(sets.p, (o * i * k, m)) for o, i, k, _, _ in shapes]
 
 
-def _column_set(graph: ShiftOperator, keep: np.ndarray, slots: np.ndarray, held: list,
+def _column_set(graph: ShiftOperator, vals: np.ndarray, slots: np.ndarray, held: list,
                 lo: int = 0, hi: int = 1) -> np.ndarray:
-    """Consecutive columns' shifts on ``graph`` built from ``keep`` (their rows in slot
-    order) into slots ``lo`` to ``hi`` of ``slots``, one (..., N, N) block per column, and
-    viewed there.  ``held[j]`` is the graph slot j was last built on, None while it holds
-    zeros: a slot refilled on that graph has only its edge and diagonal entries rewritten;
-    one that held another graph is zeroed first."""
+    """Consecutive columns' shifts on ``graph`` built from their edge values ``vals`` (their
+    rows in slot order) into slots ``lo`` to ``hi`` of ``slots``, one (..., N, N) block per
+    column, and viewed there.  ``held[j]`` is the graph slot j was last built on, None
+    while it holds zeros: a slot refilled on that graph has only its edge and diagonal
+    entries rewritten; one that held another graph is zeroed first."""
     for j in range(lo, hi):
         if held[j] is not None and held[j] is not graph:
             slots[j].fill(0.0)
         held[j] = graph
-    return _realized_mats(graph, keep, out=slots[lo:hi].reshape(-1, graph.n, graph.n))
+    return _realized_mats(graph, vals, out=slots[lo:hi].reshape(-1, graph.n, graph.n))
 
 
 class _StageShifts:
     """A group's K stage shifts as :func:`diffusion_stages` reads them, item s for stage
     s + 1: reading item s builds stage s + 1 of each run of ``runs`` (first slot, the slot
-    past its last, graph, keeps) into ``slots`` and returns ``view``, a view of them; read
-    again before another item, it is not rebuilt."""
+    past its last, graph, edge values) into ``slots`` and returns ``view``, a view of them;
+    read again before another item, it is not rebuilt.  A run's edge values are formed
+    once, for all K stages, and stage s + 1 reads their rows s, s + K, ...."""
 
     def __init__(self, order: int, runs: list, slots: np.ndarray, held: list, view: np.ndarray):
         self.order, self.runs, self.slots, self.held, self.view, self.built = order, runs, slots, held, view, None
@@ -366,8 +371,8 @@ class _StageShifts:
 
     def __getitem__(self, s: int) -> np.ndarray:
         if s != self.built:
-            for first, last, graph, keep in self.runs:  # a run's rows s, s + K, ...
-                _column_set(graph, keep[s::self.order], self.slots, self.held, first, last)
+            for first, last, graph, vals in self.runs:  # a run's rows s, s + K, ...
+                _column_set(graph, vals[s::self.order], self.slots, self.held, first, last)
             self.built = s
         return self.view
 
@@ -515,8 +520,10 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             # contiguous N-vectors
             stages = (old_stages if getattr(old_stages, "shape", None) == shape else
                       np.empty(shape[:3] + (b, n)).swapaxes(3, 4))
-            # slot j holds one stage of column j, j + group, ...; held[j] its graph
-            slots, held = old_slots or (np.zeros((group, out_d, in_d, n, n)), [None] * group)
+            # slot j holds one stage of column j, j + group, ...; held[j] its graph; a run
+            # from slot j forms its edge values (every stage, M <= N(N-1)/2) in values[j:]
+            slots, held, values = old_slots or (np.zeros((group, out_d, in_d, n, n)), [None] * group,
+                                                np.empty((group, out_d * in_d * k * n * (n - 1) // 2)))
             # the signals (in, N, B) as (B, 1, in, N, 1) and the stages as
             # (K+1, B, out, in, N, 1)
             signals = current.transpose(2, 0, 1)[:, None, ..., None]
@@ -530,10 +537,12 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
                 else:
                     group_keeps = [keeps[col][layer_idx] for col in range(lo, hi)]
                 # runs of consecutive columns on one graph, each built in one call: first slot,
-                # the slot past its last, graph and keeps (columns * out * in * K, M)
+                # the slot past its last, graph and edge values (columns * out * in * K, M),
+                # formed once for every stage
                 ends = [j for j in range(1, hi - lo) if reals.graphs[lo + j] is not reals.graphs[lo + j - 1]]
                 runs = [(a, z, reals.graphs[lo + a],
-                         group_keeps[a] if z - a == 1 else np.concatenate(group_keeps[a:z]))
+                         _edge_values(reals.graphs[lo + a], group_keeps[a] if z - a == 1 else
+                                      np.concatenate(group_keeps[a:z]), values[a:].ravel()))
                         for a, z in zip([0, *ends], [*ends, hi - lo])]
                 # a one-column group indexes its column, which drops the group axis: the
                 # products are the same, and on whole-column slots one axis fewer took ~1 us
@@ -564,7 +573,7 @@ def _layers(tensor: FilterTensor, reals: Reals | DeferredSets, x: np.ndarray, sp
             cache.pre_activations.append(u)
             cache.activations.append(act)
         elif plan.chunk:  # every layer runs groups
-            spare[layer_idx:layer_idx + 1] = [(stages, u, act, slots, held)]
+            spare[layer_idx:layer_idx + 1] = [(stages, u, act, slots, held, values)]
         current = act
     return current
 
@@ -676,14 +685,16 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
         hat, std = cache.pooled_hat, cache.pooled_std
         d_pooled = (d_hat - d_hat.mean(axis=0)
                     - np.where(std == _STD_FLOOR, 0.0, hat * (d_hat * hat).mean(axis=0))) / std
-        d_act = np.broadcast_to(d_pooled[:, None, :] / n, cache.activations[-1].shape)
+        d_act = d_pooled[:, None, :] / n  # (out, 1, B)
     else:  # per_node
         head_w_grad[...] = np.einsum("dnb,fnb->df", g, cache.activations[-1])
         head_b_grad[...] = g.sum(axis=(1, 2))
         d_act = np.einsum("df,dnb->fnb", tensor.head_weight, g)
 
     for layer_idx in range(cfg.layers - 1, -1, -1):
-        delta_u = d_act * _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])  # (out, N, B)
+        # (out, N, B), in the slope's own array: a pooled head's (out, 1, B) d_act broadcasts
+        delta_u = _slope(cfg.nonlinearity, cache.pre_activations[layer_idx])
+        delta_u *= d_act
         stages, regime = cache.stages[layer_idx], cache.plan.layers[layer_idx][0]
         if regime == "products":
             inputs = cache.activations[layer_idx - 1] if layer_idx else cache.x
@@ -701,9 +712,11 @@ def backward(tensor: FilterTensor, reals: Reals | DeferredSets, cache: ForwardCa
         else:
             shape = (*coeffs.shape[:2], cfg.order, n, n)
             slot, held, d_act = np.zeros((1, *shape)), [None], np.empty((shape[1], n, b))
+            values = np.empty(slot.size)  # room for a column's edge values, M <= N * N
             for col, graph in enumerate(reals.graphs):  # each column's K stages in one slot
                 mats = (np.broadcast_to(graph.mat, shape) if regime == "stack" else
-                        _column_set(graph, cache.keeps[col][layer_idx], slot, held).reshape(shape))
+                        _column_set(graph, _edge_values(graph, cache.keeps[col][layer_idx], values),
+                                    slot, held).reshape(shape))
                 d_act[..., col:col + 1] = _adjoint(coeffs, mats, delta_u[..., col:col + 1])
     return grad
 

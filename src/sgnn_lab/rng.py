@@ -39,9 +39,12 @@ class Rng:
         """Boolean ``shape`` array of independent keeps w.p. ``p`` in [0, 1), rounded down
         to a multiple of 2^-32: entry ``t`` (C order) is ``lane_t < floor(p * 2**32)``,
         lane ``t`` being the low (even ``t``) or high half of raw word ``t // 2``, so
-        ``ceil(size / 2)`` words are consumed whatever the byte order."""
+        ``ceil(size / 2)`` words are consumed whatever the byte order.  A shape entry that
+        is no integer >= 0 raises ``ValueError``, as does ``p``."""
         if not 0.0 <= p < 1.0:
             raise ValueError(f"keep probability p={p} outside [0, 1)")
+        if not all(isinstance(d, (int, np.integer)) and d >= 0 for d in shape):
+            raise ValueError(f"shape entries must be integers >= 0, got {shape!r}")
         size = math.prod(shape)
         raw = self.generator.bit_generator.random_raw((size + 1) // 2)
         lanes = raw.astype("<u8", copy=False).view("<u4")[:size]

@@ -41,7 +41,7 @@ from . import spectral
 from .errors import ConfigError, SizeGuardError, UnsupportedKindError
 from .filters import _taps
 from .graphs import (ADJACENCY, KINDS, LAPLACIAN, NORMALIZED_ADJACENCY, ShiftOperator,
-                     _realized_mats, check_edge_probability)
+                     _edge_values, _realized_mats, check_edge_probability)
 from .model import (
     NONLINEARITY_LIPSCHITZ,
     FilterTensor,
@@ -138,7 +138,7 @@ def _mask_battery(base: ShiftOperator) -> tuple[np.ndarray, np.ndarray]:
     m = base.num_edges
     bits = np.arange(2**m, dtype=np.int64)
     keeps = ((bits[:, None] >> np.arange(m)) & 1).astype(bool)
-    return keeps, _realized_mats(base, keeps)
+    return keeps, _realized_mats(base, _edge_values(base, keeps))
 
 
 def _mask_weights(keeps: np.ndarray, p: float) -> np.ndarray:

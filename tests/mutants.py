@@ -89,6 +89,30 @@ MUTANTS = {
         ("tests/test_graphs.py::TestSampleRealization::test_refill_in_place_equals_fresh_builds"
          "[laplacian]",
          "tests/test_model.py::test_refill_after_a_denser_graph_equals_a_fresh_set[laplacian]")),
+    # each stage of a run reads the next stage's rows of its edge values (the last stage
+    # the first's): every shift is a realization, but of the wrong stage
+    "stage built from the next stage's values": Mutant(
+        "src/sgnn_lab/model.py", "vals[s::self.order]", "vals[(s + 1) % self.order::self.order]",
+        (_STOCHASTIC + "[flock]",
+         "tests/test_model.py::test_every_stage_is_built_from_its_sets_edge_values[3-True]")),
+    # every run of a group forms its edge values at the start of the value buffer: a
+    # later run overwrites an earlier one's before its stages are built
+    "runs share their edge value row": Mutant(
+        "src/sgnn_lab/model.py", "values[a:].ravel()", "values.ravel()",
+        ("tests/test_model.py::test_every_stage_is_built_from_its_sets_edge_values[3-True]",
+         "tests/test_model.py::test_every_stage_is_built_from_its_sets_edge_values[3-False]")),
+    # a Laplacian's degrees lose the kept weights instead of the dropped ones
+    "laplacian diagonal from the kept weights": Mutant(
+        "src/sgnn_lab/graphs.py", "(base._weights - vals) @ ends", "vals @ ends",
+        ("tests/test_graphs.py::TestEdgeValues::test_each_stage_from_the_values_equals_the_keep_"
+         "formula[3]",
+         "tests/test_graphs.py::TestSampleRealization::test_laplacian_build_equals_a_hand_built_"
+         "laplacian[False]")),
+    # the edge values are the keeps alone: right on unit weights only
+    "edge values without their weights": Mutant(
+        "src/sgnn_lab/graphs.py", "vals *= base._weights", "pass",
+        (_STOCHASTIC + "[flock]",
+         "tests/test_graphs.py::TestEdgeValues::test_values_are_the_kept_weights")),
     # the pooled head centers each feature over the batch instead of each column over
     # the features
     "pooled head centered over the wrong axis": Mutant(

@@ -30,7 +30,7 @@ from sgnn_lab import (
     to_shift,
 )
 from sgnn_lab import spectral
-from sgnn_lab.graphs import _realized_mats, _upper_pairs
+from sgnn_lab.graphs import _edge_values, _realized_mats, _upper_pairs
 
 # weighted path 0 - 1 - 2 with edge weights 2 and 0.5
 WEIGHTED_PATH = np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.5], [0.0, 0.5, 0.0]])
@@ -42,6 +42,32 @@ def weighted_shift(weights: np.ndarray, kind: str) -> ShiftOperator:
         return ShiftOperator(LAPLACIAN, np.diag(weights.sum(axis=1)) - weights)
     scale = np.abs(np.linalg.eigvalsh(weights)).max() if kind == NORMALIZED_ADJACENCY else 1.0
     return ShiftOperator(kind, weights / scale)
+
+
+def _build(base, keep, out=None):
+    """Realized shifts of a boolean keep array, built from its edge values as the
+    library builds them."""
+    return _realized_mats(base, _edge_values(base, keep), out=out)
+
+
+def _keep_formula(base, keep, out=None):
+    """The oracle of the build from edge values: the earlier build from a keep array,
+    which took each edge value as ``keep * weights`` and a Laplacian's dropped weights
+    as ``~keep * weights``."""
+    n = base.n
+    mats = np.zeros((len(keep), n, n)) if out is None else out
+    if base.num_edges == 0:
+        return mats
+    iu, ju = base.edges[:, 0], base.edges[:, 1]
+    vals = keep * base._weights
+    if base.kind == LAPLACIAN:
+        vals = -vals
+        ends, rows = np.zeros((len(iu), n)), np.arange(len(iu))
+        ends[rows, iu] = ends[rows, ju] = 1.0
+        mats[:, np.arange(n), np.arange(n)] = np.diag(base.mat) - (~keep * base._weights) @ ends
+    mats[:, iu, ju] = vals
+    mats[:, ju, iu] = vals
+    return mats
 
 
 def brute_expected_shift_square(base, p):
@@ -221,11 +247,11 @@ class TestSampleRealization:
         for keep in itertools.product((False, True), repeat=2):
             kept = WEIGHTED_PATH * np.array([[0, keep[0], 0], [keep[0], 0, keep[1]],
                                              [0, keep[1], 0]])
-            got = _realized_mats(base, np.array([keep]))[0]
+            got = _build(base, np.array([keep]))[0]
             assert np.array_equal(got, np.diag(kept.sum(axis=1)) - kept)
         masks = np.array(list(itertools.product((False, True), repeat=2)))
         probs = np.prod(np.where(masks, 0.3, 0.7), axis=1)
-        mean = np.einsum("b,bnm->nm", probs, _realized_mats(base, masks))
+        mean = np.einsum("b,bnm->nm", probs, _build(base, masks))
         assert np.abs(mean - expected_shift(base, 0.3)).max() <= 1e-15
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -237,7 +263,7 @@ class TestSampleRealization:
         weights = np.triu(weights, 1) + np.triu(weights, 1).T
         base = weighted_shift(weights, LAPLACIAN)
         keep = Rng(6).bernoulli(0.6, (20, base.num_edges))
-        for got, row in zip(_realized_mats(base, keep), keep):
+        for got, row in zip(_build(base, keep), keep):
             i, j = base.edges[row].T
             kept = np.zeros((8, 8))
             kept[i, j] = kept[j, i] = weights[i, j]
@@ -257,8 +283,50 @@ class TestSampleRealization:
         keeps[2:2] = [np.ones((3, m), dtype=bool), np.zeros((3, m), dtype=bool)]
         buf = np.zeros((3, 8, 8))
         for keep in keeps:  # each refill drops edges that the one before kept
-            assert _realized_mats(base, keep, out=buf) is buf
-            assert buf.tobytes() == _realized_mats(base, keep).tobytes()
+            assert _build(base, keep, out=buf) is buf
+            assert buf.tobytes() == _build(base, keep).tobytes()
+
+
+def _edge_value_bases(random8):
+    """The p = 1 bases (weighted and unit-weight graphs of every kind, a normalized
+    adjacency among them) and an edgeless graph of every kind."""
+    yield from _p_one_bases(random8)
+    for kind in KINDS:
+        yield ShiftOperator(kind, np.zeros((5, 5)))
+
+
+class TestEdgeValues:
+    """A drawn set's edge values are ``keep * weights`` formed once, and every build of
+    the set reads them: bit for bit the build from its keeps (the formula that the edge
+    values replaced), whole or one stage at a time, fresh or refilled."""
+
+    def test_values_are_the_kept_weights(self, random8):
+        # in a new array, and at the start of a flat buffer that holds other values
+        for base in _edge_value_bases(random8):
+            keep = Rng(8).bernoulli(0.6, (12, base.num_edges))
+            buf = np.full(12 * base.n**2, np.nan)
+            for vals in (_edge_values(base, keep), _edge_values(base, keep, buf)):
+                assert vals.dtype == float and vals.shape == keep.shape
+                assert vals.tobytes() == (keep * base._weights).tobytes()
+            assert np.isnan(buf[keep.size:]).all()
+            assert not keep.size or np.shares_memory(vals, buf[:keep.size])
+
+    @pytest.mark.parametrize("order", [0, 1, 3])
+    def test_each_stage_from_the_values_equals_the_keep_formula(self, random8, order):
+        # a set of 4 realizations of K stages, as the column groups build it: stage s
+        # from the rows s, s + K, ... of the values formed once, into a fresh buffer, then
+        # refilled by later sets that drop edges the one before kept
+        for base in _edge_value_bases(random8):
+            rng, m, n = Rng(7), base.num_edges, base.n
+            keeps = [rng.bernoulli(p, (4 * order, m)) for p in (0.7, 0.3, 0.0, 0.9)]
+            keeps[2:2] = [np.ones((4 * order, m), dtype=bool)]
+            buf = np.zeros((4, n, n))
+            for keep in keeps:
+                vals = _edge_values(base, keep)
+                assert _realized_mats(base, vals).tobytes() == _keep_formula(base, keep).tobytes()
+                for s in range(order):
+                    assert _realized_mats(base, vals[s::order], out=buf) is buf
+                    assert buf.tobytes() == _keep_formula(base, keep[s::order]).tobytes()
 
 
 def _state(rng: Rng) -> str:
@@ -281,7 +349,7 @@ class TestIntactRealizations:
             rng = Rng(3)
             state = _state(rng)
             got = sample_realizations(base, 1.0, rng, 5)
-            want = _realized_mats(base, np.ones((5, base.num_edges), dtype=bool))
+            want = _build(base, np.ones((5, base.num_edges), dtype=bool))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert not got.flags.writeable and np.shares_memory(got, base.mat)
             one = sample_realization(base, 1.0, rng)

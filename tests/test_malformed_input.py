@@ -35,6 +35,7 @@ from sgnn_lab import (
     init_tensor,
     mc_sgnn_variance,
     sample_architecture,
+    sample_realizations,
     to_shift,
 )
 from sgnn_lab.experiments import evaluate_accuracy
@@ -113,7 +114,10 @@ def _forward_deferred(p):
 # class scored an accuracy above 1, or 0; an 8-node plus a 6-node deferred set ran
 # at p = 0.7, the 6-node graph written into 8 x 8 slots, and raised numpy's
 # stacking error at p = 1; NaN inputs labelled 0 scored an accuracy of 1 (NaN logits
-# argmax to class 0), and a NaN signal gave a variance of NaN
+# argmax to class 0), and a NaN signal gave a variance of NaN; a realization count of
+# 2.5 raised numpy's TypeError (below p = 1 from its random generator, at p = 1 from
+# broadcast_to), a negative or fractional keep shape numpy's ValueError, and an array as
+# a base AttributeError from the node-count check
 TIMED = {
     "mc_sgnn_variance n_samples": (
         lambda n, rng: mc_sgnn_variance(_NET, _BASE, 0.7, _X, n, rng),
@@ -141,6 +145,30 @@ TIMED = {
     "forward deferred node counts at p = 1": (
         _forward_deferred(1.0), _EIGHT, _BASE, ValueError,
         r"per-column graphs need one node count, got \[8, 6\]"),
+    "sample_realizations count": (
+        lambda count, rng: sample_realizations(_BASE, 0.7, rng, count),
+        2.5, np.int64(3), ValueError, "realization count must be an integer >= 0, got 2.5"),
+    "sample_realizations count at p = 1": (
+        lambda count, rng: sample_realizations(_BASE, 1.0, rng, count),
+        2.5, np.int64(3), ValueError, "realization count must be an integer >= 0, got 2.5"),
+    "sample_realizations string count": (
+        lambda count, rng: sample_realizations(_BASE, 0.7, rng, count),
+        "3", 3, ValueError, "realization count must be an integer >= 0, got '3'"),
+    "Rng.bernoulli negative shape": (
+        lambda shape, rng: rng.bernoulli(0.7, shape),
+        (2, -1), (2, np.int64(3)), ValueError,
+        r"shape entries must be integers >= 0, got \(2, -1\)"),
+    "Rng.bernoulli fractional shape": (
+        lambda shape, rng: rng.bernoulli(0.7, shape),
+        (2, 2.5), (2, 0), ValueError, r"shape entries must be integers >= 0, got \(2, 2\.5\)"),
+    "sample_architecture array base": (
+        lambda base, rng: sample_architecture(base, 0.7, _NET.cfg, rng),
+        _BASE.mat, _BASE, ValueError,
+        "base must be a ShiftOperator or a sequence of them, got ndarray"),
+    "sample_architecture sequence of arrays": (
+        lambda base, rng: sample_architecture(base, 0.7, _NET.cfg, rng),
+        [_BASE.mat, _BASE.mat], [_BASE, _BASE], ValueError,
+        "base must be a ShiftOperator or a sequence of them, got list"),
     "evaluate_accuracy head": (
         lambda net, rng: evaluate_accuracy(net, _BASE, _INPUTS, [0, 1, 1, 0], 0.7, rng),
         _NET, _CLASSIFIER, ConfigError, "accuracy needs a pooled readout head, got 'none'"),

@@ -676,7 +676,8 @@ def test_refill_after_a_denser_graph_equals_a_fresh_set(random8, kind):
             keeps = model._draw_column(sets, shapes, col)
             j = col % group
             for layer, (keep, buf, shape) in enumerate(zip(keeps, slots, shapes)):
-                got = model._column_set(graph, keep, buf, held[layer], j, j + 1)
+                vals = model._edge_values(graph, keep)
+                got = model._column_set(graph, vals, buf, held[layer], j, j + 1)
                 assert np.shares_memory(got, buf[j]) and held[layer][j] is graph
                 assert got.tobytes() == want[layer].tobytes()
         assert _state(sets.rng) == _state(loop_rng)
@@ -740,10 +741,10 @@ def _check_column_groups(monkeypatch, graphs, order, group, return_cache):
         calls.append(("diffuse", signals.shape))
         return diffusion_stages(mats, signals, out)
 
-    def build(graph, keep, out):
-        assert out.shape == (len(keep), 8, 8)  # one stage of each column of the run
-        calls.append(("build", len(keep)))
-        return realized_mats(graph, keep, out=out)
+    def build(graph, vals, out):
+        assert out.shape == (len(vals), 8, 8)  # one stage of each column of the run
+        calls.append(("build", len(vals)))
+        return realized_mats(graph, vals, out=out)
 
     monkeypatch.setattr(model, "diffusion_stages", diffuse)
     monkeypatch.setattr(model, "_realized_mats", build)
@@ -798,6 +799,81 @@ def test_stage_slots_across_graph_changes(monkeypatch, base8, random8, case, ret
     _check_column_groups(monkeypatch, graphs, 2, group, return_cache)
 
 
+class _Recorded:
+    """A stage sequence that copies each item :func:`diffusion_stages` reads."""
+
+    def __init__(self, mats):
+        self.mats, self.seen = mats, {}
+
+    def __len__(self):
+        return len(self.mats)
+
+    def __getitem__(self, s):
+        self.seen[s] = self.mats[s].copy()
+        return self.mats[s]
+
+
+@pytest.mark.parametrize("return_cache", [True, False])
+@pytest.mark.parametrize("order", [0, 1, 3])
+def test_every_stage_is_built_from_its_sets_edge_values(monkeypatch, random8, order,
+                                                        return_cache):
+    # below p = 1 a run of columns on one graph forms its edge values once, and stage s + 1
+    # of each column is built from their rows s, s + K, ...: every stage that diffuses,
+    # and every shift backward rebuilds, is the single-set draw's bit for bit, and the
+    # output is B single-set passes' bit for bit.  Weighted Laplacian, normalized and
+    # edgeless graphs; fresh slots, and slots refilled on the graph they held or on
+    # another one
+    weights = np.triu(random8.mat * Rng(5).uniform(0.3, 2.0, (8, 8)), 1)
+    weights = weights + weights.T
+    lap = ShiftOperator("laplacian", np.diag(weights.sum(axis=1)) - weights)
+    norm = to_shift(random8, NORMALIZED_ADJACENCY)
+    empty = ShiftOperator(ADJACENCY, np.zeros((8, 8)))
+    empty_lap = ShiftOperator("laplacian", np.zeros((8, 8)))
+    graphs = [lap, lap, norm, empty, lap, norm, norm, empty_lap, lap, lap, empty]
+    cfg = SgnnConfig(layers=2, features=2, order=order, nonlinearity="tanh", in_features=2,
+                     out_features=2)
+    tensor = init_tensor(cfg, Rng(5), 0.6)
+    x = Rng(3).normal(size=(2, 8, len(graphs)))
+    loop_rng = Rng(0)
+    want = [sample_architecture(g, 0.7, cfg, loop_rng) for g in graphs]
+    loop = np.concatenate([forward(tensor, reals, x[..., c, None], return_cache=False)[0]
+                           for c, reals in enumerate(want)], axis=-1)
+    seen, adjoints, diffusion_stages, adjoint = [], [], model.diffusion_stages, model._adjoint
+
+    def diffuse(mats, signals, out):
+        mats = _Recorded(mats)
+        seen.append(mats.seen)
+        return diffusion_stages(mats, signals, out)
+
+    def rebuilt(coeffs, mats, delta_u):
+        adjoints.append(mats.copy())
+        return adjoint(coeffs, mats, delta_u)
+
+    monkeypatch.setattr(model, "diffusion_stages", diffuse)
+    monkeypatch.setattr(model, "_adjoint", rebuilt)
+    group = 2  # both layers have 2 x 2 filters: groups of 2 columns of one stage of 4 shifts
+    monkeypatch.setattr(model, "_GROUP_BYTES", group * 4 * 8 * 8 * 8)
+    rng = Rng(0)
+    sets = sample_architecture(graphs, 0.7, cfg, rng)
+    got, cache = forward(tensor, sets, x, return_cache=return_cache)
+    assert _state(rng) == _state(loop_rng)
+    assert got.tobytes() == loop.tobytes()
+    width = len(graphs) if return_cache else _chunk_width(cfg, 8)[0]
+    calls = [(layer, range(lo, min(lo + group, c0 + width, len(graphs))))
+             for c0 in range(0, len(graphs), width) for layer in range(2)
+             for lo in range(c0, min(c0 + width, len(graphs)), group)]
+    assert len(seen) == len(calls)
+    for stages, (layer, cols) in zip(seen, calls):
+        assert sorted(stages) == list(range(order))
+        for s, mats in stages.items():  # one-column groups drop the group axis
+            mats = mats.reshape(len(cols), 2, 2, 8, 8)
+            for col, got_mats in zip(cols, mats):
+                assert got_mats.tobytes() == want[col][layer][:, :, s].tobytes()
+    if return_cache:  # backward rebuilds each column's layer 1 from its stored keeps
+        backward(tensor, sets, cache, Rng(4).normal(size=got.shape))
+        assert [m.tobytes() for m in adjoints] == [w[1].tobytes() for w in want]
+
+
 @pytest.mark.parametrize("columns", [33, 70])
 def test_forward_only_pass_runs_in_chunks_of_columns(monkeypatch, base8, random8, columns):
     # below p = 1 a forward-only pass runs the cached pass's layers on chunks of whole
@@ -835,8 +911,8 @@ def test_forward_only_pass_runs_in_chunks_of_columns(monkeypatch, base8, random8
 @pytest.mark.parametrize("columns", [24, 27])
 def test_each_chunk_refills_the_previous_chunks_arrays(monkeypatch, base8, random8, columns):
     # every chunk after the first runs each layer on the previous chunk's stage array,
-    # slot buffer (with the graphs its slots hold), pre-activations and activations; a
-    # short last chunk keeps only the slots.  The slots then hold another graph's stage
+    # slot buffer (with the graphs its slots hold), edge value buffer, pre-activations and
+    # activations; a short last chunk keeps only the slots and the value buffer.  The slots then hold another graph's stage
     # between chunks: the output stays the cached pass's bit for bit
     cfg = SgnnConfig(layers=2, features=2, order=2, in_features=2, readout="pooled",
                      out_features=3, readout_dim=2)
@@ -856,8 +932,8 @@ def test_each_chunk_refills_the_previous_chunks_arrays(monkeypatch, base8, rando
     assert len(left) == -(-columns // 6) and {len(arrays) for arrays in left} == {2}
     for chunk, (before, after) in enumerate(zip(left, left[1:]), 1):
         full = chunk < len(left) - 1 or columns % 6 == 0
-        for prev, arrays in zip(before, after):  # stages, u, act, slots, held per layer
-            assert [a is b for a, b in zip(prev, arrays)] == [full] * 3 + [True] * 2
+        for prev, arrays in zip(before, after):  # stages, u, act, slots, held, values
+            assert [a is b for a, b in zip(prev, arrays)] == [full] * 3 + [True] * 3
     monkeypatch.setattr(model, "_layers", layers)
     want, _ = forward(tensor, sample_architecture(graphs, 0.7, cfg, Rng(0)), x)
     assert got.tobytes() == want.tobytes()

@@ -14,6 +14,7 @@ PACKAGE = Path(sgnn_lab.__file__).parent
 
 # (defining module, private name) -> the modules that use it
 ALLOWED = {
+    ("graphs", "_edge_values"): {"model", "variance"},
     ("graphs", "_realized_mats"): {"model", "variance"},
     ("model", "_activate"): {"variance"},
     ("filters", "_taps"): {"spectral", "variance"},
